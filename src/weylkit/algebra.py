@@ -15,7 +15,7 @@ import numpy as np
 
 from .cocycle import TwoCocycle
 from .dual import bundle_from_subgroupoid, dual_bundle
-from .errors import ConventionMismatch, DegenerateSample
+from .errors import CardinalityMismatch, ConventionMismatch, DegenerateSample, NotStarHomomorphism
 from .groupoid import FiniteGroupoid, Grading
 from .weyl import conditional_expectation
 
@@ -57,10 +57,6 @@ class TwistedAlgebra:
             out[gi] = np.conj(v) * ph
         return out
 
-    def graded_component(self, c: Grading, f):
-        """The c-values supporting f (the grading subspaces it touches)."""
-        return {c.value(g) for g, v in f.items() if abs(v) > 0}
-
 
 def regular_representation(G: FiniteGroupoid, omega: TwoCocycle, u):
     """Matrices of the arrow deltas on the span of the arrows out of u.
@@ -88,10 +84,12 @@ def regular_representation(G: FiniteGroupoid, omega: TwoCocycle, u):
 def _verify_star_hom(G, alg, mats):
     for g in G.arrows:
         gi, ph = alg.star_basis(g)
-        assert np.max(np.abs(mats[g].conj().T - ph * mats[gi])) < HOM_TOL
+        if not np.max(np.abs(mats[g].conj().T - ph * mats[gi])) < HOM_TOL:
+            raise NotStarHomomorphism(("star", g))
     for (g, h), gh in G.compose.items():
         expected = alg.product_basis(g, h)[1] * mats[gh]
-        assert np.max(np.abs(mats[g] @ mats[h] - expected)) < HOM_TOL
+        if not np.max(np.abs(mats[g] @ mats[h] - expected)) < HOM_TOL:
+            raise NotStarHomomorphism(("product", g, h))
 
 
 def total_representation(G: FiniteGroupoid, omega: TwoCocycle):
@@ -102,7 +100,8 @@ def total_representation(G: FiniteGroupoid, omega: TwoCocycle):
     blocks = [regular_representation(G, omega, u)[0] for u in G.units]
     sizes = [next(iter(b.values())).shape[0] for b in blocks]
     n = sum(sizes)
-    assert n == len(G)
+    if n != len(G):
+        raise CardinalityMismatch(("total representation", n, len(G)))
     mats = {}
     for g in G.arrows:
         M = np.zeros((n, n), dtype=complex)

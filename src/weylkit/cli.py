@@ -23,8 +23,8 @@ from .algebra import (
     expectation_checks,
     wedderburn_blocks,
 )
-from .cocycle import TwoCocycle, check_cocycle
-from .errors import SchemaError, WeylkitError
+from .cocycle import check_cocycle
+from .errors import NontrivialCocycle, SchemaError, WeylkitError
 from .groupoid import Grading
 from .io import emit_groupoid_data, load_groupoid, save_groupoid
 from .reconstruct import (
@@ -73,7 +73,7 @@ def _grading(gf):
     return Grading(group=(1,), values={g: (0,) for g in gf.G.arrows})
 
 
-def _load_section(gf, args, data):
+def _load_section(args):
     if getattr(args, "section", "lex") == "lex":
         return None
     try:
@@ -81,7 +81,9 @@ def _load_section(gf, args, data):
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError, TypeError) as exc:
         raise SchemaError(f"cannot read section file: {exc}") from exc
-    return dict(raw)
+    if not isinstance(raw, dict) or not all(isinstance(v, str) for v in raw.values()):
+        raise SchemaError("section file must map class ids to arrow ids")
+    return raw
 
 
 def cmd_validate(args):
@@ -109,8 +111,7 @@ def cmd_hypotheses(args):
 def cmd_weyl(args):
     gf = load_groupoid(args.file)
     S = _pick_subgroupoid(gf, args.subgroupoid)
-    GW, data = build_weyl_groupoid(gf.G, S, gf.omega, section=_load_section(gf, args, None))
-    marked = frozenset(a for a in GW.arrows if GW.src[a] == GW.tgt[a] and GW.is_unit(a))
+    GW, _ = build_weyl_groupoid(gf.G, S, gf.omega, section=_load_section(args))
     out = emit_groupoid_data(GW, name=GW.name, marked=sorted(GW.units))
     if args.output:
         with open(args.output, "w") as fh:
@@ -125,7 +126,7 @@ def cmd_weyl(args):
 def cmd_twist(args):
     gf = load_groupoid(args.file)
     S = _pick_subgroupoid(gf, args.subgroupoid)
-    GW, data = build_weyl_groupoid(gf.G, S, gf.omega, section=_load_section(gf, args, None))
+    GW, data = build_weyl_groupoid(gf.G, S, gf.omega, section=_load_section(args))
     C = weyl_twist_cocycle(GW, data)
     violations = check_cocycle(GW, C)
     report = {
@@ -161,9 +162,9 @@ def cmd_actions(args):
 def cmd_boxtimes(args):
     gf = load_groupoid(args.file)
     S = _pick_subgroupoid(gf, args.subgroupoid)
-    pkg = derive_weyl_actions(gf.G, S)
+    pkg = derive_weyl_actions(gf.G, S, gf.omega)
     dia = diamond_action(pkg)
-    theta = theta_for_package(pkg, dia, _load_section(gf, args, None))
+    theta = theta_for_package(pkg, dia, _load_section(args))
     B = build_boxtimes(dia, theta)
     report = {"arrows": len(B), "units": len(B.units), "name": B.name}
     if args.output:
@@ -176,7 +177,9 @@ def cmd_boxtimes(args):
 def cmd_roundtrip(args):
     gf = load_groupoid(args.file)
     S = _pick_subgroupoid(gf, args.subgroupoid)
-    rec = reconstruction_iso(gf.G, S, gf.c, section=_load_section(gf, args, None))
+    if not gf.omega.is_trivial():
+        raise NontrivialCocycle("reconstruction requires a trivial 2-cocycle")
+    rec = reconstruction_iso(gf.G, S, gf.c, section=_load_section(args))
     pkg = rec.dia.pkg
     c_tilde = induced_grading_on_H(pkg, _grading(gf))
     hyp = verify_reconstruction_hypotheses(rec.dia, rec.theta, c_tilde, roundtrip=True)
@@ -320,9 +323,12 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE if exc.code not in (0, None) else 0
-    if "WEYLKIT_SEED" in os.environ and hasattr(args, "seed"):
-        args.seed = int(os.environ["WEYLKIT_SEED"])
     try:
+        if "WEYLKIT_SEED" in os.environ and hasattr(args, "seed"):
+            try:
+                args.seed = int(os.environ["WEYLKIT_SEED"])
+            except ValueError as exc:
+                raise SchemaError(f"WEYLKIT_SEED must be an integer: {exc}") from exc
         return args.func(args)
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)

@@ -15,10 +15,8 @@ from typing import Iterable, Mapping, Optional
 import numpy as np
 
 from .errors import SearchCapExceeded, UndefinedPair
-from .groupoid import FiniteGroupoid, Subgroupoid, iso_subgroupoid, subgroupoid_properties
+from .groupoid import FIBRE_CAP, FiniteGroupoid, Subgroupoid, isotropy_fibres, kernel_of_grading
 from .phases import ZERO, Phase
-
-FIBRE_CAP = 256
 
 
 class TwoCocycle:
@@ -44,12 +42,6 @@ class TwoCocycle:
 
     def is_trivial(self) -> bool:
         return not self.values
-
-    def restrict_is_trivial(self, members: Iterable) -> bool:
-        S = set(members)
-        return all(self.omega(g, h).is_zero
-                   for g, h in self.G.compose
-                   if g in S and h in S)
 
     def _int_table(self):
         """(numerator array, compose matrix, common denominator)."""
@@ -189,13 +181,7 @@ def find_maximal_symmetric_abelian(G: FiniteGroupoid, omega: TwoCocycle, c) -> l
     The search runs fibrewise (bundle subgroupoids decompose over units) and
     takes the product of the per-fibre maximal families.
     """
-    from .groupoid import kernel_of_grading
-
-    kernel = kernel_of_grading(G, c)
-    iso = {
-        u: [g for g in kernel.members if G.src[g] == u and G.tgt[g] == u]
-        for u in G.units
-    }
+    iso = isotropy_fibres(G, kernel_of_grading(G, c).members)
     per_unit = [
         _maximal_fibre_subgroups(G, omega, u, iso[u]) for u in G.units
     ]
@@ -208,13 +194,10 @@ def find_maximal_symmetric_abelian(G: FiniteGroupoid, omega: TwoCocycle, c) -> l
 
 def is_maximal_symmetric_abelian(G: FiniteGroupoid, omega: TwoCocycle, c, members) -> Optional[tuple]:
     """None if the bundle is maximal; otherwise a witness arrow extending it."""
-    from .groupoid import kernel_of_grading
-
-    S = frozenset(members)
-    kernel = kernel_of_grading(G, c)
+    kernel = isotropy_fibres(G, kernel_of_grading(G, c).members)
+    S = isotropy_fibres(G, members)
     for u in G.units:
-        fibre = {g for g in kernel.members if G.src[g] == u and G.tgt[g] == u}
-        Su = {g for g in S if G.src[g] == u and G.tgt[g] == u}
+        fibre, Su = set(kernel[u]), set(S[u])
         if len(fibre) > FIBRE_CAP:
             raise SearchCapExceeded(f"isotropy fibre at {u} has order {len(fibre)}")
         for t in sorted(fibre - Su):

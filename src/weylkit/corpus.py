@@ -152,18 +152,6 @@ def z2_x_r2() -> CorpusEntry:
     return CorpusEntry("z2xR2", G, S, trivial_omega(G), c)
 
 
-def hypothesis_corpus():
-    """Entries expected to pass the full dynamical Cartan hypothesis check."""
-    entries = [z2z2(twisted=True), s3(), d4(), q8(), z2_x_r2()]
-    entries += [rotation(n, p) for n in range(2, 9) for p in range(n)]
-    return entries
-
-
-def reconstruction_corpus():
-    """Trivial-cocycle entries for the reconstruction round trip."""
-    return [z2z2(twisted=False), s3(), d4(), q8(), z2_x_r2()]
-
-
 BUILDERS = {
     "pauli": lambda: z2z2(True),
     "z2z2": lambda: z2z2(False),

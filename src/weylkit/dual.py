@@ -13,11 +13,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .errors import FibreTooLarge, NotAbelian, UnknownArrowId
-from .groupoid import FiniteGroupoid
+from .errors import DualityFailure, FibreMismatch, FibreTooLarge, NotAbelian, UnknownArrowId
+from .groupoid import FIBRE_CAP, FiniteGroupoid, isotropy_fibres
 from .phases import ZERO, Phase
-
-FIBRE_CAP = 256
 
 
 @dataclass(frozen=True)
@@ -34,13 +32,6 @@ class GroupBundle:
     def fibre(self, x):
         return self.fibres[x]
 
-    def power(self, a, n: int):
-        out = self.identity[self.p[a]]
-        g = a if n >= 0 else self.inv(a)
-        for _ in range(abs(n)):
-            out = self.mult(out, g)
-        return out
-
     def element_order(self, a) -> int:
         n, x = 1, a
         e = self.identity[self.p[a]]
@@ -48,9 +39,6 @@ class GroupBundle:
             x = self.mult(x, a)
             n += 1
         return n
-
-    def max_order(self, x) -> int:
-        return max(self.element_order(a) for a in self.fibres[x])
 
 
 def bundle_from_subgroupoid(G: FiniteGroupoid, members) -> GroupBundle:
@@ -61,13 +49,9 @@ def bundle_from_subgroupoid(G: FiniteGroupoid, members) -> GroupBundle:
             raise UnknownArrowId(g)
         if G.src[g] != G.tgt[g]:
             raise NotAbelian(f"member {g} is not isotropy")
-    fibres = {
-        u: tuple(sorted(g for g in S if G.src[g] == u))
-        for u in G.units
-    }
     return GroupBundle(
         base=tuple(G.units),
-        fibres=fibres,
+        fibres=isotropy_fibres(G, S),
         p={g: G.src[g] for g in S},
         mult=G.mul,
         inv=G.inv,
@@ -84,9 +68,6 @@ class Character:
 
     def value(self, a) -> Phase:
         return dict(self.values)[a]
-
-    def table(self) -> dict:
-        return dict(self.values)
 
     @property
     def is_trivial(self) -> bool:
@@ -122,11 +103,9 @@ class CharacterBundle:
     def trivial(self, x) -> Character:
         return Character.from_table(x, {a: ZERO for a in self.bundle.fibre(x)})
 
-    def pairing(self, chi: Character, a) -> Phase:
-        return chi.value(a)
-
     def multiply(self, chi: Character, nu: Character) -> Character:
-        assert chi.unit == nu.unit
+        if chi.unit != nu.unit:
+            raise FibreMismatch((chi.unit, nu.unit))
         return Character.from_table(chi.unit, {a: p + nu.value(a) for a, p in chi.values})
 
     def invert(self, chi: Character) -> Character:
@@ -213,19 +192,23 @@ def _verify_dual(bundle: GroupBundle, dual: CharacterBundle):
     for x in bundle.base:
         fibre = bundle.fibre(x)
         chars = dual.fibres[x]
-        assert len(chars) == len(fibre), f"character count mismatch at {x}"
-        assert len(set(chars)) == len(chars), f"duplicate characters at {x}"
+        if len(chars) != len(fibre):
+            raise DualityFailure(("character count", x, len(chars), len(fibre)))
+        if len(set(chars)) != len(chars):
+            raise DualityFailure(("duplicate characters", x))
         for chi in chars:
+            values = dict(chi.values)
             for a, b in itertools.product(fibre, fibre):
-                assert chi.value(bundle.mult(a, b)) == chi.value(a) + chi.value(b)
+                if values[bundle.mult(a, b)] != values[a] + values[b]:
+                    raise DualityFailure(("not multiplicative", x, dual.char_id[chi], a, b))
         # nondegeneracy: only the trivial character kills everything, and
         # only the identity is killed by every character
         for chi in chars:
-            if all(chi.value(a).is_zero for a in fibre):
-                assert chi.is_trivial
+            if all(chi.value(a).is_zero for a in fibre) and not chi.is_trivial:
+                raise DualityFailure(("degenerate character", x, dual.char_id[chi]))
         for a in fibre:
-            if all(chi.value(a).is_zero for chi in chars):
-                assert a == bundle.identity[x]
+            if a != bundle.identity[x] and all(chi.value(a).is_zero for chi in chars):
+                raise DualityFailure(("degenerate element", x, a))
 
 
 def double_dual_iso(bundle: GroupBundle):
@@ -244,7 +227,9 @@ def double_dual_iso(bundle: GroupBundle):
     # bijective fibrewise
     for x in bundle.base:
         images = {eval_map[a] for a in bundle.fibre(x)}
-        assert images == set(ddual.fibres[x]), f"evaluation map not bijective at {x}"
+        if images != set(ddual.fibres[x]):
+            raise DualityFailure(("evaluation map not bijective", x))
         for a, b in itertools.product(bundle.fibre(x), bundle.fibre(x)):
-            assert eval_map[bundle.mult(a, b)] == ddual.multiply(eval_map[a], eval_map[b])
+            if eval_map[bundle.mult(a, b)] != ddual.multiply(eval_map[a], eval_map[b]):
+                raise DualityFailure(("evaluation map not multiplicative", x, a, b))
     return dual, ddual, eval_map

@@ -69,6 +69,18 @@ class FibreTooLarge(WeylkitError):
     pass
 
 
+class FibreMismatch(WeylkitError):
+    def __init__(self, witness):
+        super().__init__(f"operands live over different base points: {witness}")
+        self.witness = witness
+
+
+class DualityFailure(WeylkitError):
+    def __init__(self, witness):
+        super().__init__(f"Pontryagin duality check fails; witness {witness}")
+        self.witness = witness
+
+
 class UndefinedPair(WeylkitError):
     def __init__(self, g, h):
         super().__init__(f"cocycle undefined on composable pair ({g}, {h})")
@@ -82,6 +94,18 @@ class SearchCapExceeded(WeylkitError):
 class RepresentativeDisagreement(WeylkitError):
     def __init__(self, witness):
         super().__init__(f"action value depends on class representative: {witness}")
+        self.witness = witness
+
+
+class NotAnAction(WeylkitError):
+    def __init__(self, witness):
+        super().__init__(f"groupoid action axiom fails; witness {witness}")
+        self.witness = witness
+
+
+class CardinalityMismatch(WeylkitError):
+    def __init__(self, witness):
+        super().__init__(f"cardinality check fails; witness {witness}")
         self.witness = witness
 
 
@@ -134,6 +158,12 @@ class NontrivialCocycle(WeylkitError):
 class IsoCheckFailed(WeylkitError):
     def __init__(self, witness):
         super().__init__(f"reconstruction map fails to be an isomorphism: {witness}")
+        self.witness = witness
+
+
+class NotStarHomomorphism(WeylkitError):
+    def __init__(self, witness):
+        super().__init__(f"representation is not a *-homomorphism; witness {witness}")
         self.witness = witness
 
 

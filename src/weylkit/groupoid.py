@@ -29,6 +29,7 @@ from .errors import (
 )
 
 MAX_ARROWS = 4096
+FIBRE_CAP = 256
 
 
 class FiniteGroupoid:
@@ -50,12 +51,6 @@ class FiniteGroupoid:
 
     def __repr__(self):
         return f"<FiniteGroupoid {self.name}: {len(self.units)} units, {len(self.arrows)} arrows>"
-
-    def r(self, g):
-        return self.tgt[g]
-
-    def s(self, g):
-        return self.src[g]
 
     def is_unit(self, g):
         return g in self._unit_set
@@ -83,9 +78,6 @@ class FiniteGroupoid:
         """All arrows with source u (the fibre G_u of the left regular action)."""
         return [g for g in self.arrows if self.src[g] == u]
 
-    def isotropy_at(self, u):
-        return [g for g in self.arrows if self.src[g] == u and self.tgt[g] == u]
-
     def element_order(self, g):
         """Order of an isotropy arrow in its fibre group."""
         if self.src[g] != self.tgt[g]:
@@ -110,14 +102,14 @@ class Subgroupoid:
     parent: FiniteGroupoid
     members: frozenset
 
-    def fibre(self, u):
-        """Isotropy members at unit u, as a sorted list."""
-        G = self.parent
-        return sorted(g for g in self.members if G.src[g] == u and G.tgt[g] == u)
 
-    def touched_units(self):
-        G = self.parent
-        return sorted({G.src[g] for g in self.members} | {G.tgt[g] for g in self.members})
+def isotropy_fibres(G: FiniteGroupoid, members: Iterable) -> dict:
+    """The isotropy members at each unit of G: unit -> sorted tuple."""
+    fibres = {u: [] for u in G.units}
+    for g in sorted(members):
+        if G.src[g] == G.tgt[g]:
+            fibres[G.src[g]].append(g)
+    return {u: tuple(fs) for u, fs in fibres.items()}
 
 
 @dataclass(frozen=True)
@@ -147,7 +139,7 @@ class Grading:
         return self.normalize(tuple(self.values[g]))
 
 
-def _first_violation(comp, mask_bad):
+def _first_violation(mask_bad):
     gs, hs = np.nonzero(mask_bad)
     return int(gs[0]), int(hs[0])
 
@@ -164,7 +156,7 @@ def _check_associativity(G: FiniteGroupoid):
         mask = (row[:, None] >= 0) & (comp >= 0)
         bad = mask & (left != right)
         if bad.any():
-            hi, ki = _first_violation(comp, bad)
+            hi, ki = _first_violation(bad)
             raise AssociativityViolation(G.arrows[gi], G.arrows[hi], G.arrows[ki])
 
 
@@ -369,30 +361,56 @@ def quotient_by_bundle(G: FiniteGroupoid, members: Iterable):
     if not rep.is_normal:
         raise NotNormal(f"bundle is not normal: {rep.witnesses}")
 
-    fibres = {u: [a for a in S if G.src[a] == u and G.tgt[a] == u] for u in G.units}
-    class_map = {}
-    classes = {}
+    fibres = isotropy_fibres(G, S)
+    return orbit_quotient(
+        G,
+        lambda g: frozenset(G.mul(g, a) for a in fibres[G.src[g]]),
+        name=f"{G.name}/S",
+        error=NotNormal,
+    )
+
+
+def orbit_quotient(G: FiniteGroupoid, orbit: Callable, name: str, error: type):
+    """Quotient G by the partition of its arrows into orbits.
+
+    ``orbit(g)`` is the set of arrows identified with g.  Class ids are the
+    least member of each orbit.  Classes are composed through representatives
+    that match on source, and the composition is checked to descend; a
+    failure of either the partition or the descent raises ``error``.
+    Returns (quotient groupoid, class map arrow -> class id).
+    """
+    class_map, classes = {}, {}
     for g in G.arrows:
-        cls = frozenset(G.mul(g, a) for a in fibres[G.src[g]])
-        cid = min(cls)
+        members = orbit(g)
+        cid = min(members)
         class_map[g] = cid
-        classes.setdefault(cid, cls)
+        classes.setdefault(cid, members)
+    if sum(len(ms) for ms in classes.values()) != len(G.arrows) or any(
+        class_map[m] != cid for cid, ms in classes.items() for m in ms
+    ):
+        raise error("orbits do not partition the arrow set")
 
-    total = sum(len(c) for c in classes.values())
-    if total != len(G.arrows):
-        raise NotNormal("classes do not partition the arrow set")
-    for g in G.arrows:
-        if len(classes[class_map[g]]) != len(fibres[G.src[g]]):
-            raise NotNormal(f"class of {g} has the wrong size")
+    # the least member with each source (later keys overwrite earlier ones)
+    by_source = {cid: {G.src[m]: m for m in sorted(ms, reverse=True)} for cid, ms in classes.items()}
+    units = {class_map[u] for u in G.units}
+    arrows = {cid: (class_map[G.src[cid]], class_map[G.tgt[cid]]) for cid in classes}
 
-    q_units = {class_map[u] for u in G.units}
-    arrows = {cid: (class_map[G.src[min(c)]], class_map[G.tgt[min(c)]]) for cid, c in classes.items()}
+    def q_mul(c1, c2):
+        return class_map[G.mul(by_source[c1][G.tgt[c2]], c2)]
 
-    def q_mul(a, b):
-        return class_map[G.mul(min(classes[a]), min(classes[b]))]
-
-    Q = build_groupoid(q_units, arrows, q_mul, name=f"{G.name}/S")
+    Q = build_groupoid(units, arrows, q_mul, name=name)
+    for (g, h), gh in G.compose.items():
+        if class_map[gh] != Q.mul(class_map[g], class_map[h]):
+            raise error(f"quotient composition depends on representatives: ({g}, {h})")
     return Q, class_map
+
+
+def class_table(class_map: Mapping) -> dict:
+    """Invert a class map: class id -> frozenset of its members."""
+    classes = {}
+    for g, cid in class_map.items():
+        classes.setdefault(cid, set()).add(g)
+    return {cid: frozenset(ms) for cid, ms in classes.items()}
 
 
 def find_isomorphism(G1: FiniteGroupoid, G2: FiniteGroupoid):

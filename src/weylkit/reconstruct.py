@@ -15,19 +15,36 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .cocycle import TwoCocycle
-from .dual import Character, CharacterBundle, GroupBundle, bundle_from_subgroupoid, dual_bundle
+from .dual import Character, CharacterBundle, GroupBundle, dual_bundle
 from .errors import (
     AssumptionUnverified,
     DescentFailure,
     IsoCheckFailed,
     MomentMapMismatch,
     NontrivialCocycle,
+    NotAnAction,
     NotInS,
     SchemaError,
     ThetaInvalid,
+    WeylkitError,
 )
-from .groupoid import FiniteGroupoid, Grading, build_groupoid
-from .weyl import WeylData, build_weyl_groupoid, check_gamma_cartan_hypotheses, choose_section
+from .groupoid import (
+    FiniteGroupoid,
+    Grading,
+    build_groupoid,
+    class_table,
+    isotropy_fibres,
+    orbit_quotient,
+)
+from .weyl import (
+    PowerTable,
+    WeylData,
+    build_weyl_groupoid,
+    check_gamma_cartan_hypotheses,
+    first_centralizing_bound,
+    validate_section,
+    verify_groupoid_action,
+)
 
 
 @dataclass
@@ -95,15 +112,16 @@ def verify_action_package(pkg: ActionPackage) -> ActionPackageReport:
     clauses, wit = {}, {}
 
     def record(name, check, witness=None):
-        # a check that raises (e.g. a mutated action landing outside the
-        # arrow set) counts as a failure, not a crash
+        # a check that raises a KeyError or a WeylkitError (e.g. a mutated
+        # action landing outside the arrow set) counts as a failure, with
+        # the exception type in the witness; anything else is a bug
         try:
-            ok = bool(check())
-        except Exception:
-            ok = False
+            ok, raised = bool(check()), None
+        except (KeyError, WeylkitError) as exc:
+            ok, raised = False, type(exc).__name__
         clauses[name] = clauses.get(name, True) and ok
         if not ok and name not in wit:
-            wit[name] = witness
+            wit[name] = witness if raised is None else (*witness, raised)
 
     t_elems = pkg.t_elements()
     for name in (
@@ -302,39 +320,13 @@ def quotient_HT(pkg: ActionPackage, report: Optional[ActionPackageReport] = None
         raise AssumptionUnverified(f"action axioms fail: {failing}")
     H, T = pkg.H, pkg.T
 
-    class_map, classes = {}, {}
-    for eta in H.arrows:
-        orbit = frozenset(pkg.right(eta, t) for t in T.fibre(pkg.p_s(eta)))
-        left_orbit = frozenset(pkg.left(t, eta) for t in T.fibre(pkg.p_r(eta)))
-        if orbit != left_orbit:
+    def orbit(eta):
+        right = frozenset(pkg.right(eta, t) for t in T.fibre(pkg.p_s(eta)))
+        if right != frozenset(pkg.left(t, eta) for t in T.fibre(pkg.p_r(eta))):
             raise AssumptionUnverified(f"left and right orbits of {eta} differ")
-        cid = min(orbit)
-        class_map[eta] = cid
-        classes.setdefault(cid, orbit)
+        return right
 
-    by_source = {
-        cid: {H.src[m]: m for m in members} for cid, members in classes.items()
-    }
-    q_units = {class_map[u] for u in H.units}
-    q_arrows = {
-        cid: (class_map[H.src[min(ms)]], class_map[H.tgt[min(ms)]])
-        for cid, ms in classes.items()
-    }
-
-    def q_mul(c1, c2):
-        eta = min(classes[c2])
-        gamma = by_source[c1][H.tgt[eta]]
-        return class_map[H.mul(gamma, eta)]
-
-    HT = build_groupoid(q_units, q_arrows, q_mul, name=f"{H.name}/T")
-
-    # representative independence of the quotient composition
-    for (gamma, eta) in H.compose:
-        if class_map[H.mul(gamma, eta)] != HT.mul(class_map[gamma], class_map[eta]):
-            raise AssumptionUnverified(
-                f"quotient composition depends on representatives: ({gamma}, {eta})"
-            )
-    return HT, class_map
+    return orbit_quotient(H, orbit, name=f"{H.name}/T", error=AssumptionUnverified)
 
 
 @dataclass
@@ -357,10 +349,7 @@ def diamond_action(pkg: ActionPackage, report: Optional[ActionPackageReport] = N
     """chi -> chi o rho_gamma, verified to descend to H/T and to be an action."""
     HT, class_map = quotient_HT(pkg, report)
     H, T = pkg.H, pkg.T
-    classes = {}
-    for eta, cid in class_map.items():
-        classes.setdefault(cid, set()).add(eta)
-    classes = {cid: frozenset(ms) for cid, ms in classes.items()}
+    classes = class_table(class_map)
     That = dual_bundle(T)
 
     def rho_table(eta):
@@ -384,22 +373,15 @@ def diamond_action(pkg: ActionPackage, report: Optional[ActionPackageReport] = N
 
     x_unit = {T.p[u]: class_map[u] for u in H.units}
 
-    # action axioms: units trivial, composition, multiplicativity
-    for x, uc in x_unit.items():
-        for chi in That.fibres[x]:
-            assert action[(uc, That.char_id[chi])] == chi, "unit class must act trivially"
-    for (c1, c2) in HT.compose:
-        c12 = HT.mul(c1, c2)
-        x = pkg.p_s(min(classes[c2]))
-        for chi in That.fibres[x]:
-            step = action[(c2, That.char_id[chi])]
-            assert action[(c12, That.char_id[chi])] == action[(c1, That.char_id[step])]
+    verify_groupoid_action(HT, That, action, {uc: x for x, uc in x_unit.items()})
+    # each class acts by a homomorphism of the character groups
     for cid, members in classes.items():
         x = pkg.p_s(min(members))
         for a, b in itertools.product(That.fibres[x], That.fibres[x]):
             lhs = action[(cid, That.char_id[That.multiply(a, b)])]
             rhs = That.multiply(action[(cid, That.char_id[a])], action[(cid, That.char_id[b])])
-            assert lhs == rhs, "diamond action must preserve character products"
+            if lhs != rhs:
+                raise NotAnAction(("multiplicativity", cid, That.char_id[a], That.char_id[b]))
 
     return DiamondData(pkg, HT, class_map, classes, That, action, x_unit)
 
@@ -443,10 +425,8 @@ def theta_for_package(pkg: ActionPackage, dia: DiamondData, section: Optional[di
     for cid, members in dia.classes.items():
         qcid, _ = data.split_gw_id(min(members))
         ht_of_q[qcid] = cid
-    sec = section or data.section
-    for u in G.units:
-        if not G.is_unit(sec[data.class_map[u]]):
-            raise SchemaError("section must send unit classes to units")
+    sec = section if section is not None else data.section
+    validate_section(G, data.class_map, data.classes, sec)
 
     values = {}
     for (q1, q2) in Q.compose:
@@ -575,27 +555,15 @@ def check_imm_centralizing_action(Q: FiniteGroupoid, K: GroupBundle, action: dic
     base_of_unit = {}
     for x, u in unit_of_base.items():
         base_of_unit.setdefault(u, []).append(x)
+    powers = PowerTable(K.mult, lambda chi: K.identity[K.p[chi]])
     for g in sorted(Q.arrows):
         if Q.src[g] != Q.tgt[g]:
             continue
         for x in base_of_unit.get(Q.src[g], []):
-            fibre = list(K.fibres[x])
-            if not fibre:
-                continue
-            moved = {chi: action[(g, chi)] for chi in fibre}
-            if all(moved[chi] == chi for chi in fibre):
-                continue
-            max_order = max(K.element_order(chi) for chi in fibre)
-            for k in range(1, max_order + 1):
-                premise = all(
-                    any(
-                        K.power(moved[chi], n) == K.power(chi, n)
-                        for n in range(1, k + 1)
-                    )
-                    for chi in fibre
-                )
-                if premise:
-                    return False, (g, k)
+            fibre = K.fibres[x]
+            k = first_centralizing_bound(fibre, {chi: action[(g, chi)] for chi in fibre}, powers)
+            if k is not None:
+                return False, (g, k)
     return True, None
 
 
@@ -735,14 +703,13 @@ def reconstruction_iso(
     q_of_ht = {}
     for cid, members in dia.classes.items():
         q_of_ht[cid] = data.split_gw_id(min(members))[0]
-    sec = section or data.section
+    sec = section if section is not None else data.section
 
     # invert the evaluation pairing: each character of T comes from exactly
     # one element of the marked bundle
-    S = frozenset(S_members)
     elem_of_char = {}
-    for x in G.units:
-        for s in sorted(g for g in S if G.src[g] == x):
+    for x, fibre in isotropy_fibres(G, S_members).items():
+        for s in fibre:
             table = {
                 t: data.split_gw_id(t)[1].value(s)
                 for t in pkg.T.fibre(x)

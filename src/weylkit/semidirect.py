@@ -11,7 +11,7 @@ from typing import Callable, Optional
 from .cocycle import TwoCocycle, check_cocycle
 from .dual import Character, bundle_from_subgroupoid, dual_bundle
 from .errors import CocycleInvalid, NotAutomorphism, RestrictionNotTrivial, SchemaError
-from .groupoid import FiniteGroupoid, Grading, build_groupoid
+from .groupoid import Grading, build_groupoid
 from .phases import ZERO, Phase
 from .weyl import build_weyl_groupoid, weyl_action, weyl_twist_cocycle
 
@@ -80,7 +80,6 @@ class SemidirectSpec:
     def validate_action(self):
         h_elems = self.h_elements()
         zero_k = tuple(0 for _ in self.k_orders)
-        zero_h = tuple(0 for _ in self.h_orders)
         for h in h_elems:
             if self.beta(zero_k, h) != h:
                 raise NotAutomorphism(f"beta_0 is not the identity on {h}")
@@ -99,7 +98,6 @@ class SemidirectSpec:
                     k1, self.beta(k2, h)
                 ):
                     raise NotAutomorphism(f"beta is not an action at ({k1}, {k2})")
-        _ = zero_h
 
 
 def build_semidirect(spec: SemidirectSpec):

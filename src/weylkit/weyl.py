@@ -5,23 +5,66 @@ expectation onto the abelian bundle algebra.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from .cocycle import TwoCocycle, check_symmetric_on, is_maximal_symmetric_abelian
 from .dual import Character, CharacterBundle, bundle_from_subgroupoid, dual_bundle
-from .errors import ElementNotInS, RepresentativeDisagreement
+from .errors import (
+    CardinalityMismatch,
+    ElementNotInS,
+    NotAnAction,
+    RepresentativeDisagreement,
+    SchemaError,
+)
 from .groupoid import (
     FiniteGroupoid,
     Grading,
-    Subgroupoid,
     build_groupoid,
+    class_table,
+    isotropy_fibres,
     kernel_of_grading,
     quotient_by_bundle,
     subgroupoid_properties,
 )
-from .phases import Phase
+
+
+class PowerTable(dict):
+    """Each element's powers x, x^2, ... up to the identity, built on first lookup."""
+
+    def __init__(self, mul, identity):
+        super().__init__()
+        self.mul, self.identity = mul, identity
+
+    def __missing__(self, x):
+        pw, e = [x], self.identity(x)
+        while pw[-1] != e:
+            pw.append(self.mul(pw[-1], x))
+        self[x] = pw
+        return pw
+
+
+def first_centralizing_bound(fibre, moved, powers: PowerTable):
+    """The immediately-centralizing test on one fibre of a bundle.
+
+    ``moved`` maps each fibre element x to its image under one arrow (for
+    conjugation by t, x -> t x t^-1).  Returns the least bound k, up to the
+    maximal element order of the fibre, such that every x has
+    (moved x)^n = x^n for some n <= k although ``moved`` is not the
+    identity; None when there is no such k.
+    """
+    if all(moved[x] == x for x in fibre):
+        return None
+    top = max(len(powers[x]) for x in fibre)
+
+    def agree(x, n):  # (moved x)^n == x^n
+        pm, px = powers[moved[x]], powers[x]
+        return pm[(n - 1) % len(pm)] == px[(n - 1) % len(px)]
+
+    # the premise only grows with k, so it first holds at the largest of
+    # the per-element least exponents
+    k = max(next((n for n in range(1, top + 1) if agree(x, n)), top + 1) for x in fibre)
+    return k if k <= top else None
 
 
 def check_immediately_centralizing(G: FiniteGroupoid, S_members, T_members):
@@ -32,29 +75,15 @@ def check_immediately_centralizing(G: FiniteGroupoid, S_members, T_members):
     then t must commute with the whole fibre.  Returns (ok, witness) where
     the witness is the offending (t, k).
     """
-    S, T = frozenset(S_members), frozenset(T_members)
-    for t in sorted(T):
-        u = G.src[t]
-        fibre = sorted(s for s in S if G.src[s] == u and G.tgt[s] == u)
-        if not fibre:
-            continue
-        max_order = max(G.element_order(s) for s in fibre)
-        commutes = {s: G.mul(t, s) == G.mul(s, t) for s in fibre}
-        if all(commutes.values()):
-            continue
-        powers = {s: [s] for s in fibre}
-        for s in fibre:
-            x = s
-            for _ in range(max_order - 1):
-                x = G.mul(x, s)
-                powers[s].append(x)
-        for k in range(1, max_order + 1):
-            premise = all(
-                any(G.mul(t, p) == G.mul(p, t) for p in powers[s][:k])
-                for s in fibre
-            )
-            if premise:
-                return False, (t, k)
+    fibres = isotropy_fibres(G, S_members)
+    powers = PowerTable(G.mul, G.tgt.__getitem__)
+    for t in sorted(T_members):
+        fibre, ti = fibres[G.src[t]], G.inv(t)
+        # t s^n = s^n t exactly when (t s t^-1)^n = s^n
+        moved = {s: G.mul_all(t, s, ti) for s in fibre}
+        k = first_centralizing_bound(fibre, moved, powers)
+        if k is not None:
+            return False, (t, k)
     return True, None
 
 
@@ -174,13 +203,6 @@ class WeylData:
         return cid, self.dual.by_id[char_id]
 
 
-def _class_table(class_map):
-    classes = {}
-    for g, cid in class_map.items():
-        classes.setdefault(cid, set()).add(g)
-    return {cid: frozenset(ms) for cid, ms in classes.items()}
-
-
 def _act_one(G, omega, dual, gamma, chi: Character) -> Character:
     """Evaluate the quotient action of the representative gamma on chi."""
     gi = G.inv(gamma)
@@ -205,36 +227,46 @@ def weyl_action(G: FiniteGroupoid, S_members, omega: TwoCocycle):
     """
     S = frozenset(S_members)
     Q, class_map = quotient_by_bundle(G, S)
-    classes = _class_table(class_map)
     dual = dual_bundle(bundle_from_subgroupoid(G, S))
     action = {}
-    for cid, members in classes.items():
-        source_unit = G.src[min(members)]
-        for chi in dual.fibres[source_unit]:
+    for cid, members in class_table(class_map).items():
+        for chi in dual.fibres[G.src[cid]]:
             results = {_act_one(G, omega, dual, g, chi) for g in members}
             if len(results) != 1:
                 raise RepresentativeDisagreement((cid, dual.char_id[chi]))
             action[(cid, dual.char_id[chi])] = results.pop()
-    _verify_action_axioms(G, Q, class_map, classes, dual, action)
+    # the action is affine in the character for a nontrivial cocycle, so
+    # multiplicativity is deliberately not checked here
+    verify_groupoid_action(Q, dual, action, {class_map[u]: u for u in G.units})
     return Q, class_map, dual, action
 
 
-def _verify_action_axioms(G, Q, class_map, classes, dual, action):
-    # unit classes act trivially; composable classes compose.  (The action is
-    # affine in the character for a nontrivial cocycle, so multiplicativity
-    # is deliberately not asserted here.)
-    for u in G.units:
-        uc = class_map[u]
-        for chi in dual.fibres[u]:
-            assert action[(uc, dual.char_id[chi])] == chi, "unit class must act trivially"
-    for c1 in Q.arrows:
-        for c2 in Q.arrows:
-            if not Q.composable(c1, c2):
-                continue
-            c12 = Q.mul(c1, c2)
-            for chi in dual.fibres[G.src[min(classes[c2])]]:
-                step = action[(c2, dual.char_id[chi])]
-                assert action[(c12, dual.char_id[chi])] == action[(c1, dual.char_id[step])]
+def verify_groupoid_action(
+    Q: FiniteGroupoid, dual: CharacterBundle, action: Mapping, base_of_unit: Mapping
+):
+    """Check that ``action`` is an action of the groupoid Q on the bundle ``dual``.
+
+    ``action`` maps (arrow of Q, character id) -> Character, for the
+    characters over the base point of the arrow's source; ``base_of_unit``
+    sends each unit of Q to its base point.  Unit arrows must act trivially
+    and the action must respect composition.  Raises NotAnAction with the
+    first failing instance.
+    """
+    # work on character ids, so that each Character is hashed once
+    act = {}
+    for key, chi in action.items():
+        act[key] = dual.char_id.get(chi)
+        if act[key] is None:
+            raise NotAnAction(("image outside the dual", *key))
+    ids = {x: [dual.char_id[chi] for chi in chis] for x, chis in dual.fibres.items()}
+    for u, x in base_of_unit.items():
+        for i in ids[x]:
+            if act[(u, i)] != i:
+                raise NotAnAction(("unit acts nontrivially", u, i))
+    for (c1, c2), c12 in Q.compose.items():
+        for i in ids[base_of_unit[Q.src[c2]]]:
+            if act[(c12, i)] != act[(c1, act[(c2, i)])]:
+                raise NotAnAction(("composition", c1, c2, i))
 
 
 def choose_section(G: FiniteGroupoid, class_map, classes) -> dict:
@@ -246,12 +278,37 @@ def choose_section(G: FiniteGroupoid, class_map, classes) -> dict:
     return section
 
 
+def validate_section(G: FiniteGroupoid, class_map, classes, section) -> None:
+    """A section picks a member of every class, and a unit on unit classes."""
+    missing = set(classes) - set(section)
+    if missing:
+        raise SchemaError(f"section has no value on class {min(missing, key=str)}")
+    unknown = set(section) - set(classes)
+    if unknown:
+        raise SchemaError(f"section names an unknown class {min(unknown, key=str)}")
+    for cid, g in section.items():
+        if g not in classes[cid]:
+            raise SchemaError(f"section value {g!r} is not a member of class {cid}")
+    for u in G.units:
+        if not G.is_unit(section[class_map[u]]):
+            raise SchemaError("section must send unit classes to units")
+
+
 def build_weyl_groupoid(
     G: FiniteGroupoid, S_members, omega: TwoCocycle, section: Optional[dict] = None
 ):
     """The action groupoid (G/S acting on the dual of S) plus shared WeylData."""
+    # Weyl arrow ids are "class&char" with character ids "base#i", and the
+    # twisted product joins those with "&&": ids of G must avoid both
+    for g in G.arrows:
+        for sep in "&#":
+            if sep in str(g):
+                raise SchemaError(f"arrow id {g!r} contains {sep!r}, a separator of derived ids")
     Q, class_map, dual, action = weyl_action(G, S_members, omega)
-    classes = _class_table(class_map)
+    classes = class_table(class_map)
+    if section is None:
+        section = choose_section(G, class_map, classes)
+    validate_section(G, class_map, classes, section)
     data = WeylData(
         G=G,
         S=frozenset(S_members),
@@ -261,7 +318,7 @@ def build_weyl_groupoid(
         classes=classes,
         dual=dual,
         action=action,
-        section=section or choose_section(G, class_map, classes),
+        section=section,
     )
 
     unit_of_char = {}
@@ -287,7 +344,8 @@ def build_weyl_groupoid(
         return data.gw_arrow_id(Q.mul(c1, c2), chi2)
 
     GW = build_groupoid(set(unit_of_char.values()), arrows, gw_mul, name=f"W({G.name})")
-    assert len(GW) == len(G), "Weyl groupoid must have the same cardinality"
+    if len(GW) != len(G):
+        raise CardinalityMismatch(("Weyl groupoid", len(GW), len(G)))
     return GW, data
 
 

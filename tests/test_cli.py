@@ -129,3 +129,46 @@ def test_marked_subgroupoid_flag(tmp_path, q8_file):
     stripped = tmp_path / "q8-nomark.json"
     stripped.write_text(json.dumps(data))
     assert main(["hypotheses", str(stripped), "--subgroupoid", "marked"]) == 2
+
+
+def test_roundtrip_and_boxtimes_refuse_a_nontrivial_cocycle(pauli_file):
+    # the reconstruction pipeline is valid only for a trivial cocycle
+    assert main(["roundtrip", pauli_file]) == 1
+    assert main(["boxtimes", pauli_file]) == 1
+
+
+def test_separator_ids_are_schema_errors(pauli_file, tmp_path):
+    # Weyl arrow ids contain '&' and '#'; the file stays readable, but
+    # building a Weyl groupoid on top of it would garble the derived ids
+    weyl_out = tmp_path / "pauli.weyl.json"
+    assert main(["weyl", pauli_file, "-o", str(weyl_out)]) == 0
+    assert main(["validate", str(weyl_out)]) == 0
+    for command in ("weyl", "twist", "actions", "roundtrip"):
+        assert main([command, str(weyl_out)]) == 2, command
+
+
+def test_bad_section_file_is_schema_error(q8_file, tmp_path, capsys):
+    # Q8 / <i> has two classes, named by their least members
+    path = tmp_path / "section.json"
+    good = {"-1": "1", "-j": "j"}
+
+    def run(command, section):
+        path.write_text(json.dumps(section))
+        return main([command, q8_file, "--section", "file", "--section-file", str(path)])
+
+    assert run("roundtrip", good) == 0
+    for bad in (
+        {"-1": "1"},                       # misses a class
+        {"-1": "1", "-j": "i"},            # value outside its class
+        {"-1": "i", "-j": "j"},            # unit class sent to a non-unit
+        {**good, "x": "1"},                # unknown class
+        ["1", "j"],                        # not a mapping
+    ):
+        for command in ("weyl", "boxtimes", "roundtrip"):
+            assert run(command, bad) == 2, (command, bad)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_non_integer_seed_is_schema_error(pauli_file, monkeypatch):
+    monkeypatch.setenv("WEYLKIT_SEED", "x")
+    assert main(["algebra", pauli_file]) == 2

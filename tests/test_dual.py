@@ -1,10 +1,15 @@
 """Pontryagin duality for finite abelian group bundles."""
 
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import weylkit
 from weylkit import corpus
 from weylkit.dual import (
     Character,
@@ -13,7 +18,7 @@ from weylkit.dual import (
     double_dual_iso,
     dual_bundle,
 )
-from weylkit.errors import NotAbelian
+from weylkit.errors import FibreMismatch, NotAbelian
 from weylkit.phases import Phase
 from weylkit.semidirect import SemidirectSpec, build_semidirect
 
@@ -119,3 +124,33 @@ def test_bundle_from_subgroupoid_rejects_non_isotropy():
     e = corpus.pair_groupoid(2)
     with pytest.raises(NotAbelian):
         bundle_from_subgroupoid(e.G, frozenset(e.G.arrows))
+
+
+def test_duality_check_survives_optimized_mode():
+    # the check raises a typed error, so it still runs under python -O
+    script = (
+        "from weylkit import corpus\n"
+        "from weylkit.dual import CharacterBundle, _verify_dual, bundle_from_subgroupoid, dual_bundle\n"
+        "e = corpus.by_name('d4')\n"
+        "bundle = bundle_from_subgroupoid(e.G, e.S)\n"
+        "dual = dual_bundle(bundle)\n"
+        "x = bundle.base[0]\n"
+        "try:\n"
+        "    _verify_dual(bundle, CharacterBundle(bundle, {x: dual.fibres[x][:-1]}))\n"
+        "except Exception as exc:\n"
+        "    print(type(exc).__name__, exc.witness)\n"
+    )
+    src = str(Path(weylkit.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.startswith("DualityFailure ('character count'"), out
+
+
+def test_characters_over_different_base_points_do_not_multiply(entry):
+    bundle = _bundle(entry, "z2xR2")
+    dual = dual_bundle(bundle)
+    x, y = bundle.base
+    with pytest.raises(FibreMismatch):
+        dual.multiply(dual.trivial(x), dual.trivial(y))

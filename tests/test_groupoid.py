@@ -19,7 +19,9 @@ from weylkit.groupoid import (
     check_effective,
     find_isomorphism,
     iso_subgroupoid,
+    isotropy_fibres,
     kernel_of_grading,
+    orbit_quotient,
     quotient_by_bundle,
     subgroupoid_properties,
     validate_groupoid,
@@ -187,3 +189,21 @@ def test_build_groupoid_matches_validate(entry):
 def test_groupoid_error_is_common_base():
     for exc in (AssociativityViolation, BadInverse, DanglingUnit, MissingComposite):
         assert issubclass(exc, GroupoidError)
+
+
+def test_orbit_quotient_requires_a_partition():
+    G = corpus.pair_groupoid(3).G
+    u = G.units[0]
+    with pytest.raises(NotNormal, match="partition"):
+        orbit_quotient(G, lambda g: frozenset({g, u}), name="bad", error=NotNormal)
+    # the trivial partition gives G back
+    Q, class_map = orbit_quotient(G, lambda g: frozenset({g}), name="same", error=NotNormal)
+    assert len(Q) == len(G) and all(class_map[g] == g for g in G.arrows)
+
+
+def test_isotropy_fibres():
+    e = corpus.z2_x_r2()
+    fibres = isotropy_fibres(e.G, e.G.arrows)
+    assert set(fibres) == set(e.G.units)
+    assert all(len(fs) == 2 and u in fs for u, fs in fibres.items())
+    assert fibres == isotropy_fibres(e.G, e.S)

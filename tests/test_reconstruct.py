@@ -1,5 +1,7 @@
 """Action packages, quotients, diamond action, theta, twisted product, round trip."""
 
+import dataclasses
+
 import pytest
 
 from weylkit import corpus
@@ -285,3 +287,18 @@ def test_roundtrip(entry, name):
     assert rec.grading_checked
     # phi is a relabeling: image is exactly the arrow set
     assert set(rec.phi.values()) == set(e.G.arrows)
+
+
+def test_action_check_names_the_exception_and_lets_bugs_through(derived):
+    pkg = derived("q8")
+    # an action that lands outside the arrow set fails its clauses, and the
+    # witness says which exception the check raised
+    report = verify_action_package(MUTATIONS["rho_identity"](pkg))
+    assert report.witnesses["left_distributes"][-1] == "KeyError"
+
+    # any other exception is a programming error and propagates
+    def broken(t, eta):
+        raise ZeroDivisionError
+
+    with pytest.raises(ZeroDivisionError):
+        verify_action_package(dataclasses.replace(pkg, left=broken))

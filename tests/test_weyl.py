@@ -5,6 +5,7 @@ import pytest
 from weylkit import corpus
 from weylkit.cocycle import check_cocycle
 from weylkit.dual import bundle_from_subgroupoid, dual_bundle
+from weylkit.errors import NotAnAction
 from weylkit.groupoid import find_isomorphism
 from weylkit.phases import HALF, ZERO
 from weylkit.weyl import (
@@ -14,6 +15,7 @@ from weylkit.weyl import (
     choose_section,
     conditional_expectation,
     iso_kernel_members,
+    verify_groupoid_action,
     weyl_action,
     weyl_twist_cocycle,
 )
@@ -190,3 +192,50 @@ def test_custom_section_roundtrip(entry):
     section = choose_section(e.G, data.class_map, data.classes)
     for cid, rep in section.items():
         assert rep in data.classes[cid]
+
+
+def _exhaustive_immediately_centralizing(G, S, T):
+    """The check as stated: every t and every bound k, powers recomputed."""
+    for t in sorted(T):
+        u = G.src[t]
+        fibre = sorted(s for s in S if G.src[s] == u and G.tgt[s] == u)
+        if not fibre or all(G.mul(t, s) == G.mul(s, t) for s in fibre):
+            continue
+        top = max(G.element_order(s) for s in fibre)
+        for k in range(1, top + 1):
+            premise = True
+            for s in fibre:
+                p, hit = s, False
+                for _ in range(k):
+                    hit = hit or G.mul(t, p) == G.mul(p, t)
+                    p = G.mul(p, s)
+                premise = premise and hit
+            if premise:
+                return False, (t, k)
+    return True, None
+
+
+@pytest.mark.parametrize(
+    "name", NAMED + ["s3-ungraded", "z2z2"] + [f"rotation({n},{p})" for n in (4, 5, 6) for p in range(n)]
+)
+def test_immediately_centralizing_matches_exhaustive_oracle(entry, name):
+    e = entry(name)
+    G = e.G
+    iso = frozenset(g for g in G.arrows if G.src[g] == G.tgt[g])
+    # the last marking need not be closed or normal
+    for S, T in ((e.S, iso_kernel_members(G, e.c)), (e.S, iso), (frozenset(sorted(iso)[:2]), iso)):
+        assert check_immediately_centralizing(G, S, T) == _exhaustive_immediately_centralizing(G, S, T)
+
+
+def test_action_axiom_check_reports_a_witness(entry):
+    e = entry("pauli")
+    Q, class_map, dual, action = weyl_action(e.G, e.S, e.omega)
+    units = {class_map[u]: u for u in e.G.units}
+    verify_groupoid_action(Q, dual, action, units)
+    unit_class = class_map[e.G.units[0]]
+    key = next(k for k in action if k[0] == unit_class)
+    broken = dict(action)
+    broken[key] = next(chi for chi in dual.fibres[e.G.units[0]] if chi != action[key])
+    with pytest.raises(NotAnAction) as exc:
+        verify_groupoid_action(Q, dual, broken, units)
+    assert exc.value.witness == ("unit acts nontrivially", *key)
