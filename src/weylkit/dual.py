@@ -1,16 +1,24 @@
 """Pontryagin duality for finite abelian group bundles.
 
 Characters are stored extensionally (full value tables over the fibre), so
-evaluation is a lookup.  A :class:`GroupBundle` is the minimal interface the
-duality machinery needs; subgroupoids and character bundles both adapt to
-it, which is what makes the double dual and the reconstruction pipeline
-table-driven.
+evaluation is a lookup: each :class:`Character` builds its element -> phase
+dict and its hash once, at construction.  A :class:`CharacterBundle`
+computes the product of two of its own characters, and the inverse of one,
+once, on first use, and keeps the result in ``_products`` and
+``_inverses``, dicts keyed by value.  Results are the bundle's own
+instances (:meth:`CharacterBundle.canonical`), so later lookups compare
+them by identity.  Over a base point with m characters (m <=
+``FIBRE_CAP``) a bundle keeps at most m^2 products and m inverses.
+
+A :class:`GroupBundle` is the minimal interface the duality machinery
+needs; subgroupoids and character bundles both adapt to it, which is what
+makes the double dual and the reconstruction pipeline table-driven.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from .errors import DualityFailure, FibreMismatch, FibreTooLarge, NotAbelian, UnknownArrowId
@@ -65,9 +73,18 @@ class Character:
 
     unit: object
     values: tuple  # sorted tuple of (element id, Phase)
+    _lookup: dict = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_lookup", dict(self.values))
+        object.__setattr__(self, "_hash", hash((self.unit, self.values)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def value(self, a) -> Phase:
-        return dict(self.values)[a]
+        return self._lookup[a]
 
     @property
     def is_trivial(self) -> bool:
@@ -91,6 +108,8 @@ class CharacterBundle:
         self.fibres = {x: tuple(sorted(chars, key=lambda c: c.values)) for x, chars in fibres.items()}
         self.char_id = {}
         self.by_id = {}
+        self._products = {}     # (chi, nu) -> chi * nu, for characters of this bundle
+        self._inverses = {}     # chi -> chi^-1, likewise
         for x in self.base:
             for i, chi in enumerate(self.fibres[x]):
                 cid = f"{x}#{i}"
@@ -103,13 +122,34 @@ class CharacterBundle:
     def trivial(self, x) -> Character:
         return Character.from_table(x, {a: ZERO for a in self.bundle.fibre(x)})
 
+    def canonical(self, chi: Character) -> Character:
+        """This bundle's own instance of ``chi``, or ``chi`` itself if it lies outside.
+
+        Dict lookups on the own instance compare by identity, not value.
+        """
+        cid = self.char_id.get(chi)
+        return chi if cid is None else self.by_id[cid]
+
     def multiply(self, chi: Character, nu: Character) -> Character:
-        if chi.unit != nu.unit:
-            raise FibreMismatch((chi.unit, nu.unit))
-        return Character.from_table(chi.unit, {a: p + nu.value(a) for a, p in chi.values})
+        out = self._products.get((chi, nu))
+        if out is None:
+            if chi.unit != nu.unit:
+                raise FibreMismatch((chi.unit, nu.unit))
+            out = self.canonical(
+                Character.from_table(chi.unit, {a: p + nu.value(a) for a, p in chi.values})
+            )
+            # keeping only products of the bundle's own characters bounds the cache
+            if chi in self.char_id and nu in self.char_id:
+                self._products[chi, nu] = out
+        return out
 
     def invert(self, chi: Character) -> Character:
-        return Character.from_table(chi.unit, {a: -p for a, p in chi.values})
+        out = self._inverses.get(chi)
+        if out is None:
+            out = self.canonical(Character.from_table(chi.unit, {a: -p for a, p in chi.values}))
+            if chi in self.char_id:
+                self._inverses[chi] = out
+        return out
 
     def power(self, chi: Character, n: int) -> Character:
         return Character.from_table(chi.unit, {a: p.times(n) for a, p in chi.values})

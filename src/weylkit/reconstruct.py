@@ -54,7 +54,10 @@ class ActionPackage:
     ``left(t, eta)`` and ``right(eta, t)`` are the bundle actions on arrows
     (defined when the moment maps match); ``lam(eta, t)`` and ``rho(t, eta)``
     are the exchange maps that let the two actions commute past composition.
-    T element ids are exactly the unit arrow ids of H.
+    T element ids are exactly the unit arrow ids of H.  In a Weyl-derived
+    package (:func:`derive_weyl_actions`) the four maps read per-class
+    tables: ``rho`` and ``lam`` are table lookups, and ``left`` and
+    ``right`` one cached character product each.
     """
 
     H: FiniteGroupoid
@@ -84,10 +87,15 @@ class ActionPackage:
 
 @dataclass
 class ActionPackageReport:
-    """Per-clause verdicts for the action-compatibility axioms."""
+    """Per-clause verdicts for the action-compatibility axioms.
+
+    ``instances`` counts, per clause, the instances that were checked, so a
+    clause that passed on an empty domain shows 0.
+    """
 
     clauses: dict
     witnesses: dict = field(default_factory=dict)
+    instances: dict = field(default_factory=dict)
     note: str = (
         "properness and continuity hold automatically for finite discrete bundles; "
         "freeness is checked explicitly"
@@ -99,6 +107,7 @@ class ActionPackageReport:
     def as_dict(self) -> dict:
         return {
             "clauses": dict(self.clauses),
+            "instances": dict(self.instances),
             "witnesses": {k: str(v) for k, v in self.witnesses.items()},
             "note": self.note,
             "all_pass": self.all_pass(),
@@ -109,7 +118,7 @@ def verify_action_package(pkg: ActionPackage) -> ActionPackageReport:
     """Exhaustively check every axiom the two T-actions must satisfy."""
     pkg.check_moment_maps()
     H, T = pkg.H, pkg.T
-    clauses, wit = {}, {}
+    clauses, wit, counts = {}, {}, {}
 
     def record(name, check, witness=None):
         # a check that raises a KeyError or a WeylkitError (e.g. a mutated
@@ -119,7 +128,8 @@ def verify_action_package(pkg: ActionPackage) -> ActionPackageReport:
             ok, raised = bool(check()), None
         except (KeyError, WeylkitError) as exc:
             ok, raised = False, type(exc).__name__
-        clauses[name] = clauses.get(name, True) and ok
+        clauses[name] = clauses[name] and ok
+        counts[name] += 1
         if not ok and name not in wit:
             wit[name] = witness if raised is None else (*witness, raised)
 
@@ -133,7 +143,7 @@ def verify_action_package(pkg: ActionPackage) -> ActionPackageReport:
         "lambda_rho_inverse", "lambda_multiplicative",
         "identity_on_units", "lambda_composition", "rho_composition",
     ):
-        clauses[name] = True
+        clauses[name], counts[name] = True, 0
 
     for t in t_elems:
         x = T.p[t]
@@ -214,80 +224,75 @@ def verify_action_package(pkg: ActionPackage) -> ActionPackageReport:
                    pkg.rho(t, ge) == pkg.rho(pkg.rho(t, gamma), eta),
                    (gamma, eta, t))
 
-    return ActionPackageReport(clauses, wit)
+    return ActionPackageReport(clauses, wit, counts)
 
 
 def derive_weyl_actions(G: FiniteGroupoid, S_members, omega: Optional[TwoCocycle] = None) -> ActionPackage:
     """The canonical ActionPackage on a Weyl groupoid H = (G/S acting on the dual).
 
-    The left action twists the character part by conjugation pulled through
-    the quotient action; the right action multiplies the character part.
+    The four maps are per-class tables.  Conjugation by each class of G/S,
+    pulled back to the characters of T, is tabulated once; ``rho(t, eta)``
+    reads it at the class of eta and ``lam(eta, t)`` at the inverse class.
+    The left action multiplies the character part of eta by ``rho(t, eta)``
+    and the right action multiplies it by t, one cached product each.
     """
     omega = omega if omega is not None else TwoCocycle(G, {})
     GW, data = build_weyl_groupoid(G, S_members, omega)
-    dual = data.dual
+    dual, Q = data.dual, data.Q
 
-    def char_of(t):
-        return data.split_gw_id(t)[1]
+    parts = {eta: data.split_gw_id(eta) for eta in GW.arrows}  # arrow -> (class id, character)
+    arrow_of = {part: eta for eta, part in parts.items()}
+    t_of = {chi: arrow_of[data.class_map[u], chi] for u in G.units for chi in dual.fibres[u]}
+    char_of = {t: chi for chi, t in t_of.items()}
 
-    def id_of(chi: Character):
-        return data.gw_arrow_id(data.class_map[chi.unit], chi)
-
-    fibres = {
-        u: tuple(sorted(id_of(chi) for chi in dual.fibres[u]))
-        for u in G.units
-    }
+    fibres = {u: tuple(sorted(t_of[chi] for chi in dual.fibres[u])) for u in G.units}
     T = GroupBundle(
         base=tuple(G.units),
         fibres=fibres,
-        p={t: char_of(t).unit for fs in fibres.values() for t in fs},
-        mult=lambda a, b: id_of(dual.multiply(char_of(a), char_of(b))),
-        inv=lambda a: id_of(dual.invert(char_of(a))),
-        identity={u: id_of(dual.trivial(u)) for u in G.units},
+        p={t: u for u, fs in fibres.items() for t in fs},
+        mult=lambda a, b: t_of[dual.multiply(char_of[a], char_of[b])],
+        inv=lambda a: t_of[dual.invert(char_of[a])],
+        identity={u: t_of[dual.trivial(u)] for u in G.units},
     )
 
-    def ad(cid, chi):
-        """Conjugation by (a representative of) the class cid, dual side.
-
-        a -> chi(gamma a gamma^{-1}) is representative-independent because
-        the bundle is abelian and normal; no cocycle correction enters (the
-        corrections live in the quotient action, not in conjugation).
-        """
-        gamma = min(data.classes[cid])
-        gi = G.inv(gamma)
-        table = {
-            a: chi.value(G.mul_all(gamma, a, gi))
-            for a in dual.bundle.fibre(G.src[gamma])
+    # ad[cid]: T over the target of the class -> T over its source, the
+    # character chi going to a -> chi(gamma a gamma^-1) for the least member
+    # gamma.  This is representative-independent because the bundle is
+    # abelian and normal; no cocycle correction enters (the corrections
+    # live in the quotient action, not in conjugation).
+    ad = {}
+    for cid, members in data.classes.items():
+        gamma = min(members)
+        gi, x = G.inv(gamma), G.src[gamma]
+        conj = {a: G.mul_all(gamma, a, gi) for a in dual.bundle.fibre(x)}
+        ad[cid] = {
+            t_of[chi]: t_of[Character.from_table(x, {a: chi.value(b) for a, b in conj.items()})]
+            for chi in dual.fibres[G.tgt[gamma]]
         }
-        return Character.from_table(G.src[gamma], table)
-
-    def split(eta):
-        cid, chi = data.split_gw_id(eta)
-        return cid, chi
 
     def left(t, eta):
-        cid, chi = split(eta)
+        cid, chi = parts[eta]
         if pkg.p_r(eta) != T.p[t]:
             raise MomentMapMismatch(f"left action undefined on ({t}, {eta})")
-        return data.gw_arrow_id(cid, dual.multiply(ad(cid, char_of(t)), chi))
+        return arrow_of[cid, dual.multiply(char_of[ad[cid][t]], chi)]
 
     def right(eta, t):
-        cid, chi = split(eta)
+        cid, chi = parts[eta]
         if pkg.p_s(eta) != T.p[t]:
             raise MomentMapMismatch(f"right action undefined on ({eta}, {t})")
-        return data.gw_arrow_id(cid, dual.multiply(chi, char_of(t)))
+        return arrow_of[cid, dual.multiply(chi, char_of[t])]
 
     def lam(eta, t):
-        cid, _ = split(eta)
+        cid, _ = parts[eta]
         if pkg.p_s(eta) != T.p[t]:
             raise MomentMapMismatch(f"lambda undefined on ({eta}, {t})")
-        return id_of(ad(data.Q.inv(cid), char_of(t)))
+        return ad[Q.inv(cid)][t]
 
     def rho(t, eta):
-        cid, _ = split(eta)
+        cid, _ = parts[eta]
         if pkg.p_r(eta) != T.p[t]:
             raise MomentMapMismatch(f"rho undefined on ({t}, {eta})")
-        return id_of(ad(cid, char_of(t)))
+        return ad[cid][t]
 
     pkg = ActionPackage(H=GW, T=T, left=left, right=right, lam=lam, rho=rho, weyl=data)
     return pkg
@@ -340,6 +345,7 @@ class DiamondData:
     That: CharacterBundle     # dual of pkg.T
     action: dict              # (class id, char id) -> Character
     x_unit: dict              # base point of X -> H/T unit class id
+    q_class: Optional[dict]   # H/T class id -> G/S class id; None unless Weyl-derived
 
     def act(self, cid, chi: Character) -> Character:
         return self.action[(cid, self.That.char_id[chi])]
@@ -369,7 +375,7 @@ def diamond_action(pkg: ActionPackage, report: Optional[ActionPackageReport] = N
         x_s = pkg.p_s(min(members))
         for chi in That.fibres[x_s]:
             table = {t: chi.value(rho[t]) for t in T.fibre(x_r)}
-            action[(cid, That.char_id[chi])] = Character.from_table(x_r, table)
+            action[(cid, That.char_id[chi])] = That.canonical(Character.from_table(x_r, table))
 
     x_unit = {T.p[u]: class_map[u] for u in H.units}
 
@@ -383,7 +389,11 @@ def diamond_action(pkg: ActionPackage, report: Optional[ActionPackageReport] = N
             if lhs != rhs:
                 raise NotAnAction(("multiplicativity", cid, That.char_id[a], That.char_id[b]))
 
-    return DiamondData(pkg, HT, class_map, classes, That, action, x_unit)
+    # an H/T class is one G/S class with all its characters
+    q_class = None if pkg.weyl is None else {
+        cid: pkg.weyl.split_gw_id(min(members))[0] for cid, members in classes.items()
+    }
+    return DiamondData(pkg, HT, class_map, classes, That, action, x_unit, q_class)
 
 
 @dataclass
@@ -421,10 +431,7 @@ def theta_for_package(pkg: ActionPackage, dia: DiamondData, section: Optional[di
         raise NontrivialCocycle("reconstruction requires a trivial 2-cocycle")
     G, Q = data.G, data.Q
 
-    ht_of_q = {}
-    for cid, members in dia.classes.items():
-        qcid, _ = data.split_gw_id(min(members))
-        ht_of_q[qcid] = cid
+    ht_of_q = {q: cid for cid, q in dia.q_class.items()}
     sec = section if section is not None else data.section
     validate_section(G, data.class_map, data.classes, sec)
 
@@ -439,7 +446,7 @@ def theta_for_package(pkg: ActionPackage, dia: DiamondData, section: Optional[di
             t: data.split_gw_id(t)[1].value(defect)
             for t in pkg.T.fibre(x)
         }
-        values[(ht_of_q[q1], ht_of_q[q2])] = Character.from_table(x, table)
+        values[(ht_of_q[q1], ht_of_q[q2])] = dia.That.canonical(Character.from_table(x, table))
     return ThetaDatum(values)
 
 
@@ -673,9 +680,6 @@ class ReconstructionReport:
     grading_checked: bool
     sizes: tuple
 
-    def all_pass(self) -> bool:
-        return True
-
 
 def reconstruction_iso(
     G: FiniteGroupoid,
@@ -700,9 +704,6 @@ def reconstruction_iso(
     theta = theta_for_package(pkg, dia, section)
     B = build_boxtimes(dia, theta)
 
-    q_of_ht = {}
-    for cid, members in dia.classes.items():
-        q_of_ht[cid] = data.split_gw_id(min(members))[0]
     sec = section if section is not None else data.section
 
     # invert the evaluation pairing: each character of T comes from exactly
@@ -723,7 +724,7 @@ def reconstruction_iso(
         s = elem_of_char.get(chi)
         if s is None:
             raise IsoCheckFailed(("character not in the image of evaluation", a))
-        phi[a] = G.mul(sec[q_of_ht[cid]], s)
+        phi[a] = G.mul(sec[dia.q_class[cid]], s)
 
     if len(set(phi.values())) != len(G.arrows) or len(phi) != len(G.arrows):
         raise IsoCheckFailed(("not a bijection", len(phi), len(G.arrows)))
@@ -737,7 +738,7 @@ def reconstruction_iso(
     grading_checked = False
     if c is not None:
         class_grade = {
-            cid: c.value(min(data.classes[q_of_ht[cid]])) for cid in dia.classes
+            cid: c.value(min(data.classes[dia.q_class[cid]])) for cid in dia.classes
         }
         for a in B.arrows:
             cid, _ = split_boxtimes_id(a)

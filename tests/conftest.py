@@ -1,9 +1,21 @@
 """Shared fixtures: corpus entries and derived pipeline stages, cached per session."""
 
+import os
+import sys
+
 import pytest
 
-from weylkit import corpus
-from weylkit.reconstruct import derive_weyl_actions, diamond_action
+# One BLAS thread, as in perfbench/run.py: criterion 08 bounds each
+# compare_algebras call by wall time, and BLAS threads contend with any
+# other process on the machine.  OpenBLAS reads the setting once, when
+# numpy loads, so it must be set before anything imports numpy.
+if "numpy" in sys.modules:
+    raise RuntimeError("numpy was imported before tests/conftest.py could pin BLAS to one thread")
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+from weylkit import corpus  # noqa: E402
+from weylkit.reconstruct import derive_weyl_actions, diamond_action  # noqa: E402
 
 
 @pytest.fixture(scope="session")

@@ -122,6 +122,13 @@ def test_json_format(pauli_file, capsys):
     assert report["cocycle_valid"] is True and report["arrows"] == 4
 
 
+def test_actions_json_counts_clause_instances(q8_file, capsys):
+    assert main(["actions", q8_file, "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert set(report["instances"]) == set(report["clauses"])
+    assert all(n > 0 for n in report["instances"].values())
+
+
 def test_marked_subgroupoid_flag(tmp_path, q8_file):
     assert main(["hypotheses", q8_file, "--subgroupoid", "marked"]) == 0
     data = json.loads(open(q8_file).read())

@@ -154,3 +154,34 @@ def test_characters_over_different_base_points_do_not_multiply(entry):
     x, y = bundle.base
     with pytest.raises(FibreMismatch):
         dual.multiply(dual.trivial(x), dual.trivial(y))
+
+
+@pytest.mark.parametrize("name", ["pauli", "d4", "q8", "z2xR2", "rotation(4,1)"])
+def test_cached_products_match_value_tables(entry, name):
+    dual = dual_bundle(_bundle(entry, name))
+    for x in dual.base:
+        chars = dual.fibres[x]
+        for chi in chars:
+            table = dict(chi.values)
+            assert all(chi.value(a) == table[a] for a in table)
+            # an equal character that is not the bundle's own instance
+            copy = Character.from_table(x, table)
+            inverse = Character.from_table(x, {a: -p for a, p in chi.values})
+            assert dual.invert(chi) == inverse and dual.invert(copy) is dual.invert(chi)
+            for nu in chars:
+                product = Character.from_table(x, {a: p + dict(nu.values)[a] for a, p in chi.values})
+                assert dual.multiply(chi, nu) == product  # computed
+                assert dual.multiply(chi, nu) == product  # looked up
+                assert dual.multiply(copy, nu) is dual.multiply(chi, nu)
+    kept = len(dual._products)
+    assert kept == sum(len(dual.fibres[x]) ** 2 for x in dual.base)
+
+    # a table outside the bundle still multiplies by the formula, and is not kept
+    x = dual.base[0]
+    stray = Character.from_table(x, {a: Phase.of(1, 5) for a in dual.bundle.fibre(x)})
+    chi = dual.fibres[x][-1]
+    assert dual.multiply(stray, chi) == Character.from_table(
+        x, {a: p + chi.value(a) for a, p in stray.values}
+    )
+    assert dual.invert(stray) == Character.from_table(x, {a: -p for a, p in stray.values})
+    assert len(dual._products) == kept

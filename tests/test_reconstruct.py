@@ -1,11 +1,12 @@
 """Action packages, quotients, diamond action, theta, twisted product, round trip."""
 
 import dataclasses
+import itertools
 
 import pytest
 
 from weylkit import corpus
-from weylkit.dual import bundle_from_subgroupoid
+from weylkit.dual import Character, bundle_from_subgroupoid
 from weylkit.errors import (
     AssumptionUnverified,
     MomentMapMismatch,
@@ -35,6 +36,73 @@ from weylkit.reconstruct import (
 from mutations import ALL_CLAUSES, EXPECTED_FAILURES, MUTATIONS
 
 RECON = ["z2z2", "s3", "d4", "q8", "z2xR2"]
+
+
+def direct_value(chi, a):
+    return dict(chi.values)[a]
+
+
+def direct_multiply(chi, nu):
+    return Character.from_table(chi.unit, {a: p + direct_value(nu, a) for a, p in chi.values})
+
+
+def direct_invert(chi):
+    return Character.from_table(chi.unit, {a: -p for a, p in chi.values})
+
+
+def oracle_maps(pkg):
+    """The closed formulas behind a Weyl-derived package, recomputed on every call.
+
+    Returns (left, right, lam, rho, mult, inv), each evaluating the value
+    tables directly, with no table or cached product.
+    """
+    data = pkg.weyl
+    G, dual = data.G, data.dual
+
+    def char_of(t):
+        return data.split_gw_id(t)[1]
+
+    def id_of(chi):
+        return data.gw_arrow_id(data.class_map[chi.unit], chi)
+
+    def ad(cid, chi):
+        # conjugation by the least member of the class, dual side
+        gamma = min(data.classes[cid])
+        gi = G.inv(gamma)
+        table = {
+            a: direct_value(chi, G.mul_all(gamma, a, gi))
+            for a in dual.bundle.fibre(G.src[gamma])
+        }
+        return Character.from_table(G.src[gamma], table)
+
+    def left(t, eta):
+        cid, chi = data.split_gw_id(eta)
+        return data.gw_arrow_id(cid, direct_multiply(ad(cid, char_of(t)), chi))
+
+    def right(eta, t):
+        cid, chi = data.split_gw_id(eta)
+        return data.gw_arrow_id(cid, direct_multiply(chi, char_of(t)))
+
+    def lam(eta, t):
+        cid, _ = data.split_gw_id(eta)
+        return id_of(ad(data.Q.inv(cid), char_of(t)))
+
+    def rho(t, eta):
+        cid, _ = data.split_gw_id(eta)
+        return id_of(ad(cid, char_of(t)))
+
+    def mult(a, b):
+        return id_of(direct_multiply(char_of(a), char_of(b)))
+
+    def inv(a):
+        return id_of(direct_invert(char_of(a)))
+
+    return left, right, lam, rho, mult, inv
+
+
+def pair3_package():
+    e = corpus.pair_groupoid(3)
+    return derive_weyl_actions(e.G, e.S, e.omega)
 
 
 @pytest.mark.parametrize("name", RECON + ["pauli", "rotation(3,1)", "rotation(4,1)"])
@@ -302,3 +370,64 @@ def test_action_check_names_the_exception_and_lets_bugs_through(derived):
 
     with pytest.raises(ZeroDivisionError):
         verify_action_package(dataclasses.replace(pkg, left=broken))
+
+
+@pytest.mark.parametrize("name", RECON + ["pauli", "rotation(4,1)", "pair(3)"])
+def test_tabulated_package_matches_closed_formulas(derived, name):
+    pkg = pair3_package() if name == "pair(3)" else derived(name)
+    H, T = pkg.H, pkg.T
+    left, right, lam, rho, mult, inv = oracle_maps(pkg)
+    for t in pkg.t_elements():
+        assert T.inv(t) == inv(t), (t,)
+        for t2 in T.fibre(T.p[t]):
+            assert T.mult(t, t2) == mult(t, t2), (t, t2)
+        for eta in H.arrows:
+            if pkg.p_r(eta) == T.p[t]:
+                assert pkg.left(t, eta) == left(t, eta), (t, eta)
+                assert pkg.rho(t, eta) == rho(t, eta), (t, eta)
+            if pkg.p_s(eta) == T.p[t]:
+                assert pkg.right(eta, t) == right(eta, t), (eta, t)
+                assert pkg.lam(eta, t) == lam(eta, t), (eta, t)
+
+
+def clause_domain_sizes(pkg):
+    """How many instances each action-package clause has, from fibre sizes."""
+    H, T = pkg.H, pkg.T
+    n_r = {eta: len(T.fibre(pkg.p_r(eta))) for eta in H.arrows}
+    n_s = {eta: len(T.fibre(pkg.p_s(eta))) for eta in H.arrows}
+    on_left, on_right = sum(n_r.values()), sum(n_s.values())
+    composable = [
+        (g, e) for g, e in itertools.product(H.arrows, H.arrows) if H.src[g] == H.tgt[e]
+    ]
+    on_units = sum(len(T.fibre(T.p[u])) for u in H.units)
+    after = sum(n_s[e] for _, e in composable)
+    before = sum(n_r[g] for g, _ in composable)
+    return {
+        "units_compatible": on_units,
+        "identity_on_units": on_units,
+        "endpoints_compatible": on_left + on_right,
+        "lambda_rho_inverse": on_left + on_right,
+        "left_free": on_left,
+        "left_via_rho": on_left,
+        "inverse_left": on_left,
+        "right_free": on_right,
+        "right_via_lambda": on_right,
+        "inverse_right": on_right,
+        "actions_commute": sum(n_r[eta] * n_s[eta] for eta in H.arrows),
+        "lambda_multiplicative": sum(n * n for n in n_s.values()),
+        "right_distributes": after,
+        "lambda_composition": after,
+        "left_distributes": before,
+        "rho_composition": before,
+    }
+
+
+@pytest.mark.parametrize("name", ["q8", "z2xR2", "pair(3)"])
+def test_action_report_counts_every_clause_instance(derived, name):
+    pkg = pair3_package() if name == "pair(3)" else derived(name)
+    report = verify_action_package(pkg)
+    expected = clause_domain_sizes(pkg)
+    assert report.instances == expected
+    assert set(expected) == set(report.clauses)
+    assert all(n > 0 for n in report.instances.values()), report.instances
+    assert report.as_dict()["instances"] == expected
