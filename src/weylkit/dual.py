@@ -3,12 +3,11 @@
 Characters are stored extensionally (full value tables over the fibre), so
 evaluation is a lookup: each :class:`Character` builds its element -> phase
 dict and its hash once, at construction.  A :class:`CharacterBundle`
-computes the product of two of its own characters, and the inverse of one,
-once, on first use, and keeps the result in ``_products`` and
-``_inverses``, dicts keyed by value.  Results are the bundle's own
-instances (:meth:`CharacterBundle.canonical`), so later lookups compare
-them by identity.  Over a base point with m characters (m <=
-``FIBRE_CAP``) a bundle keeps at most m^2 products and m inverses.
+computes the product of two of its own characters once, on first use, and
+keeps it in ``_products``, a dict keyed by value.  Products are the
+bundle's own instances (:meth:`CharacterBundle.canonical`), so later
+lookups compare them by identity.  Over a base point with m characters
+(m <= ``FIBRE_CAP``) a bundle keeps at most m^2 products.
 
 A :class:`GroupBundle` is the minimal interface the duality machinery
 needs; subgroupoids and character bundles both adapt to it, which is what
@@ -109,7 +108,6 @@ class CharacterBundle:
         self.char_id = {}
         self.by_id = {}
         self._products = {}     # (chi, nu) -> chi * nu, for characters of this bundle
-        self._inverses = {}     # chi -> chi^-1, likewise
         for x in self.base:
             for i, chi in enumerate(self.fibres[x]):
                 cid = f"{x}#{i}"
@@ -144,12 +142,7 @@ class CharacterBundle:
         return out
 
     def invert(self, chi: Character) -> Character:
-        out = self._inverses.get(chi)
-        if out is None:
-            out = self.canonical(Character.from_table(chi.unit, {a: -p for a, p in chi.values}))
-            if chi in self.char_id:
-                self._inverses[chi] = out
-        return out
+        return Character.from_table(chi.unit, {a: -p for a, p in chi.values})
 
     def power(self, chi: Character, n: int) -> Character:
         return Character.from_table(chi.unit, {a: p.times(n) for a, p in chi.values})
