@@ -14,8 +14,15 @@ from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
-from .errors import SearchCapExceeded, UndefinedPair
-from .groupoid import FIBRE_CAP, FiniteGroupoid, Subgroupoid, isotropy_fibres, kernel_of_grading
+from .errors import SchemaError, SearchCapExceeded, UndefinedPair
+from .groupoid import (
+    FIBRE_CAP,
+    MAX_TABLE_INT,
+    FiniteGroupoid,
+    Subgroupoid,
+    isotropy_fibres,
+    kernel_of_grading,
+)
 from .phases import ZERO, Phase
 
 
@@ -46,14 +53,27 @@ class TwoCocycle:
     def _int_table(self):
         """(numerator array, compose matrix, common denominator)."""
         G = self.G
-        den = 1
-        for ph in self.values.values():
-            den = math.lcm(den, ph.q.denominator)
+        den = common_denominator(self.values.items())
         n = len(G.arrows)
         om = np.zeros((n, n), dtype=np.int64)
         for (g, h), ph in self.values.items():
             om[G.index[g], G.index[h]] = ph.q.numerator * (den // ph.q.denominator)
         return om, G.comp_matrix(), den
+
+
+def common_denominator(phases, den: int = 1) -> int:
+    """The lcm of ``den`` and the denominators of the (label, Phase) pairs.
+
+    Raises SchemaError naming the first phase that takes it past
+    ``MAX_TABLE_INT``, so that numerator tables stay exact in int64.
+    """
+    for where, ph in phases:
+        den = math.lcm(den, ph.q.denominator)
+        if den > MAX_TABLE_INT:
+            raise SchemaError(
+                f"phase {ph} at {where} takes the common denominator past {MAX_TABLE_INT}"
+            )
+    return den
 
 
 def check_cocycle(G: FiniteGroupoid, omega: TwoCocycle, max_witnesses: int = 5):

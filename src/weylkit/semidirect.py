@@ -13,7 +13,7 @@ from .dual import Character, bundle_from_subgroupoid, dual_bundle
 from .errors import CocycleInvalid, NotAutomorphism, RestrictionNotTrivial, SchemaError
 from .groupoid import Grading, build_groupoid
 from .phases import ZERO, Phase
-from .weyl import build_weyl_groupoid, weyl_action, weyl_twist_cocycle
+from .weyl import build_weyl_groupoid, weyl_twist_cocycle
 
 
 def _elements(orders):
@@ -157,7 +157,12 @@ def semidirect_weyl_action(spec: SemidirectSpec, use_corollary: bool = False):
         raise RestrictionNotTrivial("corollary form needs omega trivial on K")
     G, omega, S, c = build_semidirect(spec)
     dual = dual_bundle(bundle_from_subgroupoid(G, S))
-    unit = G.units[0]
+    return G, omega, S, c, _closed_form_action(spec, dual, use_corollary)
+
+
+def _closed_form_action(spec: SemidirectSpec, dual, use_corollary: bool) -> dict:
+    """The closed-form action on ``dual``, the dual of H x {0} in the groupoid of ``spec``."""
+    unit = dual.base[0]
     zero_h = tuple(0 for _ in spec.h_orders)
     zero_k = tuple(0 for _ in spec.k_orders)
 
@@ -183,7 +188,7 @@ def semidirect_weyl_action(spec: SemidirectSpec, use_corollary: bool = False):
                     + chi.value(spec.elem_id((bh, zero_k)))
                 )
             action[(class_id(k), dual.char_id[chi])] = Character.from_table(unit, table)
-    return G, omega, S, c, action
+    return action
 
 
 @dataclass
@@ -213,14 +218,14 @@ def verify_untwisting(spec: SemidirectSpec) -> UntwistingReport:
     restriction of omega to K.
     """
     G, omega, S, c, closed = semidirect_weyl_action(spec)
-    _, _, _, general = weyl_action(G, S, omega)
+    GW, data = build_weyl_groupoid(G, S, omega)
+    general = data.action
     mismatches = [key for key in closed if closed[key] != general.get(key)]
     action_ok = not mismatches and set(closed) == set(general)
 
     corollary_ok = None
     if omega_restricts_trivially(spec, "K"):
-        *_, cor_action = semidirect_weyl_action(spec, use_corollary=True)
-        corollary_ok = cor_action == closed
+        corollary_ok = _closed_form_action(spec, data.dual, use_corollary=True) == closed
 
     zero_h = tuple(0 for _ in spec.h_orders)
 
@@ -231,7 +236,6 @@ def verify_untwisting(spec: SemidirectSpec) -> UntwistingReport:
             section[cid] = spec.elem_id((zero_h, k))
         return section
 
-    GW, data = build_weyl_groupoid(G, S, omega)
     data.section = pure_k_section(data.classes, data.class_map)
     C = weyl_twist_cocycle(GW, data)
     twist_ok = True

@@ -8,7 +8,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from .cocycle import TwoCocycle, check_symmetric_on, is_maximal_symmetric_abelian
+import numpy as np
+
+from .cocycle import (
+    TwoCocycle,
+    check_symmetric_on,
+    common_denominator,
+    is_maximal_symmetric_abelian,
+)
 from .dual import Character, CharacterBundle, bundle_from_subgroupoid, dual_bundle
 from .errors import (
     CardinalityMismatch,
@@ -27,6 +34,7 @@ from .groupoid import (
     quotient_by_bundle,
     subgroupoid_properties,
 )
+from .phases import Phase
 
 
 class PowerTable(dict):
@@ -203,24 +211,13 @@ class WeylData:
         return cid, self.dual.by_id[char_id]
 
 
-def _act_one(G, omega, dual, gamma, chi: Character) -> Character:
-    """Evaluate the quotient action of the representative gamma on chi."""
-    gi = G.inv(gamma)
-    base = -omega.omega(gamma, gi)
-    table = {}
-    for a in dual.bundle.fibre(G.tgt[gamma]):
-        gia = G.mul(gi, a)
-        table[a] = (
-            base
-            + omega.omega(gi, a)
-            + omega.omega(gia, gamma)
-            + chi.value(G.mul(gia, gamma))
-        )
-    return Character.from_table(G.tgt[gamma], table)
-
-
 def weyl_action(G: FiniteGroupoid, S_members, omega: TwoCocycle):
     """Action of G/S on the dual bundle of S, verified representative-independent.
+
+    The class of g sends a character chi over s(g) to the character over
+    r(g) with a -> -omega(g, g^-1) + omega(g^-1, a) + omega(g^-1 a, g)
+    + chi(g^-1 a g).  Each class is evaluated at every member, as numerators
+    over one common denominator, and all members must agree.
 
     Returns (Q, class_map, dual, action) with action keyed by
     (class id, character id).
@@ -228,13 +225,49 @@ def weyl_action(G: FiniteGroupoid, S_members, omega: TwoCocycle):
     S = frozenset(S_members)
     Q, class_map = quotient_by_bundle(G, S)
     dual = dual_bundle(bundle_from_subgroupoid(G, S))
+    om, comp, den = omega._int_table()
+    char_phases = (
+        ((dual.char_id[chi], a), ph)
+        for chis in dual.fibres.values() for chi in chis for a, ph in chi.values
+    )
+    D = common_denominator(char_phases, den)
+    om = om * (D // den)
+    inv = np.array([G.index[G.inv(g)] for g in G.arrows])
+    pos = np.full(len(G.arrows), -1)      # arrow index -> position in its fibre of S
+    chars = {}                            # unit -> numerators over D, [character, fibre position]
+    for u in G.units:
+        fibre = dual.bundle.fibre(u)
+        pos[[G.index[a] for a in fibre]] = np.arange(len(fibre))
+        chars[u] = np.array(
+            [[chi.value(a).q.numerator * (D // chi.value(a).q.denominator) for a in fibre]
+             for chi in dual.fibres[u]],
+            dtype=np.int64,
+        )
+
+    phase = {}                            # numerator -> Phase, built once each
     action = {}
     for cid, members in class_table(class_map).items():
-        for chi in dual.fibres[G.src[cid]]:
-            results = {_act_one(G, omega, dual, g, chi) for g in members}
-            if len(results) != 1:
-                raise RepresentativeDisagreement((cid, dual.char_id[chi]))
-            action[(cid, dual.char_id[chi])] = results.pop()
+        x, y = G.src[cid], G.tgt[cid]
+        fibre = dual.bundle.fibre(y)
+        g = np.array([G.index[m] for m in sorted(members)])[:, None]
+        a = np.array([G.index[b] for b in fibre])[None, :]
+        gi = inv[g]
+        gia = comp[gi, a]
+        # [character, member, fibre element], every term below D; g^-1 a g
+        # lies in S, which quotient_by_bundle checked to be normal
+        vals = (-om[g, gi] + om[gi, a] + om[gia, g])[None] + chars[x][:, pos[comp[gia, g]]]
+        vals %= D
+        disagree = (vals != vals[:, :1]).any(axis=(1, 2))
+        if disagree.any():
+            chi = dual.fibres[x][int(np.argmax(disagree))]
+            raise RepresentativeDisagreement((cid, dual.char_id[chi]))
+        for chi, row in zip(dual.fibres[x], vals[:, 0].tolist()):
+            table = {}
+            for b, v in zip(fibre, row):
+                if v not in phase:
+                    phase[v] = Phase.of(v, D)
+                table[b] = phase[v]
+            action[(cid, dual.char_id[chi])] = Character.from_table(y, table)
     # the action is affine in the character for a nontrivial cocycle, so
     # multiplicativity is deliberately not checked here
     verify_groupoid_action(Q, dual, action, {class_map[u]: u for u in G.units})

@@ -179,3 +179,13 @@ def test_bad_section_file_is_schema_error(q8_file, tmp_path, capsys):
 def test_non_integer_seed_is_schema_error(pauli_file, monkeypatch):
     monkeypatch.setenv("WEYLKIT_SEED", "x")
     assert main(["algebra", pauli_file]) == 2
+
+
+def test_validate_oversized_denominators_is_schema_error(tmp_path):
+    path = tmp_path / "d4.json"
+    assert main(["gen", "d4", "-o", str(path)]) == 0
+    data = json.loads(path.read_text())
+    arrows = [a["id"] for a in data["arrows"] if a["id"] not in data["units"]]
+    data["cocycle"] = {f"{g},{g}": f"1/{p}" for g, p in zip(arrows, (1000003, 1000033, 1000037, 1000039))}
+    path.write_text(json.dumps(data))
+    assert main(["validate", str(path)]) == 2

@@ -11,7 +11,7 @@ from weylkit.cocycle import (
     find_maximal_symmetric_abelian,
     is_maximal_symmetric_abelian,
 )
-from weylkit.errors import UndefinedPair
+from weylkit.errors import SchemaError, UndefinedPair
 from weylkit.phases import HALF, Phase
 
 
@@ -106,3 +106,18 @@ def test_is_maximal_witness(entry):
     center = frozenset(["0|0", "2|0"])
     witness = is_maximal_symmetric_abelian(e.G, e.omega, e.c, center)
     assert witness is not None and witness[1] in e.S - center
+
+
+LARGE_PRIMES = (1000003, 1000033, 1000037, 1000039)
+
+
+def test_oversized_common_denominator_is_a_schema_error(entry):
+    # the lcm of four primes near 10^6 no longer fits the int64 numerator table
+    G = entry("d4").G
+    pairs = [(g, g) for g in G.arrows if not G.is_unit(g)]
+    omega = TwoCocycle(G, {pair: Phase.of(1, p) for pair, p in zip(pairs, LARGE_PRIMES)})
+    with pytest.raises(SchemaError, match=r"phase 1/1000039 at \('.*'\) takes the common denominator"):
+        check_cocycle(G, omega)
+    # three of them still fit
+    del omega.values[pairs[3]]
+    assert check_cocycle(G, omega)

@@ -11,6 +11,7 @@ from weylkit.errors import (
     MissingComposite,
     NotHomomorphism,
     NotNormal,
+    SchemaError,
     UnknownArrowId,
 )
 from weylkit.groupoid import (
@@ -207,3 +208,91 @@ def test_isotropy_fibres():
     assert set(fibres) == set(e.G.units)
     assert all(len(fs) == 2 and u in fs for u, fs in fibres.items())
     assert fibres == isotropy_fibres(e.G, e.S)
+
+
+def _kernel_oracle(G, c):
+    """kernel_of_grading with the homomorphism law checked pair by pair."""
+    for u in G.units:
+        if c.value(u) != c.zero:
+            raise NotHomomorphism((u, u))
+    for (g, h), k in G.compose.items():
+        if c.value(k) != c.add(c.value(g), c.value(h)):
+            raise NotHomomorphism((g, h))
+    return frozenset(g for g in G.arrows if c.value(g) == c.zero)
+
+
+def _kernel_outcome(kernel, G, c):
+    try:
+        return kernel(G, c)
+    except NotHomomorphism as exc:
+        return exc.witness
+
+
+def _pair_distance(e):
+    """The Z-grading a>b -> a - b on the pair groupoid."""
+    def diff(g):
+        a, b = g.split(">")
+        return (int(a) - int(b),)
+    return Grading((0,), {g: diff(g) for g in e.G.arrows})
+
+
+GRADING_INPUTS = ["pauli", "z2z2", "s3", "d4", "q8", "z2xR2",
+                  "rotation(4,1)", "rotation(6,2)", "rotation(8,3)", "pair(5)"]
+
+
+@pytest.mark.parametrize("name", GRADING_INPUTS)
+def test_kernel_of_grading_matches_pairwise_oracle(entry, name):
+    e = corpus.pair_groupoid(5) if name == "pair(5)" else entry(name)
+    G = e.G
+    gradings = [e.c] + ([_pair_distance(e)] if name == "pair(5)" else [])
+    for g in [x for x in G.arrows if not G.is_unit(x)][:3] + [G.units[-1]]:
+        # one finite factor, one infinite cyclic factor, and both together
+        finite = Grading(e.c.group, {**e.c.values, g: tuple(x + 1 for x in e.c.values[g])})
+        integer = Grading((0,), {a: (2 if a == g else 0,) for a in G.arrows})
+        both = Grading(finite.group + integer.group,
+                       {a: finite.values[a] + integer.values[a] for a in G.arrows})
+        gradings += [finite, integer, both]
+    witnesses = 0
+    for c in gradings:
+        out = _kernel_outcome(lambda G, c: kernel_of_grading(G, c).members, G, c)
+        assert out == _kernel_outcome(_kernel_oracle, G, c)
+        witnesses += isinstance(out, tuple)
+    assert witnesses >= 6
+
+
+def test_malformed_grading_is_a_schema_error(entry):
+    G = entry("pauli").G
+    good = {g: (0,) for g in G.arrows}
+    missing = dict(good)
+    del missing["1|1"]
+    for values, message in (
+        (missing, "no value on arrow '1|1'"),
+        ({**good, "0|0": (0, 0)}, "'0|0' does not have 1 entries"),
+        ({**good, "1|0": (2**61,)}, "must lie within"),
+    ):
+        with pytest.raises(SchemaError, match=message):
+            kernel_of_grading(G, Grading((0,), values))
+    with pytest.raises(SchemaError, match="must lie within"):
+        kernel_of_grading(G, Grading((2**62,), good))
+    with pytest.raises(SchemaError, match="must be nonnegative"):
+        kernel_of_grading(G, Grading((-2,), good))
+
+
+def test_comp_matrix_is_built_once_and_read_only(entry):
+    G = entry("q8").G
+    comp = G.comp_matrix()
+    assert G.comp_matrix() is comp and not comp.flags.writeable
+    with pytest.raises(ValueError):
+        comp[0, 0] = 0
+
+
+def test_grading_witness_follows_compose_order(entry):
+    G0 = entry("pauli").G
+    compose = dict(reversed(list(G0.compose.items())))
+    G = validate_groupoid(G0.units, {g: (G0.src[g], G0.tgt[g]) for g in G0.arrows}, compose)
+    c = Grading((0,), {g: (2 if g == "0|1" else 0,) for g in G.arrows})
+    with pytest.raises(NotHomomorphism) as exc:
+        kernel_of_grading(G, c)
+    assert exc.value.witness == _kernel_outcome(_kernel_oracle, G, c)
+    # the first bad pair in sorted order is another one
+    assert exc.value.witness != _kernel_outcome(_kernel_oracle, G0, c)

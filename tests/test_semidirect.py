@@ -1,7 +1,10 @@
 """Semidirect products, untwisting, and the rotation family."""
 
+from collections import Counter
+
 import pytest
 
+from weylkit import semidirect, weyl
 from weylkit.cocycle import check_cocycle
 from weylkit.errors import (
     CocycleInvalid,
@@ -119,3 +122,15 @@ def test_trivial_action_trivial_omega_gives_trivial_weyl_action():
     dual = dual_bundle(bundle_from_subgroupoid(G, S))
     for (cid, char_id), chi in action.items():
         assert chi == dual.by_id[char_id]
+
+
+def test_verify_untwisting_builds_each_object_once(monkeypatch):
+    calls = Counter()
+    for module, name in ((weyl, "weyl_action"), (semidirect, "build_semidirect")):
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    report = verify_untwisting(gen_rotation(6, 1))
+    assert report.all_pass() and report.corollary_agrees and not report.mismatches
+    assert calls == {"weyl_action": 1, "build_semidirect": 1}

@@ -1,13 +1,19 @@
 """Cartan hypotheses, quotient action, Weyl groupoid, twist, expectation."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import weylkit
 from weylkit import corpus
-from weylkit.cocycle import check_cocycle
-from weylkit.dual import bundle_from_subgroupoid, dual_bundle
-from weylkit.errors import NotAnAction
-from weylkit.groupoid import find_isomorphism
-from weylkit.phases import HALF, ZERO
+from weylkit.cocycle import TwoCocycle, check_cocycle
+from weylkit.dual import Character, bundle_from_subgroupoid, dual_bundle
+from weylkit.errors import NotAnAction, RepresentativeDisagreement, SchemaError, WeylkitError
+from weylkit.groupoid import MAX_TABLE_INT, class_table, find_isomorphism, quotient_by_bundle
+from weylkit.phases import HALF, ZERO, Phase
 from weylkit.weyl import (
     build_weyl_groupoid,
     check_gamma_cartan_hypotheses,
@@ -239,3 +245,108 @@ def test_action_axiom_check_reports_a_witness(entry):
     with pytest.raises(NotAnAction) as exc:
         verify_groupoid_action(Q, dual, broken, units)
     assert exc.value.witness == ("unit acts nontrivially", *key)
+
+
+def _corpus(entry, name):
+    return corpus.pair_groupoid(int(name[len("pair("):-1])) if name.startswith("pair(") else entry(name)
+
+
+def _act_one_oracle(G, omega, dual, gamma, chi):
+    """The quotient action of one representative, in Phase arithmetic."""
+    gi = G.inv(gamma)
+    base = -omega.omega(gamma, gi)
+    table = {}
+    for a in dual.bundle.fibre(G.tgt[gamma]):
+        gia = G.mul(gi, a)
+        table[a] = base + omega.omega(gi, a) + omega.omega(gia, gamma) + chi.value(G.mul(gia, gamma))
+    return Character.from_table(G.tgt[gamma], table)
+
+
+def _weyl_action_oracle(G, S, omega):
+    """weyl_action evaluated representative by representative."""
+    Q, class_map = quotient_by_bundle(G, S)
+    dual = dual_bundle(bundle_from_subgroupoid(G, S))
+    action = {}
+    for cid, members in class_table(class_map).items():
+        for chi in dual.fibres[G.src[cid]]:
+            results = {_act_one_oracle(G, omega, dual, g, chi) for g in members}
+            if len(results) != 1:
+                raise RepresentativeDisagreement((cid, dual.char_id[chi]))
+            action[(cid, dual.char_id[chi])] = results.pop()
+    verify_groupoid_action(Q, dual, action, {class_map[u]: u for u in G.units})
+    return action
+
+
+def _outcome(f):
+    try:
+        return f()
+    except WeylkitError as exc:
+        return type(exc).__name__, getattr(exc, "witness", str(exc))
+
+
+ORACLE_INPUTS = ["pauli", "z2z2", "s3", "d4", "q8", "z2xR2",
+                 "rotation(4,1)", "rotation(6,2)", "rotation(8,3)", "pair(5)"]
+
+
+@pytest.mark.parametrize("name", ORACLE_INPUTS)
+def test_weyl_action_matches_per_representative_oracle(entry, name):
+    e = _corpus(entry, name)
+    assert weyl_action(e.G, e.S, e.omega)[3] == _weyl_action_oracle(e.G, e.S, e.omega)
+
+
+@pytest.mark.parametrize("name", ["pauli", "d4", "q8", "rotation(4,1)", "rotation(6,2)"])
+def test_weyl_action_witness_matches_oracle_on_shifted_cocycles(entry, name):
+    e = entry(name)
+    G = e.G
+    outcomes = set()
+    for g in [x for x in G.arrows if not G.is_unit(x)][:4]:
+        for h in G.arrows[-3:]:
+            values = dict(e.omega.values)
+            values[(g, h)] = e.omega.omega(g, h) + Phase.of(1, 2 * G.element_order(g))
+            omega = TwoCocycle(G, values)
+            new = _outcome(lambda: weyl_action(G, e.S, omega)[3])
+            assert new == _outcome(lambda: _weyl_action_oracle(G, e.S, omega))
+            outcomes.add(new[0] if isinstance(new, tuple) else "action")
+    assert "RepresentativeDisagreement" in outcomes
+
+
+@pytest.mark.parametrize("name", ["pauli", "rotation(4,1)"])
+def test_representatives_disagree_when_S_is_everything(entry, name):
+    e = entry(name)
+    with pytest.raises(RepresentativeDisagreement) as exc:
+        weyl_action(e.G, e.G.arrows, e.omega)
+    assert exc.value.witness == ("0|0", "0|0#0")
+
+
+def test_oversized_common_denominator_is_a_schema_error(entry):
+    e = entry("pauli")
+    g = "0|1"
+    # odd, so the characters' denominator 2 doubles it past the bound
+    omega = TwoCocycle(e.G, {(g, g): Phase.of(1, MAX_TABLE_INT - 1)})
+    with pytest.raises(SchemaError, match="common denominator"):
+        weyl_action(e.G, e.S, omega)
+
+
+def test_failures_survive_python_O():
+    # both checks raise typed errors, so they still run under python -O
+    script = (
+        "from weylkit import corpus\n"
+        "from weylkit.groupoid import Grading, kernel_of_grading\n"
+        "from weylkit.weyl import weyl_action\n"
+        "e = corpus.by_name('pauli')\n"
+        "for f in (lambda: weyl_action(e.G, e.G.arrows, e.omega),\n"
+        "          lambda: kernel_of_grading(e.G, Grading((0,), {g: (int(g == '0|1'),) for g in e.G.arrows}))):\n"
+        "    try:\n"
+        "        f()\n"
+        "    except Exception as exc:\n"
+        "        print(type(exc).__name__, exc.witness)\n"
+    )
+    src = str(Path(weylkit.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.splitlines() == [
+        "RepresentativeDisagreement ('0|0', '0|0#0')",
+        "NotHomomorphism ('0|1', '0|1')",
+    ], out
