@@ -48,7 +48,8 @@ class FiniteGroupoid:
         self.inverse = dict(inverse)
         self.index = {g: i for i, g in enumerate(self.arrows)}
         self._unit_set = frozenset(self.units)
-        self._comp = None
+        self._comp = None     # set by validate_groupoid
+        self._gens = None
 
     def __len__(self):
         return len(self.arrows)
@@ -92,20 +93,42 @@ class FiniteGroupoid:
             n += 1
         return n
 
-    # dense integer tables for the vectorized exhaustive checks
+    # dense integer tables for the vectorized exact checks
     def comp_matrix(self):
         """Arrow indices of g*h at [index g, index h], -1 off the composable pairs.
 
-        Built once and returned read-only, since the groupoid never changes.
+        Built once, by :func:`validate_groupoid`, and read-only.
         """
-        if self._comp is None:
-            n = len(self.arrows)
-            comp = np.full((n, n), -1, dtype=np.int32)
-            for (g, h), k in self.compose.items():
-                comp[self.index[g], self.index[h]] = self.index[k]
-            comp.setflags(write=False)
-            self._comp = comp
         return self._comp
+
+    def generators(self):
+        """Arrow indices whose composable products give every arrow.
+
+        Greedy, hence deterministic: the least arrow index not yet in the
+        product closure of the generators chosen so far.  The closure is
+        taken from the generators alone, so a unit is either a product
+        g*g^-1 of generators or a generator itself.  Built once, read-only.
+        """
+        if self._gens is None:
+            comp = self._comp
+            covered = np.zeros(len(self.arrows), dtype=bool)
+            gens = []
+            for g in range(len(self.arrows)):
+                if covered[g]:
+                    continue
+                gens.append(g)
+                covered[g] = True
+                new = np.array([g])
+                while new.size:   # the new arrows times every covered arrow, on both sides
+                    old = covered.nonzero()[0]
+                    prods = np.concatenate([comp[new[:, None], old].ravel(), comp[old[:, None], new].ravel()])
+                    reached = np.zeros_like(covered)
+                    reached[prods[prods >= 0]] = True
+                    new = (reached & ~covered).nonzero()[0]
+                    covered |= reached
+            self._gens = np.array(gens, dtype=np.int64)
+            self._gens.setflags(write=False)
+        return self._gens
 
 
 @dataclass(frozen=True)
@@ -150,25 +173,56 @@ class Grading:
         return self.normalize(tuple(self.values[g]))
 
 
-def _first_violation(mask_bad):
-    gs, hs = np.nonzero(mask_bad)
-    return int(gs[0]), int(hs[0])
+def _first(mask, order):
+    """Arrow indices of the first True entry of ``mask``, axes read in ``order``."""
+    hit = np.argwhere(mask[np.ix_(*[order] * mask.ndim)])[0]
+    return tuple(int(order[i]) for i in hit)
 
 
 def _check_associativity(G: FiniteGroupoid):
+    """(ab)c = a(bc) for every composable triple, with b over ``G.generators()``.
+
+    Light's test: the middles b that pass for all a and c are closed under
+    composable products, since a(b1 b2)c can be rebracketed one generator at
+    a time, so checking the generators checks every middle.
+    """
     comp = G.comp_matrix()
-    n = len(G.arrows)
-    # guard row so that comp_safe[-1] is all -1
-    comp_safe = np.vstack([comp, np.full((1, n), -1, dtype=np.int32)])
-    for gi in range(n):
-        row = comp[gi]                    # g*h for each h (-1 where undefined)
-        left = comp_safe[row]             # (g*h)*k, -1 rows via the guard
-        right = np.where(comp >= 0, comp[gi][np.clip(comp, 0, None)], -1)  # g*(h*k)
-        mask = (row[:, None] >= 0) & (comp >= 0)
-        bad = mask & (left != right)
+    for b in G.generators():
+        a = (comp[:, b] >= 0).nonzero()[0]
+        c = (comp[b] >= 0).nonzero()[0]
+        bad = comp[comp[a, b][:, None], c] != comp[a[:, None], comp[b, c]]
         if bad.any():
-            hi, ki = _first_violation(bad)
-            raise AssociativityViolation(G.arrows[gi], G.arrows[hi], G.arrows[ki])
+            i, k = np.argwhere(bad)[0]
+            raise AssociativityViolation(G.arrows[a[i]], G.arrows[b], G.arrows[c[k]])
+
+
+def _compose_array(G: FiniteGroupoid, compose: Mapping, s, t):
+    """The compose table as an index array, after the per-entry rules.
+
+    The first entry (in ``compose`` order) with an unknown id, a
+    non-composable key or a composite with the wrong endpoints raises.
+    """
+    n, m = len(G.arrows), len(compose)
+
+    def indices(ids, count):
+        return np.fromiter(map(G.index.get, ids, itertools.repeat(-1)), dtype=np.int64, count=count)
+
+    gi, hi = indices(itertools.chain.from_iterable(compose), 2 * m).reshape(m, 2).T
+    ki = indices(compose.values(), m)
+    known = (gi >= 0) & (hi >= 0) & (ki >= 0)
+    g, h, k = (np.where(known, x, 0) for x in (gi, hi, ki))
+    bad = ~known | (s[g] != t[h]) | (s[k] != s[h]) | (t[k] != t[g])
+    if bad.any():
+        (g, h), k = next(itertools.islice(compose.items(), int(np.argmax(bad)), None))
+        for a in (g, h, k):
+            if a not in G.src:
+                raise UnknownArrowId(a)
+        if G.src[g] != G.tgt[h]:
+            raise SchemaError(f"compose entry ({g}, {h}) is not a composable pair")
+        raise SchemaError(f"compose entry ({g}, {h}) -> {k} breaks source/target rules")
+    comp = np.full((n, n), -1, dtype=np.int32)
+    comp[gi, hi] = ki
+    return comp
 
 
 def validate_groupoid(
@@ -183,7 +237,9 @@ def validate_groupoid(
     ``arrows`` maps arrow id -> (source unit, target unit); units must appear
     as arrows with source = target = themselves.  ``compose`` must cover
     exactly the composable pairs.  ``inverse`` is derived from the compose
-    table when omitted.
+    table when omitted.  The checks run on the compose array, which becomes
+    the groupoid's ``comp_matrix()``; each failure names the first witness
+    in the order of ``arrows`` (or of ``compose`` for its entries).
     """
     units = sorted(set(units))
     src = {g: st[0] for g, st in arrows.items()}
@@ -200,51 +256,52 @@ def validate_groupoid(
         if src[g] not in unit_set or tgt[g] not in unit_set:
             raise DanglingUnit(g, "arrow endpoint is not a declared unit")
 
-    for (g, h), k in compose.items():
-        for a in (g, h, k):
-            if a not in src:
-                raise UnknownArrowId(a)
-        if src[g] != tgt[h]:
-            raise SchemaError(f"compose entry ({g}, {h}) is not a composable pair")
-        if src[k] != src[h] or tgt[k] != tgt[g]:
-            raise SchemaError(f"compose entry ({g}, {h}) -> {k} breaks source/target rules")
-    for g, h in itertools.product(src, src):
-        if src[g] == tgt[h] and (g, h) not in compose:
-            raise MissingComposite(g, h)
+    G = FiniteGroupoid(name, units, src, tgt, compose, inverse or {})
+    order = np.array([G.index[g] for g in src], dtype=np.int64)     # arrow indices in the caller's order
+    s = np.array([G.index[src[g]] for g in G.arrows], dtype=np.int64)
+    t = np.array([G.index[tgt[g]] for g in G.arrows], dtype=np.int64)
+    ar = np.arange(len(G.arrows))
+    comp = _compose_array(G, compose, s, t)
+    missing = (s[:, None] == t[None, :]) & (comp < 0)
+    if missing.any():
+        g, h = _first(missing, order)
+        raise MissingComposite(G.arrows[g], G.arrows[h])
 
     # two-sided identity behavior of units
-    for g in src:
-        if compose[(tgt[g], g)] != g or compose[(g, src[g])] != g:
-            raise DanglingUnit(src[g], f"unit fails to act as identity on {g}")
+    bad = (comp[t, ar] != ar) | (comp[ar, s] != ar)
+    if bad.any():
+        (g,) = _first(bad, order)
+        raise DanglingUnit(G.arrows[s[g]], f"unit fails to act as identity on {G.arrows[g]}")
 
-    G = FiniteGroupoid(name, units, src, tgt, compose, inverse or {})
+    comp.setflags(write=False)
+    G._comp = comp
     _check_associativity(G)
 
     if inverse is None:
-        inv = {}
-        for g in src:
-            cands = [
-                h
-                for h in src
-                if src[h] == tgt[g]
-                and tgt[h] == src[g]
-                and compose[(h, g)] == src[g]
-                and compose[(g, h)] == tgt[g]
-            ]
-            if not cands:
-                raise BadInverse(g, "no two-sided inverse in the compose table")
-            inv[g] = cands[0]
-        G.inverse.update(inv)
+        # h is a two-sided inverse of g iff h*g = s(g) and g*h = t(g);
+        # take the first in the caller's order, at position ``first``
+        rank = np.empty_like(order)
+        rank[order] = ar
+        two_sided = (comp.T == s[:, None]) & (comp == t[:, None])
+        first = np.where(two_sided, rank, len(ar)).min(axis=1, initial=len(ar))
+        if (first == len(ar)).any():
+            (g,) = _first(first == len(ar), order)
+            raise BadInverse(G.arrows[g], "no two-sided inverse in the compose table")
+        inv = order[first]
+        G.inverse.update((G.arrows[g], G.arrows[inv[g]]) for g in order)
     else:
-        for g in src:
-            h = inverse.get(g)
-            if h is None or h not in src:
-                raise BadInverse(g, "missing from inverse map")
-            if compose.get((h, g)) != src[g] or compose.get((g, h)) != tgt[g]:
-                raise BadInverse(g, "declared inverse fails the inverse laws")
-    for g in src:
-        if G.inverse[G.inverse[g]] != g:
-            raise BadInverse(g, "inverse is not an involution")
+        inv = np.array([G.index.get(inverse.get(g), -1) for g in G.arrows], dtype=np.int64)
+        h = np.maximum(inv, 0)
+        bad = (inv < 0) | (comp[h, ar] != s) | (comp[ar, h] != t)
+        if bad.any():
+            (g,) = _first(bad, order)
+            if inv[g] < 0:
+                raise BadInverse(G.arrows[g], "missing from inverse map")
+            raise BadInverse(G.arrows[g], "declared inverse fails the inverse laws")
+    bad = inv[inv] != ar
+    if bad.any():
+        (g,) = _first(bad, order)
+        raise BadInverse(G.arrows[g], "inverse is not an involution")
     return G
 
 
@@ -286,15 +343,20 @@ class PropertyReport:
 
 
 def subgroupoid_properties(G: FiniteGroupoid, members: Iterable) -> PropertyReport:
-    """Flags for a subset of arrows: subgroupoid, wide, bundle, abelian, normal."""
+    """Flags for a subset of arrows: subgroupoid, wide, bundle, abelian, normal.
+
+    Members are scanned in ``G.arrows`` order, so each witness is the first
+    in that order.
+    """
     S = frozenset(members)
-    for g in S:
-        if g not in G.src:
-            raise UnknownArrowId(g)
+    unknown = S.difference(G.src)
+    if unknown:
+        raise UnknownArrowId(min(unknown, key=str))
+    ordered = [g for g in G.arrows if g in S]
     wit = {}
 
     closed = True
-    for g in S:
+    for g in ordered:
         if G.inv(g) not in S:
             closed, wit["subgroupoid"] = False, ("inverse", g)
             break
@@ -302,26 +364,26 @@ def subgroupoid_properties(G: FiniteGroupoid, members: Iterable) -> PropertyRepo
             closed, wit["subgroupoid"] = False, ("unit", g)
             break
     if closed:
-        for g, h in itertools.product(S, S):
+        for g, h in itertools.product(ordered, ordered):
             if G.composable(g, h) and G.mul(g, h) not in S:
                 closed, wit["subgroupoid"] = False, ("compose", g, h)
                 break
 
     wide = set(G.units) <= S
-    bundle = all(G.src[g] == G.tgt[g] for g in S)
+    bundle = all(G.src[g] == G.tgt[g] for g in ordered)
     if not bundle:
-        wit["bundle"] = next(g for g in S if G.src[g] != G.tgt[g])
+        wit["bundle"] = next(g for g in ordered if G.src[g] != G.tgt[g])
 
     abelian = True
     if bundle:
-        for g, h in itertools.combinations(S, 2):
+        for g, h in itertools.combinations(ordered, 2):
             if G.composable(g, h) and G.mul(g, h) != G.mul(h, g):
                 abelian, wit["abelian"] = False, (g, h)
                 break
 
     normal = True
     for g in G.arrows:
-        for a in S:
+        for a in ordered:
             if G.src[a] == G.tgt[a] == G.tgt[g]:
                 if G.conjugate(g, a) not in S:
                     normal, wit["normal"] = False, (g, a)

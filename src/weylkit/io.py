@@ -9,9 +9,10 @@ offending entry; mathematical problems surface via validate_groupoid.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .cocycle import TwoCocycle
 from .errors import SchemaError
@@ -41,6 +42,36 @@ def _split_pair(key, path):
     return parts[0], parts[1]
 
 
+def _pair_table(raw, table: str, message: str, parse: Optional[Callable] = None) -> dict:
+    """A JSON object keyed by "g,h" as a dict keyed by (g, h).
+
+    Values must be strings; ``parse``, if given, maps each distinct string
+    once, and equal strings share its result.  A bad key or value raises
+    SchemaError with the path of the first entry at fault.
+    """
+    _expect(isinstance(raw, dict), table, "must be an object")
+    pairs = list(map(tuple, map(str.split, raw, itertools.repeat(","))))
+    vals = list(raw.values())
+    try:
+        if not (set(map(len, pairs)) <= {2} and all(map(isinstance, vals, itertools.repeat(str)))):
+            raise SchemaError(table)
+        if parse is not None:
+            parsed = {val: parse(val) for val in dict.fromkeys(vals)}
+            vals = map(parsed.__getitem__, vals)
+    except SchemaError:
+        for key, val in raw.items():      # name the first entry at fault
+            path = f"{table}/{key}"
+            _split_pair(key, path)
+            _expect(isinstance(val, str), path, message)
+            try:
+                if parse is not None:
+                    parse(val)
+            except SchemaError as exc:
+                raise SchemaError(f"{path}: {exc}") from exc
+        raise
+    return dict(zip(pairs, vals))
+
+
 def parse_groupoid_data(data: dict) -> GroupoidFile:
     """Validate a decoded JSON object and build the groupoid it describes."""
     _expect(isinstance(data, dict), "/", "top level must be an object")
@@ -64,28 +95,10 @@ def parse_groupoid_data(data: dict) -> GroupoidFile:
         _expect(rec["id"] not in arrows, f"{path}/id", f"duplicate arrow id {rec['id']!r}")
         arrows[rec["id"]] = (rec["source"], rec["target"])
 
-    raw_compose = data.get("compose")
-    _expect(isinstance(raw_compose, dict), "/compose", "must be an object")
-    compose = {}
-    for key, val in raw_compose.items():
-        path = f"/compose/{key}"
-        g, h = _split_pair(key, path)
-        _expect(isinstance(val, str), path, "composite must be an arrow id string")
-        compose[(g, h)] = val
-
+    compose = _pair_table(data.get("compose"), "/compose", "composite must be an arrow id string")
     G = validate_groupoid(units, arrows, compose, name=name)
 
-    raw_cocycle = data.get("cocycle", {})
-    _expect(isinstance(raw_cocycle, dict), "/cocycle", "must be an object")
-    values = {}
-    for key, val in raw_cocycle.items():
-        path = f"/cocycle/{key}"
-        pair = _split_pair(key, path)
-        _expect(isinstance(val, str), path, "phase must be a string 'a/b'")
-        try:
-            values[pair] = Phase.parse(val)
-        except SchemaError as exc:
-            raise SchemaError(f"{path}: {exc}") from exc
+    values = _pair_table(data.get("cocycle", {}), "/cocycle", "phase must be a string 'a/b'", Phase.parse)
     omega = TwoCocycle(G, values)
 
     c = None

@@ -157,7 +157,7 @@ def check_gamma_cartan_hypotheses(
 
     contained = S <= T
     if not contained:
-        wit["contained_in_iso_kernel"] = next(iter(S - T))
+        wit["contained_in_iso_kernel"] = min(S - T, key=str)
 
     props = subgroupoid_properties(G, S)
     wit.update({f"props_{k}": v for k, v in props.witnesses.items()})

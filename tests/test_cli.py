@@ -1,11 +1,17 @@
 """Command-line driver: exit-code contract and end-to-end subcommand runs."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import weylkit
 from weylkit.cli import main
 from weylkit.io import load_groupoid
+from weylkit.phases import HALF, Phase
 
 
 @pytest.fixture()
@@ -189,3 +195,38 @@ def test_validate_oversized_denominators_is_schema_error(tmp_path):
     data["cocycle"] = {f"{g},{g}": f"1/{p}" for g, p in zip(arrows, (1000003, 1000033, 1000037, 1000039))}
     path.write_text(json.dumps(data))
     assert main(["validate", str(path)]) == 2
+
+
+def _run_cli(args, hash_seed):
+    src = str(Path(weylkit.__file__).parents[1])
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = "import sys\nfrom weylkit.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    out = subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True)
+    return out.returncode, out.stdout, out.stderr
+
+
+def test_failing_reports_do_not_depend_on_the_hash_seed(tmp_path):
+    files = {}
+    for name in ("rotation(4,1)", "q8", "s3"):
+        path = tmp_path / "base.json"
+        assert main(["gen", *name.replace("(", " ").replace(",", " ").rstrip(")").split(),
+                     "-o", str(path)]) == 0
+        data = json.loads(path.read_text())
+        if name == "q8":       # two composites swapped in one row
+            row = data["compose"]
+            row["i,j"], row["i,-j"] = row["i,-j"], row["i,j"]
+        elif name == "s3":     # marked with every arrow: not abelian, not in the kernel
+            data["marked_subgroupoid"] = [a["id"] for a in data["arrows"]]
+        else:                  # one cocycle entry shifted by 1/2
+            data["cocycle"]["1|1,2|3"] = str(Phase.parse(data["cocycle"]["1|1,2|3"]) + HALF)
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(data))
+    codes = set()
+    for path in files.values():
+        for command in ("validate", "hypotheses"):
+            args = [command, str(path), "--format", "json"]
+            first = _run_cli(args, "1")
+            assert first == _run_cli(args, "2"), args
+            codes.add(first[0])
+    assert codes == {0, 1}

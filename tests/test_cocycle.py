@@ -12,6 +12,7 @@ from weylkit.cocycle import (
     is_maximal_symmetric_abelian,
 )
 from weylkit.errors import SchemaError, UndefinedPair
+from weylkit.groupoid import validate_groupoid
 from weylkit.phases import HALF, Phase
 
 
@@ -121,3 +122,16 @@ def test_oversized_common_denominator_is_a_schema_error(entry):
     # three of them still fit
     del omega.values[pairs[3]]
     assert check_cocycle(G, omega)
+
+
+def test_cocycle_of_another_groupoid_is_a_schema_error(entry):
+    G = entry("q8").G
+    other = TwoCocycle(entry("d4").G, {})
+    with pytest.raises(SchemaError, match="defined on d4, not on q8"):
+        check_cocycle(G, other)
+    # a groupoid with the same arrows, validated again, reads the same table
+    e = entry("pauli")
+    again = validate_groupoid(e.G.units, {g: (e.G.src[g], e.G.tgt[g]) for g in e.G.arrows}, e.G.compose)
+    assert check_cocycle(again, e.omega) == []
+    shifted = TwoCocycle(e.G, {**e.omega.values, ("0|1", "1|0"): e.omega.omega("0|1", "1|0") + HALF})
+    assert check_cocycle(again, shifted) == check_cocycle(e.G, shifted) != []

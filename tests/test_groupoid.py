@@ -1,7 +1,13 @@
 """Groupoid validation, subgroupoid analysis, gradings, quotients, isomorphism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import weylkit
 from weylkit import corpus
 from weylkit.errors import (
     AssociativityViolation,
@@ -296,3 +302,31 @@ def test_grading_witness_follows_compose_order(entry):
     assert exc.value.witness == _kernel_outcome(_kernel_oracle, G, c)
     # the first bad pair in sorted order is another one
     assert exc.value.witness != _kernel_outcome(_kernel_oracle, G0, c)
+
+
+def test_property_witnesses_do_not_depend_on_the_hash_seed():
+    # members are scanned in G.arrows order, not in frozenset order
+    script = (
+        "from weylkit import corpus\n"
+        "from weylkit.errors import WeylkitError\n"
+        "from weylkit.groupoid import quotient_by_bundle, subgroupoid_properties\n"
+        "s3, z2r2 = corpus.by_name('s3').G, corpus.z2_x_r2().G\n"
+        "for G, S in ((s3, s3.arrows), (s3, ['0|0', '0|1', '1|1']), (z2r2, z2r2.arrows)):\n"
+        "    print(subgroupoid_properties(G, S).witnesses)\n"
+        "    try:\n"
+        "        quotient_by_bundle(G, S)\n"
+        "    except WeylkitError as exc:\n"
+        "        print(type(exc).__name__, exc)\n"
+    )
+    src = str(Path(weylkit.__file__).parents[1])
+    outs = []
+    for seed in ("1", "2", "3"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        outs.append(subprocess.run([sys.executable, "-c", script], env=env,
+                                   capture_output=True, text=True, check=True).stdout)
+    assert outs[0] == outs[1] == outs[2], outs
+    lines = outs[0].splitlines()
+    assert lines[0] == "{'abelian': ('0|1', '1|0')}"
+    assert lines[1].startswith("NotAbelian") and "('0|1', '1|0')" in lines[1]
+    assert len(lines) == 6, lines

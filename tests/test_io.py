@@ -93,3 +93,26 @@ def test_comma_in_arrow_id_rejected_on_emit():
         emit_groupoid_data(fake)
     # sanity: real corpus ids serialize fine
     emit_groupoid_data(corpus.pair_groupoid(2).G)
+
+
+def test_equal_phase_strings_share_one_phase(entry):
+    data = _emit(entry("rotation(4,1)"))
+    gf = parse_groupoid_data(data)
+    strings = set(data["cocycle"].values())
+    assert len({id(ph) for ph in gf.omega.values.values()}) == len(strings) < len(data["cocycle"])
+    assert {str(ph) for ph in gf.omega.values.values()} == strings
+
+
+def test_table_errors_name_the_first_entry_at_fault(entry):
+    data = _emit(entry("pauli"))
+    first, *rest = list(data["cocycle"])
+    data["cocycle"][first] = "1/0"
+    data["cocycle"]["a;b"] = "1/2"
+    with pytest.raises(SchemaError, match=f"/cocycle/{first}: bad phase string '1/0'"):
+        parse_groupoid_data(data)
+    data = _emit(entry("pauli"))
+    key = list(data["compose"])[2]
+    data["compose"][key] = 7
+    data["compose"]["x,y,z"] = "0|0"
+    with pytest.raises(SchemaError, match=f"/compose/{key}: composite must be an arrow id string"):
+        parse_groupoid_data(data)

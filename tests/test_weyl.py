@@ -328,18 +328,26 @@ def test_oversized_common_denominator_is_a_schema_error(entry):
 
 
 def test_failures_survive_python_O():
-    # both checks raise typed errors, so they still run under python -O
+    # the checks raise typed errors or return witnesses, so they still run under python -O
     script = (
         "from weylkit import corpus\n"
-        "from weylkit.groupoid import Grading, kernel_of_grading\n"
+        "from weylkit.cocycle import TwoCocycle, check_cocycle\n"
+        "from weylkit.groupoid import Grading, kernel_of_grading, validate_groupoid\n"
+        "from weylkit.phases import HALF\n"
         "from weylkit.weyl import weyl_action\n"
         "e = corpus.by_name('pauli')\n"
+        "arrows = {g: (e.G.src[g], e.G.tgt[g]) for g in e.G.arrows}\n"
         "for f in (lambda: weyl_action(e.G, e.G.arrows, e.omega),\n"
         "          lambda: kernel_of_grading(e.G, Grading((0,), {g: (int(g == '0|1'),) for g in e.G.arrows}))):\n"
         "    try:\n"
         "        f()\n"
         "    except Exception as exc:\n"
         "        print(type(exc).__name__, exc.witness)\n"
+        "try:\n"
+        "    validate_groupoid(e.G.units, arrows, {**e.G.compose, ('0|1', '1|1'): '0|0'})\n"
+        "except Exception as exc:\n"
+        "    print(type(exc).__name__, exc.triple)\n"
+        "print(check_cocycle(e.G, TwoCocycle(e.G, {**e.omega.values, ('1|0', '0|1'): HALF}))[:2])\n"
     )
     src = str(Path(weylkit.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -349,4 +357,6 @@ def test_failures_survive_python_O():
     assert out.splitlines() == [
         "RepresentativeDisagreement ('0|0', '0|0#0')",
         "NotHomomorphism ('0|1', '0|1')",
+        "AssociativityViolation ('0|1', '0|1', '1|0')",
+        "[('1|0', '0|1', '0|1'), ('1|0', '0|1', '1|0')]",
     ], out
