@@ -26,11 +26,41 @@ from .groupoid import (
 from .phases import ZERO, Phase
 
 
+class CocycleValues(dict):
+    """The pair -> Phase table of a :class:`TwoCocycle`.
+
+    ``table`` caches the cocycle's numerator table; every write to the
+    dict drops it, so the next reader builds it again.
+    """
+
+    __slots__ = ("table",)
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.table = None
+
+
+def _drops_table(name):
+    write = getattr(dict, name)
+
+    def method(self, *args, **kwargs):
+        self.table = None
+        return write(self, *args, **kwargs)
+
+    method.__name__ = method.__qualname__ = name
+    return method
+
+
+for _name in ("__setitem__", "__delitem__", "__ior__", "update", "pop", "popitem", "setdefault", "clear"):
+    setattr(CocycleValues, _name, _drops_table(_name))
+
+
 class TwoCocycle:
     """Phase-valued function on the composable pairs of a groupoid.
 
     Pairs absent from ``values`` take the zero phase, so the trivial cocycle
-    is the empty table.
+    is the empty table.  The integer numerator table is built on first use
+    and kept until ``values`` is written to.
     """
 
     def __init__(self, G: FiniteGroupoid, values: Optional[Mapping] = None):
@@ -39,7 +69,31 @@ class TwoCocycle:
         if not all(map(G.compose.__contains__, values)):
             raise UndefinedPair(*next(pair for pair in values if pair not in G.compose))
         zero = {i for i, ph in _by_id(values).items() if ph.is_zero}
-        self.values = {pair: ph for pair, ph in values.items() if id(ph) not in zero} if zero else values
+        self.values = CocycleValues(
+            {pair: ph for pair, ph in values.items() if id(ph) not in zero} if zero else values
+        )
+
+    @classmethod
+    def from_table(cls, G: FiniteGroupoid, num: np.ndarray, den: int) -> "TwoCocycle":
+        """The cocycle whose value at arrow indices [g, h] is num[g, h]/den.
+
+        ``num`` holds numerators in [0, den), zero off the composable pairs.
+        Each distinct numerator becomes one Phase, and the table, reduced to
+        the lcm of their denominators, is kept as the cocycle's own.
+        """
+        gi, hi = num.nonzero()
+        nums = num[gi, hi].tolist()
+        phase = {v: Phase(v, den) for v in sorted(set(nums))}
+        d = math.lcm(*(ph.den for ph in phase.values()))
+        arrows = G.arrows
+        pairs = zip(map(arrows.__getitem__, gi.tolist()), map(arrows.__getitem__, hi.tolist()))
+        omega = cls.__new__(cls)
+        omega.G = G
+        omega.values = CocycleValues(zip(pairs, map(phase.__getitem__, nums)))
+        om = num // (den // d)
+        om.setflags(write=False)
+        omega.values.table = (om, d)
+        return omega
 
     def omega(self, g, h) -> Phase:
         if (g, h) not in self.G.compose:
@@ -52,21 +106,37 @@ class TwoCocycle:
     def _int_table(self):
         """(numerator array, compose matrix, common denominator).
 
-        Entries that share one Phase object, as parsed entries do, are
-        converted once.
+        The numerator array is read-only.  It is kept on ``values`` while
+        that is a :class:`CocycleValues`.
         """
-        G, values = self.G, self.values
-        phases = _by_id(values)
-        den = math.lcm(*(ph.q.denominator for ph in phases.values()))
-        if den > MAX_TABLE_INT:
-            common_denominator(values.items())      # raises, naming the entry at fault
-        num = {i: ph.q.numerator * (den // ph.q.denominator) for i, ph in phases.items()}
-        n, m = len(G.arrows), len(values)
-        gh = np.fromiter(map(G.index.__getitem__, itertools.chain.from_iterable(values)),
-                         dtype=np.int64, count=2 * m).reshape(m, 2)
-        om = np.zeros((n, n), dtype=np.int64)
-        om[gh[:, 0], gh[:, 1]] = np.fromiter(map(num.__getitem__, map(id, values.values())), np.int64, m)
-        return om, G.comp_matrix(), den
+        values = self.values
+        table = getattr(values, "table", None)
+        if table is None:
+            table = numerator_table(self.G, values)
+            if isinstance(values, CocycleValues):
+                values.table = table
+        om, den = table
+        return om, self.G.comp_matrix(), den
+
+
+def numerator_table(G: FiniteGroupoid, values: Mapping):
+    """(read-only int64 array of numerators at [index g, index h], common denominator).
+
+    Entries that share one Phase object, as parsed entries do, are
+    converted once.
+    """
+    phases = _by_id(values)
+    den = math.lcm(*(ph.den for ph in phases.values()))
+    if den > MAX_TABLE_INT:
+        common_denominator(values.items())      # raises, naming the entry at fault
+    num = {i: ph.num * (den // ph.den) for i, ph in phases.items()}
+    n, m = len(G.arrows), len(values)
+    gh = np.fromiter(map(G.index.__getitem__, itertools.chain.from_iterable(values)),
+                     dtype=np.int64, count=2 * m).reshape(m, 2)
+    om = np.zeros((n, n), dtype=np.int64)
+    om[gh[:, 0], gh[:, 1]] = np.fromiter(map(num.__getitem__, map(id, values.values())), np.int64, m)
+    om.setflags(write=False)
+    return om, den
 
 
 def _by_id(values: Mapping) -> dict:
@@ -81,7 +151,7 @@ def common_denominator(phases, den: int = 1) -> int:
     ``MAX_TABLE_INT``, so that numerator tables stay exact in int64.
     """
     for where, ph in phases:
-        den = math.lcm(den, ph.q.denominator)
+        den = math.lcm(den, ph.den)
         if den > MAX_TABLE_INT:
             raise SchemaError(
                 f"phase {ph} at {where} takes the common denominator past {MAX_TABLE_INT}"

@@ -191,7 +191,7 @@ def _enumerate_fibre_characters(bundle: GroupBundle, x):
         for chi in partial:
             anchor = chi[power]  # value forced on g^m
             for j in range(m):
-                v = Phase((anchor.q + j) / m)
+                v = Phase(anchor.num + j * anchor.den, anchor.den * m)   # (anchor + j) / m
                 ext = dict(chi)
                 cur = e
                 val = ZERO

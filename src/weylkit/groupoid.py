@@ -163,9 +163,6 @@ class Grading:
     def zero(self):
         return tuple(0 for _ in self.group)
 
-    def add(self, a, b):
-        return self.normalize(tuple(x + y for x, y in zip(a, b)))
-
     def neg(self, a):
         return self.normalize(tuple(-x for x in a))
 

@@ -4,11 +4,14 @@ the closed-form untwisting action, and the rotation-family generators.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .cocycle import TwoCocycle, check_cocycle
+import numpy as np
+
+from .cocycle import TwoCocycle, check_cocycle, common_denominator
 from .dual import Character, bundle_from_subgroupoid, dual_bundle
 from .errors import CocycleInvalid, NotAutomorphism, RestrictionNotTrivial, SchemaError
 from .groupoid import Grading, build_groupoid
@@ -35,7 +38,8 @@ class SemidirectSpec:
     """Data for G = H x|_beta K with a 2-cocycle omega.
 
     ``beta(k, h)`` is the automorphism action of K on H; ``omega`` takes two
-    group elements (h, k) and returns a Phase.
+    group elements (h, k) and returns a Phase.  Element ids "h1.h2|k1" are
+    tabulated both ways on first use.
     """
 
     name: str
@@ -66,16 +70,31 @@ class SemidirectSpec:
             _add(self.k_orders, k, k2),
         )
 
+    @functools.cached_property
+    def _ids(self) -> dict:
+        """Element -> id, for every element of the group."""
+        return {a: _format_id(a) for a in self.elements()}
+
+    @functools.cached_property
+    def _elements_by_id(self) -> dict:
+        """Id -> element, the inverse of ``_ids``."""
+        return {text: a for a, text in self._ids.items()}
+
     def elem_id(self, a):
-        h, k = a
-        return ".".join(map(str, h)) + "|" + ".".join(map(str, k))
+        try:
+            return self._ids[a]
+        except KeyError:
+            return _format_id(a)
 
     def parse_id(self, text):
-        hs, ks = text.split("|")
-        return (
-            tuple(int(x) for x in hs.split(".")),
-            tuple(int(x) for x in ks.split(".")),
-        )
+        try:
+            return self._elements_by_id[text]
+        except KeyError:
+            hs, ks = text.split("|")
+            return (
+                tuple(int(x) for x in hs.split(".")),
+                tuple(int(x) for x in ks.split(".")),
+            )
 
     def validate_action(self):
         h_elems = self.h_elements()
@@ -100,12 +119,18 @@ class SemidirectSpec:
                     raise NotAutomorphism(f"beta is not an action at ({k1}, {k2})")
 
 
+def _format_id(a) -> str:
+    h, k = a
+    return ".".join(map(str, h)) + "|" + ".".join(map(str, k))
+
+
 def build_semidirect(spec: SemidirectSpec):
     """Build (G, omega, S = H x {0} member set, grading c(h, k) = k)."""
     spec.validate_action()
     elems = spec.elements()
+    ids = [spec.elem_id(a) for a in elems]
     unit = spec.elem_id((tuple(0 for _ in spec.h_orders), tuple(0 for _ in spec.k_orders)))
-    arrows = {spec.elem_id(a): (unit, unit) for a in elems}
+    arrows = {i: (unit, unit) for i in ids}
 
     def mul(x, y):
         return spec.elem_id(spec.mul(spec.parse_id(x), spec.parse_id(y)))
@@ -114,8 +139,8 @@ def build_semidirect(spec: SemidirectSpec):
     omega = TwoCocycle(
         G,
         {
-            (spec.elem_id(a), spec.elem_id(b)): spec.omega(a, b)
-            for a, b in itertools.product(elems, elems)
+            (ia, ib): spec.omega(a, b)
+            for (a, ia), (b, ib) in itertools.product(zip(elems, ids), repeat=2)
         },
     )
     violations = check_cocycle(G, omega)
@@ -165,9 +190,8 @@ def _closed_form_action(spec: SemidirectSpec, dual, use_corollary: bool) -> dict
     unit = dual.base[0]
     zero_h = tuple(0 for _ in spec.h_orders)
     zero_k = tuple(0 for _ in spec.k_orders)
-
-    def class_id(k):
-        return min(spec.elem_id((h, k)) for h in spec.h_elements())
+    h_elems = spec.h_elements()
+    h_ids = [spec.elem_id((h, zero_k)) for h in h_elems]
 
     action = {}
     for k in spec.k_elements():
@@ -177,17 +201,18 @@ def _closed_form_action(spec: SemidirectSpec, dual, use_corollary: bool) -> dict
             if use_corollary
             else -spec.omega((zero_h, nk), (zero_h, k))
         )
+        # per h: the character-free terms, and the id of beta_{-k}(h) where chi is read
+        terms = []
+        for h in h_elems:
+            bh = spec.beta(nk, h)
+            terms.append((
+                lead + spec.omega((zero_h, nk), (h, zero_k)) + spec.omega((bh, nk), (zero_h, k)),
+                spec.elem_id((bh, zero_k)),
+            ))
+        cid = min(spec.elem_id((h, k)) for h in h_elems)
         for chi in dual.fibres[unit]:
-            table = {}
-            for h in spec.h_elements():
-                bh = spec.beta(nk, h)
-                table[spec.elem_id((h, zero_k))] = (
-                    lead
-                    + spec.omega((zero_h, nk), (h, zero_k))
-                    + spec.omega((bh, nk), (zero_h, k))
-                    + chi.value(spec.elem_id((bh, zero_k)))
-                )
-            action[(class_id(k), dual.char_id[chi])] = Character.from_table(unit, table)
+            table = {hid: t + chi.value(bid) for hid, (t, bid) in zip(h_ids, terms)}
+            action[(cid, dual.char_id[chi])] = Character.from_table(unit, table)
     return action
 
 
@@ -228,26 +253,28 @@ def verify_untwisting(spec: SemidirectSpec) -> UntwistingReport:
         corollary_ok = _closed_form_action(spec, data.dual, use_corollary=True) == closed
 
     zero_h = tuple(0 for _ in spec.h_orders)
-
-    def pure_k_section(classes, class_map):
-        section = {}
-        for cid, members in classes.items():
-            _, k = spec.parse_id(min(members))
-            section[cid] = spec.elem_id((zero_h, k))
-        return section
-
-    data.section = pure_k_section(data.classes, data.class_map)
+    k_elems = spec.k_elements()
+    k_pos = {k: i for i, k in enumerate(k_elems)}
+    section, k_of_class = {}, {}
+    for cid, members in data.classes.items():
+        _, k = spec.parse_id(min(members))
+        section[cid], k_of_class[cid] = spec.elem_id((zero_h, k)), k_pos[k]
+    data.section = section
     C = weyl_twist_cocycle(GW, data)
-    twist_ok = True
-    for (a1, a2) in GW.compose:
-        c1, _ = data.split_gw_id(a1)
-        c2, _ = data.split_gw_id(a2)
-        _, k1 = spec.parse_id(data.section[c1])
-        _, k2 = spec.parse_id(data.section[c2])
-        expected = spec.omega((zero_h, k1), (zero_h, k2))
-        if C.omega(a1, a2) != expected:
-            twist_ok = False
-            mismatches.append((a1, a2))
+
+    # both sides as numerator tables: C's own, and omega on K x K from the spec
+    expected = [((k1, k2), spec.omega((zero_h, k1), (zero_h, k2))) for k1 in k_elems for k2 in k_elems]
+    twist, _, den = C._int_table()
+    D = common_denominator(expected, den)
+    on_k = np.array([ph.num * (D // ph.den) for _, ph in expected], dtype=np.int64)
+    on_k = on_k.reshape(len(k_elems), len(k_elems))
+    k_of = np.array([k_of_class[data.split_gw_id(a)[0]] for a in GW.arrows])
+    a1, a2 = (GW.comp_matrix() >= 0).nonzero()
+    differs = np.zeros((len(GW), len(GW)), dtype=bool)
+    differs[a1, a2] = (twist[a1, a2] * (D // den) - on_k[k_of[a1], k_of[a2]]) % D != 0
+    twist_ok = not differs.any()
+    if not twist_ok:
+        mismatches += [(x, y) for x, y in GW.compose if differs[GW.index[x], GW.index[y]]]
     cocycle_ok = not check_cocycle(GW, C)
     return UntwistingReport(action_ok, corollary_ok, twist_ok, cocycle_ok, mismatches)
 

@@ -211,6 +211,28 @@ class WeylData:
         return cid, self.dual.by_id[char_id]
 
 
+def _numerator_tables(G: FiniteGroupoid, dual: CharacterBundle, omega: TwoCocycle):
+    """omega and the characters of ``dual`` as numerators over one denominator D.
+
+    Returns (omega's table over D, compose matrix, D, pos, chars, char_row):
+    ``pos`` sends an arrow index to its position in its fibre of the bundle
+    (-1 outside it), and row ``char_row[chi]`` of the int64 array ``chars``
+    holds the values of chi at the positions of its fibre.
+    """
+    om, comp, den = omega._int_table()
+    chis = [chi for u in G.units for chi in dual.fibres[u]]
+    D = common_denominator((((dual.char_id[chi], a), ph) for chi in chis for a, ph in chi.values), den)
+    pos = np.full(len(G.arrows), -1)
+    for u in G.units:
+        fibre = dual.bundle.fibre(u)
+        pos[[G.index[a] for a in fibre]] = np.arange(len(fibre))
+    chars = np.zeros((len(chis), max(len(dual.bundle.fibre(u)) for u in G.units)), dtype=np.int64)
+    for r, chi in enumerate(chis):
+        fibre = dual.bundle.fibre(chi.unit)
+        chars[r, :len(fibre)] = [chi.value(a).num * (D // chi.value(a).den) for a in fibre]
+    return om * (D // den), comp, D, pos, chars, {chi: r for r, chi in enumerate(chis)}
+
+
 def weyl_action(G: FiniteGroupoid, S_members, omega: TwoCocycle):
     """Action of G/S on the dual bundle of S, verified representative-independent.
 
@@ -225,24 +247,8 @@ def weyl_action(G: FiniteGroupoid, S_members, omega: TwoCocycle):
     S = frozenset(S_members)
     Q, class_map = quotient_by_bundle(G, S)
     dual = dual_bundle(bundle_from_subgroupoid(G, S))
-    om, comp, den = omega._int_table()
-    char_phases = (
-        ((dual.char_id[chi], a), ph)
-        for chis in dual.fibres.values() for chi in chis for a, ph in chi.values
-    )
-    D = common_denominator(char_phases, den)
-    om = om * (D // den)
+    om, comp, D, pos, chars, char_row = _numerator_tables(G, dual, omega)
     inv = np.array([G.index[G.inv(g)] for g in G.arrows])
-    pos = np.full(len(G.arrows), -1)      # arrow index -> position in its fibre of S
-    chars = {}                            # unit -> numerators over D, [character, fibre position]
-    for u in G.units:
-        fibre = dual.bundle.fibre(u)
-        pos[[G.index[a] for a in fibre]] = np.arange(len(fibre))
-        chars[u] = np.array(
-            [[chi.value(a).q.numerator * (D // chi.value(a).q.denominator) for a in fibre]
-             for chi in dual.fibres[u]],
-            dtype=np.int64,
-        )
 
     phase = {}                            # numerator -> Phase, built once each
     action = {}
@@ -255,7 +261,8 @@ def weyl_action(G: FiniteGroupoid, S_members, omega: TwoCocycle):
         gia = comp[gi, a]
         # [character, member, fibre element], every term below D; g^-1 a g
         # lies in S, which quotient_by_bundle checked to be normal
-        vals = (-om[g, gi] + om[gi, a] + om[gia, g])[None] + chars[x][:, pos[comp[gia, g]]]
+        at_x = chars[[char_row[chi] for chi in dual.fibres[x]]]
+        vals = (-om[g, gi] + om[gi, a] + om[gia, g])[None] + at_x[:, pos[comp[gia, g]]]
         vals %= D
         disagree = (vals != vals[:, :1]).any(axis=(1, 2))
         if disagree.any():
@@ -383,23 +390,51 @@ def build_weyl_groupoid(
 
 
 def weyl_twist_cocycle(GW: FiniteGroupoid, data: WeylData) -> TwoCocycle:
-    """The section-dependent 2-cocycle C on the Weyl groupoid."""
-    G, omega, Q, sec = data.G, data.omega, data.Q, data.section
-    values = {}
+    """The section-dependent 2-cocycle C on the Weyl groupoid.
+
+    For composable Weyl arrows (c1, chi1), (c2, chi) with sections s1, s2
+    and s12 of c1, c2 and c1 c2, the defect s12^-1 s1 s2 must lie in S, and
+    C = chi(defect) - omega(s12, defect) + omega(s1, s2).  All pairs are
+    evaluated at once, as numerators over the denominator of the Weyl
+    action's tables.
+    """
+    G, dual, sec = data.G, data.dual, data.section
+    om, comp, D, pos, chars, char_row = _numerator_tables(G, dual, data.omega)
+    inv = np.array([G.index[G.inv(g)] for g in G.arrows])
+    in_S = np.zeros(len(G.arrows), dtype=bool)
+    in_S[[G.index[a] for a in data.S]] = True
+
+    # per Weyl arrow: the G arrow index of its class's section, and its character's row
+    sec_of, row_of = np.empty((2, len(GW.arrows)), dtype=np.int64)
+    for i, aid in enumerate(GW.arrows):
+        cid, chi = data.split_gw_id(aid)
+        sec_of[i], row_of[i] = G.index[sec[cid]], char_row[chi]
+
+    gw_comp = GW.comp_matrix()
+    a1, a2 = (gw_comp >= 0).nonzero()
+    s1, s2, s12 = sec_of[a1], sec_of[a2], sec_of[gw_comp[a1, a2]]
+    # a section value outside its class can leave a product undefined (-1)
+    # or the defect outside S; the loop then names the first such pair
+    step = comp[inv[s12], s1]
+    defect = comp[np.maximum(step, 0), s2]
+    bad = (step < 0) | (defect < 0) | ~in_S[np.maximum(defect, 0)]
+    if bad.any():
+        _raise_first_defect_outside_S(GW, data)
+    num = np.zeros((len(GW.arrows), len(GW.arrows)), dtype=np.int64)
+    num[a1, a2] = (chars[row_of[a2], pos[defect]] - om[s12, defect] + om[s1, s2]) % D
+    return TwoCocycle.from_table(GW, num, D)
+
+
+def _raise_first_defect_outside_S(GW: FiniteGroupoid, data: WeylData):
+    """Raise ElementNotInS for the first defect outside S, in ``GW.compose`` order."""
+    G, Q, sec = data.G, data.Q, data.section
     for (a1, a2) in GW.compose:
         c1, _ = data.split_gw_id(a1)
-        c2, chi = data.split_gw_id(a2)
-        c12 = Q.mul(c1, c2)
-        s12, s1, s2 = sec[c12], sec[c1], sec[c2]
+        c2, _ = data.split_gw_id(a2)
+        s12, s1, s2 = sec[Q.mul(c1, c2)], sec[c1], sec[c2]
         defect = G.mul_all(G.inv(s12), s1, s2)
         if defect not in data.S:
             raise ElementNotInS(defect)
-        values[(a1, a2)] = (
-            chi.value(defect)
-            - omega.omega(s12, defect)
-            + omega.omega(s1, s2)
-        )
-    return TwoCocycle(GW, values)
 
 
 def conditional_expectation(

@@ -1,23 +1,110 @@
-"""Exhaustive and loop-based versions of the groupoid and cocycle checks.
+"""Exhaustive, loop-based and Fraction-based versions of library code.
 
 The library checks associativity and the cocycle condition with the middle
-argument over a generating set, and validates a groupoid on its compose
-array.  These are the plain versions they replaced: every composable
-triple, and one Python loop per rule.  The tests compare the two.
+argument over a generating set, validates a groupoid on its compose array,
+keeps phases as reduced int pairs and builds the Weyl twist as one array
+expression.  These are the plain versions they replaced: every composable
+triple, one Python loop per rule, a ``Fraction`` per phase and one phase
+sum per Weyl pair.  The tests compare the two.
 """
 
+import cmath
 import itertools
+from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
+from weylkit.cocycle import TwoCocycle
 from weylkit.errors import (
     AssociativityViolation,
     BadInverse,
     DanglingUnit,
+    ElementNotInS,
     MissingComposite,
     SchemaError,
     UnknownArrowId,
 )
+
+
+@dataclass(frozen=True, order=True)
+class FractionPhase:
+    """The Fraction-backed phase: a reduced rational q in [0, 1)."""
+
+    q: Fraction
+
+    def __post_init__(self):
+        if not (0 <= self.q < 1):
+            object.__setattr__(self, "q", self.q % 1)
+
+    @staticmethod
+    def of(num: int, den: int = 1) -> "FractionPhase":
+        return FractionPhase(Fraction(num, den))
+
+    @staticmethod
+    def parse(text: str) -> "FractionPhase":
+        """Parse a serialized phase "a/b" (b >= 1) or a bare integer."""
+        try:
+            if "/" in text:
+                a, b = text.split("/")
+                num, den = int(a), int(b)
+            else:
+                num, den = int(text), 1
+        except ValueError as exc:
+            raise SchemaError(f"bad phase string {text!r}") from exc
+        if den < 1:
+            raise SchemaError(f"bad phase string {text!r}: denominator must be >= 1")
+        return FractionPhase(Fraction(num, den))
+
+    def __add__(self, other):
+        return FractionPhase(self.q + other.q)
+
+    def __sub__(self, other):
+        return FractionPhase(self.q - other.q)
+
+    def __neg__(self):
+        return FractionPhase(-self.q)
+
+    def times(self, n: int):
+        return FractionPhase(self.q * n)
+
+    @property
+    def is_zero(self) -> bool:
+        return self.q == 0
+
+    def to_complex(self) -> complex:
+        return cmath.exp(2j * cmath.pi * float(self.q))
+
+    def __str__(self) -> str:
+        return f"{self.q.numerator}/{self.q.denominator}"
+
+    def __repr__(self) -> str:
+        return f"Phase({self})"
+
+
+def weyl_twist_cocycle_loop(GW, data):
+    """The Weyl twist C with one Phase sum per composable pair, in ``GW.compose`` order."""
+    G, omega, Q, sec = data.G, data.omega, data.Q, data.section
+    values = {}
+    for (a1, a2) in GW.compose:
+        c1, _ = data.split_gw_id(a1)
+        c2, chi = data.split_gw_id(a2)
+        c12 = Q.mul(c1, c2)
+        s12, s1, s2 = sec[c12], sec[c1], sec[c2]
+        defect = G.mul_all(G.inv(s12), s1, s2)
+        if defect not in data.S:
+            raise ElementNotInS(defect)
+        values[(a1, a2)] = (
+            chi.value(defect)
+            - omega.omega(s12, defect)
+            + omega.omega(s1, s2)
+        )
+    return TwoCocycle(GW, values)
+
+
+def grading_add(c, a, b):
+    """The sum of two values of the grading ``c`` in its group."""
+    return c.normalize(tuple(x + y for x, y in zip(a, b)))
 
 
 def comp_array(arrows, compose):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from oracles import grading_add
 import weylkit
 from weylkit import corpus
 from weylkit.errors import (
@@ -222,7 +223,7 @@ def _kernel_oracle(G, c):
         if c.value(u) != c.zero:
             raise NotHomomorphism((u, u))
     for (g, h), k in G.compose.items():
-        if c.value(k) != c.add(c.value(g), c.value(h)):
+        if c.value(k) != grading_add(c, c.value(g), c.value(h)):
             raise NotHomomorphism((g, h))
     return frozenset(g for g in G.arrows if c.value(g) == c.zero)
 
