@@ -284,9 +284,11 @@ def gen_rotation(n: int, p: int) -> SemidirectSpec:
     if n < 1 or not (0 <= p < n):
         raise SchemaError(f"rotation parameters need n >= 1 and 0 <= p < n, got ({n}, {p})")
 
+    phases = [Phase(v, n) for v in range(n)]     # every value omega takes, built once
+
     def omega(a, b):
         (_, k), (h2, _) = a, b
-        return Phase.of(p * k[0] * h2[0], n)
+        return phases[p * k[0] * h2[0] % n]
 
     return SemidirectSpec(
         name=f"rotation({n},{p})",
