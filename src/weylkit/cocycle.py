@@ -65,12 +65,12 @@ class TwoCocycle:
 
     def __init__(self, G: FiniteGroupoid, values: Optional[Mapping] = None):
         self.G = G
-        values = dict(values or {})
+        values = CocycleValues(values or {})
         if not all(map(G.compose.__contains__, values)):
             raise UndefinedPair(*next(pair for pair in values if pair not in G.compose))
         zero = {i for i, ph in _by_id(values).items() if ph.is_zero}
-        self.values = CocycleValues(
-            {pair: ph for pair, ph in values.items() if id(ph) not in zero} if zero else values
+        self.values = (
+            CocycleValues({pair: ph for pair, ph in values.items() if id(ph) not in zero}) if zero else values
         )
 
     @classmethod
@@ -106,16 +106,13 @@ class TwoCocycle:
     def _int_table(self):
         """(numerator array, compose matrix, common denominator).
 
-        The numerator array is read-only.  It is kept on ``values`` while
-        that is a :class:`CocycleValues`.
+        The numerator array is read-only, and kept on ``values`` until its
+        next write.
         """
         values = self.values
-        table = getattr(values, "table", None)
-        if table is None:
-            table = numerator_table(self.G, values)
-            if isinstance(values, CocycleValues):
-                values.table = table
-        om, den = table
+        if values.table is None:
+            values.table = numerator_table(self.G, values)
+        om, den = values.table
         return om, self.G.comp_matrix(), den
 
 
