@@ -1,22 +1,46 @@
 """Finite twisted convolution algebras realized as matrix algebras.
 
-Everything runs through the left regular representations: one block per
-unit, acting on the complex span of the arrows out of that unit.  Exact
-phases enter only through the structure constants; from there on the
+An algebra is held as its structure constants on arrow indices:
+delta_g * delta_h = phase[g, h] . delta_{comp[g, h]}, where ``comp`` is the
+groupoid's compose array and ``phase`` is filled from the cocycle's
+numerator table with one ``Phase.to_complex`` per distinct numerator.
+Every step runs on these two arrays:
+
+- The left regular representations (one block per unit, acting on the
+  span of the arrows out of that unit) are one scatter into a stacked
+  array of matrices.  The star law is checked on every arrow, and the
+  product law pi(g) pi(b) = omega(g, b) pi(gb) for b in ``G.generators()``.
+  On the basis vector x the product law at (g, b) is the cocycle identity
+  at (g, b, x), so, as in ``check_cocycle``, the middle arguments that
+  pass are closed under products and the law holds for every pair.
+- The center and the commutant are null spaces of commutator maps
+  z -> [z, delta_b] on coefficient vectors, written down from
+  [delta_h, delta_b] = phase[h, b] delta_{hb} - phase[b, h] delta_{bh}.
+  For the center b ranges over the generators, whose deltas generate the
+  algebra.
+- A convolution is one gather over the composable pairs and a bincount.
+
+Exact phases enter only through the structure constants; from there on the
 computations are numerical with fixed tolerances.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cocycle import TwoCocycle
 from .dual import bundle_from_subgroupoid, dual_bundle
-from .errors import CardinalityMismatch, ConventionMismatch, DegenerateSample, NotStarHomomorphism
+from .errors import (
+    CardinalityMismatch,
+    ConventionMismatch,
+    DegenerateSample,
+    NotStarHomomorphism,
+    SchemaError,
+)
 from .groupoid import FiniteGroupoid, Grading
+from .phases import Phase
 from .weyl import conditional_expectation
 
 HOM_TOL = 1e-12
@@ -24,31 +48,76 @@ SPEC_TOL = 1e-8
 POS_TOL = 1e-10
 
 
+def _check_seed(seed):
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise SchemaError(f"seed must be a non-negative integer, got {seed!r}")
+
+
+def _check_tol(tol):
+    if not 0 < tol < 1:
+        raise SchemaError(f"tol must be finite and in (0, 1), got {tol!r}")
+
+
 class TwistedAlgebra:
-    """The *-algebra spanned by arrow deltas with cocycle-twisted product."""
+    """The *-algebra spanned by arrow deltas with cocycle-twisted product.
+
+    On arrow indices: ``comp`` is the compose array, ``phase[g, h]`` the
+    complex structure constant of delta_g * delta_h, ``inv[g]`` the inverse
+    arrow and ``star_phase[g]`` the phase of delta_g^*.  ``pairs`` are the
+    composable index pairs, row by row, with their products ``pair_prod``
+    and structure constants ``pair_phase``.
+    """
 
     def __init__(self, G: FiniteGroupoid, omega: TwoCocycle):
         self.G = G
         self.omega = omega
+        om, self.comp, den = omega._int_table()
+        nums, at = np.unique(om, return_inverse=True)
+        values = np.array([Phase(v, den).to_complex() for v in nums.tolist()])
+        self.phase = values[at.reshape(om.shape)]
+        self.inv = np.array([G.index[G.inv(g)] for g in G.arrows], dtype=np.int64)
+        self.star_phase = self.phase[np.arange(len(G)), self.inv].conj()
+        self.pairs = np.nonzero(self.comp >= 0)
+        self.pair_prod = self.comp[self.pairs]
+        self.pair_phase = self.phase[self.pairs]
 
     def product_basis(self, g, h):
         """delta_g * delta_h = phase . delta_{gh}, or None if not composable."""
-        if not self.G.composable(g, h):
+        i, j = self.G.index[g], self.G.index[h]
+        if self.comp[i, j] < 0:
             return None
-        return self.G.mul(g, h), self.omega.omega(g, h).to_complex()
+        return self.G.arrows[self.comp[i, j]], self.phase[i, j]
 
     def star_basis(self, g):
         """delta_g^* = conj(phase(g, g^{-1})) . delta_{g^{-1}}."""
-        gi = self.G.inv(g)
-        return gi, np.conj(self.omega.omega(g, gi).to_complex())
+        i = self.G.index[g]
+        return self.G.arrows[self.inv[i]], self.star_phase[i]
+
+    def vector(self, f):
+        """The coefficient vector over arrow indices of an arrow -> number map."""
+        out = np.zeros(len(self.G), dtype=complex)
+        if f:
+            out[[self.G.index[g] for g in f]] = list(f.values())
+        return out
+
+    def star_vector(self, a):
+        """The coefficient vector of f^* for the coefficient vector a of f."""
+        out = np.empty_like(a)
+        out[self.inv] = a.conj() * self.star_phase
+        return out
+
+    def convolve_vectors(self, a, b):
+        """The coefficient vector of f * h for the coefficient vectors a, b of f, h."""
+        gi, hi = self.pairs
+        terms = a[gi] * b[hi] * self.pair_phase
+        out = np.empty(len(self.G), dtype=complex)
+        out.real = np.bincount(self.pair_prod, terms.real, len(out))
+        out.imag = np.bincount(self.pair_prod, terms.imag, len(out))
+        return out
 
     def convolve(self, f, h):
-        out = {}
-        for (g1, g2), g12 in self.G.compose.items():
-            a, b = f.get(g1, 0), h.get(g2, 0)
-            if a and b:
-                out[g12] = out.get(g12, 0) + a * b * self.omega.omega(g1, g2).to_complex()
-        return out
+        out = self.convolve_vectors(self.vector(f), self.vector(h))
+        return {self.G.arrows[k]: out[k] for k in np.flatnonzero(out)}
 
     def star(self, f):
         out = {}
@@ -58,38 +127,53 @@ class TwistedAlgebra:
         return out
 
 
+def _represent(alg: TwistedAlgebra, basis):
+    """The stacked matrices of every arrow delta on the span of ``basis``.
+
+    ``basis`` holds arrow indices and is a union of source fibres, so it is
+    closed under left multiplication: [g][position of gx, position of x] is
+    phase[g, x].  Verified to be a *-homomorphism to HOM_TOL.
+    """
+    pos = np.empty(len(alg.G), dtype=np.int64)
+    pos[basis] = np.arange(len(basis))
+    cols = alg.comp[:, basis]
+    g, j = np.nonzero(cols >= 0)
+    stack = np.zeros((len(alg.G), len(basis), len(basis)), dtype=complex)
+    stack[g, pos[cols[g, j]], j] = alg.phase[g, basis[j]]
+    _verify_star_hom(alg, stack)
+    return stack
+
+
+def _verify_star_hom(alg: TwistedAlgebra, stack):
+    """The star law on every arrow, the product law on (g, b) for b over the generators."""
+    arrows = alg.G.arrows
+    for g, M in enumerate(stack):
+        if not np.max(np.abs(M.conj().T - alg.star_phase[g] * stack[alg.inv[g]])) < HOM_TOL:
+            raise NotStarHomomorphism(("star", arrows[g]))
+    gens = alg.G.generators()
+    for g, M in enumerate(stack):
+        bs = gens[alg.comp[g, gens] >= 0]
+        gb = alg.comp[g, bs]
+        err = np.abs(M @ stack[bs] - alg.phase[g, bs][:, None, None] * stack[gb]).max(axis=(1, 2))
+        bad = ~(err < HOM_TOL)
+        if bad.any():
+            raise NotStarHomomorphism(("product", arrows[g], arrows[bs[bad.argmax()]]))
+
+
+def _fibre(G: FiniteGroupoid, u):
+    """Indices of the arrows out of u, in index order."""
+    return np.array([G.index[g] for g in G.arrows_from(u)], dtype=np.int64)
+
+
 def regular_representation(G: FiniteGroupoid, omega: TwoCocycle, u):
     """Matrices of the arrow deltas on the span of the arrows out of u.
 
     Returns (matrices: arrow -> ndarray, basis: ordered fibre arrows).
     Verified to be a *-homomorphism to 1e-12.
     """
-    basis = sorted(G.arrows_from(u))
-    index = {g: i for i, g in enumerate(basis)}
-    n = len(basis)
-    alg = TwistedAlgebra(G, omega)
-    mats = {}
-    for g in G.arrows:
-        M = np.zeros((n, n), dtype=complex)
-        for x in basis:
-            res = alg.product_basis(g, x)
-            if res is not None:
-                gx, ph = res
-                M[index[gx], index[x]] = ph
-        mats[g] = M
-    _verify_star_hom(G, alg, mats)
-    return mats, basis
-
-
-def _verify_star_hom(G, alg, mats):
-    for g in G.arrows:
-        gi, ph = alg.star_basis(g)
-        if not np.max(np.abs(mats[g].conj().T - ph * mats[gi])) < HOM_TOL:
-            raise NotStarHomomorphism(("star", g))
-    for (g, h), gh in G.compose.items():
-        expected = alg.product_basis(g, h)[1] * mats[gh]
-        if not np.max(np.abs(mats[g] @ mats[h] - expected)) < HOM_TOL:
-            raise NotStarHomomorphism(("product", g, h))
+    basis = _fibre(G, u)
+    stack = _represent(TwistedAlgebra(G, omega), basis)
+    return dict(zip(G.arrows, stack)), [G.arrows[i] for i in basis]
 
 
 def total_representation(G: FiniteGroupoid, omega: TwoCocycle):
@@ -97,20 +181,10 @@ def total_representation(G: FiniteGroupoid, omega: TwoCocycle):
 
     Faithful, of total dimension |G|.  Returns arrow -> ndarray.
     """
-    blocks = [regular_representation(G, omega, u)[0] for u in G.units]
-    sizes = [next(iter(b.values())).shape[0] for b in blocks]
-    n = sum(sizes)
-    if n != len(G):
-        raise CardinalityMismatch(("total representation", n, len(G)))
-    mats = {}
-    for g in G.arrows:
-        M = np.zeros((n, n), dtype=complex)
-        off = 0
-        for b, sz in zip(blocks, sizes):
-            M[off : off + sz, off : off + sz] = b[g]
-            off += sz
-        mats[g] = M
-    return mats
+    basis = np.concatenate([_fibre(G, u) for u in G.units])
+    if len(basis) != len(G):
+        raise CardinalityMismatch(("total representation", len(basis), len(G)))
+    return dict(zip(G.arrows, _represent(TwistedAlgebra(G, omega), basis)))
 
 
 def rep_matrix(mats, f):
@@ -130,6 +204,33 @@ def reduced_norm(G: FiniteGroupoid, omega: TwoCocycle, f) -> float:
         mats, _ = regular_representation(G, omega, u)
         best = max(best, float(np.linalg.norm(rep_matrix(mats, f), 2)))
     return best
+
+
+def _commutator_map(alg: TwistedAlgebra, left, cols):
+    """The matrix of z -> ([z, delta_b])_{b in left} for z supported on ``cols``.
+
+    ``left`` and ``cols`` hold arrow indices; the rows are (b, arrow index)
+    pairs and the columns follow ``cols``.
+    """
+    left, cols = np.asarray(left, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    K = np.zeros((len(left), len(alg.G), len(cols)), dtype=complex)
+    i, j = np.nonzero(alg.comp[cols[None, :], left[:, None]] >= 0)     # h * b
+    K[i, alg.comp[cols[j], left[i]], j] = alg.phase[cols[j], left[i]]
+    i, j = np.nonzero(alg.comp[left[:, None], cols[None, :]] >= 0)     # b * h
+    K[i, alg.comp[left[i], cols[j]], j] -= alg.phase[left[i], cols[j]]
+    return K.reshape(-1, len(cols))
+
+
+def _null_space(K, tol):
+    """Orthonormal columns spanning the null space of K: eigenvalues of K^* K below tol * scale."""
+    eigvals, eigvecs = np.linalg.eigh(K.conj().T @ K)
+    scale = max(1.0, float(eigvals.max(initial=1.0)))
+    return eigvecs[:, eigvals < tol * scale]
+
+
+def _center_basis(alg: TwistedAlgebra, tol=SPEC_TOL):
+    """Orthonormal coefficient vectors spanning the center of the algebra."""
+    return _null_space(_commutator_map(alg, alg.G.generators(), np.arange(len(alg.G))), tol)
 
 
 @dataclass
@@ -160,24 +261,11 @@ def commutant_check(G: FiniteGroupoid, omega: TwoCocycle, c: Grading, S_members)
     """
     S = sorted(set(S_members))
     A0 = sorted(g for g in G.arrows if c.value(g) == c.zero)
-    mats = total_representation(G, omega)
-    n = next(iter(mats.values())).shape[0]
-
-    M = np.zeros((len(A0), len(A0)), dtype=complex)
-    for s in S:
-        Ds = mats[s]
-        C = np.stack(
-            [(mats[g] @ Ds - Ds @ mats[g]).ravel() for g in A0], axis=1
-        )
-        M += C.conj().T @ C
-    eigvals = np.linalg.eigvalsh(M)
-    commutant_dim = int(np.sum(eigvals < SPEC_TOL * max(1.0, eigvals.max(initial=1.0))))
-
-    abelian = True
-    for a, b in itertools.combinations(S, 2):
-        if np.max(np.abs(mats[a] @ mats[b] - mats[b] @ mats[a])) > SPEC_TOL:
-            abelian = False
-            break
+    total_representation(G, omega)      # raises NotStarHomomorphism unless omega is a cocycle
+    alg = TwistedAlgebra(G, omega)
+    s = [G.index[g] for g in S]
+    commutant_dim = _null_space(_commutator_map(alg, s, [G.index[g] for g in A0]), SPEC_TOL).shape[1]
+    abelian = not np.max(np.abs(_commutator_map(alg, s, s)), initial=0.0) > SPEC_TOL
     return CommutantReport(
         dim_D=len(S),
         dim_A0=len(A0),
@@ -225,17 +313,24 @@ def expectation_checks(
     f itself is negligible in the reduced norm.  Raises ConventionMismatch
     when positivity fails on at least half the trials.
     """
+    _check_seed(seed)
+    if trials < 1:
+        raise SchemaError(f"trials must be at least 1, got {trials!r}")
     rng = np.random.default_rng(seed)
     alg = TwistedAlgebra(G, omega)
     dual = dual_bundle(bundle_from_subgroupoid(G, frozenset(S_members)))
-    arrows = list(G.arrows)
+    arrows = G.arrows
+    pairing = {
+        cid: [(a, chi.value(a).to_complex()) for a in dual.bundle.fibre(chi.unit)]
+        for cid, chi in dual.by_id.items()
+    }
 
     failures, max_neg = 0, 0.0
     faithful_ok, diagonal_ok = True, True
     for _ in range(trials):
         coeffs = rng.standard_normal(len(arrows)) + 1j * rng.standard_normal(len(arrows))
         f = dict(zip(arrows, coeffs))
-        ff = alg.convolve(alg.star(f), f)
+        ff = dict(zip(arrows, alg.convolve_vectors(alg.star_vector(coeffs), coeffs)))
         delta = conditional_expectation(G, dual, ff)
         worst = min((v.real for v in delta.values()), default=0.0)
         imag = max((abs(v.imag) for v in delta.values()), default=0.0)
@@ -249,11 +344,8 @@ def expectation_checks(
         # restriction to the bundle is the Gelfand transform on its span
         d = {g: f[g] for g in S_members}
         gelfand = conditional_expectation(G, dual, d)
-        for cid, chi in dual.by_id.items():
-            direct = sum(
-                chi.value(a).to_complex() * d.get(a, 0)
-                for a in dual.bundle.fibre(chi.unit)
-            )
+        for cid, terms in pairing.items():
+            direct = sum(ph * d.get(a, 0) for a, ph in terms)
             if abs(gelfand[cid] - direct) > SPEC_TOL:
                 diagonal_ok = False
 
@@ -264,32 +356,14 @@ def expectation_checks(
     return ExpectationReport(trials, seed, failures, max_neg, faithful_ok, diagonal_ok)
 
 
-def _center_basis(mats, arrows, tol=SPEC_TOL):
-    n = next(iter(mats.values())).shape[0]
-    M = np.zeros((len(arrows), len(arrows)), dtype=complex)
-    for g in arrows:
-        A = mats[g]
-        C = np.stack([(mats[h] @ A - A @ mats[h]).ravel() for h in arrows], axis=1)
-        M += C.conj().T @ C
-    eigvals, eigvecs = np.linalg.eigh(M)
-    scale = max(1.0, float(eigvals.max(initial=1.0)))
-    keep = eigvals < tol * scale
-    return eigvecs[:, keep]
-
-
-def wedderburn_blocks(G: FiniteGroupoid, omega: TwoCocycle, seed: int = 0, tol: float = SPEC_TOL):
-    """Block sizes of the algebra as a direct sum of matrix algebras.
+def _split_blocks(mats, center, seed, tol):
+    """Sorted Wedderburn block sizes from a representation and a center basis.
 
     A random self-adjoint central element is diagonalized; its spectral
     projections cut out the simple ideals, each of dimension n_i^2.
-    Returns (sorted block list, center dimension).
     """
-    mats = total_representation(G, omega)
-    arrows = list(G.arrows)
-    n = next(iter(mats.values())).shape[0]
-    center = _center_basis(mats, arrows, tol=tol)
+    arrows = list(mats)
     center_dim = center.shape[1]
-
     rng = np.random.default_rng(seed)
     for attempt in range(5):
         coeffs = rng.standard_normal(center_dim) + 1j * rng.standard_normal(center_dim)
@@ -309,8 +383,12 @@ def wedderburn_blocks(G: FiniteGroupoid, omega: TwoCocycle, seed: int = 0, tol: 
         blocks = []
         ok = True
         for cl in clusters:
-            P = eigvecs[:, cl] @ eigvecs[:, cl].conj().T
-            span = np.stack([(P @ mats[g] @ P).ravel() for g in arrows], axis=1)
+            # P M_g P = Q (Q^* M_g Q) Q^* with Q^* Q = 1: the same rank, on m x m matrices
+            Q = eigvecs[:, cl]
+            Qh = Q.conj().T
+            span = np.empty((len(cl) ** 2, len(arrows)), dtype=complex)
+            for i, g in enumerate(arrows):
+                span[:, i] = (Qh @ mats[g] @ Q).ravel()
             d = int(np.linalg.matrix_rank(span, tol=tol))
             root = round(d**0.5)
             if root * root != d:
@@ -319,12 +397,26 @@ def wedderburn_blocks(G: FiniteGroupoid, omega: TwoCocycle, seed: int = 0, tol: 
             blocks.append(root)
         if not ok:
             continue
-        if sum(b * b for b in blocks) != len(G):
+        if sum(b * b for b in blocks) != len(arrows):
             continue
-        return sorted(blocks), center_dim
+        return sorted(blocks)
     raise DegenerateSample(
         f"no separating central element found after 5 attempts (seed {seed})"
     )
+
+
+def wedderburn_blocks(G: FiniteGroupoid, omega: TwoCocycle, seed: int = 0, tol: float = SPEC_TOL):
+    """Block sizes of the algebra as a direct sum of matrix algebras.
+
+    A random self-adjoint central element is diagonalized; its spectral
+    projections cut out the simple ideals, each of dimension n_i^2.
+    Returns (sorted block list, center dimension).
+    """
+    _check_seed(seed)
+    _check_tol(tol)
+    mats = total_representation(G, omega)
+    center = _center_basis(TwistedAlgebra(G, omega), tol=tol)
+    return _split_blocks(mats, center, seed, tol), center.shape[1]
 
 
 @dataclass
@@ -365,7 +457,8 @@ def compare_algebras(
 
     Equal Wedderburn multisets decide the isomorphism type of
     finite-dimensional C*-algebras, so the verdict is PASS exactly when
-    dimensions, center dimensions and block multisets all agree.
+    dimensions, center dimensions and block multisets all agree.  A seed
+    that is negative, or a tol outside (0, 1), is refused with SchemaError.
     """
     b1, z1 = wedderburn_blocks(G1, omega1, seed=seed, tol=tol)
     b2, z2 = wedderburn_blocks(G2, omega2, seed=seed, tol=tol)

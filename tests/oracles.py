@@ -2,10 +2,13 @@
 
 The library checks associativity and the cocycle condition with the middle
 argument over a generating set, validates a groupoid on its compose array,
-keeps phases as reduced int pairs and builds the Weyl twist as one array
-expression.  These are the plain versions they replaced: every composable
-triple, one Python loop per rule, a ``Fraction`` per phase and one phase
-sum per Weyl pair.  The tests compare the two.
+keeps phases as reduced int pairs, builds the Weyl twist as one array
+expression, and runs the twisted algebra on its structure constants.  These
+are the plain versions they replaced: every composable triple, one Python
+loop per rule, a ``Fraction`` per phase, one phase sum per Weyl pair, one
+matrix product per composable pair, dense commutators for the center and
+the commutant, and one convolution term per composable pair.  The tests
+compare the two.
 """
 
 import cmath
@@ -15,16 +18,21 @@ from fractions import Fraction
 
 import numpy as np
 
+from weylkit.algebra import HOM_TOL, POS_TOL, SPEC_TOL, ExpectationReport, _split_blocks, reduced_norm
 from weylkit.cocycle import TwoCocycle
+from weylkit.dual import bundle_from_subgroupoid, dual_bundle
 from weylkit.errors import (
     AssociativityViolation,
     BadInverse,
+    ConventionMismatch,
     DanglingUnit,
     ElementNotInS,
     MissingComposite,
+    NotStarHomomorphism,
     SchemaError,
     UnknownArrowId,
 )
+from weylkit.weyl import conditional_expectation
 
 
 @dataclass(frozen=True, order=True)
@@ -217,3 +225,132 @@ def validate_groupoid_loops(units, arrows, compose, inverse=None):
         if inv[inv[g]] != g:
             raise BadInverse(g, "inverse is not an involution")
     return inv
+
+
+# ------------------------------------------------------------------ algebra
+
+def regular_representation_loop(G, omega, u):
+    """The regular representation at u, one entry per composable (g, x), checked exhaustively."""
+    basis = sorted(G.arrows_from(u))
+    index = {g: i for i, g in enumerate(basis)}
+    mats = {}
+    for g in G.arrows:
+        M = np.zeros((len(basis), len(basis)), dtype=complex)
+        for x in basis:
+            if G.composable(g, x):
+                M[index[G.mul(g, x)], index[x]] = omega.omega(g, x).to_complex()
+        mats[g] = M
+    verify_star_hom_exhaustive(G, omega, mats)
+    return mats, basis
+
+
+def verify_star_hom_exhaustive(G, omega, mats):
+    """The star law on every arrow, then the product law on every composable pair."""
+    for g in G.arrows:
+        gi = G.inv(g)
+        ph = np.conj(omega.omega(g, gi).to_complex())
+        if not np.max(np.abs(mats[g].conj().T - ph * mats[gi])) < HOM_TOL:
+            raise NotStarHomomorphism(("star", g))
+    for (g, h), gh in G.compose.items():
+        expected = omega.omega(g, h).to_complex() * mats[gh]
+        if not np.max(np.abs(mats[g] @ mats[h] - expected)) < HOM_TOL:
+            raise NotStarHomomorphism(("product", g, h))
+
+
+def total_representation_loop(G, omega):
+    """The block-diagonal sum of the loop-built regular representations."""
+    blocks = [regular_representation_loop(G, omega, u)[0] for u in G.units]
+    sizes = [next(iter(b.values())).shape[0] for b in blocks]
+    n = sum(sizes)
+    mats = {}
+    for g in G.arrows:
+        M = np.zeros((n, n), dtype=complex)
+        off = 0
+        for b, sz in zip(blocks, sizes):
+            M[off : off + sz, off : off + sz] = b[g]
+            off += sz
+        mats[g] = M
+    return mats
+
+
+def center_basis_dense(mats, arrows, tol=SPEC_TOL):
+    """The center as the common null space of every dense commutator [M_h, M_g]."""
+    M = np.zeros((len(arrows), len(arrows)), dtype=complex)
+    for g in arrows:
+        A = mats[g]
+        C = np.stack([(mats[h] @ A - A @ mats[h]).ravel() for h in arrows], axis=1)
+        M += C.conj().T @ C
+    eigvals, eigvecs = np.linalg.eigh(M)
+    scale = max(1.0, float(eigvals.max(initial=1.0)))
+    return eigvecs[:, eigvals < tol * scale]
+
+
+def wedderburn_blocks_dense(G, omega, seed=0, tol=SPEC_TOL):
+    """Wedderburn blocks and center dimension from the loop-built matrices and the dense center."""
+    mats = total_representation_loop(G, omega)
+    center = center_basis_dense(mats, list(G.arrows), tol)
+    return _split_blocks(mats, center, seed, tol), center.shape[1]
+
+
+def commutant_check_dense(G, omega, c, S_members):
+    """(commutant dimension, span(S) abelian) from dense commutators of the loop-built matrices."""
+    S = sorted(set(S_members))
+    A0 = sorted(g for g in G.arrows if c.value(g) == c.zero)
+    mats = total_representation_loop(G, omega)
+    M = np.zeros((len(A0), len(A0)), dtype=complex)
+    for s in S:
+        Ds = mats[s]
+        C = np.stack([(mats[g] @ Ds - Ds @ mats[g]).ravel() for g in A0], axis=1)
+        M += C.conj().T @ C
+    eigvals = np.linalg.eigvalsh(M)
+    commutant_dim = int(np.sum(eigvals < SPEC_TOL * max(1.0, eigvals.max(initial=1.0))))
+    abelian = all(
+        np.max(np.abs(mats[a] @ mats[b] - mats[b] @ mats[a])) <= SPEC_TOL
+        for a, b in itertools.combinations(S, 2)
+    )
+    return commutant_dim, abelian
+
+
+def convolve_loop(G, omega, f, h):
+    """f * h with one term per composable pair, in ``G.compose`` order."""
+    out = {}
+    for (g1, g2), g12 in G.compose.items():
+        a, b = f.get(g1, 0), h.get(g2, 0)
+        if a and b:
+            out[g12] = out.get(g12, 0) + a * b * omega.omega(g1, g2).to_complex()
+    return out
+
+
+def star_loop(G, omega, f):
+    """f^* with one phase lookup per arrow."""
+    return {G.inv(g): np.conj(v) * np.conj(omega.omega(g, G.inv(g)).to_complex()) for g, v in f.items()}
+
+
+def expectation_checks_loop(G, omega, S_members, trials=100, seed=0):
+    """expectation_checks with f^* . f convolved one composable pair at a time."""
+    rng = np.random.default_rng(seed)
+    dual = dual_bundle(bundle_from_subgroupoid(G, frozenset(S_members)))
+    arrows = list(G.arrows)
+    failures, max_neg = 0, 0.0
+    faithful_ok, diagonal_ok = True, True
+    for _ in range(trials):
+        coeffs = rng.standard_normal(len(arrows)) + 1j * rng.standard_normal(len(arrows))
+        f = dict(zip(arrows, coeffs))
+        delta = conditional_expectation(G, dual, convolve_loop(G, omega, star_loop(G, omega, f), f))
+        worst = min((v.real for v in delta.values()), default=0.0)
+        imag = max((abs(v.imag) for v in delta.values()), default=0.0)
+        if worst < -POS_TOL or imag > SPEC_TOL:
+            failures += 1
+            max_neg = min(max_neg, worst)
+        if max(abs(v) for v in delta.values()) <= POS_TOL:
+            if reduced_norm(G, omega, f) > SPEC_TOL:
+                faithful_ok = False
+        d = {g: f[g] for g in S_members}
+        gelfand = conditional_expectation(G, dual, d)
+        for cid, chi in dual.by_id.items():
+            direct = sum(chi.value(a).to_complex() * d.get(a, 0) for a in dual.bundle.fibre(chi.unit))
+            if abs(gelfand[cid] - direct) > SPEC_TOL:
+                diagonal_ok = False
+    if failures >= max(1, trials // 2):
+        raise ConventionMismatch(f"expectation positivity failed on {failures}/{trials} trials")
+    return ExpectationReport(trials, seed, failures, max_neg, faithful_ok, diagonal_ok)

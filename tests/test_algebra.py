@@ -17,7 +17,7 @@ from weylkit.algebra import (
     wedderburn_blocks,
 )
 from weylkit.cocycle import TwoCocycle
-from weylkit.errors import ConventionMismatch
+from weylkit.errors import ConventionMismatch, SchemaError
 from weylkit.phases import HALF
 from weylkit.weyl import build_weyl_groupoid, weyl_twist_cocycle
 
@@ -162,3 +162,29 @@ def test_compare_detects_mismatch(entry):
     report = compare_algebras(twisted.G, twisted.omega, GW, C, seed=0)
     assert not report.passed
     assert report.blocks[0] != report.blocks[1]
+
+
+def test_negative_seeds_are_refused(entry):
+    e = entry("pauli")
+    with pytest.raises(SchemaError):
+        wedderburn_blocks(e.G, e.omega, seed=-5)
+    with pytest.raises(SchemaError):
+        compare_algebras(e.G, e.omega, e.G, e.omega, seed=-1)
+    with pytest.raises(SchemaError):
+        expectation_checks(e.G, e.omega, e.S, trials=5, seed=-3)
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_expectation_refuses_fewer_than_one_trial(entry, trials):
+    e = entry("pauli")
+    with pytest.raises(SchemaError):
+        expectation_checks(e.G, e.omega, e.S, trials=trials)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf"), 1e3, 1.0])
+def test_tolerances_outside_the_unit_interval_are_refused(entry, tol):
+    e = entry("pauli")
+    with pytest.raises(SchemaError):
+        wedderburn_blocks(e.G, e.omega, tol=tol)
+    with pytest.raises(SchemaError):
+        compare_algebras(e.G, e.omega, e.G, e.omega, tol=tol)

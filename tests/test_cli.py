@@ -187,6 +187,31 @@ def test_non_integer_seed_is_schema_error(pauli_file, monkeypatch):
     assert main(["algebra", pauli_file]) == 2
 
 
+def test_negative_seed_is_schema_error(pauli_file, monkeypatch, capsys):
+    assert main(["algebra", pauli_file, "--seed", "-5"]) == 2
+    assert main(["algebra", pauli_file, "--compare", pauli_file, "--seed", "-5"]) == 2
+    assert main(["expectation", pauli_file, "--seed", "-1"]) == 2
+    monkeypatch.setenv("WEYLKIT_SEED", "-3")
+    assert main(["algebra", pauli_file]) == 2
+    assert main(["expectation", pauli_file]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_trials_below_one_are_schema_errors(pauli_file, capsys):
+    for trials in ("0", "-3"):
+        assert main(["expectation", pauli_file, "--trials", trials]) == 2, trials
+    assert capsys.readouterr().out == ""
+
+
+def test_tol_outside_the_unit_interval_is_schema_error(pauli_file, capsys):
+    for tol in ("0", "-1", "nan", "inf", "1e3", "1"):
+        assert main(["algebra", pauli_file, "--tol", tol]) == 2, tol
+        assert main(["algebra", pauli_file, "--compare", pauli_file, "--tol", tol]) == 2, tol
+    err = capsys.readouterr().err
+    assert "separating" not in err and "Traceback" not in err
+    assert main(["algebra", pauli_file, "--tol", "1e-6"]) == 0
+
+
 def test_validate_oversized_denominators_is_schema_error(tmp_path):
     path = tmp_path / "d4.json"
     assert main(["gen", "d4", "-o", str(path)]) == 0
