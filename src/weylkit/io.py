@@ -5,6 +5,9 @@ records), a compose table keyed by "g,h", an optional cocycle table of
 phase strings "a/b", an optional grading, and an optional marked
 subgroupoid.  Schema problems raise SchemaError with a path to the
 offending entry; mathematical problems surface via validate_groupoid.
+
+Derived groupoids have pair ids, (class, character); files spell a pair
+"a&b" (see :func:`label`), and only this module does so.
 """
 
 from __future__ import annotations
@@ -150,6 +153,11 @@ def load_groupoid(path: str) -> GroupoidFile:
     return parse_groupoid_data(data)
 
 
+def label(a) -> str:
+    """The file spelling of an id: a string as it is, a pair (a, b) as "label(a)&label(b)"."""
+    return a if isinstance(a, str) else "&".join(map(label, a))
+
+
 def emit_groupoid_data(
     G: FiniteGroupoid,
     omega: Optional[TwoCocycle] = None,
@@ -157,31 +165,39 @@ def emit_groupoid_data(
     marked=None,
     name: Optional[str] = None,
 ) -> dict:
-    """Serialize to the interchange dict with deterministic ordering."""
+    """Serialize to the interchange dict with deterministic ordering.
+
+    Ids are written by :func:`label`; two arrows with the same spelling, or
+    a spelling with a comma, raise SchemaError.
+    """
+    lab, spelled = {}, {}
     for g in G.arrows:
-        if "," in g:
-            raise SchemaError(f"arrow id {g!r} contains a comma and cannot be serialized")
+        lab[g] = text = label(g)
+        if "," in text:
+            raise SchemaError(f"arrow id {text!r} contains a comma and cannot be serialized")
+        if spelled.setdefault(text, g) != g:
+            raise SchemaError(f"arrows {spelled[text]!r} and {g!r} are both spelled {text!r}")
     data = {
         "name": name or G.name,
-        "units": list(G.units),
+        "units": [lab[u] for u in G.units],
         "arrows": [
-            {"id": g, "source": G.src[g], "target": G.tgt[g]} for g in G.arrows
+            {"id": lab[g], "source": lab[G.src[g]], "target": lab[G.tgt[g]]} for g in G.arrows
         ],
         "compose": {
-            f"{g},{h}": k for (g, h), k in sorted(G.compose.items())
+            f"{lab[g]},{lab[h]}": lab[k] for (g, h), k in sorted(G.compose.items())
         },
     }
     if omega is not None and omega.values:
         data["cocycle"] = {
-            f"{g},{h}": str(ph) for (g, h), ph in sorted(omega.values.items())
+            f"{label(g)},{label(h)}": str(ph) for (g, h), ph in sorted(omega.values.items())
         }
     if c is not None:
         data["grading"] = {
             "group": list(c.group),
-            "values": {g: list(c.value(g)) for g in G.arrows},
+            "values": {lab[g]: list(c.value(g)) for g in G.arrows},
         }
     if marked is not None:
-        data["marked_subgroupoid"] = sorted(marked)
+        data["marked_subgroupoid"] = sorted(map(label, marked))
     return data
 
 

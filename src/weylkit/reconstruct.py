@@ -235,23 +235,25 @@ def derive_weyl_actions(G: FiniteGroupoid, S_members, omega: Optional[TwoCocycle
     reads it at the class of eta and ``lam(eta, t)`` at the inverse class.
     The left action multiplies the character part of eta by ``rho(t, eta)``
     and the right action multiplies it by t, one cached product each.
+    Arrows of H are pairs (class id, character id), and T is the unit pairs.
     """
     omega = omega if omega is not None else TwoCocycle(G, {})
     GW, data = build_weyl_groupoid(G, S_members, omega)
     dual, Q = data.dual, data.Q
+    char_id, by_id = dual.char_id, dual.by_id
 
-    parts = {eta: data.split_gw_id(eta) for eta in GW.arrows}  # arrow -> (class id, character)
-    arrow_of = {part: eta for eta, part in parts.items()}
-    t_of = {chi: arrow_of[data.class_map[u], chi] for u in G.units for chi in dual.fibres[u]}
-    char_of = {t: chi for chi, t in t_of.items()}
+    t_of = {chi: (data.class_map[u], char_id[chi]) for u in G.units for chi in dual.fibres[u]}
+
+    def char_of(t):
+        return by_id[t[1]]
 
     fibres = {u: tuple(sorted(t_of[chi] for chi in dual.fibres[u])) for u in G.units}
     T = GroupBundle(
         base=tuple(G.units),
         fibres=fibres,
         p={t: u for u, fs in fibres.items() for t in fs},
-        mult=lambda a, b: t_of[dual.multiply(char_of[a], char_of[b])],
-        inv=lambda a: t_of[dual.invert(char_of[a])],
+        mult=lambda a, b: t_of[dual.multiply(char_of(a), char_of(b))],
+        inv=lambda a: t_of[dual.invert(char_of(a))],
         identity={u: t_of[dual.trivial(u)] for u in G.units},
     )
 
@@ -270,29 +272,29 @@ def derive_weyl_actions(G: FiniteGroupoid, S_members, omega: Optional[TwoCocycle
             for chi in dual.fibres[G.tgt[gamma]]
         }
 
+    # each map reads eta through pkg.p_r or pkg.p_s first, so an id that
+    # is not an arrow of H raises KeyError there
     def left(t, eta):
-        cid, chi = parts[eta]
         if pkg.p_r(eta) != T.p[t]:
             raise MomentMapMismatch(f"left action undefined on ({t}, {eta})")
-        return arrow_of[cid, dual.multiply(char_of[ad[cid][t]], chi)]
+        cid, i = eta
+        return cid, char_id[dual.multiply(char_of(ad[cid][t]), by_id[i])]
 
     def right(eta, t):
-        cid, chi = parts[eta]
         if pkg.p_s(eta) != T.p[t]:
             raise MomentMapMismatch(f"right action undefined on ({eta}, {t})")
-        return arrow_of[cid, dual.multiply(chi, char_of[t])]
+        cid, i = eta
+        return cid, char_id[dual.multiply(by_id[i], char_of(t))]
 
     def lam(eta, t):
-        cid, _ = parts[eta]
         if pkg.p_s(eta) != T.p[t]:
             raise MomentMapMismatch(f"lambda undefined on ({eta}, {t})")
-        return ad[Q.inv(cid)][t]
+        return ad[Q.inv(eta[0])][t]
 
     def rho(t, eta):
-        cid, _ = parts[eta]
         if pkg.p_r(eta) != T.p[t]:
             raise MomentMapMismatch(f"rho undefined on ({t}, {eta})")
-        return ad[cid][t]
+        return ad[eta[0]][t]
 
     pkg = ActionPackage(H=GW, T=T, left=left, right=right, lam=lam, rho=rho, weyl=data)
     return pkg
@@ -346,6 +348,9 @@ class DiamondData:
     action: dict              # (class id, char id) -> Character
     x_unit: dict              # base point of X -> H/T unit class id
     q_class: Optional[dict]   # H/T class id -> G/S class id; None unless Weyl-derived
+    # the last twisted product build_boxtimes verified and built, with a
+    # copy of the theta values it was built from
+    boxtimes: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def act(self, cid, chi: Character) -> Character:
         return self.action[(cid, self.That.char_id[chi])]
@@ -390,9 +395,7 @@ def diamond_action(pkg: ActionPackage, report: Optional[ActionPackageReport] = N
                 raise NotAnAction(("multiplicativity", cid, That.char_id[a], That.char_id[b]))
 
     # an H/T class is one G/S class with all its characters
-    q_class = None if pkg.weyl is None else {
-        cid: pkg.weyl.split_gw_id(min(members))[0] for cid, members in classes.items()
-    }
+    q_class = None if pkg.weyl is None else {cid: cid[0] for cid in classes}
     return DiamondData(pkg, HT, class_map, classes, That, action, x_unit, q_class)
 
 
@@ -442,10 +445,7 @@ def theta_for_package(pkg: ActionPackage, dia: DiamondData, section: Optional[di
         if defect not in data.S:
             raise NotInS(f"section defect {defect} lies outside the marked bundle")
         x = G.src[defect]
-        table = {
-            t: data.split_gw_id(t)[1].value(defect)
-            for t in pkg.T.fibre(x)
-        }
+        table = {t: data.dual.by_id[t[1]].value(defect) for t in pkg.T.fibre(x)}
         values[(ht_of_q[q1], ht_of_q[q2])] = dia.That.canonical(Character.from_table(x, table))
     return ThetaDatum(values)
 
@@ -505,30 +505,23 @@ def verify_theta(dia: DiamondData, theta: ThetaDatum) -> ThetaReport:
     return ThetaReport(unit_ok, cocycle_ok, coverage, violations)
 
 
-def boxtimes_id(cid, char_id) -> str:
-    return f"{cid}&&{char_id}"
-
-
-def split_boxtimes_id(arrow_id):
-    return arrow_id.rsplit("&&", 1)
-
-
 def build_boxtimes(dia: DiamondData, theta: ThetaDatum) -> FiniteGroupoid:
     """The groupoid of pairs (quotient class, dual character), twisted by theta.
 
     Arrows pair a class of H/T with a character at its source base point;
     the product twists the character part by theta and by the diamond action.
-    The unit space is identified with the base X.
+    The unit space is identified with the base X.  The product is kept on
+    ``dia`` and returned again, unverified and unbuilt, for a theta with
+    equal values.
     """
+    if dia.boxtimes is not None and dia.boxtimes[0] == theta.values:
+        return dia.boxtimes[1]
     report = verify_theta(dia, theta)
     if not report.all_pass():
         raise ThetaInvalid(f"theta fails verification: {report.violations[:3]}")
     pkg, HT, That = dia.pkg, dia.HT, dia.That
 
-    unit_id = {
-        x: boxtimes_id(uc, That.char_id[That.trivial(x)])
-        for x, uc in dia.x_unit.items()
-    }
+    unit_id = {x: (uc, That.char_id[That.trivial(x)]) for x, uc in dia.x_unit.items()}
     x_of_class_src = {cid: pkg.p_s(min(ms)) for cid, ms in dia.classes.items()}
     x_of_class_tgt = {cid: pkg.p_r(min(ms)) for cid, ms in dia.classes.items()}
 
@@ -536,18 +529,17 @@ def build_boxtimes(dia: DiamondData, theta: ThetaDatum) -> FiniteGroupoid:
     for cid in HT.arrows:
         xs, xt = x_of_class_src[cid], x_of_class_tgt[cid]
         for chi in That.fibres[xs]:
-            arrows[boxtimes_id(cid, That.char_id[chi])] = (unit_id[xs], unit_id[xt])
+            arrows[(cid, That.char_id[chi])] = (unit_id[xs], unit_id[xt])
 
     def mul(a1, a2):
-        c1, x1 = split_boxtimes_id(a1)
-        c2, x2 = split_boxtimes_id(a2)
-        chi, nu = That.by_id[x1], That.by_id[x2]
-        c12 = HT.mul(c1, c2)
-        part = That.multiply(dia.act(HT.inv(c2), chi), nu)
+        (c1, x1), (c2, x2) = a1, a2
+        part = That.multiply(dia.act(HT.inv(c2), That.by_id[x1]), That.by_id[x2])
         out = That.multiply(theta.value(c1, c2), part)
-        return boxtimes_id(c12, That.char_id[out])
+        return HT.mul(c1, c2), That.char_id[out]
 
-    return build_groupoid(set(unit_id.values()), arrows, mul, name=f"boxtimes({HT.name})")
+    B = build_groupoid(set(unit_id.values()), arrows, mul, name=f"boxtimes({HT.name})")
+    dia.boxtimes = (dict(theta.values), B)
+    return B
 
 
 def check_imm_centralizing_action(Q: FiniteGroupoid, K: GroupBundle, action: dict, unit_of_base: dict):
@@ -639,12 +631,10 @@ def verify_reconstruction_hypotheses(
     class_grade = {cid: c_tilde.value(min(ms)) for cid, ms in dia.classes.items()}
     c_bar = Grading(
         group=c_tilde.group,
-        values={a: class_grade[split_boxtimes_id(a)[0]] for a in B.arrows},
+        values={a: class_grade[a[0]] for a in B.arrows},
     )
     unit_classes = set(dia.x_unit.values())
-    S_members = frozenset(
-        a for a in B.arrows if split_boxtimes_id(a)[0] in unit_classes
-    )
+    S_members = frozenset(a for a in B.arrows if a[0] in unit_classes)
     cross = check_gamma_cartan_hypotheses(B, TwoCocycle(B, {}), c_bar, S_members)
 
     return ReconstructionHypothesesReport(
@@ -662,10 +652,7 @@ def induced_grading_on_H(pkg: ActionPackage, c: Grading) -> Grading:
     data = pkg.weyl
     if data is None:
         raise SchemaError("needs a Weyl-derived package")
-    values = {}
-    for aid in pkg.H.arrows:
-        cid, _ = data.split_gw_id(aid)
-        values[aid] = c.value(min(data.classes[cid]))
+    values = {a: c.value(min(data.classes[a[0]])) for a in pkg.H.arrows}
     return Grading(group=c.group, values=values)
 
 
@@ -711,17 +698,13 @@ def reconstruction_iso(
     elem_of_char = {}
     for x, fibre in isotropy_fibres(G, S_members).items():
         for s in fibre:
-            table = {
-                t: data.split_gw_id(t)[1].value(s)
-                for t in pkg.T.fibre(x)
-            }
+            table = {t: data.dual.by_id[t[1]].value(s) for t in pkg.T.fibre(x)}
             elem_of_char[Character.from_table(x, table)] = s
 
     phi = {}
     for a in B.arrows:
-        cid, char_id = split_boxtimes_id(a)
-        chi = dia.That.by_id[char_id]
-        s = elem_of_char.get(chi)
+        cid, char_id = a
+        s = elem_of_char.get(dia.That.by_id[char_id])
         if s is None:
             raise IsoCheckFailed(("character not in the image of evaluation", a))
         phi[a] = G.mul(sec[dia.q_class[cid]], s)
@@ -741,8 +724,7 @@ def reconstruction_iso(
             cid: c.value(min(data.classes[dia.q_class[cid]])) for cid in dia.classes
         }
         for a in B.arrows:
-            cid, _ = split_boxtimes_id(a)
-            if c.value(phi[a]) != class_grade[cid]:
+            if c.value(phi[a]) != class_grade[a[0]]:
                 raise IsoCheckFailed(("grading", a))
         grading_checked = True
 

@@ -268,7 +268,7 @@ def verify_untwisting(spec: SemidirectSpec) -> UntwistingReport:
     D = common_denominator(expected, den)
     on_k = np.array([ph.num * (D // ph.den) for _, ph in expected], dtype=np.int64)
     on_k = on_k.reshape(len(k_elems), len(k_elems))
-    k_of = np.array([k_of_class[data.split_gw_id(a)[0]] for a in GW.arrows])
+    k_of = np.array([k_of_class[cid] for cid, _ in GW.arrows])
     a1, a2 = (GW.comp_matrix() >= 0).nonzero()
     differs = np.zeros((len(GW), len(GW)), dtype=bool)
     differs[a1, a2] = (twist[a1, a2] * (D // den) - on_k[k_of[a1], k_of[a2]]) % D != 0

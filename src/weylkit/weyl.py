@@ -200,16 +200,6 @@ class WeylData:
     action: dict              # (class id, char id) -> Character
     section: dict             # class id -> G arrow
 
-    def char_id(self, chi: Character) -> str:
-        return self.dual.char_id[chi]
-
-    def gw_arrow_id(self, cid, chi) -> str:
-        return f"{cid}&{self.char_id(chi)}"
-
-    def split_gw_id(self, arrow_id):
-        cid, char_id = arrow_id.rsplit("&", 1)
-        return cid, self.dual.by_id[char_id]
-
 
 def _numerator_tables(G: FiniteGroupoid, dual: CharacterBundle, omega: TwoCocycle):
     """omega and the characters of ``dual`` as numerators over one denominator D.
@@ -337,13 +327,11 @@ def validate_section(G: FiniteGroupoid, class_map, classes, section) -> None:
 def build_weyl_groupoid(
     G: FiniteGroupoid, S_members, omega: TwoCocycle, section: Optional[dict] = None
 ):
-    """The action groupoid (G/S acting on the dual of S) plus shared WeylData."""
-    # Weyl arrow ids are "class&char" with character ids "base#i", and the
-    # twisted product joins those with "&&": ids of G must avoid both
-    for g in G.arrows:
-        for sep in "&#":
-            if sep in str(g):
-                raise SchemaError(f"arrow id {g!r} contains {sep!r}, a separator of derived ids")
+    """The action groupoid (G/S acting on the dual of S) plus shared WeylData.
+
+    A Weyl arrow is the key of its action entry, the pair (class id,
+    character id); the units are the unit classes with each character.
+    """
     Q, class_map, dual, action = weyl_action(G, S_members, omega)
     classes = class_table(class_map)
     if section is None:
@@ -361,29 +349,16 @@ def build_weyl_groupoid(
         section=section,
     )
 
-    unit_of_char = {}
+    unit_of = {}                          # character id -> the Weyl unit over it
     for u in G.units:
-        uc = class_map[u]
         for chi in dual.fibres[u]:
-            unit_of_char[dual.char_id[chi]] = data.gw_arrow_id(uc, chi)
-
-    arrows = {}
-    for cid, members in classes.items():
-        u = G.src[min(members)]
-        for chi in dual.fibres[u]:
-            aid = data.gw_arrow_id(cid, chi)
-            target_chi = action[(cid, dual.char_id[chi])]
-            arrows[aid] = (
-                unit_of_char[dual.char_id[chi]],
-                unit_of_char[dual.char_id[target_chi]],
-            )
+            unit_of[dual.char_id[chi]] = (class_map[u], dual.char_id[chi])
+    arrows = {key: (unit_of[key[1]], unit_of[dual.char_id[chi]]) for key, chi in action.items()}
 
     def gw_mul(a1, a2):
-        c1, _chi1 = data.split_gw_id(a1)
-        c2, chi2 = data.split_gw_id(a2)
-        return data.gw_arrow_id(Q.mul(c1, c2), chi2)
+        return Q.mul(a1[0], a2[0]), a2[1]
 
-    GW = build_groupoid(set(unit_of_char.values()), arrows, gw_mul, name=f"W({G.name})")
+    GW = build_groupoid(set(unit_of.values()), arrows, gw_mul, name=f"W({G.name})")
     if len(GW) != len(G):
         raise CardinalityMismatch(("Weyl groupoid", len(GW), len(G)))
     return GW, data
@@ -406,9 +381,8 @@ def weyl_twist_cocycle(GW: FiniteGroupoid, data: WeylData) -> TwoCocycle:
 
     # per Weyl arrow: the G arrow index of its class's section, and its character's row
     sec_of, row_of = np.empty((2, len(GW.arrows)), dtype=np.int64)
-    for i, aid in enumerate(GW.arrows):
-        cid, chi = data.split_gw_id(aid)
-        sec_of[i], row_of[i] = G.index[sec[cid]], char_row[chi]
+    for i, (cid, chi_id) in enumerate(GW.arrows):
+        sec_of[i], row_of[i] = G.index[sec[cid]], char_row[dual.by_id[chi_id]]
 
     gw_comp = GW.comp_matrix()
     a1, a2 = (gw_comp >= 0).nonzero()
@@ -428,9 +402,7 @@ def weyl_twist_cocycle(GW: FiniteGroupoid, data: WeylData) -> TwoCocycle:
 def _raise_first_defect_outside_S(GW: FiniteGroupoid, data: WeylData):
     """Raise ElementNotInS for the first defect outside S, in ``GW.compose`` order."""
     G, Q, sec = data.G, data.Q, data.section
-    for (a1, a2) in GW.compose:
-        c1, _ = data.split_gw_id(a1)
-        c2, _ = data.split_gw_id(a2)
+    for (c1, _), (c2, _) in GW.compose:
         s12, s1, s2 = sec[Q.mul(c1, c2)], sec[c1], sec[c2]
         defect = G.mul_all(G.inv(s12), s1, s2)
         if defect not in data.S:

@@ -56,3 +56,25 @@ def diamond(derived):
         return cache[name]
 
     return get
+
+
+@pytest.fixture()
+def colliding():
+    """The pair groupoid on units q&r and r, with S the units.
+
+    Its Weyl arrows ('p', 'q&r#0') and ('p&q', 'r#0') are both spelled
+    p&q&r#0 in a file.
+    """
+    units = ["q&r", "r"]
+    ends = {"q&r": ("q&r", "q&r"), "r": ("r", "r"), "p": ("q&r", "r"), "p&q": ("r", "q&r")}
+    compose = {
+        "q&r,q&r": "q&r", "r,r": "r", "r,p": "p", "p,q&r": "p",
+        "q&r,p&q": "p&q", "p&q,r": "p&q", "p,p&q": "r", "p&q,p": "q&r",
+    }
+    return {
+        "name": "collide",
+        "units": units,
+        "arrows": [{"id": g, "source": s, "target": t} for g, (s, t) in ends.items()],
+        "compose": compose,
+        "marked_subgroupoid": units,
+    }

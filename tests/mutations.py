@@ -79,14 +79,11 @@ def mut_lambda_swap(pkg):
 def mut_rho_class_flip(pkg):
     """rho inverted over one quotient class only."""
     H, T = pkg.H, pkg.T
-    data = pkg.weyl
-    c_flip = min(
-        data.split_gw_id(a)[0] for a in H.arrows if not H.is_unit(a)
-    )
+    c_flip = min(a[0] for a in H.arrows if not H.is_unit(a))
 
     def rho(t, eta):
         v = pkg.rho(t, eta)
-        return T.inv(v) if data.split_gw_id(eta)[0] == c_flip else v
+        return T.inv(v) if eta[0] == c_flip else v
 
     return dataclasses.replace(pkg, rho=rho)
 
@@ -100,7 +97,7 @@ def mut_left_char_dependent(pkg):
     data = pkg.weyl
 
     def left(t, eta):
-        _, chi = data.split_gw_id(eta)
+        chi = data.dual.by_id[eta[1]]
         if not chi.is_trivial and not H.is_unit(eta):
             return pkg.left(T.inv(t), eta)
         return pkg.left(t, eta)

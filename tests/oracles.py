@@ -95,8 +95,8 @@ def weyl_twist_cocycle_loop(GW, data):
     G, omega, Q, sec = data.G, data.omega, data.Q, data.section
     values = {}
     for (a1, a2) in GW.compose:
-        c1, _ = data.split_gw_id(a1)
-        c2, chi = data.split_gw_id(a2)
+        (c1, _), (c2, chi_id) = a1, a2
+        chi = data.dual.by_id[chi_id]
         c12 = Q.mul(c1, c2)
         s12, s1, s2 = sec[c12], sec[c1], sec[c2]
         defect = G.mul_all(G.inv(s12), s1, s2)

@@ -8,10 +8,12 @@ from weylkit import corpus
 from weylkit.errors import SchemaError
 from weylkit.io import (
     emit_groupoid_data,
+    label,
     load_groupoid,
     parse_groupoid_data,
     save_groupoid,
 )
+from weylkit.weyl import build_weyl_groupoid
 
 
 def _emit(e):
@@ -116,3 +118,18 @@ def test_table_errors_name_the_first_entry_at_fault(entry):
     data["compose"]["x,y,z"] = "0|0"
     with pytest.raises(SchemaError, match=f"/compose/{key}: composite must be an arrow id string"):
         parse_groupoid_data(data)
+
+
+def test_pairs_sharing_a_spelling_are_refused_on_emit(colliding):
+    gf = parse_groupoid_data(colliding)
+    GW, _ = build_weyl_groupoid(gf.G, gf.marked, gf.omega)
+    assert ("p", "q&r#0") in GW.src and ("p&q", "r#0") in GW.src
+    with pytest.raises(SchemaError) as exc:
+        emit_groupoid_data(GW)
+    assert "('p', 'q&r#0')" in str(exc.value) and "('p&q', 'r#0')" in str(exc.value)
+
+
+def test_label_spells_pairs_and_keeps_strings():
+    assert label("0|1") == "0|1"
+    assert label(("0|1", "0|0#1")) == "0|1&0|0#1"
+    assert label((("1|0", "0|0#1"), "0|0#0")) == "1|0&0|0#1&0|0#0"

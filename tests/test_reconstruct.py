@@ -60,10 +60,10 @@ def oracle_maps(pkg):
     G, dual = data.G, data.dual
 
     def char_of(t):
-        return data.split_gw_id(t)[1]
+        return dual.by_id[t[1]]
 
     def id_of(chi):
-        return data.gw_arrow_id(data.class_map[chi.unit], chi)
+        return data.class_map[chi.unit], dual.char_id[chi]
 
     def ad(cid, chi):
         # conjugation by the least member of the class, dual side
@@ -76,20 +76,18 @@ def oracle_maps(pkg):
         return Character.from_table(G.src[gamma], table)
 
     def left(t, eta):
-        cid, chi = data.split_gw_id(eta)
-        return data.gw_arrow_id(cid, direct_multiply(ad(cid, char_of(t)), chi))
+        cid, chi = eta[0], char_of(eta)
+        return cid, dual.char_id[direct_multiply(ad(cid, char_of(t)), chi)]
 
     def right(eta, t):
-        cid, chi = data.split_gw_id(eta)
-        return data.gw_arrow_id(cid, direct_multiply(chi, char_of(t)))
+        cid, chi = eta[0], char_of(eta)
+        return cid, dual.char_id[direct_multiply(chi, char_of(t))]
 
     def lam(eta, t):
-        cid, _ = data.split_gw_id(eta)
-        return id_of(ad(data.Q.inv(cid), char_of(t)))
+        return id_of(ad(data.Q.inv(eta[0]), char_of(t)))
 
     def rho(t, eta):
-        cid, _ = data.split_gw_id(eta)
-        return id_of(ad(cid, char_of(t)))
+        return id_of(ad(eta[0], char_of(t)))
 
     def mult(a, b):
         return id_of(direct_multiply(char_of(a), char_of(b)))
@@ -253,6 +251,21 @@ def test_theta_verification_and_mutation(derived, diamond):
     assert not report.all_pass() and report.violations
     with pytest.raises(ThetaInvalid):
         build_boxtimes(dia, ThetaDatum(broken))
+
+
+def test_boxtimes_is_reused_only_for_equal_theta_values(entry):
+    e = entry("q8")
+    rep = reconstruction_iso(e.G, e.S, e.c)
+    dia, theta = rep.dia, rep.theta
+    assert build_boxtimes(dia, theta) is rep.boxtimes
+    assert build_boxtimes(dia, ThetaDatum(dict(theta.values))) is rep.boxtimes
+
+    # a value changed in place is verified again, and fails
+    pair = next(p for p, v in theta.values.items() if dia.HT.is_unit(p[0]))
+    nontriv = next(c for c in dia.That.fibres[theta.values[pair].unit] if not c.is_trivial)
+    theta.values[pair] = nontriv
+    with pytest.raises(ThetaInvalid):
+        build_boxtimes(dia, theta)
 
 
 def test_theta_from_section_wrapper(entry):

@@ -12,7 +12,14 @@ from weylkit import corpus
 from weylkit.cocycle import TwoCocycle, check_cocycle
 from weylkit.dual import Character, bundle_from_subgroupoid, dual_bundle
 from weylkit.errors import NotAnAction, RepresentativeDisagreement, SchemaError, WeylkitError
-from weylkit.groupoid import MAX_TABLE_INT, class_table, find_isomorphism, quotient_by_bundle
+from weylkit.groupoid import (
+    MAX_TABLE_INT,
+    class_table,
+    find_isomorphism,
+    quotient_by_bundle,
+    validate_groupoid,
+)
+from weylkit.io import label
 from weylkit.phases import HALF, ZERO, Phase
 from weylkit.weyl import (
     build_weyl_groupoid,
@@ -116,8 +123,8 @@ def test_d4_weyl_orbits(entry):
     orbits = set()
     for chi in data.dual.fibres[e.G.units[0]]:
         orbit = frozenset({
-            data.char_id(chi),
-            data.char_id(data.action[(reflection_class, data.char_id(chi))]),
+            data.dual.char_id[chi],
+            data.dual.char_id[data.action[(reflection_class, data.dual.char_id[chi])]],
         })
         orbits.add(orbit)
     assert sorted(len(o) for o in orbits) == [1, 1, 2]
@@ -157,8 +164,8 @@ def test_twist_q8_takes_both_values(entry):
     vals = {
         C.omega(a1, a2)
         for (a1, a2) in GW.compose
-        if data.split_gw_id(a1)[0] == nontrivial
-        and data.split_gw_id(a2)[0] == nontrivial
+        if a1[0] == nontrivial
+        and a2[0] == nontrivial
     }
     assert vals == {ZERO, HALF}
 
@@ -168,6 +175,36 @@ def test_twist_is_cocycle(entry, name):
     e = entry(name)
     GW, data = build_weyl_groupoid(e.G, e.S, e.omega)
     assert check_cocycle(GW, weyl_twist_cocycle(GW, data)) == []
+
+
+def _with_separators(e):
+    """``e`` with every id g renamed to 'a&g#b', so ids contain '&' and '#'."""
+    name = {g: f"a&{g}#b" for g in e.G.arrows}
+    G = validate_groupoid(
+        [name[u] for u in e.G.units],
+        {name[g]: (name[e.G.src[g]], name[e.G.tgt[g]]) for g in e.G.arrows},
+        {(name[g], name[h]): name[k] for (g, h), k in e.G.compose.items()},
+    )
+    omega = TwoCocycle(G, {(name[g], name[h]): ph for (g, h), ph in e.omega.values.items()})
+    return G, frozenset(name[g] for g in e.S), omega
+
+
+@pytest.mark.parametrize("name", ["pauli", "q8", "z2xR2", "rotation(3,1)"])
+def test_weyl_groupoid_of_ids_with_separators(entry, name):
+    G, S, omega = _with_separators(entry(name))
+    GW, data = build_weyl_groupoid(G, S, omega)
+    assert len(GW) == len(G)
+    assert check_cocycle(GW, weyl_twist_cocycle(GW, data)) == []
+
+
+@pytest.mark.parametrize(
+    "name", list(corpus.BUILDERS) + [f"rotation({n},{p})" for n in range(1, 9) for p in range(n)]
+)
+def test_weyl_arrows_sort_like_their_labels(entry, name):
+    e = entry(name)
+    GW, _ = build_weyl_groupoid(e.G, e.S, e.omega)
+    labels = [label(a) for a in GW.arrows]
+    assert labels == sorted(labels)
 
 
 def test_conditional_expectation_basics(entry):
