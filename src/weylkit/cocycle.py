@@ -60,18 +60,45 @@ class TwoCocycle:
 
     Pairs absent from ``values`` take the zero phase, so the trivial cocycle
     is the empty table.  The integer numerator table is built on first use
-    and kept until ``values`` is written to.
+    and kept until ``values`` is written to.  A cocycle made from arrays (a
+    parsed file, a semidirect product, the Weyl twist) starts from its table
+    and builds ``values`` on first read.
     """
 
     def __init__(self, G: FiniteGroupoid, values: Optional[Mapping] = None):
         self.G = G
         values = CocycleValues(values or {})
-        if not all(map(G.compose.__contains__, values)):
-            raise UndefinedPair(*next(pair for pair in values if pair not in G.compose))
+        if not all(itertools.starmap(G._defined, values)):
+            raise UndefinedPair(*next(pair for pair in values if not G._defined(*pair)))
         zero = {i for i, ph in _by_id(values).items() if ph.is_zero}
-        self.values = (
+        self._values = (
             CocycleValues({pair: ph for pair, ph in values.items() if id(ph) not in zero}) if zero else values
         )
+        self._pending = self._table = None
+
+    @classmethod
+    def _from_codes(cls, G: FiniteGroupoid, gi, hi, codes, phases: list) -> "TwoCocycle":
+        """The cocycle with value ``phases[codes[j]]`` at arrow indices (gi[j], hi[j]).
+
+        The pairs must be composable.  ``values`` lists the nonzero entries
+        in j order, and is built on first read.  The numerator table is
+        built now, over the lcm of the denominators of ``phases``; when that
+        lcm passes ``MAX_TABLE_INT`` it is left to the first reader, which
+        raises naming the entry at fault, as for a table built from ``values``.
+        """
+        nonzero = ~np.array([ph.is_zero for ph in phases], dtype=bool)[codes]
+        gi, hi, codes = gi[nonzero], hi[nonzero], codes[nonzero]
+        omega = cls.__new__(cls)
+        omega.G, omega._values, omega._pending, omega._table = G, None, (gi, hi, codes, phases), None
+        den = math.lcm(*(ph.den for ph in phases))
+        if den <= MAX_TABLE_INT:
+            nums = [ph.num * (den // ph.den) for ph in phases]
+            om = np.zeros((len(G.arrows), len(G.arrows)), dtype=np.int64)
+            om[gi, hi] = np.array(nums, dtype=np.int64)[codes]
+            om.setflags(write=False)
+            omega._table = (om, den)
+            omega._by_num = {0: ZERO, **dict(zip(nums, phases))}
+        return omega
 
     @classmethod
     def from_table(cls, G: FiniteGroupoid, num: np.ndarray, den: int) -> "TwoCocycle":
@@ -82,26 +109,36 @@ class TwoCocycle:
         the lcm of their denominators, is kept as the cocycle's own.
         """
         gi, hi = num.nonzero()
-        nums = num[gi, hi].tolist()
-        phase = {v: Phase(v, den) for v in sorted(set(nums))}
-        d = math.lcm(*(ph.den for ph in phase.values()))
-        arrows = G.arrows
-        pairs = zip(map(arrows.__getitem__, gi.tolist()), map(arrows.__getitem__, hi.tolist()))
-        omega = cls.__new__(cls)
-        omega.G = G
-        omega.values = CocycleValues(zip(pairs, map(phase.__getitem__, nums)))
-        om = num // (den // d)
-        om.setflags(write=False)
-        omega.values.table = (om, d)
-        return omega
+        distinct, codes = np.unique(num[gi, hi], return_inverse=True)
+        return cls._from_codes(G, gi, hi, codes, [Phase(v, den) for v in distinct.tolist()])
+
+    @property
+    def values(self) -> CocycleValues:
+        """The pair -> Phase table of the nonzero values."""
+        if self._values is None:
+            self._values = self._build_values()
+            self._pending = self._table = None
+        return self._values
+
+    def _build_values(self) -> CocycleValues:
+        gi, hi, codes, phases = self._pending
+        ids = self.G.arrows
+        pairs = zip(map(ids.__getitem__, gi.tolist()), map(ids.__getitem__, hi.tolist()))
+        values = CocycleValues(zip(pairs, map(phases.__getitem__, codes.tolist())))
+        values.table = self._table
+        return values
 
     def omega(self, g, h) -> Phase:
-        if (g, h) not in self.G.compose:
+        if not self.G._defined(g, h):
             raise UndefinedPair(g, h)
+        if self._values is None and self._table is not None:
+            return self._by_num[self._table[0].item(self.G.index[g], self.G.index[h])]
         return self.values.get((g, h), ZERO)
 
     def is_trivial(self) -> bool:
-        return not self.values
+        if self._values is None:
+            return not len(self._pending[0])
+        return not self._values
 
     def _int_table(self):
         """(numerator array, compose matrix, common denominator).
@@ -109,10 +146,13 @@ class TwoCocycle:
         The numerator array is read-only, and kept on ``values`` until its
         next write.
         """
-        values = self.values
-        if values.table is None:
-            values.table = numerator_table(self.G, values)
-        om, den = values.table
+        if self._values is None and self._table is not None:
+            om, den = self._table
+        else:
+            values = self.values
+            if values.table is None:
+                values.table = numerator_table(self.G, values)
+            om, den = values.table
         return om, self.G.comp_matrix(), den
 
 

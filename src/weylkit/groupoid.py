@@ -36,7 +36,12 @@ MAX_TABLE_INT = 2**60
 
 
 class FiniteGroupoid:
-    """A validated finite groupoid.  Construct via :func:`validate_groupoid`."""
+    """A validated finite groupoid.  Construct via :func:`validate_groupoid`.
+
+    The compose array (``comp_matrix()``) is the groupoid.  ``compose`` is
+    the same table as a dict keyed by (g, h): the dict the caller validated,
+    or, for a groupoid validated from arrays, built on first read.
+    """
 
     def __init__(self, name, units, src, tgt, compose, inverse):
         self.name = name
@@ -44,11 +49,13 @@ class FiniteGroupoid:
         self.arrows = tuple(sorted(src))
         self.src = dict(src)
         self.tgt = dict(tgt)
-        self.compose = dict(compose)
+        self._compose = None if compose is None else dict(compose)
         self.inverse = dict(inverse)
         self.index = {g: i for i, g in enumerate(self.arrows)}
         self._unit_set = frozenset(self.units)
-        self._comp = None     # set by validate_groupoid
+        self._comp = None     # set by the validation core
+        self._pairs = None    # compose order as index arrays; None: row-major in caller order
+        self._rows = None
         self._gens = None
 
     def __len__(self):
@@ -57,19 +64,52 @@ class FiniteGroupoid:
     def __repr__(self):
         return f"<FiniteGroupoid {self.name}: {len(self.units)} units, {len(self.arrows)} arrows>"
 
+    @property
+    def compose(self) -> dict:
+        """(g, h) -> g*h on the composable pairs, in the order the table was given."""
+        if self._compose is None:
+            self._compose = self._build_compose()
+        return self._compose
+
+    def _build_compose(self) -> dict:
+        gi, hi = self.pair_indices()
+        ids = self.arrows
+        keys = zip(map(ids.__getitem__, gi.tolist()), map(ids.__getitem__, hi.tolist()))
+        return dict(zip(keys, map(ids.__getitem__, self._comp[gi, hi].tolist())))
+
+    def pair_indices(self):
+        """(g, h) arrow-index arrays of the composable pairs, in ``compose`` order."""
+        if self._pairs is not None:
+            return self._pairs
+        order = np.fromiter(map(self.index.__getitem__, self.src), np.int64, len(self.arrows))
+        g, h = (self._comp[np.ix_(order, order)] >= 0).nonzero()
+        return order[g], order[h]
+
     def is_unit(self, g):
         return g in self._unit_set
 
     def composable(self, g, h):
         return self.src[g] == self.tgt[h]
 
+    def _defined(self, g, h) -> bool:
+        """Whether (g, h) is a composable pair of arrows of this groupoid."""
+        s = self.src.get(g)
+        return s is not None and s == self.tgt.get(h)
+
     def mul(self, g, h):
-        return self.compose[(g, h)]
+        if self._rows is None:
+            # row g: the products g*h in index order of h, None off the composable pairs
+            ids = self.arrows + (None,)
+            self._rows = dict(zip(self.arrows, (list(map(ids.__getitem__, row)) for row in self._comp.tolist())))
+        k = self._rows[g][self.index[h]]
+        if k is None:
+            raise KeyError((g, h))
+        return k
 
     def mul_all(self, *gs):
         out = gs[0]
         for g in gs[1:]:
-            out = self.compose[(out, g)]
+            out = self.mul(out, g)
         return out
 
     def inv(self, g):
@@ -97,7 +137,7 @@ class FiniteGroupoid:
     def comp_matrix(self):
         """Arrow indices of g*h at [index g, index h], -1 off the composable pairs.
 
-        Built once, by :func:`validate_groupoid`, and read-only.
+        Built once, by the validation, and read-only.
         """
         return self._comp
 
@@ -193,30 +233,62 @@ def _check_associativity(G: FiniteGroupoid):
             raise AssociativityViolation(G.arrows[a[i]], G.arrows[b], G.arrows[c[k]])
 
 
-def _compose_array(G: FiniteGroupoid, compose: Mapping, s, t):
-    """The compose table as an index array, after the per-entry rules.
+def arrow_indices(index: Mapping, ids, count: int) -> np.ndarray:
+    """The int64 indices of the ``count`` ids of the sequence ``ids``, -1 for an id not in ``index``."""
+    try:
+        return np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=count)
+    except KeyError:
+        return np.fromiter(map(index.get, ids, itertools.repeat(-1)), dtype=np.int64, count=count)
 
-    The first entry (in ``compose`` order) with an unknown id, a
-    non-composable key or a composite with the wrong endpoints raises.
+
+def _arrow_set(units: Iterable, arrows: Mapping, name: str, compose: Optional[Mapping] = None) -> FiniteGroupoid:
+    """The groupoid's units and arrows, checked, before its compose table is set."""
+    units = sorted(set(units))
+    src = {g: st[0] for g, st in arrows.items()}
+    tgt = {g: st[1] for g, st in arrows.items()}
+    if len(src) > MAX_ARROWS:
+        raise SchemaError(f"too many arrows ({len(src)} > {MAX_ARROWS})")
+    unit_set = set(units)
+    for u in units:
+        if u not in src:
+            raise DanglingUnit(u, "unit is not an arrow")
+        if src[u] != u or tgt[u] != u:
+            raise DanglingUnit(u, "unit arrow must have source = target = itself")
+    for g in src:
+        if src[g] not in unit_set or tgt[g] not in unit_set:
+            raise DanglingUnit(g, "arrow endpoint is not a declared unit")
+    return FiniteGroupoid(name, units, src, tgt, compose, {})
+
+
+def _endpoints(G: FiniteGroupoid):
+    """Arrow indices of the source and of the target of each arrow, in index order."""
+    n = len(G.arrows)
+    s = np.fromiter(map(G.index.__getitem__, map(G.src.__getitem__, G.arrows)), np.int64, n)
+    t = np.fromiter(map(G.index.__getitem__, map(G.tgt.__getitem__, G.arrows)), np.int64, n)
+    return s, t
+
+
+def _compose_table(G: FiniteGroupoid, gi, hi, ki, entry: Callable) -> np.ndarray:
+    """The compose array of the entries (gi[j], hi[j]) -> ki[j], after the per-entry rules.
+
+    Indices are arrow indices of G, -1 for an unknown id.  The first entry
+    (in j order) with an unknown id, a non-composable key or a composite
+    with the wrong endpoints raises; ``entry(j)`` gives its ids,
+    ``((g, h), k)``.
     """
-    n, m = len(G.arrows), len(compose)
-
-    def indices(ids, count):
-        return np.fromiter(map(G.index.get, ids, itertools.repeat(-1)), dtype=np.int64, count=count)
-
-    gi, hi = indices(itertools.chain.from_iterable(compose), 2 * m).reshape(m, 2).T
-    ki = indices(compose.values(), m)
+    s, t = _endpoints(G)
     known = (gi >= 0) & (hi >= 0) & (ki >= 0)
     g, h, k = (np.where(known, x, 0) for x in (gi, hi, ki))
     bad = ~known | (s[g] != t[h]) | (s[k] != s[h]) | (t[k] != t[g])
     if bad.any():
-        (g, h), k = next(itertools.islice(compose.items(), int(np.argmax(bad)), None))
+        (g, h), k = entry(int(np.argmax(bad)))
         for a in (g, h, k):
             if a not in G.src:
                 raise UnknownArrowId(a)
         if G.src[g] != G.tgt[h]:
             raise SchemaError(f"compose entry ({g}, {h}) is not a composable pair")
         raise SchemaError(f"compose entry ({g}, {h}) -> {k} breaks source/target rules")
+    n = len(G.arrows)
     comp = np.full((n, n), -1, dtype=np.int32)
     comp[gi, hi] = ki
     return comp
@@ -236,29 +308,28 @@ def validate_groupoid(
     exactly the composable pairs.  ``inverse`` is derived from the compose
     table when omitted.  The checks run on the compose array, which becomes
     the groupoid's ``comp_matrix()``; each failure names the first witness
-    in the order of ``arrows`` (or of ``compose`` for its entries).
+    in the order of ``arrows`` (or of ``compose`` for its entries).  The
+    groupoid keeps a copy of ``compose`` as its ``compose``.
     """
-    units = sorted(set(units))
-    src = {g: st[0] for g, st in arrows.items()}
-    tgt = {g: st[1] for g, st in arrows.items()}
-    if len(src) > MAX_ARROWS:
-        raise SchemaError(f"too many arrows ({len(src)} > {MAX_ARROWS})")
-    unit_set = set(units)
-    for u in units:
-        if u not in src:
-            raise DanglingUnit(u, "unit is not an arrow")
-        if src[u] != u or tgt[u] != u:
-            raise DanglingUnit(u, "unit arrow must have source = target = itself")
-    for g in src:
-        if src[g] not in unit_set or tgt[g] not in unit_set:
-            raise DanglingUnit(g, "arrow endpoint is not a declared unit")
+    G = _arrow_set(units, arrows, name, compose)
+    m = len(compose)
+    gi, hi = arrow_indices(G.index, list(itertools.chain.from_iterable(compose)), 2 * m).reshape(m, 2).T
+    ki = arrow_indices(G.index, list(compose.values()), m)
+    comp = _compose_table(G, gi, hi, ki, lambda j: next(itertools.islice(compose.items(), j, None)))
+    return _validate_table(G, comp, inverse, (gi, hi))
 
-    G = FiniteGroupoid(name, units, src, tgt, compose, inverse or {})
-    order = np.array([G.index[g] for g in src], dtype=np.int64)     # arrow indices in the caller's order
-    s = np.array([G.index[src[g]] for g in G.arrows], dtype=np.int64)
-    t = np.array([G.index[tgt[g]] for g in G.arrows], dtype=np.int64)
+
+def _validate_table(G: FiniteGroupoid, comp: np.ndarray, inverse: Optional[Mapping] = None, pairs=None):
+    """The validation core: the groupoid laws on a compose array that passed the per-entry rules.
+
+    ``comp`` becomes G's ``comp_matrix()``.  ``pairs``, (g, h) index arrays
+    of the composable pairs, gives the order of ``G.compose``; None means
+    row by row in the order of G's arrows as the caller gave them.  Each
+    failure names the first witness in the caller's arrow order.
+    """
+    order = np.fromiter(map(G.index.__getitem__, G.src), np.int64, len(G.arrows))   # arrow indices in the caller's order
+    s, t = _endpoints(G)
     ar = np.arange(len(G.arrows))
-    comp = _compose_array(G, compose, s, t)
     missing = (s[:, None] == t[None, :]) & (comp < 0)
     if missing.any():
         g, h = _first(missing, order)
@@ -271,7 +342,7 @@ def validate_groupoid(
         raise DanglingUnit(G.arrows[s[g]], f"unit fails to act as identity on {G.arrows[g]}")
 
     comp.setflags(write=False)
-    G._comp = comp
+    G._comp, G._pairs = comp, pairs
     _check_associativity(G)
 
     if inverse is None:
@@ -295,6 +366,7 @@ def validate_groupoid(
             if inv[g] < 0:
                 raise BadInverse(G.arrows[g], "missing from inverse map")
             raise BadInverse(G.arrows[g], "declared inverse fails the inverse laws")
+        G.inverse.update(inverse)
     bad = inv[inv] != ar
     if bad.any():
         (g,) = _first(bad, order)
@@ -435,9 +507,9 @@ def validate_grading(G: FiniteGroupoid, c: Grading) -> np.ndarray:
     total = np.where(finite, total % np.where(finite, orders, 1), total)
     bad = defined & (total != values[np.where(defined, comp, 0)]).any(axis=2)
     if bad.any():
-        for g, h in G.compose:
-            if bad[G.index[g], G.index[h]]:
-                raise NotHomomorphism((g, h))
+        gi, hi = G.pair_indices()
+        j = int(np.argmax(bad[gi, hi]))
+        raise NotHomomorphism((G.arrows[gi[j]], G.arrows[hi[j]]))
     return values
 
 
@@ -476,8 +548,9 @@ def orbit_quotient(G: FiniteGroupoid, orbit: Callable, name: str, error: type):
 
     ``orbit(g)`` is the set of arrows identified with g.  Class ids are the
     least member of each orbit.  Classes are composed through representatives
-    that match on source, and the composition is checked to descend; a
-    failure of either the partition or the descent raises ``error``.
+    that match on source, and the composition is checked to descend, on
+    every composable pair at once; a failure of either the partition or the
+    descent raises ``error``, naming the first pair in ``G.compose`` order.
     Returns (quotient groupoid, class map arrow -> class id).
     """
     class_map, classes = {}, {}
@@ -500,9 +573,13 @@ def orbit_quotient(G: FiniteGroupoid, orbit: Callable, name: str, error: type):
         return class_map[G.mul(by_source[c1][G.tgt[c2]], c2)]
 
     Q = build_groupoid(units, arrows, q_mul, name=name)
-    for (g, h), gh in G.compose.items():
-        if class_map[gh] != Q.mul(class_map[g], class_map[h]):
-            raise error(f"quotient composition depends on representatives: ({g}, {h})")
+    # the class of g*h against the product of the classes, on every composable pair at once
+    cls = np.fromiter(map(Q.index.__getitem__, map(class_map.__getitem__, G.arrows)), np.int64, len(G.arrows))
+    gi, hi = G.pair_indices()
+    bad = cls[G.comp_matrix()[gi, hi]] != Q.comp_matrix()[cls[gi], cls[hi]]
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise error(f"quotient composition depends on representatives: ({G.arrows[gi[j]]}, {G.arrows[hi[j]]})")
     return Q, class_map
 
 

@@ -4,7 +4,9 @@ The format is a single JSON object: name, units, arrows (id/source/target
 records), a compose table keyed by "g,h", an optional cocycle table of
 phase strings "a/b", an optional grading, and an optional marked
 subgroupoid.  Schema problems raise SchemaError with a path to the
-offending entry; mathematical problems surface via validate_groupoid.
+offending entry; mathematical problems surface from the groupoid's
+validation core, which runs on the index arrays the tables are parsed
+into.
 
 Derived groupoids have pair ids, (class, character); files spell a pair
 "a&b" (see :func:`label`), and only this module does so.
@@ -17,9 +19,11 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+import numpy as np
+
 from .cocycle import TwoCocycle
-from .errors import SchemaError
-from .groupoid import FiniteGroupoid, Grading, validate_groupoid
+from .errors import SchemaError, UndefinedPair
+from .groupoid import FiniteGroupoid, Grading, _arrow_set, _compose_table, _validate_table, arrow_indices
 from .phases import Phase
 
 
@@ -39,28 +43,32 @@ def _expect(cond, path, message):
         raise SchemaError(f"{path}: {message}")
 
 
+def _is_int(x) -> bool:
+    """An integer, and not a boolean (JSON true/false decode to bools, which are ints)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _split_pair(key, path):
     parts = key.split(",")
     _expect(len(parts) == 2, path, f"key {key!r} is not of the form 'g,h'")
     return parts[0], parts[1]
 
 
-def _pair_table(raw, table: str, message: str, parse: Optional[Callable] = None) -> dict:
-    """A JSON object keyed by "g,h" as a dict keyed by (g, h).
+def _pair_entries(raw, table: str, message: str, parse: Optional[Callable] = None):
+    """The entries of a JSON object keyed by "g,h": (ids g0, h0, g1, h1, ..., values, parsed).
 
-    Values must be strings; ``parse``, if given, maps each distinct string
-    once, and equal strings share its result.  A bad key or value raises
-    SchemaError with the path of the first entry at fault.
+    Values must be strings.  ``parsed`` maps each distinct value, in order
+    of first use, to ``parse(value)``, or is None without ``parse``.  A bad
+    key or value raises SchemaError with the path of the first entry at
+    fault.
     """
     _expect(isinstance(raw, dict), table, "must be an object")
-    pairs = list(map(tuple, map(str.split, raw, itertools.repeat(","))))
-    vals = list(raw.values())
+    keys, vals = list(raw), list(raw.values())
     try:
-        if not (set(map(len, pairs)) <= {2} and all(map(isinstance, vals, itertools.repeat(str)))):
+        if not (set(map(str.count, keys, itertools.repeat(","))) <= {1}
+                and all(map(isinstance, vals, itertools.repeat(str)))):
             raise SchemaError(table)
-        if parse is not None:
-            parsed = {val: parse(val) for val in dict.fromkeys(vals)}
-            vals = map(parsed.__getitem__, vals)
+        parsed = None if parse is None else {val: parse(val) for val in dict.fromkeys(vals)}
     except SchemaError:
         for key, val in raw.items():      # name the first entry at fault
             path = f"{table}/{key}"
@@ -72,7 +80,13 @@ def _pair_table(raw, table: str, message: str, parse: Optional[Callable] = None)
             except SchemaError as exc:
                 raise SchemaError(f"{path}: {exc}") from exc
         raise
-    return dict(zip(pairs, vals))
+    # every key has one comma, so the joined keys split back into pairs
+    return ",".join(keys).split(",") if keys else [], vals, parsed
+
+
+def _pair_indices(G: FiniteGroupoid, ids: list):
+    """Arrow indices (g, h) of the pairs spelled by ``ids``, -1 for an unknown id."""
+    return arrow_indices(G.index, ids, len(ids)).reshape(-1, 2).T
 
 
 def parse_groupoid_data(data: dict) -> GroupoidFile:
@@ -98,11 +112,22 @@ def parse_groupoid_data(data: dict) -> GroupoidFile:
         _expect(rec["id"] not in arrows, f"{path}/id", f"duplicate arrow id {rec['id']!r}")
         arrows[rec["id"]] = (rec["source"], rec["target"])
 
-    compose = _pair_table(data.get("compose"), "/compose", "composite must be an arrow id string")
-    G = validate_groupoid(units, arrows, compose, name=name)
+    ids, composites, _ = _pair_entries(data.get("compose"), "/compose", "composite must be an arrow id string")
+    G = _arrow_set(units, arrows, name)
+    gi, hi = _pair_indices(G, ids)
+    ki = arrow_indices(G.index, composites, len(composites))
+    comp = _compose_table(G, gi, hi, ki, lambda j: (tuple(ids[2 * j:2 * j + 2]), composites[j]))
+    _validate_table(G, comp, pairs=(gi, hi))
 
-    values = _pair_table(data.get("cocycle", {}), "/cocycle", "phase must be a string 'a/b'", Phase.parse)
-    omega = TwoCocycle(G, values)
+    ids, vals, parsed = _pair_entries(data.get("cocycle", {}), "/cocycle", "phase must be a string 'a/b'", Phase.parse)
+    gi, hi = _pair_indices(G, ids)
+    defined = (gi >= 0) & (hi >= 0) & (comp[gi, hi] >= 0)
+    if not defined.all():
+        j = int(np.argmin(defined))
+        raise UndefinedPair(*ids[2 * j:2 * j + 2])
+    code = {val: i for i, val in enumerate(parsed)}
+    codes = np.fromiter(map(code.__getitem__, vals), dtype=np.int64, count=len(vals))
+    omega = TwoCocycle._from_codes(G, gi, hi, codes, list(parsed.values()))
 
     c = None
     raw_grading = data.get("grading")
@@ -110,7 +135,7 @@ def parse_groupoid_data(data: dict) -> GroupoidFile:
         _expect(isinstance(raw_grading, dict), "/grading", "must be an object")
         group = raw_grading.get("group")
         _expect(
-            isinstance(group, list) and all(isinstance(n, int) and n >= 0 for n in group),
+            isinstance(group, list) and all(_is_int(n) and n >= 0 for n in group),
             "/grading/group",
             "must be a list of nonnegative cyclic orders",
         )
@@ -122,7 +147,7 @@ def parse_groupoid_data(data: dict) -> GroupoidFile:
             _expect(gid in arrows, path, "unknown arrow id")
             _expect(
                 isinstance(vec, list) and len(vec) == len(group)
-                and all(isinstance(x, int) for x in vec),
+                and all(map(_is_int, vec)),
                 path,
                 f"must be a list of {len(group)} integers",
             )

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -14,7 +15,7 @@ import numpy as np
 from .cocycle import TwoCocycle, check_cocycle, common_denominator
 from .dual import Character, bundle_from_subgroupoid, dual_bundle
 from .errors import CocycleInvalid, NotAutomorphism, RestrictionNotTrivial, SchemaError
-from .groupoid import Grading, build_groupoid
+from .groupoid import Grading, _arrow_set, _validate_table, arrow_indices
 from .phases import ZERO, Phase
 from .weyl import build_weyl_groupoid, weyl_twist_cocycle
 
@@ -124,31 +125,49 @@ def _format_id(a) -> str:
     return ".".join(map(str, h)) + "|" + ".".join(map(str, k))
 
 
+def _addition(orders) -> np.ndarray:
+    """Positions of a + b at [position a, position b], in the order of ``_elements(orders)``."""
+    elems = _elements(orders)
+    coords = np.array(elems, dtype=np.int64).reshape(len(elems), len(orders))
+    weights = np.array([math.prod(orders[i + 1:]) for i in range(len(orders))], dtype=np.int64)
+    return ((coords[:, None] + coords[None]) % np.array(orders, dtype=np.int64)) @ weights
+
+
 def build_semidirect(spec: SemidirectSpec):
-    """Build (G, omega, S = H x {0} member set, grading c(h, k) = k)."""
+    """Build (G, omega, S = H x {0} member set, grading c(h, k) = k).
+
+    An element (h, k) sits at position h_pos * |K| + k_pos, the order of
+    ``spec.elements()``.  With beta tabulated once, the compose array is
+    index arithmetic over those positions, and omega is read once per pair.
+    """
     spec.validate_action()
-    elems = spec.elements()
+    h_elems, k_elems, elems = spec.h_elements(), spec.k_elements(), spec.elements()
     ids = [spec.elem_id(a) for a in elems]
-    unit = spec.elem_id((tuple(0 for _ in spec.h_orders), tuple(0 for _ in spec.k_orders)))
-    arrows = {i: (unit, unit) for i in ids}
+    unit = ids[0]           # (0, 0)
+    G = _arrow_set([unit], {i: (unit, unit) for i in ids}, spec.name)
 
-    def mul(x, y):
-        return spec.elem_id(spec.mul(spec.parse_id(x), spec.parse_id(y)))
+    h_pos = {h: i for i, h in enumerate(h_elems)}
+    beta = np.array([[h_pos[spec.beta(k, h)] for h in h_elems] for k in k_elems], dtype=np.int64)
+    h1, k1, h2, k2 = np.ix_(*(range(len(x)) for x in (h_elems, k_elems, h_elems, k_elems)))
+    # (h1, k1)(h2, k2) = (h1 + beta_k1(h2), k1 + k2)
+    prod = _addition(spec.h_orders)[h1, beta[k1, h2]] * len(k_elems) + _addition(spec.k_orders)[k1, k2]
+    n = len(elems)
+    idx = arrow_indices(G.index, ids, n)
+    comp = np.empty((n, n), dtype=np.int32)
+    comp[np.ix_(idx, idx)] = idx[prod.reshape(n, n)]
+    _validate_table(G, comp)
 
-    G = build_groupoid([unit], arrows, mul, name=spec.name)
-    omega = TwoCocycle(
-        G,
-        {
-            (ia, ib): spec.omega(a, b)
-            for (a, ia), (b, ib) in itertools.product(zip(elems, ids), repeat=2)
-        },
-    )
+    phases = [spec.omega(a, b) for a in elems for b in elems]
+    distinct = dict(zip(map(id, phases), phases))
+    code = {i: c for c, i in enumerate(distinct)}
+    codes = np.fromiter(map(code.__getitem__, map(id, phases)), dtype=np.int64, count=n * n)
+    omega = TwoCocycle._from_codes(G, np.repeat(idx, n), np.tile(idx, n), codes, list(distinct.values()))
     violations = check_cocycle(G, omega)
     if violations:
         raise CocycleInvalid(violations)
 
     zero_k = tuple(0 for _ in spec.k_orders)
-    S = frozenset(spec.elem_id((h, zero_k)) for h in spec.h_elements())
+    S = frozenset(spec.elem_id((h, zero_k)) for h in h_elems)
     c = Grading(
         group=tuple(spec.k_orders),
         values={spec.elem_id(a): a[1] for a in elems},

@@ -3,12 +3,15 @@
 The library checks associativity and the cocycle condition with the middle
 argument over a generating set, validates a groupoid on its compose array,
 keeps phases as reduced int pairs, builds the Weyl twist as one array
-expression, and runs the twisted algebra on its structure constants.  These
-are the plain versions they replaced: every composable triple, one Python
-loop per rule, a ``Fraction`` per phase, one phase sum per Weyl pair, one
-matrix product per composable pair, dense commutators for the center and
-the commutant, and one convolution term per composable pair.  The tests
-compare the two.
+expression, runs the twisted algebra on its structure constants, parses
+files and builds semidirect products straight into index arrays, and
+checks a quotient's descent on arrays.  These are the plain versions they
+replaced: every composable triple, one Python loop per rule, a
+``Fraction`` per phase, one phase sum per Weyl pair, one matrix product per
+composable pair, dense commutators for the center and the commutant, one
+convolution term per composable pair, tuple-keyed dicts for the parsed
+tables, one multiplication call per semidirect pair and one lookup per
+composable pair of the quotient.  The tests compare the two.
 """
 
 import cmath
@@ -19,11 +22,12 @@ from fractions import Fraction
 import numpy as np
 
 from weylkit.algebra import HOM_TOL, POS_TOL, SPEC_TOL, ExpectationReport, _split_blocks, reduced_norm
-from weylkit.cocycle import TwoCocycle
+from weylkit.cocycle import TwoCocycle, check_cocycle
 from weylkit.dual import bundle_from_subgroupoid, dual_bundle
 from weylkit.errors import (
     AssociativityViolation,
     BadInverse,
+    CocycleInvalid,
     ConventionMismatch,
     DanglingUnit,
     ElementNotInS,
@@ -32,6 +36,9 @@ from weylkit.errors import (
     SchemaError,
     UnknownArrowId,
 )
+from weylkit.groupoid import Grading, build_groupoid, validate_groupoid
+from weylkit.io import GroupoidFile, _expect, _split_pair
+from weylkit.phases import Phase
 from weylkit.weyl import conditional_expectation
 
 
@@ -354,3 +361,120 @@ def expectation_checks_loop(G, omega, S_members, trials=100, seed=0):
     if failures >= max(1, trials // 2):
         raise ConventionMismatch(f"expectation positivity failed on {failures}/{trials} trials")
     return ExpectationReport(trials, seed, failures, max_neg, faithful_ok, diagonal_ok)
+
+
+# ------------------------------------------------------------ io, semidirect
+
+def _pair_table(raw, table, message, parse=None):
+    """A JSON object keyed by "g,h" as a dict keyed by (g, h), values parsed once each."""
+    _expect(isinstance(raw, dict), table, "must be an object")
+    pairs = list(map(tuple, map(str.split, raw, itertools.repeat(","))))
+    vals = list(raw.values())
+    try:
+        if not (set(map(len, pairs)) <= {2} and all(map(isinstance, vals, itertools.repeat(str)))):
+            raise SchemaError(table)
+        if parse is not None:
+            parsed = {val: parse(val) for val in dict.fromkeys(vals)}
+            vals = map(parsed.__getitem__, vals)
+    except SchemaError:
+        for key, val in raw.items():
+            path = f"{table}/{key}"
+            _split_pair(key, path)
+            _expect(isinstance(val, str), path, message)
+            try:
+                if parse is not None:
+                    parse(val)
+            except SchemaError as exc:
+                raise SchemaError(f"{path}: {exc}") from exc
+        raise
+    return dict(zip(pairs, vals))
+
+
+def parse_groupoid_data_dicts(data):
+    """The parse through tuple-keyed dicts: validate_groupoid on the compose dict,
+    TwoCocycle on the pair -> Phase dict.  The grading and the marking are
+    read without their schema checks.
+    """
+    _expect(isinstance(data, dict), "/", "top level must be an object")
+    name = data.get("name", "G")
+    _expect(isinstance(name, str), "/name", "must be a string")
+    units = data.get("units")
+    _expect(isinstance(units, list) and units, "/units", "must be a nonempty list")
+    for i, u in enumerate(units):
+        _expect(isinstance(u, str), f"/units/{i}", "unit ids must be strings")
+    raw_arrows = data.get("arrows")
+    _expect(isinstance(raw_arrows, list) and raw_arrows, "/arrows", "must be a nonempty list")
+    arrows = {}
+    for i, rec in enumerate(raw_arrows):
+        path = f"/arrows/{i}"
+        _expect(isinstance(rec, dict), path, "must be an object")
+        for key in ("id", "source", "target"):
+            _expect(isinstance(rec.get(key), str), f"{path}/{key}", "must be a string")
+        _expect("," not in rec["id"], f"{path}/id", "arrow ids must not contain commas")
+        _expect(rec["id"] not in arrows, f"{path}/id", f"duplicate arrow id {rec['id']!r}")
+        arrows[rec["id"]] = (rec["source"], rec["target"])
+
+    compose = _pair_table(data.get("compose"), "/compose", "composite must be an arrow id string")
+    G = validate_groupoid(units, arrows, compose, name=name)
+    values = _pair_table(data.get("cocycle", {}), "/cocycle", "phase must be a string 'a/b'", Phase.parse)
+    omega = TwoCocycle(G, values)
+
+    c = None
+    raw_grading = data.get("grading")
+    if raw_grading is not None:
+        group = raw_grading["group"]
+        c = Grading(group=tuple(group), values={g: tuple(v) for g, v in raw_grading["values"].items()})
+    marked = data.get("marked_subgroupoid")
+    return GroupoidFile(name=name, G=G, omega=omega, c=c,
+                        marked=None if marked is None else frozenset(marked))
+
+
+def build_semidirect_loop(spec):
+    """build_semidirect through the multiplication callable: one ``spec.mul`` per pair, on ids."""
+    spec.validate_action()
+    elems = spec.elements()
+    ids = [spec.elem_id(a) for a in elems]
+    unit = spec.elem_id((tuple(0 for _ in spec.h_orders), tuple(0 for _ in spec.k_orders)))
+    arrows = {i: (unit, unit) for i in ids}
+
+    def mul(x, y):
+        return spec.elem_id(spec.mul(spec.parse_id(x), spec.parse_id(y)))
+
+    G = build_groupoid([unit], arrows, mul, name=spec.name)
+    omega = TwoCocycle(G, {
+        (ia, ib): spec.omega(a, b)
+        for (a, ia), (b, ib) in itertools.product(zip(elems, ids), repeat=2)
+    })
+    violations = check_cocycle(G, omega)
+    if violations:
+        raise CocycleInvalid(violations)
+    zero_k = tuple(0 for _ in spec.k_orders)
+    S = frozenset(spec.elem_id((h, zero_k)) for h in spec.h_elements())
+    c = Grading(group=tuple(spec.k_orders), values={spec.elem_id(a): a[1] for a in elems})
+    return G, omega, S, c
+
+
+def orbit_quotient_loop(G, orbit, name, error):
+    """orbit_quotient with the descent checked one ``G.compose`` entry at a time."""
+    class_map, classes = {}, {}
+    for g in G.arrows:
+        members = orbit(g)
+        cid = min(members)
+        class_map[g] = cid
+        classes.setdefault(cid, members)
+    if sum(len(ms) for ms in classes.values()) != len(G.arrows) or any(
+        class_map[m] != cid for cid, ms in classes.items() for m in ms
+    ):
+        raise error("orbits do not partition the arrow set")
+    by_source = {cid: {G.src[m]: m for m in sorted(ms, reverse=True)} for cid, ms in classes.items()}
+    units = {class_map[u] for u in G.units}
+    arrows = {cid: (class_map[G.src[cid]], class_map[G.tgt[cid]]) for cid in classes}
+
+    def q_mul(c1, c2):
+        return class_map[G.mul(by_source[c1][G.tgt[c2]], c2)]
+
+    Q = build_groupoid(units, arrows, q_mul, name=name)
+    for (g, h), gh in G.compose.items():
+        if class_map[gh] != Q.mul(class_map[g], class_map[h]):
+            raise error(f"quotient composition depends on representatives: ({g}, {h})")
+    return Q, class_map

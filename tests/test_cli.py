@@ -263,3 +263,18 @@ def test_failing_reports_do_not_depend_on_the_hash_seed(tmp_path):
             assert first == _run_cli(args, "2"), args
             codes.add(first[0])
     assert codes == {0, 1}
+
+
+@pytest.mark.parametrize("table, path", [("group", "/grading/group"), ("values", "/grading/values/0|1")])
+def test_boolean_grading_entries_are_schema_errors(pauli_file, tmp_path, capsys, table, path):
+    data = json.loads(open(pauli_file).read())
+    if table == "group":
+        data["grading"]["group"] = [True]
+    else:
+        data["grading"]["values"]["0|1"] = [True]
+    bad = tmp_path / "boolean.json"
+    bad.write_text(json.dumps(data))
+    assert '": [true]' in bad.read_text()
+    capsys.readouterr()
+    assert main(["validate", str(bad)]) == 2
+    assert f"schema error: {path}: must be a list of" in capsys.readouterr().err

@@ -68,12 +68,16 @@ def test_certify_pass_builds_each_table_once(monkeypatch):
                         lambda G, values: built.append(values) or numerator_table(G, values))
 
     gf = io.parse_groupoid_data(json.loads(doc))
+    parsed, _, parsed_den = gf.omega._int_table()
     assert check_cocycle(gf.G, gf.omega) == []
     GW, data = build_weyl_groupoid(gf.G, gf.marked, gf.omega)
     C = weyl_twist_cocycle(GW, data)
     assert check_cocycle(GW, C) == []
-    # omega's table once, by the builder; C's once, by the twist itself
-    assert len(built) == 1 and built[0] is gf.omega.values
+    # omega's table once, by the parser; C's once, by the twist itself;
+    # neither is converted from a values dict
+    assert built == [] and gf.omega._int_table()[0] is parsed
+    rebuilt, rebuilt_den = numerator_table(gf.G, gf.omega.values)
+    assert parsed_den == rebuilt_den and np.array_equal(parsed, rebuilt)
     om, _, den = C._int_table()
     rebuilt, rebuilt_den = numerator_table(GW, C.values)
     assert den == rebuilt_den and np.array_equal(om, rebuilt)

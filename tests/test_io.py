@@ -133,3 +133,19 @@ def test_label_spells_pairs_and_keeps_strings():
     assert label("0|1") == "0|1"
     assert label(("0|1", "0|0#1")) == "0|1&0|0#1"
     assert label((("1|0", "0|0#1"), "0|0#0")) == "1|0&0|0#1&0|0#0"
+
+
+@pytest.mark.parametrize(
+    "mutate, path",
+    [
+        (lambda d: d["grading"].__setitem__("group", [True]), "/grading/group"),
+        (lambda d: d["grading"].update(group=[True], values={g: [False] for g in d["grading"]["values"]}),
+         "/grading/group"),
+        (lambda d: d["grading"]["values"].__setitem__("0|1", [True]), "/grading/values/0|1"),
+    ],
+)
+def test_booleans_are_not_grading_integers(entry, mutate, path):
+    data = json.loads(json.dumps(_base(entry)))
+    mutate(data)
+    with pytest.raises(SchemaError, match=f"^{path}: must be a list of"):
+        parse_groupoid_data(data)
