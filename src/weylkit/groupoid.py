@@ -100,7 +100,8 @@ class FiniteGroupoid:
         if self._rows is None:
             # row g: the products g*h in index order of h, None off the composable pairs
             ids = self.arrows + (None,)
-            self._rows = dict(zip(self.arrows, (list(map(ids.__getitem__, row)) for row in self._comp.tolist())))
+            rows = (list(map(ids.__getitem__, row)) for row in self._comp.tolist())
+            self._rows = dict(zip(self.arrows, rows))
         k = self._rows[g][self.index[h]]
         if k is None:
             raise KeyError((g, h))
@@ -241,7 +242,7 @@ def arrow_indices(index: Mapping, ids, count: int) -> np.ndarray:
         return np.fromiter(map(index.get, ids, itertools.repeat(-1)), dtype=np.int64, count=count)
 
 
-def _arrow_set(units: Iterable, arrows: Mapping, name: str, compose: Optional[Mapping] = None) -> FiniteGroupoid:
+def _arrow_set(units: Iterable, arrows: Mapping, name: str, compose: Optional[Mapping] = None):
     """The groupoid's units and arrows, checked, before its compose table is set."""
     units = sorted(set(units))
     src = {g: st[0] for g, st in arrows.items()}
@@ -327,7 +328,8 @@ def _validate_table(G: FiniteGroupoid, comp: np.ndarray, inverse: Optional[Mappi
     row by row in the order of G's arrows as the caller gave them.  Each
     failure names the first witness in the caller's arrow order.
     """
-    order = np.fromiter(map(G.index.__getitem__, G.src), np.int64, len(G.arrows))   # arrow indices in the caller's order
+    # arrow indices in the caller's order
+    order = np.fromiter(map(G.index.__getitem__, G.src), np.int64, len(G.arrows))
     s, t = _endpoints(G)
     ar = np.arange(len(G.arrows))
     missing = (s[:, None] == t[None, :]) & (comp < 0)
@@ -579,7 +581,8 @@ def orbit_quotient(G: FiniteGroupoid, orbit: Callable, name: str, error: type):
     bad = cls[G.comp_matrix()[gi, hi]] != Q.comp_matrix()[cls[gi], cls[hi]]
     if bad.any():
         j = int(np.argmax(bad))
-        raise error(f"quotient composition depends on representatives: ({G.arrows[gi[j]]}, {G.arrows[hi[j]]})")
+        g, h = G.arrows[gi[j]], G.arrows[hi[j]]
+        raise error(f"quotient composition depends on representatives: ({g}, {h})")
     return Q, class_map
 
 

@@ -112,14 +112,16 @@ def parse_groupoid_data(data: dict) -> GroupoidFile:
         _expect(rec["id"] not in arrows, f"{path}/id", f"duplicate arrow id {rec['id']!r}")
         arrows[rec["id"]] = (rec["source"], rec["target"])
 
-    ids, composites, _ = _pair_entries(data.get("compose"), "/compose", "composite must be an arrow id string")
+    ids, composites, _ = _pair_entries(
+        data.get("compose"), "/compose", "composite must be an arrow id string")
     G = _arrow_set(units, arrows, name)
     gi, hi = _pair_indices(G, ids)
     ki = arrow_indices(G.index, composites, len(composites))
     comp = _compose_table(G, gi, hi, ki, lambda j: (tuple(ids[2 * j:2 * j + 2]), composites[j]))
     _validate_table(G, comp, pairs=(gi, hi))
 
-    ids, vals, parsed = _pair_entries(data.get("cocycle", {}), "/cocycle", "phase must be a string 'a/b'", Phase.parse)
+    ids, vals, parsed = _pair_entries(
+        data.get("cocycle", {}), "/cocycle", "phase must be a string 'a/b'", Phase.parse)
     gi, hi = _pair_indices(G, ids)
     defined = (gi >= 0) & (hi >= 0) & (comp[gi, hi] >= 0)
     if not defined.all():

@@ -246,7 +246,8 @@ def test_quotient_by_the_bundle_matches_the_loop(name):
 def test_cosets_of_non_normal_subgroups_fail_like_the_loop():
     """Left and right cosets of each cyclic subgroup, also in groups parsed with shuffled compose keys."""
     groups = [by_name(name).G for name in ("s3", "d4", "q8", "pauli")]
-    groups += [parse_groupoid_data(shuffled(document(name), seed)).G for name in ("s3", "d4") for seed in range(4)]
+    groups += [parse_groupoid_data(shuffled(document(name), seed)).G
+               for name in ("s3", "d4") for seed in range(4)]
     failed = 0
     for G in groups:
         for a in G.arrows:
@@ -265,7 +266,8 @@ def test_certify_ops_build_neither_dict_of_the_parsed_groupoid(monkeypatch):
     """The certify op bodies on the 256-arrow document (and the 144-arrow pass)."""
     built = []
     for cls, method in ((FiniteGroupoid, "_build_compose"), (TwoCocycle, "_build_values")):
-        monkeypatch.setattr(cls, method, lambda self, orig=getattr(cls, method): built.append(self) or orig(self))
+        orig = getattr(cls, method)
+        monkeypatch.setattr(cls, method, lambda self, orig=orig: built.append(self) or orig(self))
     rng = random.Random(7)
     e12, e16 = corpus.rotation(12, 5), corpus.rotation(16, 3)
     docs = {n: json.dumps(emit_groupoid_data(e.G, e.omega, e.c, e.S)) for n, e in ((12, e12), (16, e16))}
