@@ -109,8 +109,10 @@ class TwoCocycle:
         the lcm of their denominators, is kept as the cocycle's own.
         """
         gi, hi = num.nonzero()
-        distinct, codes = np.unique(num[gi, hi], return_inverse=True)
-        return cls._from_codes(G, gi, hi, codes, [Phase(v, den) for v in distinct.tolist()])
+        nums = num[gi, hi]
+        distinct = sorted(set(nums.tolist()))
+        codes = np.searchsorted(np.array(distinct, dtype=np.int64), nums)
+        return cls._from_codes(G, gi, hi, codes, [Phase(v, den) for v in distinct])
 
     @property
     def values(self) -> CocycleValues:

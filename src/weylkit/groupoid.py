@@ -51,10 +51,10 @@ class FiniteGroupoid:
         self.tgt = dict(tgt)
         self._compose = None if compose is None else dict(compose)
         self.inverse = dict(inverse)
-        self.index = {g: i for i, g in enumerate(self.arrows)}
+        self.index = arrow_index(self.arrows)
         self._unit_set = frozenset(self.units)
-        self._comp = None     # set by the validation core
-        self._pairs = None    # compose order as index arrays; None: row-major in caller order
+        self._comp = None     # set by validate_arrays, with
+        self._pairs = None    # g * len(arrows) + h, int32, for the composable pairs (g, h) in compose order
         self._rows = None
         self._gens = None
 
@@ -79,11 +79,7 @@ class FiniteGroupoid:
 
     def pair_indices(self):
         """(g, h) arrow-index arrays of the composable pairs, in ``compose`` order."""
-        if self._pairs is not None:
-            return self._pairs
-        order = np.fromiter(map(self.index.__getitem__, self.src), np.int64, len(self.arrows))
-        g, h = (self._comp[np.ix_(order, order)] >= 0).nonzero()
-        return order[g], order[h]
+        return np.divmod(self._pairs, len(self.arrows))
 
     def is_unit(self, g):
         return g in self._unit_set
@@ -234,12 +230,14 @@ def _check_associativity(G: FiniteGroupoid):
             raise AssociativityViolation(G.arrows[a[i]], G.arrows[b], G.arrows[c[k]])
 
 
+def arrow_index(arrows: Iterable) -> dict:
+    """Arrow id -> arrow index: its position in sorted order, as in the groupoid's ``index``."""
+    return {g: i for i, g in enumerate(sorted(arrows))}
+
+
 def arrow_indices(index: Mapping, ids, count: int) -> np.ndarray:
     """The int64 indices of the ``count`` ids of the sequence ``ids``, -1 for an id not in ``index``."""
-    try:
-        return np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=count)
-    except KeyError:
-        return np.fromiter(map(index.get, ids, itertools.repeat(-1)), dtype=np.int64, count=count)
+    return np.fromiter(map(index.get, ids, itertools.repeat(-1)), dtype=np.int64, count=count)
 
 
 def _arrow_set(units: Iterable, arrows: Mapping, name: str, compose: Optional[Mapping] = None):
@@ -278,9 +276,11 @@ def _compose_table(G: FiniteGroupoid, gi, hi, ki, entry: Callable) -> np.ndarray
     ``((g, h), k)``.
     """
     s, t = _endpoints(G)
-    known = (gi >= 0) & (hi >= 0) & (ki >= 0)
-    g, h, k = (np.where(known, x, 0) for x in (gi, hi, ki))
-    bad = ~known | (s[g] != t[h]) | (s[k] != s[h]) | (t[k] != t[g])
+    # an unknown id, -1, reads the last arrow's endpoints: its entry is bad either way
+    bad = (gi < 0) | (hi < 0) | (ki < 0)
+    bad |= s[gi] != t[hi]
+    bad |= s[ki] != s[hi]
+    bad |= t[ki] != t[gi]
     if bad.any():
         (g, h), k = entry(int(np.argmax(bad)))
         for a in (g, h, k):
@@ -307,26 +307,48 @@ def validate_groupoid(
     ``arrows`` maps arrow id -> (source unit, target unit); units must appear
     as arrows with source = target = themselves.  ``compose`` must cover
     exactly the composable pairs.  ``inverse`` is derived from the compose
-    table when omitted.  The checks run on the compose array, which becomes
-    the groupoid's ``comp_matrix()``; each failure names the first witness
-    in the order of ``arrows`` (or of ``compose`` for its entries).  The
-    groupoid keeps a copy of ``compose`` as its ``compose``.
+    table when omitted.  The checks run on the compose array (see
+    :func:`validate_arrays`).  The groupoid keeps a copy of ``compose`` as
+    its ``compose``.
+    """
+    index, m = arrow_index(arrows), len(compose)
+    gi, hi = arrow_indices(index, list(itertools.chain.from_iterable(compose)), 2 * m).reshape(m, 2).T
+    ki = arrow_indices(index, list(compose.values()), m)
+    entry = lambda j: next(itertools.islice(compose.items(), j, None))
+    return validate_arrays(units, arrows, gi, hi, ki, entry, inverse, name, compose)
+
+
+def validate_arrays(
+    units: Iterable,
+    arrows: Mapping,
+    gi: np.ndarray,
+    hi: np.ndarray,
+    ki: np.ndarray,
+    entry: Callable,
+    inverse: Optional[Mapping] = None,
+    name: str = "G",
+    compose: Optional[Mapping] = None,
+) -> FiniteGroupoid:
+    """Validate a groupoid whose compose table is given as index arrays: gi[j] * hi[j] = ki[j].
+
+    Indices are those of :func:`arrow_index` on ``arrows``, -1 for an
+    unknown id; ``entry(j)`` gives the ids of entry j, ``((g, h), k)``.
+    The entries' order is the order of ``G.compose``, which is ``compose``
+    when given and is otherwise built from the arrays on first read.  The
+    checks run on the compose array, which becomes ``comp_matrix()``; each
+    failure names the first witness in the order of ``arrows`` (in j order
+    for the per-entry rules).
     """
     G = _arrow_set(units, arrows, name, compose)
-    m = len(compose)
-    gi, hi = arrow_indices(G.index, list(itertools.chain.from_iterable(compose)), 2 * m).reshape(m, 2).T
-    ki = arrow_indices(G.index, list(compose.values()), m)
-    comp = _compose_table(G, gi, hi, ki, lambda j: next(itertools.islice(compose.items(), j, None)))
-    return _validate_table(G, comp, inverse, (gi, hi))
+    G._pairs = (gi * len(G.arrows) + hi).astype(np.int32)
+    return _validate_table(G, _compose_table(G, gi, hi, ki, entry), inverse)
 
 
-def _validate_table(G: FiniteGroupoid, comp: np.ndarray, inverse: Optional[Mapping] = None, pairs=None):
-    """The validation core: the groupoid laws on a compose array that passed the per-entry rules.
+def _validate_table(G: FiniteGroupoid, comp: np.ndarray, inverse: Optional[Mapping]):
+    """The groupoid laws on a compose array that passed the per-entry rules.
 
-    ``comp`` becomes G's ``comp_matrix()``.  ``pairs``, (g, h) index arrays
-    of the composable pairs, gives the order of ``G.compose``; None means
-    row by row in the order of G's arrows as the caller gave them.  Each
-    failure names the first witness in the caller's arrow order.
+    ``comp`` becomes G's ``comp_matrix()``.  Each failure names the first
+    witness in the caller's arrow order.
     """
     # arrow indices in the caller's order
     order = np.fromiter(map(G.index.__getitem__, G.src), np.int64, len(G.arrows))
@@ -344,7 +366,7 @@ def _validate_table(G: FiniteGroupoid, comp: np.ndarray, inverse: Optional[Mappi
         raise DanglingUnit(G.arrows[s[g]], f"unit fails to act as identity on {G.arrows[g]}")
 
     comp.setflags(write=False)
-    G._comp, G._pairs = comp, pairs
+    G._comp = comp
     _check_associativity(G)
 
     if inverse is None:

@@ -4,9 +4,9 @@ The format is a single JSON object: name, units, arrows (id/source/target
 records), a compose table keyed by "g,h", an optional cocycle table of
 phase strings "a/b", an optional grading, and an optional marked
 subgroupoid.  Schema problems raise SchemaError with a path to the
-offending entry; mathematical problems surface from the groupoid's
-validation core, which runs on the index arrays the tables are parsed
-into.
+offending entry; mathematical problems surface from
+:func:`~weylkit.groupoid.validate_arrays`, which runs on the index arrays
+the tables are parsed into.
 
 Derived groupoids have pair ids, (class, character); files spell a pair
 "a&b" (see :func:`label`), and only this module does so.
@@ -23,7 +23,7 @@ import numpy as np
 
 from .cocycle import TwoCocycle
 from .errors import SchemaError, UndefinedPair
-from .groupoid import FiniteGroupoid, Grading, _arrow_set, _compose_table, _validate_table, arrow_indices
+from .groupoid import FiniteGroupoid, Grading, arrow_index, arrow_indices, validate_arrays
 from .phases import Phase
 
 
@@ -84,9 +84,9 @@ def _pair_entries(raw, table: str, message: str, parse: Optional[Callable] = Non
     return ",".join(keys).split(",") if keys else [], vals, parsed
 
 
-def _pair_indices(G: FiniteGroupoid, ids: list):
+def _pair_indices(index: dict, ids: list):
     """Arrow indices (g, h) of the pairs spelled by ``ids``, -1 for an unknown id."""
-    return arrow_indices(G.index, ids, len(ids)).reshape(-1, 2).T
+    return arrow_indices(index, ids, len(ids)).reshape(-1, 2).T
 
 
 def parse_groupoid_data(data: dict) -> GroupoidFile:
@@ -114,16 +114,16 @@ def parse_groupoid_data(data: dict) -> GroupoidFile:
 
     ids, composites, _ = _pair_entries(
         data.get("compose"), "/compose", "composite must be an arrow id string")
-    G = _arrow_set(units, arrows, name)
-    gi, hi = _pair_indices(G, ids)
-    ki = arrow_indices(G.index, composites, len(composites))
-    comp = _compose_table(G, gi, hi, ki, lambda j: (tuple(ids[2 * j:2 * j + 2]), composites[j]))
-    _validate_table(G, comp, pairs=(gi, hi))
+    index = arrow_index(arrows)
+    gi, hi = _pair_indices(index, ids)
+    ki = arrow_indices(index, composites, len(composites))
+    entry = lambda j: (tuple(ids[2 * j:2 * j + 2]), composites[j])
+    G = validate_arrays(units, arrows, gi, hi, ki, entry, name=name)
 
     ids, vals, parsed = _pair_entries(
         data.get("cocycle", {}), "/cocycle", "phase must be a string 'a/b'", Phase.parse)
-    gi, hi = _pair_indices(G, ids)
-    defined = (gi >= 0) & (hi >= 0) & (comp[gi, hi] >= 0)
+    gi, hi = _pair_indices(G.index, ids)
+    defined = (gi >= 0) & (hi >= 0) & (G.comp_matrix()[gi, hi] >= 0)
     if not defined.all():
         j = int(np.argmin(defined))
         raise UndefinedPair(*ids[2 * j:2 * j + 2])

@@ -15,7 +15,7 @@ import numpy as np
 from .cocycle import TwoCocycle, check_cocycle, common_denominator
 from .dual import Character, bundle_from_subgroupoid, dual_bundle
 from .errors import CocycleInvalid, NotAutomorphism, RestrictionNotTrivial, SchemaError
-from .groupoid import Grading, _arrow_set, _validate_table, arrow_indices
+from .groupoid import Grading, arrow_index, arrow_indices, validate_arrays
 from .phases import ZERO, Phase
 from .weyl import build_weyl_groupoid, weyl_twist_cocycle
 
@@ -144,7 +144,7 @@ def build_semidirect(spec: SemidirectSpec):
     h_elems, k_elems, elems = spec.h_elements(), spec.k_elements(), spec.elements()
     ids = [spec.elem_id(a) for a in elems]
     unit = ids[0]           # (0, 0)
-    G = _arrow_set([unit], {i: (unit, unit) for i in ids}, spec.name)
+    arrows = {i: (unit, unit) for i in ids}
 
     h_pos = {h: i for i, h in enumerate(h_elems)}
     beta = np.array([[h_pos[spec.beta(k, h)] for h in h_elems] for k in k_elems], dtype=np.int64)
@@ -152,16 +152,16 @@ def build_semidirect(spec: SemidirectSpec):
     # (h1, k1)(h2, k2) = (h1 + beta_k1(h2), k1 + k2)
     prod = _addition(spec.h_orders)[h1, beta[k1, h2]] * len(k_elems) + _addition(spec.k_orders)[k1, k2]
     n = len(elems)
-    idx = arrow_indices(G.index, ids, n)
-    comp = np.empty((n, n), dtype=np.int32)
-    comp[np.ix_(idx, idx)] = idx[prod.reshape(n, n)]
-    _validate_table(G, comp)
+    prod = prod.ravel()     # position of a*b at a_pos * n + b_pos
+    idx = arrow_indices(arrow_index(arrows), ids, n)
+    entry = lambda j: ((ids[j // n], ids[j % n]), ids[prod[j]])
+    G = validate_arrays([unit], arrows, np.repeat(idx, n), np.tile(idx, n), idx[prod], entry, name=spec.name)
 
     phases = [spec.omega(a, b) for a in elems for b in elems]
     distinct = dict(zip(map(id, phases), phases))
     code = {i: c for c, i in enumerate(distinct)}
     codes = np.fromiter(map(code.__getitem__, map(id, phases)), dtype=np.int64, count=n * n)
-    omega = TwoCocycle._from_codes(G, np.repeat(idx, n), np.tile(idx, n), codes, list(distinct.values()))
+    omega = TwoCocycle._from_codes(G, *G.pair_indices(), codes, list(distinct.values()))
     violations = check_cocycle(G, omega)
     if violations:
         raise CocycleInvalid(violations)

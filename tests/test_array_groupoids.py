@@ -1,8 +1,8 @@
 """Groupoids validated from index arrays, against their dict and loop oracles.
 
-The parser and ``build_semidirect`` hand index arrays to the validation
-core, ``compose`` and ``values`` are built on first read, and the quotient's
-descent is one array comparison.  The oracles are the tuple-keyed dict
+The parser and ``build_semidirect`` hand index arrays to
+``validate_arrays``, ``compose`` and ``values`` are built on first read, and
+the quotient's descent is one array comparison.  The oracles are the tuple-keyed dict
 parse, the multiplication-callable build and the per-pair descent loop.
 """
 
@@ -21,7 +21,14 @@ from oracles import (
 from weylkit import corpus
 from weylkit.cocycle import TwoCocycle, check_cocycle
 from weylkit.errors import GroupoidError, NotAutomorphism, NotNormal, WeylkitError
-from weylkit.groupoid import FiniteGroupoid, isotropy_fibres, orbit_quotient
+from weylkit.groupoid import (
+    FiniteGroupoid,
+    arrow_index,
+    isotropy_fibres,
+    orbit_quotient,
+    validate_arrays,
+    validate_groupoid,
+)
 from weylkit.io import emit_groupoid_data, parse_groupoid_data
 from weylkit.phases import HALF, Phase
 from weylkit.semidirect import SemidirectSpec, build_semidirect, gen_rotation, verify_untwisting
@@ -213,6 +220,45 @@ def test_bad_actions_are_refused_like_the_callable_build(case):
     with pytest.raises(NotAutomorphism) as old:
         build_semidirect_loop(spec)
     assert str(new.value) == str(old.value)
+
+
+# ------------------------------------------------------------------ validate_arrays
+
+def entry_arrays(arrows, items):
+    """(gi, hi, ki) of the compose entries ``items``, -1 for an unknown id."""
+    index = arrow_index(arrows)
+    gi, hi, ki = ([index.get(x, -1) for x in xs] for xs in zip(*((g, h, k) for (g, h), k in items)))
+    return np.array(gi), np.array(hi), np.array(ki)
+
+
+@pytest.mark.parametrize("name", ["d4", "q8", "rotation(4,1)"])
+def test_validate_arrays_keeps_the_entry_order(name):
+    G = by_name(name).G
+    arrows = {g: (G.src[g], G.tgt[g]) for g in G.src}
+    items = list(G.compose.items())[::-1]
+    H = validate_arrays(G.units, arrows, *entry_arrays(arrows, items), items.__getitem__, name=G.name)
+    assert H._compose is None
+    assert list(H.compose.items()) == items
+    assert np.array_equal(H.comp_matrix(), G.comp_matrix()) and H.inverse == G.inverse
+
+
+@pytest.mark.parametrize("bad", ["unknown id", "not composable", "wrong endpoints"])
+def test_validate_arrays_names_a_bad_entry_like_the_dict_entry(bad):
+    G = corpus.pair_groupoid(3).G
+    arrows = {g: (G.src[g], G.tgt[g]) for g in G.src}
+    items = list(G.compose.items())
+    j = next(j for j, ((g, h), k) in enumerate(items) if not G.is_unit(g) and not G.is_unit(h))
+    (g, h), k = items[j]
+    other = next(x for x in G.arrows if G.src[x] != G.tgt[h])    # not composable with h
+    stray = next(x for x in G.arrows if G.src[x] != G.src[h])     # not a composite of (., h)
+    items[j] = {"unknown id": ((g, h), "zz"),
+                "not composable": ((other, h), k),
+                "wrong endpoints": ((g, h), stray)}[bad]
+    with pytest.raises(WeylkitError) as new:
+        validate_arrays(G.units, arrows, *entry_arrays(arrows, items), items.__getitem__)
+    with pytest.raises(WeylkitError) as old:
+        validate_groupoid(G.units, arrows, dict(items))
+    assert (type(new.value), str(new.value)) == (type(old.value), str(old.value))
 
 
 # ------------------------------------------------------------------ quotient
