@@ -75,18 +75,11 @@ class TwistedAlgebra:
         nums, at = np.unique(om, return_inverse=True)
         values = np.array([Phase(v, den).to_complex() for v in nums.tolist()])
         self.phase = values[at.reshape(om.shape)]
-        self.inv = np.array([G.index[G.inv(g)] for g in G.arrows], dtype=np.int64)
+        self.inv = G.inverse_indices()
         self.star_phase = self.phase[np.arange(len(G)), self.inv].conj()
         self.pairs = np.nonzero(self.comp >= 0)
         self.pair_prod = self.comp[self.pairs]
         self.pair_phase = self.phase[self.pairs]
-
-    def product_basis(self, g, h):
-        """delta_g * delta_h = phase . delta_{gh}, or None if not composable."""
-        i, j = self.G.index[g], self.G.index[h]
-        if self.comp[i, j] < 0:
-            return None
-        return self.G.arrows[self.comp[i, j]], self.phase[i, j]
 
     def star_basis(self, g):
         """delta_g^* = conj(phase(g, g^{-1})) . delta_{g^{-1}}."""

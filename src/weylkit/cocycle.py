@@ -20,8 +20,11 @@ from .groupoid import (
     MAX_TABLE_INT,
     FiniteGroupoid,
     Subgroupoid,
+    arrow_indices,
     isotropy_fibres,
     kernel_of_grading,
+    noncommuting_pair,
+    product_closure,
 )
 from .phases import ZERO, Phase
 
@@ -230,11 +233,11 @@ def check_cocycle(G: FiniteGroupoid, omega: TwoCocycle, max_witnesses: int = 5):
 
 
 def check_symmetric_on(omega: TwoCocycle, members: Iterable) -> bool:
-    """True iff omega(a, b) = omega(b, a) for all composable a, b in the subset."""
+    """True iff omega(a, b) = omega(b, a) for all a, b in the subset that compose both ways."""
     G = omega.G
     S = sorted(set(members))
     for a, b in itertools.combinations(S, 2):
-        if G.composable(a, b) and omega.omega(a, b) != omega.omega(b, a):
+        if G.composable(a, b) and G.composable(b, a) and omega.omega(a, b) != omega.omega(b, a):
             return False
     return True
 
@@ -256,30 +259,15 @@ def check_unit_identity(omega: TwoCocycle) -> bool:
 
 
 def _closure(G: FiniteGroupoid, u, gens):
-    """Subgroup of the isotropy fibre at u generated by gens (BFS closure)."""
-    seen = {u} | set(gens)
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in (G.inv(a),):
-                if b not in seen:
-                    seen.add(b)
-                    nxt.append(b)
-            for b in list(seen):
-                for prod in (G.mul(a, b), G.mul(b, a)):
-                    if prod not in seen:
-                        seen.add(prod)
-                        nxt.append(prod)
-        frontier = nxt
-    return frozenset(seen)
+    """Subgroup of the isotropy fibre at u generated by gens: their product closure with u."""
+    seeds = arrow_indices(G.index, [u, *gens], 1 + len(gens))
+    covered = product_closure(G, np.zeros(len(G.arrows), dtype=bool), seeds)
+    return frozenset(map(G.arrows.__getitem__, covered.nonzero()[0].tolist()))
 
 
 def _abelian_symmetric(G, omega, subset):
-    for a, b in itertools.combinations(subset, 2):
-        if G.mul(a, b) != G.mul(b, a) or omega.omega(a, b) != omega.omega(b, a):
-            return False
-    return True
+    m = arrow_indices(G.index, subset, len(subset))
+    return noncommuting_pair(G, m) is None and check_symmetric_on(omega, subset)
 
 
 def _maximal_fibre_subgroups(G, omega, u, fibre):

@@ -83,7 +83,7 @@ class DualityFailure(WeylkitError):
 
 class UndefinedPair(WeylkitError):
     def __init__(self, g, h):
-        super().__init__(f"cocycle undefined on composable pair ({g}, {h})")
+        super().__init__(f"cocycle undefined on ({g}, {h}): not a composable pair")
         self.pair = (g, h)
 
 

@@ -39,24 +39,22 @@ class FiniteGroupoid:
     """A validated finite groupoid.  Construct via :func:`validate_groupoid`.
 
     The compose array (``comp_matrix()``) is the groupoid.  ``compose`` is
-    the same table as a dict keyed by (g, h): the dict the caller validated,
-    or, for a groupoid validated from arrays, built on first read.
+    the same table as a dict keyed by (g, h), built on first read.
     """
 
-    def __init__(self, name, units, src, tgt, compose, inverse):
+    def __init__(self, name, units, src, tgt, inverse):
         self.name = name
         self.units = tuple(sorted(units))
         self.arrows = tuple(sorted(src))
         self.src = dict(src)
         self.tgt = dict(tgt)
-        self._compose = None if compose is None else dict(compose)
         self.inverse = dict(inverse)
         self.index = arrow_index(self.arrows)
         self._unit_set = frozenset(self.units)
-        self._comp = None     # set by validate_arrays, with
-        self._pairs = None    # g * len(arrows) + h, int32, for the composable pairs (g, h) in compose order
-        self._rows = None
-        self._gens = None
+        self._compose = self._gens = None
+        # set by the validation: the endpoint, compose and inverse index arrays, and
+        # g * len(arrows) + h, int32, for the composable pairs (g, h) in compose order
+        self._ends = self._comp = self._inv = self._pairs = None
 
     def __len__(self):
         return len(self.arrows)
@@ -93,15 +91,10 @@ class FiniteGroupoid:
         return s is not None and s == self.tgt.get(h)
 
     def mul(self, g, h):
-        if self._rows is None:
-            # row g: the products g*h in index order of h, None off the composable pairs
-            ids = self.arrows + (None,)
-            rows = (list(map(ids.__getitem__, row)) for row in self._comp.tolist())
-            self._rows = dict(zip(self.arrows, rows))
-        k = self._rows[g][self.index[h]]
-        if k is None:
+        k = self._comp.item(self.index[g], self.index[h])
+        if k < 0:
             raise KeyError((g, h))
-        return k
+        return self.arrows[k]
 
     def mul_all(self, *gs):
         out = gs[0]
@@ -130,13 +123,18 @@ class FiniteGroupoid:
             n += 1
         return n
 
-    # dense integer tables for the vectorized exact checks
+    # dense integer tables for the vectorized exact checks, built once by the validation and read-only
     def comp_matrix(self):
-        """Arrow indices of g*h at [index g, index h], -1 off the composable pairs.
-
-        Built once, by the validation, and read-only.
-        """
+        """Arrow indices of g*h at [index g, index h], -1 off the composable pairs."""
         return self._comp
+
+    def inverse_indices(self):
+        """Arrow index of the inverse of each arrow, in index order."""
+        return self._inv
+
+    def endpoint_indices(self):
+        """(source, target): the arrow indices of each arrow's endpoints, in index order."""
+        return self._ends
 
     def generators(self):
         """Arrow indices whose composable products give every arrow.
@@ -147,25 +145,39 @@ class FiniteGroupoid:
         g*g^-1 of generators or a generator itself.  Built once, read-only.
         """
         if self._gens is None:
-            comp = self._comp
             covered = np.zeros(len(self.arrows), dtype=bool)
             gens = []
             for g in range(len(self.arrows)):
-                if covered[g]:
-                    continue
-                gens.append(g)
-                covered[g] = True
-                new = np.array([g])
-                while new.size:   # the new arrows times every covered arrow, on both sides
-                    old = covered.nonzero()[0]
-                    prods = np.concatenate([comp[new[:, None], old].ravel(), comp[old[:, None], new].ravel()])
-                    reached = np.zeros_like(covered)
-                    reached[prods[prods >= 0]] = True
-                    new = (reached & ~covered).nonzero()[0]
-                    covered |= reached
+                if not covered[g]:
+                    gens.append(g)
+                    product_closure(self, covered, np.array([g]))
             self._gens = np.array(gens, dtype=np.int64)
             self._gens.setflags(write=False)
         return self._gens
+
+
+def product_closure(G: FiniteGroupoid, covered: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """Close the mask ``covered``, closed but for the arrow indices ``new``, under products, in place."""
+    comp = G.comp_matrix()
+    covered[new] = True
+    while new.size:   # the new arrows times every covered arrow, on both sides
+        old = covered.nonzero()[0]
+        prods = np.concatenate([comp[new[:, None], old].ravel(), comp[old[:, None], new].ravel()])
+        reached = np.zeros_like(covered)
+        reached[prods[prods >= 0]] = True
+        new = (reached & ~covered).nonzero()[0]
+        covered |= reached
+    return covered
+
+
+def noncommuting_pair(G: FiniteGroupoid, m: np.ndarray):
+    """The first pair of arrow indices in ``combinations(m, 2)`` with gh defined and hg != gh, or None."""
+    sub = G.comp_matrix()[np.ix_(m, m)]
+    bad = np.triu((sub >= 0) & (sub != sub.T), 1)
+    if not bad.any():
+        return None
+    i, j = np.argwhere(bad)[0]
+    return int(m[i]), int(m[j])
 
 
 @dataclass(frozen=True)
@@ -199,9 +211,6 @@ class Grading:
     @property
     def zero(self):
         return tuple(0 for _ in self.group)
-
-    def neg(self, a):
-        return self.normalize(tuple(-x for x in a))
 
     def value(self, g):
         return self.normalize(tuple(self.values[g]))
@@ -240,8 +249,8 @@ def arrow_indices(index: Mapping, ids, count: int) -> np.ndarray:
     return np.fromiter(map(index.get, ids, itertools.repeat(-1)), dtype=np.int64, count=count)
 
 
-def _arrow_set(units: Iterable, arrows: Mapping, name: str, compose: Optional[Mapping] = None):
-    """The groupoid's units and arrows, checked, before its compose table is set."""
+def _arrow_set(units: Iterable, arrows: Mapping, name: str):
+    """The groupoid's units, arrows and endpoint indices, checked, before its compose table is set."""
     units = sorted(set(units))
     src = {g: st[0] for g, st in arrows.items()}
     tgt = {g: st[1] for g, st in arrows.items()}
@@ -256,15 +265,11 @@ def _arrow_set(units: Iterable, arrows: Mapping, name: str, compose: Optional[Ma
     for g in src:
         if src[g] not in unit_set or tgt[g] not in unit_set:
             raise DanglingUnit(g, "arrow endpoint is not a declared unit")
-    return FiniteGroupoid(name, units, src, tgt, compose, {})
-
-
-def _endpoints(G: FiniteGroupoid):
-    """Arrow indices of the source and of the target of each arrow, in index order."""
-    n = len(G.arrows)
-    s = np.fromiter(map(G.index.__getitem__, map(G.src.__getitem__, G.arrows)), np.int64, n)
-    t = np.fromiter(map(G.index.__getitem__, map(G.tgt.__getitem__, G.arrows)), np.int64, n)
-    return s, t
+    G = FiniteGroupoid(name, units, src, tgt, {})
+    G._ends = tuple(arrow_indices(G.index, map(ends.__getitem__, G.arrows), len(src)) for ends in (src, tgt))
+    for a in G._ends:
+        a.setflags(write=False)
+    return G
 
 
 def _compose_table(G: FiniteGroupoid, gi, hi, ki, entry: Callable) -> np.ndarray:
@@ -275,7 +280,7 @@ def _compose_table(G: FiniteGroupoid, gi, hi, ki, entry: Callable) -> np.ndarray
     with the wrong endpoints raises; ``entry(j)`` gives its ids,
     ``((g, h), k)``.
     """
-    s, t = _endpoints(G)
+    s, t = G.endpoint_indices()
     # an unknown id, -1, reads the last arrow's endpoints: its entry is bad either way
     bad = (gi < 0) | (hi < 0) | (ki < 0)
     bad |= s[gi] != t[hi]
@@ -308,14 +313,14 @@ def validate_groupoid(
     as arrows with source = target = themselves.  ``compose`` must cover
     exactly the composable pairs.  ``inverse`` is derived from the compose
     table when omitted.  The checks run on the compose array (see
-    :func:`validate_arrays`).  The groupoid keeps a copy of ``compose`` as
-    its ``compose``.
+    :func:`validate_arrays`); ``G.compose`` is built from it on first read,
+    in the order of ``compose``.
     """
     index, m = arrow_index(arrows), len(compose)
     gi, hi = arrow_indices(index, list(itertools.chain.from_iterable(compose)), 2 * m).reshape(m, 2).T
     ki = arrow_indices(index, list(compose.values()), m)
     entry = lambda j: next(itertools.islice(compose.items(), j, None))
-    return validate_arrays(units, arrows, gi, hi, ki, entry, inverse, name, compose)
+    return validate_arrays(units, arrows, gi, hi, ki, entry, inverse, name)
 
 
 def validate_arrays(
@@ -327,19 +332,17 @@ def validate_arrays(
     entry: Callable,
     inverse: Optional[Mapping] = None,
     name: str = "G",
-    compose: Optional[Mapping] = None,
 ) -> FiniteGroupoid:
     """Validate a groupoid whose compose table is given as index arrays: gi[j] * hi[j] = ki[j].
 
     Indices are those of :func:`arrow_index` on ``arrows``, -1 for an
     unknown id; ``entry(j)`` gives the ids of entry j, ``((g, h), k)``.
-    The entries' order is the order of ``G.compose``, which is ``compose``
-    when given and is otherwise built from the arrays on first read.  The
-    checks run on the compose array, which becomes ``comp_matrix()``; each
-    failure names the first witness in the order of ``arrows`` (in j order
-    for the per-entry rules).
+    The entries' order is the order of ``G.compose``, which is built from
+    the arrays on first read.  The checks run on the compose array, which
+    becomes ``comp_matrix()``; each failure names the first witness in the
+    order of ``arrows`` (in j order for the per-entry rules).
     """
-    G = _arrow_set(units, arrows, name, compose)
+    G = _arrow_set(units, arrows, name)
     G._pairs = (gi * len(G.arrows) + hi).astype(np.int32)
     return _validate_table(G, _compose_table(G, gi, hi, ki, entry), inverse)
 
@@ -347,12 +350,13 @@ def validate_arrays(
 def _validate_table(G: FiniteGroupoid, comp: np.ndarray, inverse: Optional[Mapping]):
     """The groupoid laws on a compose array that passed the per-entry rules.
 
-    ``comp`` becomes G's ``comp_matrix()``.  Each failure names the first
-    witness in the caller's arrow order.
+    ``comp`` becomes G's ``comp_matrix()``, and the inverse index array its
+    ``inverse_indices()``.  Each failure names the first witness in the
+    caller's arrow order.
     """
     # arrow indices in the caller's order
     order = np.fromiter(map(G.index.__getitem__, G.src), np.int64, len(G.arrows))
-    s, t = _endpoints(G)
+    s, t = G.endpoint_indices()
     ar = np.arange(len(G.arrows))
     missing = (s[:, None] == t[None, :]) & (comp < 0)
     if missing.any():
@@ -395,6 +399,8 @@ def _validate_table(G: FiniteGroupoid, comp: np.ndarray, inverse: Optional[Mappi
     if bad.any():
         (g,) = _first(bad, order)
         raise BadInverse(G.arrows[g], "inverse is not an involution")
+    inv.setflags(write=False)
+    G._inv = inv
     return G
 
 
@@ -404,15 +410,14 @@ def build_groupoid(
     mul: Callable,
     name: str = "G",
 ) -> FiniteGroupoid:
-    """Assemble the compose table from a multiplication callable, then validate."""
-    src = {g: st[0] for g, st in arrows.items()}
-    tgt = {g: st[1] for g, st in arrows.items()}
-    compose = {
-        (g, h): mul(g, h)
-        for g in src
-        for h in src
-        if src[g] == tgt[h]
-    }
+    """Validate the compose table of ``mul``, called on the composable pairs in ``arrows`` order."""
+    ids, code = list(arrows), {}
+    # each source as a small int, in order of first appearance; -1 for a target that is no source
+    s = np.fromiter((code.setdefault(st[0], len(code)) for st in arrows.values()), np.int64, len(ids))
+    t = np.fromiter((code.get(st[1], -1) for st in arrows.values()), np.int64, len(ids))
+    gi, hi = (s[:, None] == t[None, :]).nonzero()
+    pairs = zip(map(ids.__getitem__, gi.tolist()), map(ids.__getitem__, hi.tolist()))
+    compose = {(g, h): mul(g, h) for g, h in pairs}
     return validate_groupoid(units, arrows, compose, name=name)
 
 
@@ -438,51 +443,54 @@ class PropertyReport:
 def subgroupoid_properties(G: FiniteGroupoid, members: Iterable) -> PropertyReport:
     """Flags for a subset of arrows: subgroupoid, wide, bundle, abelian, normal.
 
-    Members are scanned in ``G.arrows`` order, so each witness is the first
-    in that order.
+    Each clause is one expression on the compose array.  Each witness is the first in
+    ``G.arrows`` order: by member, by row of products, and by (arrow, member) for normality.
     """
     S = frozenset(members)
     unknown = S.difference(G.src)
     if unknown:
         raise UnknownArrowId(min(unknown, key=str))
-    ordered = [g for g in G.arrows if g in S]
+    comp, inv, (s, t) = G.comp_matrix(), G.inverse_indices(), G.endpoint_indices()
+    in_S = np.zeros(len(G.arrows), dtype=bool)
+    in_S[arrow_indices(G.index, S, len(S))] = True
+    m = in_S.nonzero()[0]
+    ids = G.arrows
     wit = {}
 
-    closed = True
-    for g in ordered:
-        if G.inv(g) not in S:
-            closed, wit["subgroupoid"] = False, ("inverse", g)
-            break
-        if G.src[g] not in S or G.tgt[g] not in S:
-            closed, wit["subgroupoid"] = False, ("unit", g)
-            break
-    if closed:
-        for g, h in itertools.product(ordered, ordered):
-            if G.composable(g, h) and G.mul(g, h) not in S:
-                closed, wit["subgroupoid"] = False, ("compose", g, h)
-                break
+    no_inv, no_unit = ~in_S[inv[m]], ~(in_S[s[m]] & in_S[t[m]])
+    closed = not (no_inv | no_unit).any()
+    if not closed:
+        i = int(np.argmax(no_inv | no_unit))
+        wit["subgroupoid"] = ("inverse" if no_inv[i] else "unit", ids[m[i]])
+    else:
+        prods = comp[np.ix_(m, m)]
+        escapes = (prods >= 0) & ~in_S[prods]
+        if escapes.any():
+            closed = False
+            i, j = np.argwhere(escapes)[0]
+            wit["subgroupoid"] = ("compose", ids[m[i]], ids[m[j]])
 
     wide = set(G.units) <= S
-    bundle = all(G.src[g] == G.tgt[g] for g in ordered)
+    loops = s[m] == t[m]
+    bundle = bool(loops.all())
     if not bundle:
-        wit["bundle"] = next(g for g in ordered if G.src[g] != G.tgt[g])
+        wit["bundle"] = ids[m[np.argmin(loops)]]
 
     abelian = True
     if bundle:
-        for g, h in itertools.combinations(ordered, 2):
-            if G.composable(g, h) and G.mul(g, h) != G.mul(h, g):
-                abelian, wit["abelian"] = False, (g, h)
-                break
+        pair = noncommuting_pair(G, m)
+        if pair is not None:
+            abelian, wit["abelian"] = False, (ids[pair[0]], ids[pair[1]])
 
-    normal = True
-    for g in G.arrows:
-        for a in ordered:
-            if G.src[a] == G.tgt[a] == G.tgt[g]:
-                if G.conjugate(g, a) not in S:
-                    normal, wit["normal"] = False, (g, a)
-                    break
-        if not normal:
-            break
+    # g^-1 a g for every arrow g and isotropy member a at r(g)
+    a = m[loops]
+    at = t[:, None] == t[a][None, :]
+    left = np.where(at, comp[inv[:, None], a[None, :]], 0)
+    moved = ~in_S[comp[left, np.arange(len(ids))[:, None]]] & at
+    normal = not moved.any()
+    if not normal:
+        g, j = np.argwhere(moved)[0]
+        wit["normal"] = (ids[g], ids[a[j]])
 
     return PropertyReport(closed, wide, bundle, abelian, normal, wit)
 
@@ -621,15 +629,14 @@ def find_isomorphism(G1: FiniteGroupoid, G2: FiniteGroupoid):
 
     Returns an arrow bijection dict or None.  Intended for desk-scale
     groupoids (tens of arrows); candidates are prefiltered by unit-ness,
-    isotropy, endpoints-in-common and element order.
+    isotropy and element order, then checked against the partial assignment.
     """
     if len(G1) != len(G2) or len(G1.units) != len(G2.units):
         return None
 
     def profile(G, g):
         iso = G.src[g] == G.tgt[g]
-        order = G.element_order(g) if iso else 0
-        return (G.is_unit(g), iso, G.src[g] == G.tgt[g], order)
+        return (G.is_unit(g), iso, G.element_order(g) if iso else 0)
 
     cand = {}
     for g in G1.arrows:

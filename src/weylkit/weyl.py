@@ -238,7 +238,7 @@ def weyl_action(G: FiniteGroupoid, S_members, omega: TwoCocycle):
     Q, class_map = quotient_by_bundle(G, S)
     dual = dual_bundle(bundle_from_subgroupoid(G, S))
     om, comp, D, pos, chars, char_row = _numerator_tables(G, dual, omega)
-    inv = np.array([G.index[G.inv(g)] for g in G.arrows])
+    inv = G.inverse_indices()
 
     phase = {}                            # numerator -> Phase, built once each
     action = {}
@@ -375,7 +375,7 @@ def weyl_twist_cocycle(GW: FiniteGroupoid, data: WeylData) -> TwoCocycle:
     """
     G, dual, sec = data.G, data.dual, data.section
     om, comp, D, pos, chars, char_row = _numerator_tables(G, dual, data.omega)
-    inv = np.array([G.index[G.inv(g)] for g in G.arrows])
+    inv = G.inverse_indices()
     in_S = np.zeros(len(G.arrows), dtype=bool)
     in_S[[G.index[a] for a in data.S]] = True
 

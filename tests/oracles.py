@@ -5,13 +5,15 @@ argument over a generating set, validates a groupoid on its compose array,
 keeps phases as reduced int pairs, builds the Weyl twist as one array
 expression, runs the twisted algebra on its structure constants, parses
 files and builds semidirect products straight into index arrays, and
-checks a quotient's descent on arrays.  These are the plain versions they
-replaced: every composable triple, one Python loop per rule, a
-``Fraction`` per phase, one phase sum per Weyl pair, one matrix product per
-composable pair, dense commutators for the center and the commutant, one
-convolution term per composable pair, tuple-keyed dicts for the parsed
-tables, one multiplication call per semidirect pair and one lookup per
-composable pair of the quotient.  The tests compare the two.
+checks a quotient's descent, the subgroupoid properties and subgroup
+closures on arrays.  These are the plain versions they replaced: every
+composable triple, one Python loop per rule, a ``Fraction`` per phase, one
+phase sum per Weyl pair, one matrix product per composable pair, dense
+commutators for the center and the commutant, one convolution term per
+composable pair, tuple-keyed dicts for the parsed tables, one
+multiplication call per semidirect pair, one lookup per composable pair of
+the quotient, one ``mul`` per pair of members and a breadth-first search
+per closure.  The tests compare the two.
 """
 
 import cmath
@@ -36,7 +38,7 @@ from weylkit.errors import (
     SchemaError,
     UnknownArrowId,
 )
-from weylkit.groupoid import Grading, build_groupoid, validate_groupoid
+from weylkit.groupoid import Grading, PropertyReport, build_groupoid, validate_groupoid
 from weylkit.io import GroupoidFile, _expect, _split_pair
 from weylkit.phases import Phase
 from weylkit.weyl import conditional_expectation
@@ -478,3 +480,71 @@ def orbit_quotient_loop(G, orbit, name, error):
         if class_map[gh] != Q.mul(class_map[g], class_map[h]):
             raise error(f"quotient composition depends on representatives: ({g}, {h})")
     return Q, class_map
+
+
+def subgroupoid_properties_loop(G, members):
+    """subgroupoid_properties with one ``mul`` per pair of members and one conjugate per (arrow, member)."""
+    S = frozenset(members)
+    unknown = S.difference(G.src)
+    if unknown:
+        raise UnknownArrowId(min(unknown, key=str))
+    ordered = [g for g in G.arrows if g in S]
+    wit = {}
+
+    closed = True
+    for g in ordered:
+        if G.inv(g) not in S:
+            closed, wit["subgroupoid"] = False, ("inverse", g)
+            break
+        if G.src[g] not in S or G.tgt[g] not in S:
+            closed, wit["subgroupoid"] = False, ("unit", g)
+            break
+    if closed:
+        for g, h in itertools.product(ordered, ordered):
+            if G.composable(g, h) and G.mul(g, h) not in S:
+                closed, wit["subgroupoid"] = False, ("compose", g, h)
+                break
+
+    wide = set(G.units) <= S
+    bundle = all(G.src[g] == G.tgt[g] for g in ordered)
+    if not bundle:
+        wit["bundle"] = next(g for g in ordered if G.src[g] != G.tgt[g])
+
+    abelian = True
+    if bundle:
+        for g, h in itertools.combinations(ordered, 2):
+            if G.composable(g, h) and G.mul(g, h) != G.mul(h, g):
+                abelian, wit["abelian"] = False, (g, h)
+                break
+
+    normal = True
+    for g in G.arrows:
+        for a in ordered:
+            if G.src[a] == G.tgt[a] == G.tgt[g]:
+                if G.conjugate(g, a) not in S:
+                    normal, wit["normal"] = False, (g, a)
+                    break
+        if not normal:
+            break
+
+    return PropertyReport(closed, wide, bundle, abelian, normal, wit)
+
+
+def closure_bfs(G, u, gens):
+    """Subgroup of the isotropy fibre at u generated by gens, by breadth-first search over ``mul`` and ``inv``."""
+    seen = {u} | set(gens)
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b in (G.inv(a),):
+                if b not in seen:
+                    seen.add(b)
+                    nxt.append(b)
+            for b in list(seen):
+                for prod in (G.mul(a, b), G.mul(b, a)):
+                    if prod not in seen:
+                        seen.add(prod)
+                        nxt.append(prod)
+        frontier = nxt
+    return frozenset(seen)

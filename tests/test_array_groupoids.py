@@ -236,10 +236,11 @@ def test_validate_arrays_keeps_the_entry_order(name):
     G = by_name(name).G
     arrows = {g: (G.src[g], G.tgt[g]) for g in G.src}
     items = list(G.compose.items())[::-1]
-    H = validate_arrays(G.units, arrows, *entry_arrays(arrows, items), items.__getitem__, name=G.name)
-    assert H._compose is None
-    assert list(H.compose.items()) == items
-    assert np.array_equal(H.comp_matrix(), G.comp_matrix()) and H.inverse == G.inverse
+    for H in (validate_arrays(G.units, arrows, *entry_arrays(arrows, items), items.__getitem__, name=G.name),
+              validate_groupoid(G.units, arrows, dict(items), name=G.name)):
+        assert H._compose is None
+        assert list(H.compose.items()) == items
+        assert np.array_equal(H.comp_matrix(), G.comp_matrix()) and H.inverse == G.inverse
 
 
 @pytest.mark.parametrize("bad", ["unknown id", "not composable", "wrong endpoints"])
@@ -356,3 +357,24 @@ def test_certify_ops_build_neither_dict_of_the_parsed_groupoid(monkeypatch):
     assert len(parsed) == 4
     assert not [x for x in built if any(x is gf.G or x is gf.omega for gf in parsed)]
     assert all(gf.G._compose is None and gf.omega._values is None for gf in parsed)
+
+    G = parsed[1].G                                               # mul answers from the array
+    comp, n = G.comp_matrix(), len(G.arrows)
+    assert n == 256
+    gi, hi = (comp >= 0).nonzero()
+    assert [G.mul(G.arrows[g], G.arrows[h]) for g, h in zip(gi, hi)] == [G.arrows[k] for k in comp[gi, hi]]
+    assert G._compose is None
+    assert python_refs(G) < n * n, "an n^2 table of ids was built"
+
+
+def python_refs(obj):
+    """Entries in the Python containers an object holds, one level of nesting deep."""
+    def size(x):
+        return len(x) if isinstance(x, (dict, list, tuple, set, frozenset)) else 0
+
+    total = 0
+    for v in vars(obj).values():
+        total += size(v)
+        if isinstance(v, (dict, list, tuple)):
+            total += sum(map(size, v.values() if isinstance(v, dict) else v))
+    return total

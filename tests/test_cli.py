@@ -65,6 +65,21 @@ def test_hypotheses(pauli_file, tmp_path):
     assert main(["hypotheses", str(s3u)]) == 1
 
 
+def test_hypotheses_report_a_marked_set_that_is_no_bundle(tmp_path, capsys):
+    path = tmp_path / "pair3.json"
+    assert main(["gen", "pair", "3", "-o", str(path)]) == 0
+    data = json.loads(path.read_text())
+    data["marked_subgroupoid"] = [a["id"] for a in data["arrows"]]
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["hypotheses", str(path), "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["group_bundle"] is False and report["witnesses"]["props_bundle"] == "0>1"
+    assert main(["hypotheses", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert "group_bundle: False" in out and "failure" not in out + err
+
+
 def test_weyl_and_twist_outputs(pauli_file, tmp_path):
     weyl_out = tmp_path / "pauli.weyl.json"
     assert main(["weyl", pauli_file, "-o", str(weyl_out)]) == 0

@@ -180,7 +180,7 @@ def test_conjugation_and_inverse_grading(entry):
     e = entry("d4")
     G, c = e.G, e.c
     for g in G.arrows:
-        assert c.value(G.inv(g)) == c.neg(c.value(g))
+        assert grading_add(c, c.value(g), c.value(G.inv(g))) == c.zero
         for a in e.S:
             if G.tgt[a] == G.tgt[g]:
                 assert G.conjugate(g, a) in e.S
@@ -291,6 +291,14 @@ def test_comp_matrix_is_built_once_and_read_only(entry):
     assert G.comp_matrix() is comp and not comp.flags.writeable
     with pytest.raises(ValueError):
         comp[0, 0] = 0
+    # so are the inverse and endpoint index arrays the validation keeps
+    inv, (s, t) = G.inverse_indices(), G.endpoint_indices()
+    assert G.inverse_indices() is inv and G.endpoint_indices()[0] is s
+    assert inv.tolist() == [G.index[G.inv(g)] for g in G.arrows]
+    assert (s.tolist(), t.tolist()) == ([G.index[G.src[g]] for g in G.arrows], [G.index[G.tgt[g]] for g in G.arrows])
+    for a in (inv, s, t):
+        with pytest.raises(ValueError):
+            a[0] = 1
 
 
 def test_grading_witness_follows_compose_order(entry):
@@ -306,7 +314,7 @@ def test_grading_witness_follows_compose_order(entry):
 
 
 def test_property_witnesses_do_not_depend_on_the_hash_seed():
-    # members are scanned in G.arrows order, not in frozenset order
+    # members are scanned in G.arrows order, not in frozenset order; the last run is under -O
     script = (
         "from weylkit import corpus\n"
         "from weylkit.errors import WeylkitError\n"
@@ -321,10 +329,10 @@ def test_property_witnesses_do_not_depend_on_the_hash_seed():
     )
     src = str(Path(weylkit.__file__).parents[1])
     outs = []
-    for seed in ("1", "2", "3"):
+    for seed, flags in (("1", []), ("2", []), ("3", ["-O"])):
         env = {**os.environ, "PYTHONHASHSEED": seed,
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        outs.append(subprocess.run([sys.executable, "-c", script], env=env,
+        outs.append(subprocess.run([sys.executable, *flags, "-c", script], env=env,
                                    capture_output=True, text=True, check=True).stdout)
     assert outs[0] == outs[1] == outs[2], outs
     lines = outs[0].splitlines()

@@ -60,6 +60,15 @@ def test_s3_ungraded_fails_only_immediately_centralizing(entry):
     assert t == "0|1" and k == 3  # a reflection; all of A3 commutes at the cube
 
 
+def test_a_marked_set_that_is_no_bundle_gets_a_report():
+    """Every arrow of the pair groupoid marked: omega is compared only on pairs that compose both ways."""
+    e = corpus.pair_groupoid(3)
+    report = check_gamma_cartan_hypotheses(e.G, e.omega, e.c, e.G.arrows)
+    assert not report.group_bundle and not report.all_pass()
+    assert report.witnesses["props_bundle"] == "0>1"
+    assert report.symmetric
+
+
 def test_containment_failure_witnessed(entry):
     e = entry("s3")
     S_bad = frozenset(["0|0", "0|1"])
