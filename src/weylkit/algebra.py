@@ -314,8 +314,7 @@ def expectation_checks(
     dual = dual_bundle(bundle_from_subgroupoid(G, frozenset(S_members)))
     arrows = G.arrows
     pairing = {
-        cid: [(a, chi.value(a).to_complex()) for a in dual.bundle.fibre(chi.unit)]
-        for cid, chi in dual.by_id.items()
+        cid: list(zip(t.elements, row)) for t in dual.tables.values() for cid, row in zip(t.ids, t.pairing)
     }
 
     failures, max_neg = 0, 0.0

@@ -1,13 +1,12 @@
 """Pontryagin duality for finite abelian group bundles.
 
-Characters are stored extensionally (full value tables over the fibre), so
-evaluation is a lookup: each :class:`Character` builds its element -> phase
-dict and its hash once, at construction.  A :class:`CharacterBundle`
-computes the product of two of its own characters once, on first use, and
-keeps it in ``_products``, a dict keyed by value.  Products are the
-bundle's own instances (:meth:`CharacterBundle.canonical`), so later
-lookups compare them by identity.  Over a base point with m characters
-(m <= ``FIBRE_CAP``) a bundle keeps at most m^2 products.
+Each fibre of a :class:`CharacterBundle` is one :class:`CharacterTable`:
+entry [i, j] is character i at element j, a numerator over the fibre's
+exponent.  Columns follow the sorted element ids, rows the characters in
+lexicographic order of their values, so row 0 is the trivial character,
+with id "<base>#0".  The fibre's product, the product of characters and the
+inverse are index tables, built once per bundle.  A :class:`Character` is
+the read-only view of one row, for io, the reports and the tests.
 
 A :class:`GroupBundle` is the minimal interface the duality machinery
 needs; subgroupoids and character bundles both adapt to it, which is what
@@ -16,13 +15,20 @@ makes the double dual and the reconstruction pipeline table-driven.
 
 from __future__ import annotations
 
-import itertools
+import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
-from .errors import DualityFailure, FibreMismatch, FibreTooLarge, NotAbelian, UnknownArrowId
-from .groupoid import FIBRE_CAP, FiniteGroupoid, isotropy_fibres
-from .phases import ZERO, Phase
+import numpy as np
+
+from .errors import DualityFailure, FibreMismatch, FibreTooLarge, NotAbelian, SchemaError, UnknownArrowId
+from .groupoid import FIBRE_CAP, MAX_TABLE_INT, FiniteGroupoid, isotropy_fibres
+from .phases import Phase
+
+# Entries of one multiplicativity gather, rows * m * m: 8 MB of int64 at most,
+# where the whole (m, m, m) gather at m = FIBRE_CAP would take 134 MB.
+_GATHER = 2**20
 
 
 @dataclass(frozen=True)
@@ -94,154 +100,172 @@ class Character:
         return Character(unit, tuple(sorted(table.items())))
 
 
-class CharacterBundle:
-    """The dual of a GroupBundle: all characters, fibre by fibre.
+class CharacterTable:
+    """The characters of the fibre of a GroupBundle at one base point, as integer tables.
 
-    Characters get deterministic ids "<base>#<i>" with i the index in the
-    lexicographic ordering of value tables.
+    Column j is element ``elements[j]`` (sorted ids; ``column`` inverts it),
+    and ``mul`` holds the column of a*b at [column a, column b].  Row i of
+    ``values`` is the character "<base>#i" as numerators over ``exponent``,
+    the least n with a^n = 1 for all a.  ``product`` and ``inverse`` are rows.
     """
 
-    def __init__(self, bundle: GroupBundle, fibres: Mapping):
-        self.bundle = bundle
-        self.base = bundle.base
-        self.fibres = {x: tuple(sorted(chars, key=lambda c: c.values)) for x, chars in fibres.items()}
-        self.char_id = {}
-        self.by_id = {}
-        self._products = {}     # (chi, nu) -> chi * nu, for characters of this bundle
-        for x in self.base:
-            for i, chi in enumerate(self.fibres[x]):
-                cid = f"{x}#{i}"
-                self.char_id[chi] = cid
-                self.by_id[cid] = chi
+    def __init__(self, bundle: GroupBundle, x):
+        fibre = bundle.fibre(x)
+        if len(fibre) > FIBRE_CAP:
+            raise FibreTooLarge(f"fibre at {x} has order {len(fibre)}")
+        self.base, self.elements, m = x, tuple(sorted(fibre)), len(fibre)
+        self.column = column = {a: j for j, a in enumerate(self.elements)}
+        mul = np.array([column.get(bundle.mult(a, b), -1) for a in self.elements for b in self.elements])
+        self.mul = mul = mul.reshape(m, m)
+        if (mul != mul.T).any():
+            i, j = np.argwhere(np.triu(mul != mul.T, 1))[0]
+            raise NotAbelian(f"fibre at {x} is not abelian: ({self.elements[i]}, {self.elements[j]})")
+        self.identity = self.column.get(bundle.identity[x], -1)
+        if self.identity < 0 or (mul < 0).any():
+            raise DualityFailure(("fibre is not a group", x))
+        power, self.exponent = np.arange(m), 1
+        while (power != self.identity).any():
+            power, self.exponent = mul[power, np.arange(m)], self.exponent + 1
+        self.values, e = self.check(self._characters()), self.exponent
+        self.ids = tuple(f"{x}#{i}" for i in range(m))
+        self._rows = {row: i for i, row in enumerate(map(bytes, self.values))}
+        step = max(1, _GATHER // (m * m))
+        products = ((self.values[lo:lo + step, None] + self.values[None]) % e for lo in range(0, m, step))
+        self.product = np.concatenate([self.rows_of(p, e) for p in products]).reshape(m, m)
+        self.inverse = self.product.argmin(axis=1)      # the one trivial product in each row
 
-    def p(self, chi: Character):
-        return chi.unit
+    def _characters(self) -> np.ndarray:
+        """All homomorphisms to Q/Z as numerator rows, extending partial ones one generator g at a time.
+
+        With r least such that g^r lies in the span so far, chi(g) = v needs
+        r v = chi(g^r), which has r solutions, and chi(s g^i) = chi(s) + i v.
+        """
+        e, mul = self.exponent, self.mul
+        rows, span = np.zeros((1, len(mul)), dtype=np.int64), np.array([self.identity])
+        for g in range(len(mul)):
+            if g in span:
+                continue
+            steps, p = [self.identity], g          # g^0, ..., g^(r-1), then p = g^r
+            while p not in span:
+                steps.append(p)
+                p = mul[p, g]
+            r = len(steps)
+            v = (rows[:, p, None] + e * np.arange(r)) // r      # every chi(g) per partial character
+            cells = mul[span[:, None], steps]                  # s g^i at [s, i]
+            rows = np.repeat(rows, r, axis=0)
+            rows[:, cells] = (rows[:, span, None] + v.reshape(-1, 1, 1) * np.arange(r)) % e
+            span = cells.ravel()
+        return rows
+
+    def check(self, values) -> np.ndarray:
+        """``values`` in sorted order, checked to be all the characters of the fibre.
+
+        They must be as many as the elements, distinct, multiplicative and
+        separating the elements; DualityFailure names the first witness.
+        """
+        x, m, e = self.base, len(self.elements), self.exponent
+        values = np.asarray(values, dtype=np.int64)
+        values = values[np.lexsort(values.T[::-1])]
+        if len(values) != m:
+            raise DualityFailure(("character count", x, len(values), m))
+        if (values[1:] == values[:-1]).all(axis=1).any():
+            raise DualityFailure(("duplicate characters", x))
+        step = max(1, _GATHER // (m * m))
+        for lo in range(0, m, step):       # chi(ab) = chi(a) + chi(b), a block of rows at a time
+            block = values[lo:lo + step]
+            bad = block[:, self.mul] != (block[:, :, None] + block[:, None, :]) % e
+            if bad.any():
+                i, a, b = np.argwhere(bad)[0]
+                a, b = self.elements[a], self.elements[b]
+                raise DualityFailure(("not multiplicative", x, f"{x}#{lo + i}", a, b))
+        killed = ~values.any(axis=0)       # only the identity is killed by every character
+        killed[self.identity] = False
+        if killed.any():
+            raise DualityFailure(("degenerate element", x, self.elements[int(np.argmax(killed))]))
+        return values
+
+    def rows_of(self, nums, den: int) -> np.ndarray:
+        """The row of each character with values ``nums[k]`` / ``den`` at the columns, -1 where none is.
+
+        Numerators lie in [0, den), and den times the exponent fits in int64.
+        """
+        e = self.exponent
+        nums = np.asarray(nums, dtype=np.int64).reshape(-1, len(self.elements))
+        if den != e:     # to numerators over e, or -1s, which match no row
+            up, down = math.lcm(den, e) // den, math.lcm(den, e) // e
+            nums = np.where((nums * up % down == 0).all(axis=1, keepdims=True), nums * up // down, -1)
+        keys = map(bytes, np.ascontiguousarray(nums))
+        return np.array([self._rows.get(k, -1) for k in keys], dtype=np.int64)
+
+    @functools.cached_property
+    def pairing(self) -> list:
+        """e^{2 pi i chi(a)} at [row chi][column a], as Python complex numbers, built on first read."""
+        return np.exp(2j * np.pi * (self.values / self.exponent)).tolist()
+
+
+class CharacterBundle:
+    """The dual of a GroupBundle: one CharacterTable per base point.
+
+    ``fibres[x]`` lists the characters over x as :class:`Character` views in
+    row order; ``char_id`` and ``by_id`` translate between views and ids,
+    and ``position`` sends an id to its (base point, row).
+    """
+
+    def __init__(self, bundle: GroupBundle, tables: Mapping):
+        self.bundle, self.base, self.tables = bundle, bundle.base, dict(tables)
+        self.fibres, self.char_id, self.by_id, self.position = {}, {}, {}, {}
+        for x in self.base:
+            t = self.tables[x]
+            phases = [Phase(k, t.exponent) for k in range(t.exponent)]
+            self.fibres[x] = tuple(Character(x, tuple(zip(t.elements, map(phases.__getitem__, row))))
+                                   for row in t.values.tolist())
+            self.char_id.update(zip(self.fibres[x], t.ids))
+            self.by_id.update(zip(t.ids, self.fibres[x]))
+            self.position.update((cid, (x, i)) for i, cid in enumerate(t.ids))
 
     def trivial(self, x) -> Character:
-        return Character.from_table(x, {a: ZERO for a in self.bundle.fibre(x)})
+        return self.fibres[x][0]
 
-    def canonical(self, chi: Character) -> Character:
-        """This bundle's own instance of ``chi``, or ``chi`` itself if it lies outside.
-
-        Dict lookups on the own instance compare by identity, not value.
-        """
-        cid = self.char_id.get(chi)
-        return chi if cid is None else self.by_id[cid]
-
-    def multiply(self, chi: Character, nu: Character) -> Character:
-        out = self._products.get((chi, nu))
-        if out is None:
-            if chi.unit != nu.unit:
-                raise FibreMismatch((chi.unit, nu.unit))
-            out = self.canonical(
-                Character.from_table(chi.unit, {a: p + nu.value(a) for a, p in chi.values})
-            )
-            # keeping only products of the bundle's own characters bounds the cache
-            if chi in self.char_id and nu in self.char_id:
-                self._products[chi, nu] = out
+    def denominator(self, den: int = 1) -> int:
+        """The lcm of ``den`` and the fibre exponents, within ``MAX_TABLE_INT``."""
+        out = math.lcm(den, *(t.exponent for t in self.tables.values()))
+        if out > MAX_TABLE_INT:
+            raise SchemaError(f"character exponents take the common denominator {den} past {MAX_TABLE_INT}")
         return out
 
-    def invert(self, chi: Character) -> Character:
-        return Character.from_table(chi.unit, {a: -p for a, p in chi.values})
+    def multiply(self, chi: Character, nu: Character) -> Character:
+        """The product of two characters of this bundle over one base point."""
+        if chi.unit != nu.unit:
+            raise FibreMismatch((chi.unit, nu.unit))
+        (x, i), (_, j) = self.position[self.char_id[chi]], self.position[self.char_id[nu]]
+        return self.fibres[x][self.tables[x].product[i, j]]
 
-    def power(self, chi: Character, n: int) -> Character:
-        return Character.from_table(chi.unit, {a: p.times(n) for a, p in chi.values})
+    def invert(self, chi: Character) -> Character:
+        x, i = self.position[self.char_id[chi]]
+        return self.fibres[x][self.tables[x].inverse[i]]
 
     def to_bundle(self) -> GroupBundle:
         """The character bundle as a GroupBundle over character ids."""
-        fibres = {x: tuple(self.char_id[c] for c in self.fibres[x]) for x in self.base}
-        ident = {x: self.char_id[self.trivial(x)] for x in self.base}
+        position, tables = self.position, self.tables
 
         def mult(a, b):
-            return self.char_id[self.multiply(self.by_id[a], self.by_id[b])]
+            (x, i), (y, j) = position[a], position[b]
+            if x != y:
+                raise FibreMismatch((x, y))
+            return tables[x].ids[tables[x].product.item(i, j)]
 
         def inv(a):
-            return self.char_id[self.invert(self.by_id[a])]
+            x, i = position[a]
+            return tables[x].ids[tables[x].inverse.item(i)]
 
-        return GroupBundle(
-            base=self.base,
-            fibres=fibres,
-            p={cid: chi.unit for cid, chi in self.by_id.items()},
-            mult=mult,
-            inv=inv,
-            identity=ident,
-        )
-
-
-def _enumerate_fibre_characters(bundle: GroupBundle, x):
-    """All homomorphisms fibre -> Q/Z, by extension over a generating sequence.
-
-    Partial characters on the subgroup generated so far are extended one
-    generator at a time; the relative order of the generator pins down the
-    admissible values, so the enumeration never backtracks blindly.
-    """
-    fibre = bundle.fibre(x)
-    e = bundle.identity[x]
-    span = {e}
-    partial = [{e: ZERO}]
-    for g in fibre:
-        if g in span:
-            continue
-        # relative order: least m >= 1 with g^m in the current span
-        m, power = 1, g
-        while power not in span:
-            power = bundle.mult(power, g)
-            m += 1
-        new_partial = []
-        for chi in partial:
-            anchor = chi[power]  # value forced on g^m
-            for j in range(m):
-                v = Phase(anchor.num + j * anchor.den, anchor.den * m)   # (anchor + j) / m
-                ext = dict(chi)
-                cur = e
-                val = ZERO
-                for _ in range(m):
-                    for s, ps in chi.items():
-                        ext[bundle.mult(s, cur)] = ps + val
-                    cur = bundle.mult(cur, g)
-                    val = val + v
-                new_partial.append(ext)
-        partial = new_partial
-        span = set(partial[0])
-    return [Character.from_table(x, chi) for chi in partial]
+        fibres = {x: tables[x].ids for x in self.base}
+        p = {cid: x for cid, (x, _) in position.items()}
+        return GroupBundle(self.base, fibres, p, mult, inv, identity={x: ids[0] for x, ids in fibres.items()})
 
 
 def dual_bundle(bundle: GroupBundle) -> CharacterBundle:
     """Pontryagin dual of a finite abelian group bundle."""
-    for x in bundle.base:
-        fibre = bundle.fibre(x)
-        if len(fibre) > FIBRE_CAP:
-            raise FibreTooLarge(f"fibre at {x} has order {len(fibre)}")
-        for a, b in itertools.combinations(fibre, 2):
-            if bundle.mult(a, b) != bundle.mult(b, a):
-                raise NotAbelian(f"fibre at {x} is not abelian: ({a}, {b})")
-    fibres = {x: _enumerate_fibre_characters(bundle, x) for x in bundle.base}
-    dual = CharacterBundle(bundle, fibres)
-    _verify_dual(bundle, dual)
-    return dual
-
-
-def _verify_dual(bundle: GroupBundle, dual: CharacterBundle):
-    for x in bundle.base:
-        fibre = bundle.fibre(x)
-        chars = dual.fibres[x]
-        if len(chars) != len(fibre):
-            raise DualityFailure(("character count", x, len(chars), len(fibre)))
-        if len(set(chars)) != len(chars):
-            raise DualityFailure(("duplicate characters", x))
-        for chi in chars:
-            values = dict(chi.values)
-            for a, b in itertools.product(fibre, fibre):
-                if values[bundle.mult(a, b)] != values[a] + values[b]:
-                    raise DualityFailure(("not multiplicative", x, dual.char_id[chi], a, b))
-        # nondegeneracy: only the trivial character kills everything, and
-        # only the identity is killed by every character
-        for chi in chars:
-            if all(chi.value(a).is_zero for a in fibre) and not chi.is_trivial:
-                raise DualityFailure(("degenerate character", x, dual.char_id[chi]))
-        for a in fibre:
-            if a != bundle.identity[x] and all(chi.value(a).is_zero for chi in chars):
-                raise DualityFailure(("degenerate element", x, a))
+    return CharacterBundle(bundle, {x: CharacterTable(bundle, x) for x in bundle.base})
 
 
 def double_dual_iso(bundle: GroupBundle):
@@ -254,15 +278,16 @@ def double_dual_iso(bundle: GroupBundle):
     ddual = dual_bundle(dual.to_bundle())
     eval_map = {}
     for x in bundle.base:
-        for a in bundle.fibre(x):
-            table = {dual.char_id[chi]: chi.value(a) for chi in dual.fibres[x]}
-            eval_map[a] = Character.from_table(x, table)
-    # bijective fibrewise
-    for x in bundle.base:
-        images = {eval_map[a] for a in bundle.fibre(x)}
-        if images != set(ddual.fibres[x]):
+        t, tt = dual.tables[x], ddual.tables[x]
+        # element a evaluates each character: column a of the dual's table,
+        # read in the order of the double dual's columns (the sorted ids)
+        chars = [dual.position[cid][1] for cid in tt.elements]
+        image = tt.rows_of(t.values[chars].T, t.exponent)
+        if sorted(image.tolist()) != list(range(len(image))):
             raise DualityFailure(("evaluation map not bijective", x))
-        for a, b in itertools.product(bundle.fibre(x), bundle.fibre(x)):
-            if eval_map[bundle.mult(a, b)] != ddual.multiply(eval_map[a], eval_map[b]):
-                raise DualityFailure(("evaluation map not multiplicative", x, a, b))
+        bad = image[t.mul] != tt.product[image[:, None], image[None, :]]
+        if bad.any():
+            a, b = np.argwhere(bad)[0]
+            raise DualityFailure(("evaluation map not multiplicative", x, t.elements[a], t.elements[b]))
+        eval_map.update(zip(t.elements, map(ddual.fibres[x].__getitem__, image.tolist())))
     return dual, ddual, eval_map

@@ -14,8 +14,10 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+import numpy as np
+
 from .cocycle import TwoCocycle
-from .dual import Character, CharacterBundle, GroupBundle, dual_bundle
+from .dual import CharacterBundle, GroupBundle, dual_bundle
 from .errors import (
     AssumptionUnverified,
     DescentFailure,
@@ -33,7 +35,6 @@ from .groupoid import (
     Grading,
     build_groupoid,
     class_table,
-    isotropy_fibres,
     orbit_quotient,
 )
 from .weyl import (
@@ -42,6 +43,7 @@ from .weyl import (
     build_weyl_groupoid,
     check_gamma_cartan_hypotheses,
     first_centralizing_bound,
+    image_rows,
     validate_section,
     verify_groupoid_action,
 )
@@ -57,7 +59,7 @@ class ActionPackage:
     T element ids are exactly the unit arrow ids of H.  In a Weyl-derived
     package (:func:`derive_weyl_actions`) the four maps read per-class
     tables: ``rho`` and ``lam`` are table lookups, and ``left`` and
-    ``right`` one cached character product each.
+    ``right`` one lookup in the character product table each.
     """
 
     H: FiniteGroupoid
@@ -234,27 +236,22 @@ def derive_weyl_actions(G: FiniteGroupoid, S_members, omega: Optional[TwoCocycle
     pulled back to the characters of T, is tabulated once; ``rho(t, eta)``
     reads it at the class of eta and ``lam(eta, t)`` at the inverse class.
     The left action multiplies the character part of eta by ``rho(t, eta)``
-    and the right action multiplies it by t, one cached product each.
+    and the right action multiplies it by t, one product-table lookup each.
     Arrows of H are pairs (class id, character id), and T is the unit pairs.
     """
     omega = omega if omega is not None else TwoCocycle(G, {})
     GW, data = build_weyl_groupoid(G, S_members, omega)
     dual, Q = data.dual, data.Q
-    char_id, by_id = dual.char_id, dual.by_id
-
-    t_of = {chi: (data.class_map[u], char_id[chi]) for u in G.units for chi in dual.fibres[u]}
-
-    def char_of(t):
-        return by_id[t[1]]
-
-    fibres = {u: tuple(sorted(t_of[chi] for chi in dual.fibres[u])) for u in G.units}
+    K = dual.to_bundle()
+    t_of = {cid: (data.class_map[x], cid) for cid, x in K.p.items()}
+    fibres = {u: tuple(sorted(t_of[cid] for cid in K.fibre(u))) for u in G.units}
     T = GroupBundle(
         base=tuple(G.units),
         fibres=fibres,
         p={t: u for u, fs in fibres.items() for t in fs},
-        mult=lambda a, b: t_of[dual.multiply(char_of(a), char_of(b))],
-        inv=lambda a: t_of[dual.invert(char_of(a))],
-        identity={u: t_of[dual.trivial(u)] for u in G.units},
+        mult=lambda a, b: t_of[K.mult(a[1], b[1])],
+        inv=lambda a: t_of[K.inv(a[1])],
+        identity={u: t_of[K.identity[u]] for u in G.units},
     )
 
     # ad[cid]: T over the target of the class -> T over its source, the
@@ -265,12 +262,10 @@ def derive_weyl_actions(G: FiniteGroupoid, S_members, omega: Optional[TwoCocycle
     ad = {}
     for cid, members in data.classes.items():
         gamma = min(members)
-        gi, x = G.inv(gamma), G.src[gamma]
-        conj = {a: G.mul_all(gamma, a, gi) for a in dual.bundle.fibre(x)}
-        ad[cid] = {
-            t_of[chi]: t_of[Character.from_table(x, {a: chi.value(b) for a, b in conj.items()})]
-            for chi in dual.fibres[G.tgt[gamma]]
-        }
+        tx, ty = dual.tables[G.src[gamma]], dual.tables[G.tgt[gamma]]
+        conj = [ty.column[G.mul_all(gamma, a, G.inv(gamma))] for a in tx.elements]
+        rows = tx.rows_of(ty.values[:, conj], ty.exponent)
+        ad[cid] = {t_of[c]: t_of[tx.ids[r]] for c, r in zip(ty.ids, rows.tolist())}
 
     # each map reads eta through pkg.p_r or pkg.p_s first, so an id that
     # is not an arrow of H raises KeyError there
@@ -278,13 +273,13 @@ def derive_weyl_actions(G: FiniteGroupoid, S_members, omega: Optional[TwoCocycle
         if pkg.p_r(eta) != T.p[t]:
             raise MomentMapMismatch(f"left action undefined on ({t}, {eta})")
         cid, i = eta
-        return cid, char_id[dual.multiply(char_of(ad[cid][t]), by_id[i])]
+        return cid, K.mult(ad[cid][t][1], i)
 
     def right(eta, t):
         if pkg.p_s(eta) != T.p[t]:
             raise MomentMapMismatch(f"right action undefined on ({eta}, {t})")
         cid, i = eta
-        return cid, char_id[dual.multiply(by_id[i], char_of(t))]
+        return cid, K.mult(i, t[1])
 
     def lam(eta, t):
         if pkg.p_s(eta) != T.p[t]:
@@ -348,12 +343,10 @@ class DiamondData:
     action: dict              # (class id, char id) -> Character
     x_unit: dict              # base point of X -> H/T unit class id
     q_class: Optional[dict]   # H/T class id -> G/S class id; None unless Weyl-derived
+    image: dict               # class id -> row of the image of each row of the source fibre
     # the last twisted product build_boxtimes verified and built, with a
     # copy of the theta values it was built from
     boxtimes: Optional[tuple] = field(default=None, repr=False, compare=False)
-
-    def act(self, cid, chi: Character) -> Character:
-        return self.action[(cid, self.That.char_id[chi])]
 
 
 def diamond_action(pkg: ActionPackage, report: Optional[ActionPackageReport] = None) -> DiamondData:
@@ -363,40 +356,33 @@ def diamond_action(pkg: ActionPackage, report: Optional[ActionPackageReport] = N
     classes = class_table(class_map)
     That = dual_bundle(T)
 
-    def rho_table(eta):
-        return tuple(
-            (t, pkg.rho(t, eta)) for t in T.fibre(pkg.p_r(eta))
-        )
-
-    action = {}
+    action, image = {}, {}
     for cid, members in classes.items():
-        tables = {eta: rho_table(eta) for eta in sorted(members)}
-        distinct = set(tables.values())
-        if len(distinct) != 1:
-            pair = sorted(members)[:2]
-            raise DescentFailure(tuple(pair))
-        rho = dict(next(iter(distinct)))
-        x_r = pkg.p_r(min(members))
-        x_s = pkg.p_s(min(members))
-        for chi in That.fibres[x_s]:
-            table = {t: chi.value(rho[t]) for t in T.fibre(x_r)}
-            action[(cid, That.char_id[chi])] = That.canonical(Character.from_table(x_r, table))
+        rhos = {tuple((t, pkg.rho(t, eta)) for t in T.fibre(pkg.p_r(eta))) for eta in sorted(members)}
+        if len(rhos) != 1:
+            raise DescentFailure(tuple(sorted(members)[:2]))
+        rho = dict(rhos.pop())
+        tr, ts = That.tables[pkg.p_r(min(members))], That.tables[pkg.p_s(min(members))]
+        # chi over the source goes to chi o rho over the target
+        at_rho = ts.values[:, [ts.column[rho[t]] for t in tr.elements]]
+        image[cid] = image_rows(tr, at_rho, ts.exponent, cid, ts.ids)
+        action.update(((cid, i), That.fibres[tr.base][r]) for i, r in zip(ts.ids, image[cid]))
 
     x_unit = {T.p[u]: class_map[u] for u in H.units}
 
     verify_groupoid_action(HT, That, action, {uc: x for x, uc in x_unit.items()})
     # each class acts by a homomorphism of the character groups
     for cid, members in classes.items():
-        x = pkg.p_s(min(members))
-        for a, b in itertools.product(That.fibres[x], That.fibres[x]):
-            lhs = action[(cid, That.char_id[That.multiply(a, b)])]
-            rhs = That.multiply(action[(cid, That.char_id[a])], action[(cid, That.char_id[b])])
-            if lhs != rhs:
-                raise NotAnAction(("multiplicativity", cid, That.char_id[a], That.char_id[b]))
+        ts, tr = That.tables[pkg.p_s(min(members))], That.tables[pkg.p_r(min(members))]
+        img = np.array(image[cid])
+        bad = img[ts.product] != tr.product[img[:, None], img[None, :]]
+        if bad.any():
+            a, b = np.argwhere(bad)[0]
+            raise NotAnAction(("multiplicativity", cid, ts.ids[a], ts.ids[b]))
 
     # an H/T class is one G/S class with all its characters
     q_class = None if pkg.weyl is None else {cid: cid[0] for cid in classes}
-    return DiamondData(pkg, HT, class_map, classes, That, action, x_unit, q_class)
+    return DiamondData(pkg, HT, class_map, classes, That, action, x_unit, q_class, image)
 
 
 @dataclass
@@ -404,9 +390,6 @@ class ThetaDatum:
     """Character-valued defect data on composable class pairs of H/T."""
 
     values: dict  # (class id, class id) -> Character of the dual of T
-
-    def value(self, c1, c2) -> Character:
-        return self.values[(c1, c2)]
 
 
 @dataclass
@@ -438,16 +421,28 @@ def theta_for_package(pkg: ActionPackage, dia: DiamondData, section: Optional[di
     sec = section if section is not None else data.section
     validate_section(G, data.class_map, data.classes, sec)
 
+    evaluation = _evaluation(pkg, dia)
     values = {}
     for (q1, q2) in Q.compose:
         q12 = Q.mul(q1, q2)
         defect = G.mul_all(G.inv(sec[q12]), sec[q1], sec[q2])
         if defect not in data.S:
             raise NotInS(f"section defect {defect} lies outside the marked bundle")
-        x = G.src[defect]
-        table = {t: data.dual.by_id[t[1]].value(defect) for t in pkg.T.fibre(x)}
-        values[(ht_of_q[q1], ht_of_q[q2])] = dia.That.canonical(Character.from_table(x, table))
+        values[(ht_of_q[q1], ht_of_q[q2])] = evaluation[defect]
     return ThetaDatum(values)
+
+
+def _evaluation(pkg: ActionPackage, dia: DiamondData) -> dict:
+    """Each element s of the marked bundle -> the character t -> t(s) of T, in the dual of T.
+
+    The elements of T are (class, character id) pairs of the Weyl dual.
+    """
+    dual, out = pkg.weyl.dual, {}
+    for x, t in dual.tables.items():
+        tt = dia.That.tables[x]
+        rows = tt.rows_of(t.values[[dual.position[cid][1] for _, cid in tt.elements]].T, t.exponent)
+        out.update(zip(t.elements, map(dia.That.fibres[x].__getitem__, rows.tolist())))
+    return out
 
 
 def trivial_theta(dia: DiamondData) -> ThetaDatum:
@@ -470,39 +465,43 @@ def theta_from_section(G: FiniteGroupoid, S_members, section: Optional[dict] = N
 
 
 def verify_theta(dia: DiamondData, theta: ThetaDatum) -> ThetaReport:
-    """Unit triviality and the character-valued cocycle identity, exhaustively."""
-    HT, That = dia.HT, dia.That
-    violations = []
+    """Unit triviality and the character-valued cocycle identity, exhaustively.
 
+    Each value must be a character of the dual of T over the source of c2;
+    one that is not fails ``coverage`` with an "outside the dual" violation.
+    """
+    HT, rows = dia.HT, _theta_rows(dia, theta)
     coverage = set(theta.values) == set(HT.compose)
-    if not coverage:
-        violations.append(("coverage", set(HT.compose) ^ set(theta.values)))
-
-    unit_ok = True
-    for c in HT.arrows:
-        for pair in ((HT.tgt[c], c), (c, HT.src[c])):
-            val = theta.values.get(pair)
-            if val is None or not val.is_trivial:
-                unit_ok = False
-                violations.append(("unit", pair))
+    violations = [] if coverage else [("coverage", set(HT.compose) ^ set(theta.values))]
+    violations += [("outside the dual", pair) for pair, found in rows.items() if found is None]
+    coverage = not violations
+    units = [("unit", pair) for c in HT.arrows for pair in ((HT.tgt[c], c), (c, HT.src[c]))
+             if pair not in theta.values or not theta.values[pair].is_trivial]
+    violations += units
 
     cocycle_ok = True
     if coverage:
+        # all four values and products lie over x, the source of c3
+        product = {x: t.product.tolist() for x, t in dia.That.tables.items()}
         for (c1, c2) in HT.compose:
             c12 = HT.mul(c1, c2)
             for c3 in HT.arrows:
                 if not HT.composable(c2, c3):
                     continue
                 c23 = HT.mul(c2, c3)
-                lhs = That.multiply(
-                    dia.act(HT.inv(c3), theta.value(c1, c2)),
-                    theta.value(c12, c3),
-                )
-                rhs = That.multiply(theta.value(c1, c23), theta.value(c2, c3))
-                if lhs != rhs:
+                x, r23 = rows[(c2, c3)]
+                lhs = product[x][dia.image[HT.inv(c3)][rows[(c1, c2)][1]]][rows[(c12, c3)][1]]
+                if lhs != product[x][rows[(c1, c23)][1]][r23]:
                     cocycle_ok = False
                     violations.append(("cocycle", (c1, c2, c3)))
-    return ThetaReport(unit_ok, cocycle_ok, coverage, violations)
+    return ThetaReport(not units, cocycle_ok, coverage, violations)
+
+
+def _theta_rows(dia: DiamondData, theta: ThetaDatum) -> dict:
+    """(c1, c2) -> (x, row) of theta(c1, c2) in the dual of T over x, the source of c2; else None."""
+    source = {c: dia.pkg.p_s(min(ms)) for c, ms in dia.classes.items()}
+    found = (dia.That.position.get(dia.That.char_id.get(val)) for val in theta.values.values())
+    return {pair: p if p and p[0] == source.get(pair[1]) else None for pair, p in zip(theta.values, found)}
 
 
 def build_boxtimes(dia: DiamondData, theta: ThetaDatum) -> FiniteGroupoid:
@@ -521,21 +520,20 @@ def build_boxtimes(dia: DiamondData, theta: ThetaDatum) -> FiniteGroupoid:
         raise ThetaInvalid(f"theta fails verification: {report.violations[:3]}")
     pkg, HT, That = dia.pkg, dia.HT, dia.That
 
-    unit_id = {x: (uc, That.char_id[That.trivial(x)]) for x, uc in dia.x_unit.items()}
-    x_of_class_src = {cid: pkg.p_s(min(ms)) for cid, ms in dia.classes.items()}
-    x_of_class_tgt = {cid: pkg.p_r(min(ms)) for cid, ms in dia.classes.items()}
-
+    unit_id = {x: (uc, That.tables[x].ids[0]) for x, uc in dia.x_unit.items()}
     arrows = {}
     for cid in HT.arrows:
-        xs, xt = x_of_class_src[cid], x_of_class_tgt[cid]
-        for chi in That.fibres[xs]:
-            arrows[(cid, That.char_id[chi])] = (unit_id[xs], unit_id[xt])
+        xs, xt = pkg.p_s(min(dia.classes[cid])), pkg.p_r(min(dia.classes[cid]))
+        arrows.update(((cid, i), (unit_id[xs], unit_id[xt])) for i in That.tables[xs].ids)
+
+    rows, position = _theta_rows(dia, theta), That.position
+    product = {x: t.product.tolist() for x, t in That.tables.items()}
 
     def mul(a1, a2):
         (c1, x1), (c2, x2) = a1, a2
-        part = That.multiply(dia.act(HT.inv(c2), That.by_id[x1]), That.by_id[x2])
-        out = That.multiply(theta.value(c1, c2), part)
-        return HT.mul(c1, c2), That.char_id[out]
+        x, r2 = position[x2]
+        part = product[x][dia.image[HT.inv(c2)][position[x1][1]]][r2]
+        return HT.mul(c1, c2), That.tables[x].ids[product[x][rows[(c1, c2)][1]][part]]
 
     B = build_groupoid(set(unit_id.values()), arrows, mul, name=f"boxtimes({HT.name})")
     dia.boxtimes = (dict(theta.values), B)
@@ -683,56 +681,42 @@ def reconstruction_iso(
     pkg = derive_weyl_actions(G, S_members)
     report = verify_action_package(pkg)
     if not report.all_pass():
-        raise AssumptionUnverified(
-            f"derived package fails: {[k for k, v in report.clauses.items() if not v]}"
-        )
+        failing = [k for k, ok in report.clauses.items() if not ok]
+        raise AssumptionUnverified(f"derived package fails: {failing}")
     dia = diamond_action(pkg, report)
     data = pkg.weyl
     theta = theta_for_package(pkg, dia, section)
     B = build_boxtimes(dia, theta)
-
     sec = section if section is not None else data.section
 
     # invert the evaluation pairing: each character of T comes from exactly
     # one element of the marked bundle
-    elem_of_char = {}
-    for x, fibre in isotropy_fibres(G, S_members).items():
-        for s in fibre:
-            table = {t: data.dual.by_id[t[1]].value(s) for t in pkg.T.fibre(x)}
-            elem_of_char[Character.from_table(x, table)] = s
+    elem_of = {dia.That.char_id[chi]: G.index[s] for s, chi in _evaluation(pkg, dia).items()}
 
-    phi = {}
-    for a in B.arrows:
-        cid, char_id = a
-        s = elem_of_char.get(dia.That.by_id[char_id])
-        if s is None:
-            raise IsoCheckFailed(("character not in the image of evaluation", a))
-        phi[a] = G.mul(sec[dia.q_class[cid]], s)
+    stray = [a for a in B.arrows if a[1] not in elem_of]
+    if stray:
+        raise IsoCheckFailed(("character not in the image of evaluation", stray[0]))
+    # phi sends (class, character) to the section value times its element, as arrow indices
+    reps = [G.index[sec[dia.q_class[cid]]] for cid, _ in B.arrows]
+    phi = G.comp_matrix()[reps, [elem_of[i] for _, i in B.arrows]]
 
-    if len(set(phi.values())) != len(G.arrows) or len(phi) != len(G.arrows):
+    if len(phi) != len(G.arrows) or phi.min() < 0 or len(np.unique(phi)) != len(G.arrows):
         raise IsoCheckFailed(("not a bijection", len(phi), len(G.arrows)))
-    for a in B.arrows:
-        if (G.src[phi[a]], G.tgt[phi[a]]) != (phi[B.src[a]], phi[B.tgt[a]]):
-            raise IsoCheckFailed(("endpoints", a))
-    for (a1, a2) in B.compose:
-        if phi[B.mul(a1, a2)] != G.mul(phi[a1], phi[a2]):
-            raise IsoCheckFailed(("composition", a1, a2))
+    (gs, gt), (bs, bt) = G.endpoint_indices(), B.endpoint_indices()
+    bad = (gs[phi] != phi[bs]) | (gt[phi] != phi[bt])
+    if bad.any():
+        raise IsoCheckFailed(("endpoints", B.arrows[int(np.argmax(bad))]))
+    bi, bj = B.pair_indices()
+    bad = phi[B.comp_matrix()[bi, bj]] != G.comp_matrix()[phi[bi], phi[bj]]
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise IsoCheckFailed(("composition", B.arrows[bi[j]], B.arrows[bj[j]]))
+    phi = dict(zip(B.arrows, map(G.arrows.__getitem__, phi.tolist())))
 
-    grading_checked = False
     if c is not None:
-        class_grade = {
-            cid: c.value(min(data.classes[dia.q_class[cid]])) for cid in dia.classes
-        }
-        for a in B.arrows:
-            if c.value(phi[a]) != class_grade[a[0]]:
-                raise IsoCheckFailed(("grading", a))
-        grading_checked = True
-
-    return ReconstructionReport(
-        phi=phi,
-        boxtimes=B,
-        theta=theta,
-        dia=dia,
-        grading_checked=grading_checked,
-        sizes=(len(B), len(G)),
-    )
+        class_grade = {cid: c.value(min(data.classes[dia.q_class[cid]])) for cid in dia.classes}
+        off_grade = [a for a in B.arrows if c.value(phi[a]) != class_grade[a[0]]]
+        if off_grade:
+            raise IsoCheckFailed(("grading", off_grade[0]))
+    return ReconstructionReport(phi=phi, boxtimes=B, theta=theta, dia=dia,
+                                grading_checked=c is not None, sizes=(len(B), len(G)))

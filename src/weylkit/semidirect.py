@@ -13,11 +13,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from .cocycle import TwoCocycle, check_cocycle, common_denominator
-from .dual import Character, bundle_from_subgroupoid, dual_bundle
+from .dual import bundle_from_subgroupoid, dual_bundle
 from .errors import CocycleInvalid, NotAutomorphism, RestrictionNotTrivial, SchemaError
 from .groupoid import Grading, arrow_index, arrow_indices, validate_arrays
 from .phases import ZERO, Phase
-from .weyl import build_weyl_groupoid, weyl_twist_cocycle
+from .weyl import build_weyl_groupoid, image_rows, weyl_twist_cocycle
 
 
 def _elements(orders):
@@ -201,37 +201,36 @@ def semidirect_weyl_action(spec: SemidirectSpec, use_corollary: bool = False):
         raise RestrictionNotTrivial("corollary form needs omega trivial on K")
     G, omega, S, c = build_semidirect(spec)
     dual = dual_bundle(bundle_from_subgroupoid(G, S))
-    return G, omega, S, c, _closed_form_action(spec, dual, use_corollary)
+    action = _closed_form_action(spec, dual, use_corollary)
+    return G, omega, S, c, {key: dual.by_id[cid] for key, cid in action.items()}
 
 
 def _closed_form_action(spec: SemidirectSpec, dual, use_corollary: bool) -> dict:
-    """The closed-form action on ``dual``, the dual of H x {0} in the groupoid of ``spec``."""
-    unit = dual.base[0]
+    """The closed-form action on ``dual``, the dual of H x {0} in the groupoid of ``spec``.
+
+    Maps (class id, character id) to the character id of the image, read
+    off the character table over one common denominator per k.
+    """
+    t = dual.tables[dual.base[0]]
     zero_h = tuple(0 for _ in spec.h_orders)
     zero_k = tuple(0 for _ in spec.k_orders)
     h_elems = spec.h_elements()
-    h_ids = [spec.elem_id((h, zero_k)) for h in h_elems]
-
+    h_col = [t.column[spec.elem_id((h, zero_k))] for h in h_elems]
     action = {}
     for k in spec.k_elements():
         nk = _neg(spec.k_orders, k)
-        lead = (
-            ZERO
-            if use_corollary
-            else -spec.omega((zero_h, nk), (zero_h, k))
-        )
-        # per h: the character-free terms, and the id of beta_{-k}(h) where chi is read
-        terms = []
+        # at h, with b = beta_{-k}(h): -lead + omega((0, -k), (h, 0)) + omega((b, -k), (0, k)) + chi(b)
+        phases, at = [ZERO if use_corollary else spec.omega((zero_h, nk), (zero_h, k))], []
         for h in h_elems:
-            bh = spec.beta(nk, h)
-            terms.append((
-                lead + spec.omega((zero_h, nk), (h, zero_k)) + spec.omega((bh, nk), (zero_h, k)),
-                spec.elem_id((bh, zero_k)),
-            ))
+            b = spec.beta(nk, h)
+            phases += [spec.omega((zero_h, nk), (h, zero_k)), spec.omega((b, nk), (zero_h, k))]
+            at.append(t.column[spec.elem_id((b, zero_k))])
+        D = dual.denominator(math.lcm(*(ph.den for ph in phases)))
+        num = np.array([ph.num * (D // ph.den) for ph in phases], dtype=np.int64)
+        vals = np.empty_like(t.values)
+        vals[:, h_col] = (num[1::2] + num[2::2] - num[0] + t.values[:, at] * (D // t.exponent)) % D
         cid = min(spec.elem_id((h, k)) for h in h_elems)
-        for chi in dual.fibres[unit]:
-            table = {hid: t + chi.value(bid) for hid, (t, bid) in zip(h_ids, terms)}
-            action[(cid, dual.char_id[chi])] = Character.from_table(unit, table)
+        action.update(((cid, i), t.ids[r]) for i, r in zip(t.ids, image_rows(t, vals, D, cid, t.ids)))
     return action
 
 
@@ -261,9 +260,13 @@ def verify_untwisting(spec: SemidirectSpec) -> UntwistingReport:
     Weyl twist with the section k -> (0, k), and checks it equals the
     restriction of omega to K.
     """
-    G, omega, S, c, closed = semidirect_weyl_action(spec)
+    if not omega_restricts_trivially(spec, "H"):
+        raise RestrictionNotTrivial("omega must restrict trivially to H")
+    G, omega, S, _ = build_semidirect(spec)
     GW, data = build_weyl_groupoid(G, S, omega)
-    general = data.action
+    # both actions as character ids of the one dual bundle
+    closed = _closed_form_action(spec, data.dual, use_corollary=False)
+    general = {key: data.dual.char_id[chi] for key, chi in data.action.items()}
     mismatches = [key for key in closed if closed[key] != general.get(key)]
     action_ok = not mismatches and set(closed) == set(general)
 

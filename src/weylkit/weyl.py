@@ -5,6 +5,7 @@ expectation onto the abelian bundle algebra.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
@@ -13,10 +14,9 @@ import numpy as np
 from .cocycle import (
     TwoCocycle,
     check_symmetric_on,
-    common_denominator,
     is_maximal_symmetric_abelian,
 )
-from .dual import Character, CharacterBundle, bundle_from_subgroupoid, dual_bundle
+from .dual import CharacterBundle, CharacterTable, bundle_from_subgroupoid, dual_bundle
 from .errors import (
     CardinalityMismatch,
     ElementNotInS,
@@ -34,7 +34,6 @@ from .groupoid import (
     quotient_by_bundle,
     subgroupoid_properties,
 )
-from .phases import Phase
 
 
 class PowerTable(dict):
@@ -201,26 +200,12 @@ class WeylData:
     section: dict             # class id -> G arrow
 
 
-def _numerator_tables(G: FiniteGroupoid, dual: CharacterBundle, omega: TwoCocycle):
-    """omega and the characters of ``dual`` as numerators over one denominator D.
-
-    Returns (omega's table over D, compose matrix, D, pos, chars, char_row):
-    ``pos`` sends an arrow index to its position in its fibre of the bundle
-    (-1 outside it), and row ``char_row[chi]`` of the int64 array ``chars``
-    holds the values of chi at the positions of its fibre.
-    """
-    om, comp, den = omega._int_table()
-    chis = [chi for u in G.units for chi in dual.fibres[u]]
-    D = common_denominator((((dual.char_id[chi], a), ph) for chi in chis for a, ph in chi.values), den)
+def _columns(G: FiniteGroupoid, dual: CharacterBundle) -> np.ndarray:
+    """The column of each arrow index of G in its fibre's character table, -1 off the bundle."""
     pos = np.full(len(G.arrows), -1)
-    for u in G.units:
-        fibre = dual.bundle.fibre(u)
-        pos[[G.index[a] for a in fibre]] = np.arange(len(fibre))
-    chars = np.zeros((len(chis), max(len(dual.bundle.fibre(u)) for u in G.units)), dtype=np.int64)
-    for r, chi in enumerate(chis):
-        fibre = dual.bundle.fibre(chi.unit)
-        chars[r, :len(fibre)] = [chi.value(a).num * (D // chi.value(a).den) for a in fibre]
-    return om * (D // den), comp, D, pos, chars, {chi: r for r, chi in enumerate(chis)}
+    for t in dual.tables.values():
+        pos[[G.index[a] for a in t.elements]] = np.arange(len(t.elements))
+    return pos
 
 
 def weyl_action(G: FiniteGroupoid, S_members, omega: TwoCocycle):
@@ -228,8 +213,9 @@ def weyl_action(G: FiniteGroupoid, S_members, omega: TwoCocycle):
 
     The class of g sends a character chi over s(g) to the character over
     r(g) with a -> -omega(g, g^-1) + omega(g^-1, a) + omega(g^-1 a, g)
-    + chi(g^-1 a g).  Each class is evaluated at every member, as numerators
-    over one common denominator, and all members must agree.
+    + chi(g^-1 a g).  Each class is evaluated at every member, on the
+    character tables, as numerators over one common denominator, and all
+    members must agree, and each image must be a character of the dual.
 
     Returns (Q, class_map, dual, action) with action keyed by
     (class id, character id).
@@ -237,38 +223,43 @@ def weyl_action(G: FiniteGroupoid, S_members, omega: TwoCocycle):
     S = frozenset(S_members)
     Q, class_map = quotient_by_bundle(G, S)
     dual = dual_bundle(bundle_from_subgroupoid(G, S))
-    om, comp, D, pos, chars, char_row = _numerator_tables(G, dual, omega)
+    om, comp, den = omega._int_table()
+    D = dual.denominator(den)
+    om = om * (D // den)
+    pos = _columns(G, dual)
     inv = G.inverse_indices()
 
-    phase = {}                            # numerator -> Phase, built once each
     action = {}
     for cid, members in class_table(class_map).items():
-        x, y = G.src[cid], G.tgt[cid]
-        fibre = dual.bundle.fibre(y)
+        tx, ty = dual.tables[G.src[cid]], dual.tables[G.tgt[cid]]
         g = np.array([G.index[m] for m in sorted(members)])[:, None]
-        a = np.array([G.index[b] for b in fibre])[None, :]
+        a = np.array([G.index[b] for b in ty.elements])[None, :]
         gi = inv[g]
         gia = comp[gi, a]
         # [character, member, fibre element], every term below D; g^-1 a g
         # lies in S, which quotient_by_bundle checked to be normal
-        at_x = chars[[char_row[chi] for chi in dual.fibres[x]]]
-        vals = (-om[g, gi] + om[gi, a] + om[gia, g])[None] + at_x[:, pos[comp[gia, g]]]
-        vals %= D
+        chi = tx.values[:, pos[comp[gia, g]]] * (D // tx.exponent)
+        vals = ((-om[g, gi] + om[gi, a] + om[gia, g])[None] + chi) % D
         disagree = (vals != vals[:, :1]).any(axis=(1, 2))
         if disagree.any():
-            chi = dual.fibres[x][int(np.argmax(disagree))]
-            raise RepresentativeDisagreement((cid, dual.char_id[chi]))
-        for chi, row in zip(dual.fibres[x], vals[:, 0].tolist()):
-            table = {}
-            for b, v in zip(fibre, row):
-                if v not in phase:
-                    phase[v] = Phase.of(v, D)
-                table[b] = phase[v]
-            action[(cid, dual.char_id[chi])] = Character.from_table(y, table)
+            raise RepresentativeDisagreement((cid, tx.ids[int(np.argmax(disagree))]))
+        rows = image_rows(ty, vals[:, 0], D, cid, tx.ids)
+        action.update(((cid, i), dual.fibres[G.tgt[cid]][r]) for i, r in zip(tx.ids, rows))
     # the action is affine in the character for a nontrivial cocycle, so
     # multiplicativity is deliberately not checked here
     verify_groupoid_action(Q, dual, action, {class_map[u]: u for u in G.units})
     return Q, class_map, dual, action
+
+
+def image_rows(t: CharacterTable, nums, den: int, cid, ids) -> list:
+    """The row of ``t`` of each image ``nums[k]``/``den`` of the character ``ids[k]`` under the arrow ``cid``.
+
+    An image that is no character of ``t`` raises NotAnAction, naming the first.
+    """
+    rows = t.rows_of(nums, den)
+    if (rows < 0).any():
+        raise NotAnAction(("image outside the dual", cid, ids[int(np.argmax(rows < 0))]))
+    return rows.tolist()
 
 
 def verify_groupoid_action(
@@ -283,12 +274,11 @@ def verify_groupoid_action(
     first failing instance.
     """
     # work on character ids, so that each Character is hashed once
-    act = {}
-    for key, chi in action.items():
-        act[key] = dual.char_id.get(chi)
-        if act[key] is None:
-            raise NotAnAction(("image outside the dual", *key))
-    ids = {x: [dual.char_id[chi] for chi in chis] for x, chis in dual.fibres.items()}
+    act = {key: dual.char_id.get(chi) for key, chi in action.items()}
+    stray = [key for key, i in act.items() if i is None]
+    if stray:
+        raise NotAnAction(("image outside the dual", *stray[0]))
+    ids = {x: t.ids for x, t in dual.tables.items()}
     for u, x in base_of_unit.items():
         for i in ids[x]:
             if act[(u, i)] != i:
@@ -349,10 +339,8 @@ def build_weyl_groupoid(
         section=section,
     )
 
-    unit_of = {}                          # character id -> the Weyl unit over it
-    for u in G.units:
-        for chi in dual.fibres[u]:
-            unit_of[dual.char_id[chi]] = (class_map[u], dual.char_id[chi])
+    # the Weyl unit over each character
+    unit_of = {cid: (class_map[x], cid) for cid, (x, _) in dual.position.items()}
     arrows = {key: (unit_of[key[1]], unit_of[dual.char_id[chi]]) for key, chi in action.items()}
 
     def gw_mul(a1, a2):
@@ -374,15 +362,20 @@ def weyl_twist_cocycle(GW: FiniteGroupoid, data: WeylData) -> TwoCocycle:
     action's tables.
     """
     G, dual, sec = data.G, data.dual, data.section
-    om, comp, D, pos, chars, char_row = _numerator_tables(G, dual, data.omega)
+    om, comp, den = data.omega._int_table()
+    D = dual.denominator(den)
+    pos = _columns(G, dual)
     inv = G.inverse_indices()
     in_S = np.zeros(len(G.arrows), dtype=bool)
     in_S[[G.index[a] for a in data.S]] = True
 
-    # per Weyl arrow: the G arrow index of its class's section, and its character's row
+    # the tables end to end, over D: Weyl arrow i's character at a is chars[row_of[i] + column of a]
+    chars = np.concatenate([t.values.ravel() * (D // t.exponent) for t in dual.tables.values()])
+    start = dict(zip(dual.tables, np.cumsum([0] + [t.values.size for t in dual.tables.values()]).tolist()))
     sec_of, row_of = np.empty((2, len(GW.arrows)), dtype=np.int64)
     for i, (cid, chi_id) in enumerate(GW.arrows):
-        sec_of[i], row_of[i] = G.index[sec[cid]], char_row[dual.by_id[chi_id]]
+        x, row = dual.position[chi_id]
+        sec_of[i], row_of[i] = G.index[sec[cid]], start[x] + row * len(dual.tables[x].values)
 
     gw_comp = GW.comp_matrix()
     a1, a2 = (gw_comp >= 0).nonzero()
@@ -395,7 +388,7 @@ def weyl_twist_cocycle(GW: FiniteGroupoid, data: WeylData) -> TwoCocycle:
     if bad.any():
         _raise_first_defect_outside_S(GW, data)
     num = np.zeros((len(GW.arrows), len(GW.arrows)), dtype=np.int64)
-    num[a1, a2] = (chars[row_of[a2], pos[defect]] - om[s12, defect] + om[s1, s2]) % D
+    num[a1, a2] = (chars[row_of[a2] + pos[defect]] + (om[s1, s2] - om[s12, defect]) * (D // den)) % D
     return TwoCocycle.from_table(GW, num, D)
 
 
@@ -418,12 +411,7 @@ def conditional_expectation(
     The pairing uses x(a) verbatim, no conjugation.
     """
     out = {}
-    for x_unit in dual.base:
-        for chi in dual.fibres[x_unit]:
-            total = 0j
-            for a in dual.bundle.fibre(x_unit):
-                coeff = f.get(a, 0)
-                if coeff:
-                    total += chi.value(a).to_complex() * coeff
-            out[dual.char_id[chi]] = total
+    for t in dual.tables.values():
+        coeff = [f.get(a, 0) for a in t.elements]
+        out.update(zip(t.ids, (sum(map(operator.mul, row, coeff)) for row in t.pairing)))
     return out

@@ -6,14 +6,16 @@ keeps phases as reduced int pairs, builds the Weyl twist as one array
 expression, runs the twisted algebra on its structure constants, parses
 files and builds semidirect products straight into index arrays, and
 checks a quotient's descent, the subgroupoid properties and subgroup
-closures on arrays.  These are the plain versions they replaced: every
-composable triple, one Python loop per rule, a ``Fraction`` per phase, one
-phase sum per Weyl pair, one matrix product per composable pair, dense
-commutators for the center and the commutant, one convolution term per
-composable pair, tuple-keyed dicts for the parsed tables, one
-multiplication call per semidirect pair, one lookup per composable pair of
-the quotient, one ``mul`` per pair of members and a breadth-first search
-per closure.  The tests compare the two.
+closures on arrays, and holds each fibre of a dual bundle as one integer
+table.  These are the plain versions they replaced: every composable
+triple, one Python loop per rule, a ``Fraction`` per phase, one phase sum
+per Weyl pair, one matrix product per composable pair, dense commutators
+for the center and the commutant, one convolution term per composable
+pair, tuple-keyed dicts for the parsed tables, one multiplication call per
+semidirect pair, one lookup per composable pair of the quotient, one
+``mul`` per pair of members, a breadth-first search per closure, and
+characters enumerated and checked as ``Character`` objects, one ``Phase``
+sum at a time.  The tests compare the two.
 """
 
 import cmath
@@ -25,13 +27,14 @@ import numpy as np
 
 from weylkit.algebra import HOM_TOL, POS_TOL, SPEC_TOL, ExpectationReport, _split_blocks, reduced_norm
 from weylkit.cocycle import TwoCocycle, check_cocycle
-from weylkit.dual import bundle_from_subgroupoid, dual_bundle
+from weylkit.dual import Character, bundle_from_subgroupoid, dual_bundle
 from weylkit.errors import (
     AssociativityViolation,
     BadInverse,
     CocycleInvalid,
     ConventionMismatch,
     DanglingUnit,
+    DualityFailure,
     ElementNotInS,
     MissingComposite,
     NotStarHomomorphism,
@@ -40,7 +43,7 @@ from weylkit.errors import (
 )
 from weylkit.groupoid import Grading, PropertyReport, build_groupoid, validate_groupoid
 from weylkit.io import GroupoidFile, _expect, _split_pair
-from weylkit.phases import Phase
+from weylkit.phases import ZERO, Phase
 from weylkit.weyl import conditional_expectation
 
 
@@ -548,3 +551,67 @@ def closure_bfs(G, u, gens):
                         nxt.append(prod)
         frontier = nxt
     return frozenset(seen)
+
+
+def enumerate_fibre_characters(bundle, x):
+    """All homomorphisms fibre -> Q/Z as Characters, by extension over a generating sequence.
+
+    Partial characters on the subgroup generated so far are extended one
+    generator at a time, in Phase arithmetic; the relative order of the
+    generator pins down the admissible values.
+    """
+    fibre = bundle.fibre(x)
+    e = bundle.identity[x]
+    span = {e}
+    partial = [{e: ZERO}]
+    for g in fibre:
+        if g in span:
+            continue
+        # relative order: least m >= 1 with g^m in the current span
+        m, power = 1, g
+        while power not in span:
+            power = bundle.mult(power, g)
+            m += 1
+        new_partial = []
+        for chi in partial:
+            anchor = chi[power]  # value forced on g^m
+            for j in range(m):
+                v = Phase(anchor.num + j * anchor.den, anchor.den * m)   # (anchor + j) / m
+                ext = dict(chi)
+                cur = e
+                val = ZERO
+                for _ in range(m):
+                    for s, ps in chi.items():
+                        ext[bundle.mult(s, cur)] = ps + val
+                    cur = bundle.mult(cur, g)
+                    val = val + v
+                new_partial.append(ext)
+        partial = new_partial
+        span = set(partial[0])
+    return [Character.from_table(x, chi) for chi in partial]
+
+
+def dual_fibres_oracle(bundle) -> dict:
+    """Base point -> the characters of its fibre, sorted by value table and checked one Phase sum at a time.
+
+    The characters are those of :func:`enumerate_fibre_characters`; the
+    id of the i-th one over x is "x#i".  Raises DualityFailure with the
+    first witness.
+    """
+    out = {}
+    for x in bundle.base:
+        fibre = bundle.fibre(x)
+        chars = sorted(enumerate_fibre_characters(bundle, x), key=lambda c: c.values)
+        if len(chars) != len(fibre):
+            raise DualityFailure(("character count", x, len(chars), len(fibre)))
+        if len(set(chars)) != len(chars):
+            raise DualityFailure(("duplicate characters", x))
+        for i, chi in enumerate(chars):
+            for a, b in itertools.product(fibre, fibre):
+                if chi.value(bundle.mult(a, b)) != chi.value(a) + chi.value(b):
+                    raise DualityFailure(("not multiplicative", x, f"{x}#{i}", a, b))
+        for a in fibre:
+            if a != bundle.identity[x] and all(chi.value(a).is_zero for chi in chars):
+                raise DualityFailure(("degenerate element", x, a))
+        out[x] = tuple(chars)
+    return out

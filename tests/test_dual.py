@@ -1,6 +1,7 @@
 """Pontryagin duality for finite abelian group bundles."""
 
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import weylkit
 from weylkit import corpus
@@ -18,9 +20,12 @@ from weylkit.dual import (
     double_dual_iso,
     dual_bundle,
 )
-from weylkit.errors import FibreMismatch, NotAbelian
+from weylkit.errors import FibreMismatch, FibreTooLarge, NotAbelian
+from weylkit.groupoid import FIBRE_CAP
 from weylkit.phases import Phase
 from weylkit.semidirect import SemidirectSpec, build_semidirect
+
+from oracles import dual_fibres_oracle, enumerate_fibre_characters
 
 
 def _bundle(entry, name):
@@ -74,7 +79,7 @@ def test_two_unit_bundle_split(entry):
     for x in bundle.base:
         assert len(dual.fibres[x]) == 2
         for chi in dual.fibres[x]:
-            assert dual.p(chi) == x
+            assert chi.unit == x
 
 
 def test_character_group_operations(entry):
@@ -82,7 +87,7 @@ def test_character_group_operations(entry):
     x = dual.base[0]
     for chi in dual.fibres[x]:
         assert dual.multiply(chi, dual.invert(chi)) == dual.trivial(x)
-        assert dual.power(chi, 2) == dual.multiply(chi, chi)
+        assert dual.multiply(chi, chi) == Character.from_table(x, {a: p.times(2) for a, p in chi.values})
     K = dual.to_bundle()
     assert sorted(K.fibre(x)) == sorted(dual.char_id[c] for c in dual.fibres[x])
     # the dual of Z4 is cyclic of order 4
@@ -127,25 +132,31 @@ def test_bundle_from_subgroupoid_rejects_non_isotropy():
 
 
 def test_duality_check_survives_optimized_mode():
-    # the check raises a typed error, so it still runs under python -O
+    # the table checks raise typed errors, so they still run under python -O
     script = (
         "from weylkit import corpus\n"
-        "from weylkit.dual import CharacterBundle, _verify_dual, bundle_from_subgroupoid, dual_bundle\n"
+        "from weylkit.dual import bundle_from_subgroupoid, dual_bundle\n"
         "e = corpus.by_name('d4')\n"
-        "bundle = bundle_from_subgroupoid(e.G, e.S)\n"
-        "dual = dual_bundle(bundle)\n"
-        "x = bundle.base[0]\n"
-        "try:\n"
-        "    _verify_dual(bundle, CharacterBundle(bundle, {x: dual.fibres[x][:-1]}))\n"
-        "except Exception as exc:\n"
-        "    print(type(exc).__name__, exc.witness)\n"
+        "t = dual_bundle(bundle_from_subgroupoid(e.G, e.S)).tables[e.G.units[0]]\n"
+        "duplicated = t.values.copy()\n"
+        "duplicated[1] = duplicated[0]\n"
+        "off = t.values.copy()\n"
+        "off[1, 1] = (off[1, 1] + 1) % t.exponent\n"
+        "for bad in (t.values[:-1], duplicated, off):\n"
+        "    try:\n"
+        "        t.check(bad)\n"
+        "    except Exception as exc:\n"
+        "        print(type(exc).__name__, exc.witness)\n"
     )
     src = str(Path(weylkit.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run(
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    assert out.startswith("DualityFailure ('character count'"), out
+    ).stdout.splitlines()
+    assert len(out) == 3, out
+    assert out[0] == "DualityFailure ('character count', '0|0', 3, 4)", out
+    assert out[1] == "DualityFailure ('duplicate characters', '0|0')", out
+    assert out[2].startswith("DualityFailure ('not multiplicative', '0|0', '0|0#"), out
 
 
 def test_characters_over_different_base_points_do_not_multiply(entry):
@@ -158,30 +169,96 @@ def test_characters_over_different_base_points_do_not_multiply(entry):
 
 @pytest.mark.parametrize("name", ["pauli", "d4", "q8", "z2xR2", "rotation(4,1)"])
 def test_cached_products_match_value_tables(entry, name):
+    # the product and inverse tables, built once per bundle, against Phase sums
     dual = dual_bundle(_bundle(entry, name))
     for x in dual.base:
         chars = dual.fibres[x]
         for chi in chars:
             table = dict(chi.values)
             assert all(chi.value(a) == table[a] for a in table)
-            # an equal character that is not the bundle's own instance
-            copy = Character.from_table(x, table)
             inverse = Character.from_table(x, {a: -p for a, p in chi.values})
             assert dual.invert(chi) == inverse
             for nu in chars:
                 product = Character.from_table(x, {a: p + dict(nu.values)[a] for a, p in chi.values})
-                assert dual.multiply(chi, nu) == product  # computed
-                assert dual.multiply(chi, nu) == product  # looked up
-                assert dual.multiply(copy, nu) is dual.multiply(chi, nu)
-    kept = len(dual._products)
-    assert kept == sum(len(dual.fibres[x]) ** 2 for x in dual.base)
+                assert dual.multiply(chi, nu) == product
+                assert dual.multiply(chi, nu) is dual.fibres[x][dual.tables[x].product[chars.index(chi), chars.index(nu)]]
 
-    # a table outside the bundle still multiplies by the formula, and is not kept
-    x = dual.base[0]
-    stray = Character.from_table(x, {a: Phase.of(1, 5) for a in dual.bundle.fibre(x)})
-    chi = dual.fibres[x][-1]
-    assert dual.multiply(stray, chi) == Character.from_table(
-        x, {a: p + chi.value(a) for a, p in stray.values}
+
+def _cyclic_product(orders) -> GroupBundle:
+    """Z_n1 x ... x Z_nk as a one-fibre bundle over the base point 0."""
+    elems = tuple(itertools.product(*(range(n) for n in orders)))
+    return GroupBundle(
+        base=(0,),
+        fibres={0: elems},
+        p={a: 0 for a in elems},
+        mult=lambda a, b: tuple((x + y) % n for x, y, n in zip(a, b, orders)),
+        inv=lambda a: tuple(-x % n for x, n in zip(a, orders)),
+        identity={0: tuple(0 for _ in orders)},
     )
-    assert dual.invert(stray) == Character.from_table(x, {a: -p for a, p in stray.values})
-    assert len(dual._products) == kept
+
+
+def test_dual_and_double_dual_at_the_fibre_cap():
+    G, _, S, _ = build_semidirect(SemidirectSpec("t", (16, 16), (1,)))
+    bundle = bundle_from_subgroupoid(G, S)
+    x = bundle.base[0]
+    assert len(bundle.fibre(x)) == FIBRE_CAP
+    dual, ddual, eval_map = double_dual_iso(bundle)
+    assert len(dual.fibres[x]) == len(ddual.fibres[x]) == FIBRE_CAP
+    assert dual.tables[x].exponent == 16
+    assert eval_map[x] is ddual.trivial(x)
+    assert len(set(map(id, eval_map.values()))) == FIBRE_CAP
+
+
+def test_fibre_past_the_cap_is_refused():
+    with pytest.raises(FibreTooLarge):
+        dual_bundle(_cyclic_product((FIBRE_CAP + 1,)))
+
+
+def _assert_matches_oracle(bundle):
+    dual = dual_bundle(bundle)
+    expected = dual_fibres_oracle(bundle)
+    for x in bundle.base:
+        assert dual.fibres[x] == expected[x]
+        assert [dual.char_id[chi] for chi in dual.fibres[x]] == [f"{x}#{i}" for i in range(len(expected[x]))]
+    return dual
+
+
+@pytest.mark.parametrize("name", list(corpus.BUILDERS) + ["rotation(12,5)", "rotation(6,0)", "pair(3)"])
+def test_table_dual_matches_object_enumeration(entry, name):
+    e = corpus.pair_groupoid(3) if name == "pair(3)" else entry(name)
+    dual = _assert_matches_oracle(bundle_from_subgroupoid(e.G, e.S))
+    # the double dual's elements are ids "x#i", whose sorted order puts x#10 before x#2
+    _assert_matches_oracle(dual.to_bundle())
+
+
+@pytest.mark.parametrize("name", ["q8", "z2xR2", "rotation(4,0)"])
+def test_dual_of_the_weyl_unit_bundle_matches_object_enumeration(derived, name):
+    # the elements of T are (class id, character id) pairs
+    _assert_matches_oracle(derived(name).T)
+
+
+def test_double_dual_ids_sort_by_string():
+    e = corpus.rotation(12, 5)
+    dual = dual_bundle(bundle_from_subgroupoid(e.G, e.S))
+    x = dual.base[0]
+    ddual = _assert_matches_oracle(dual.to_bundle())
+    columns = ddual.tables[x].elements
+    assert columns.index(f"{x}#10") < columns.index(f"{x}#2")
+
+
+@st.composite
+def cyclic_orders(draw, cap=64):
+    """Orders of up to three cyclic factors whose product is at most ``cap``."""
+    orders = [draw(st.integers(1, cap))]
+    while len(orders) < 3 and draw(st.booleans()):
+        orders.append(draw(st.integers(1, cap // math.prod(orders))))
+    return tuple(orders)
+
+
+@settings(max_examples=25, deadline=None)
+@given(cyclic_orders())
+def test_cyclic_products_match_object_enumeration(orders):
+    # the enumeration alone: the oracle's own check takes m^3 Phase sums
+    bundle = _cyclic_product(orders)
+    expected = sorted(enumerate_fibre_characters(bundle, 0), key=lambda c: c.values)
+    assert dual_bundle(bundle).fibres[0] == tuple(expected)

@@ -5,16 +5,18 @@ import itertools
 
 import pytest
 
-from weylkit import corpus
+from weylkit import corpus, reconstruct
 from weylkit.dual import Character, bundle_from_subgroupoid
 from weylkit.errors import (
     AssumptionUnverified,
+    IsoCheckFailed,
     MomentMapMismatch,
     NontrivialCocycle,
     SchemaError,
     ThetaInvalid,
 )
-from weylkit.groupoid import Grading, find_isomorphism
+from weylkit.groupoid import Grading, find_isomorphism, validate_groupoid
+from weylkit.phases import Phase
 from weylkit.reconstruct import (
     ThetaDatum,
     build_boxtimes,
@@ -176,7 +178,7 @@ def test_diamond_action_d4_inverts_dual(diamond):
     nontrivial = next(c for c in dia.HT.arrows if not dia.HT.is_unit(c))
     x = dia.pkg.p_s(min(dia.classes[nontrivial]))
     for chi in dia.That.fibres[x]:
-        assert dia.act(nontrivial, chi) == dia.That.invert(chi)
+        assert dia.action[(nontrivial, dia.That.char_id[chi])] == dia.That.invert(chi)
 
 
 def test_diamond_action_trivial_for_abelian(diamond):
@@ -444,3 +446,62 @@ def test_action_report_counts_every_clause_instance(derived, name):
     assert set(expected) == set(report.clauses)
     assert all(n > 0 for n in report.instances.values()), report.instances
     assert report.as_dict()["instances"] == expected
+
+
+def _units_only(B):
+    return validate_groupoid(B.units, {u: (u, u) for u in B.units}, {(u, u): u for u in B.units})
+
+
+def _units_swapped(B):
+    """B transported along the bijection that swaps its first two unit ids."""
+    u, v = B.units[:2]
+    sigma = {a: a for a in B.arrows}
+    sigma[u], sigma[v] = v, u
+    arrows = {sigma[a]: (sigma[B.src[a]], sigma[B.tgt[a]]) for a in B.arrows}
+    return validate_groupoid(B.units, arrows, {(sigma[g], sigma[h]): sigma[k] for (g, h), k in B.compose.items()})
+
+
+def _stray_character(B):
+    a = (B.units[0][0], "nowhere#0")
+    return validate_groupoid([a], {a: (a, a)}, {(a, a): a})
+
+
+@pytest.mark.parametrize("name,wrong,branch", [
+    ("q8", lambda build, dia, theta: build(dia, trivial_theta(dia)), "composition"),
+    ("pair(3)", lambda build, dia, theta: _units_swapped(build(dia, theta)), "endpoints"),
+    ("pair(3)", lambda build, dia, theta: _units_only(build(dia, theta)), "not a bijection"),
+    ("d4", lambda build, dia, theta: _stray_character(build(dia, theta)), "character not in the image of evaluation"),
+])
+def test_iso_check_names_each_failure(entry, monkeypatch, name, wrong, branch):
+    # the twisted product handed to the iso check is swapped for a wrong one
+    e = corpus.pair_groupoid(3) if name == "pair(3)" else entry(name)
+    build = reconstruct.build_boxtimes
+    monkeypatch.setattr(reconstruct, "build_boxtimes", lambda dia, theta: wrong(build, dia, theta))
+    with pytest.raises(IsoCheckFailed) as exc:
+        reconstruction_iso(e.G, e.S, e.c)
+    assert exc.value.witness[0] == branch
+
+
+def test_iso_check_names_an_arrow_off_its_grade(entry):
+    e = entry("d4")
+    # graded by the H part: not constant on the classes of G/S
+    c = Grading(group=(4,), values={g: (int(g.split("|")[0]),) for g in e.G.arrows})
+    with pytest.raises(IsoCheckFailed) as exc:
+        reconstruction_iso(e.G, e.S, c)
+    assert exc.value.witness[0] == "grading"
+
+
+@pytest.mark.parametrize("name", ["q8", "z2xR2"])
+def test_theta_value_outside_the_dual_is_a_violation(diamond, derived, name):
+    dia = diamond(name)
+    theta = theta_for_package(derived(name), dia)
+    pair = next(iter(theta.values))
+    x = theta.values[pair].unit
+    stray = Character.from_table(x, {t: Phase(1, 5) for t in dia.That.tables[x].elements})
+    # a character of the dual of T, but over another base point
+    elsewhere = [dia.That.trivial(y) for y in dia.That.base if y != x]
+    for value in [stray] + elsewhere:
+        report = verify_theta(dia, ThetaDatum({**theta.values, pair: value}))
+        assert not report.all_pass() and ("outside the dual", pair) in report.violations
+        with pytest.raises(ThetaInvalid):
+            build_boxtimes(dia, ThetaDatum({**theta.values, pair: value}))

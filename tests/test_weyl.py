@@ -406,3 +406,42 @@ def test_failures_survive_python_O():
         "AssociativityViolation ('0|1', '0|1', '1|0')",
         "[('1|0', '0|1', '0|1'), ('1|0', '0|1', '1|0')]",
     ], out
+
+
+# The coboundary of f = 1/4 at the rotation 1|0 of d4, 0 elsewhere: a
+# cocycle symmetric on S, under which the reflection class sends every
+# character of S to a map that is not multiplicative.
+OUTSIDE_SCRIPT = """
+from weylkit import corpus
+from weylkit.cocycle import TwoCocycle
+from weylkit.errors import NotAnAction
+from weylkit.phases import ZERO, Phase
+from weylkit.reconstruct import ThetaDatum, diamond_action, derive_weyl_actions, theta_for_package, verify_theta
+from weylkit.weyl import weyl_action
+
+e = corpus.by_name("d4")
+f = {g: Phase(1, 4) if g == "1|0" else ZERO for g in e.G.arrows}
+omega = TwoCocycle(e.G, {pair: f[pair[0]] + f[pair[1]] - f[k] for pair, k in e.G.compose.items()})
+try:
+    weyl_action(e.G, e.S, omega)
+except NotAnAction as exc:
+    print(exc.witness)
+
+dia = diamond_action(derive_weyl_actions(e.G, e.S))
+theta = theta_for_package(dia.pkg, dia)
+pair = next(iter(theta.values))
+x = theta.values[pair].unit
+stray = type(theta.values[pair]).from_table(x, {t: Phase(1, 5) for t in dia.That.tables[x].elements})
+print(verify_theta(dia, ThetaDatum({**theta.values, pair: stray})).violations)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_images_outside_the_dual_fail_typed(flags):
+    src = str(Path(weylkit.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, *flags, "-c", OUTSIDE_SCRIPT], env=env, capture_output=True, text=True, check=True
+    ).stdout.splitlines()
+    assert out[0] == "('image outside the dual', '0|1', '0|0#0')"
+    assert out[1].startswith("[('outside the dual', "), out
