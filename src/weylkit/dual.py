@@ -106,7 +106,7 @@ class CharacterTable:
     Column j is element ``elements[j]`` (sorted ids; ``column`` inverts it),
     and ``mul`` holds the column of a*b at [column a, column b].  Row i of
     ``values`` is the character "<base>#i" as numerators over ``exponent``,
-    the least n with a^n = 1 for all a.  ``product`` and ``inverse`` are rows.
+    the least n with a^n = 1 for all a.  ``product[i, j]`` and ``inverse[i]`` are rows.
     """
 
     def __init__(self, bundle: GroupBundle, x):
@@ -120,7 +120,7 @@ class CharacterTable:
         if (mul != mul.T).any():
             i, j = np.argwhere(np.triu(mul != mul.T, 1))[0]
             raise NotAbelian(f"fibre at {x} is not abelian: ({self.elements[i]}, {self.elements[j]})")
-        self.identity = self.column.get(bundle.identity[x], -1)
+        self.identity = column.get(bundle.identity[x], -1)
         if self.identity < 0 or (mul < 0).any():
             raise DualityFailure(("fibre is not a group", x))
         power, self.exponent = np.arange(m), 1
