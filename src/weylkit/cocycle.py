@@ -170,7 +170,7 @@ def numerator_table(G: FiniteGroupoid, values: Mapping):
     phases = _by_id(values)
     den = math.lcm(*(ph.den for ph in phases.values()))
     if den > MAX_TABLE_INT:
-        common_denominator(values.items())      # raises, naming the entry at fault
+        common_denominator((f"phase {ph} at {k}", ph.den) for k, ph in values.items())   # raises, naming it
     num = {i: ph.num * (den // ph.den) for i, ph in phases.items()}
     n, m = len(G.arrows), len(values)
     gh = np.fromiter(map(G.index.__getitem__, itertools.chain.from_iterable(values)),
@@ -186,18 +186,16 @@ def _by_id(values: Mapping) -> dict:
     return dict(zip(map(id, values.values()), values.values()))
 
 
-def common_denominator(phases, den: int = 1) -> int:
-    """The lcm of ``den`` and the denominators of the (label, Phase) pairs.
+def common_denominator(dens, den: int = 1) -> int:
+    """The lcm of ``den`` and the denominators of the (label, denominator) pairs.
 
-    Raises SchemaError naming the first phase that takes it past
-    ``MAX_TABLE_INT``, so that numerator tables stay exact in int64.
+    Raises SchemaError naming the label of the first denominator that takes
+    it past ``MAX_TABLE_INT``, so that numerator tables stay exact in int64.
     """
-    for where, ph in phases:
-        den = math.lcm(den, ph.den)
+    for where, d in dens:
+        den = math.lcm(den, d)
         if den > MAX_TABLE_INT:
-            raise SchemaError(
-                f"phase {ph} at {where} takes the common denominator past {MAX_TABLE_INT}"
-            )
+            raise SchemaError(f"{where} takes the common denominator past {MAX_TABLE_INT}")
     return den
 
 

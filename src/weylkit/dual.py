@@ -22,8 +22,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import DualityFailure, FibreMismatch, FibreTooLarge, NotAbelian, SchemaError, UnknownArrowId
-from .groupoid import FIBRE_CAP, MAX_TABLE_INT, FiniteGroupoid, isotropy_fibres
+from .errors import DualityFailure, FibreMismatch, FibreTooLarge, NotAbelian, UnknownArrowId
+from .groupoid import FIBRE_CAP, FiniteGroupoid, isotropy_fibres
 from .phases import Phase
 
 # Entries of one multiplicativity gather, rows * m * m: 8 MB of int64 at most,
@@ -225,13 +225,6 @@ class CharacterBundle:
 
     def trivial(self, x) -> Character:
         return self.fibres[x][0]
-
-    def denominator(self, den: int = 1) -> int:
-        """The lcm of ``den`` and the fibre exponents, within ``MAX_TABLE_INT``."""
-        out = math.lcm(den, *(t.exponent for t in self.tables.values()))
-        if out > MAX_TABLE_INT:
-            raise SchemaError(f"character exponents take the common denominator {den} past {MAX_TABLE_INT}")
-        return out
 
     def multiply(self, chi: Character, nu: Character) -> Character:
         """The product of two characters of this bundle over one base point."""

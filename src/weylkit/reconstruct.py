@@ -398,6 +398,8 @@ class ThetaReport:
     cocycle_identity: bool
     coverage: bool
     violations: list = field(default_factory=list)
+    # (c1, c2) -> (x, row) of each value in the dual of T, None outside it
+    rows: dict = field(default_factory=dict, repr=False, compare=False)
 
     def all_pass(self) -> bool:
         return self.unit_triviality and self.cocycle_identity and self.coverage
@@ -470,38 +472,47 @@ def verify_theta(dia: DiamondData, theta: ThetaDatum) -> ThetaReport:
     Each value must be a character of the dual of T over the source of c2;
     one that is not fails ``coverage`` with an "outside the dual" violation.
     """
-    HT, rows = dia.HT, _theta_rows(dia, theta)
+    HT, That = dia.HT, dia.That
+    violations = []
+
+    # (c1, c2) -> (x, row) of theta(c1, c2) in the dual of T over x, the source of c2; else None
+    source = {c: dia.pkg.p_s(min(ms)) for c, ms in dia.classes.items()}
+    at = (That.position.get(That.char_id.get(val)) for val in theta.values.values())
+    rows = {pair: p if p and p[0] == source.get(pair[1]) else None for pair, p in zip(theta.values, at)}
+
     coverage = set(theta.values) == set(HT.compose)
-    violations = [] if coverage else [("coverage", set(HT.compose) ^ set(theta.values))]
-    violations += [("outside the dual", pair) for pair, found in rows.items() if found is None]
-    coverage = not violations
-    units = [("unit", pair) for c in HT.arrows for pair in ((HT.tgt[c], c), (c, HT.src[c]))
-             if pair not in theta.values or not theta.values[pair].is_trivial]
-    violations += units
+    if not coverage:
+        violations.append(("coverage", set(HT.compose) ^ set(theta.values)))
+    outside = [pair for pair, found in rows.items() if found is None]
+    if outside:
+        coverage = False
+        violations += [("outside the dual", pair) for pair in outside]
+
+    unit_ok = True
+    for c in HT.arrows:
+        for pair in ((HT.tgt[c], c), (c, HT.src[c])):
+            val = theta.values.get(pair)
+            if val is None or not val.is_trivial:
+                unit_ok = False
+                violations.append(("unit", pair))
 
     cocycle_ok = True
     if coverage:
-        # all four values and products lie over x, the source of c3
-        product = {x: t.product.tolist() for x, t in dia.That.tables.items()}
+        row = {pair: r for pair, (_, r) in rows.items()}
+        product = {x: t.product.tolist() for x, t in That.tables.items()}
         for (c1, c2) in HT.compose:
             c12 = HT.mul(c1, c2)
             for c3 in HT.arrows:
                 if not HT.composable(c2, c3):
                     continue
                 c23 = HT.mul(c2, c3)
-                x, r23 = rows[(c2, c3)]
-                lhs = product[x][dia.image[HT.inv(c3)][rows[(c1, c2)][1]]][rows[(c12, c3)][1]]
-                if lhs != product[x][rows[(c1, c23)][1]][r23]:
+                # all four values lie over the source of c3, and so do their products
+                mul = product[rows[(c2, c3)][0]]
+                acted = dia.image[HT.inv(c3)][row[(c1, c2)]]      # c3^-1 acting on theta(c1, c2)
+                if mul[acted][row[(c12, c3)]] != mul[row[(c1, c23)]][row[(c2, c3)]]:
                     cocycle_ok = False
                     violations.append(("cocycle", (c1, c2, c3)))
-    return ThetaReport(not units, cocycle_ok, coverage, violations)
-
-
-def _theta_rows(dia: DiamondData, theta: ThetaDatum) -> dict:
-    """(c1, c2) -> (x, row) of theta(c1, c2) in the dual of T over x, the source of c2; else None."""
-    source = {c: dia.pkg.p_s(min(ms)) for c, ms in dia.classes.items()}
-    found = (dia.That.position.get(dia.That.char_id.get(val)) for val in theta.values.values())
-    return {pair: p if p and p[0] == source.get(pair[1]) else None for pair, p in zip(theta.values, found)}
+    return ThetaReport(unit_ok, cocycle_ok, coverage, violations, rows)
 
 
 def build_boxtimes(dia: DiamondData, theta: ThetaDatum) -> FiniteGroupoid:
@@ -526,14 +537,15 @@ def build_boxtimes(dia: DiamondData, theta: ThetaDatum) -> FiniteGroupoid:
         xs, xt = pkg.p_s(min(dia.classes[cid])), pkg.p_r(min(dia.classes[cid]))
         arrows.update(((cid, i), (unit_id[xs], unit_id[xt])) for i in That.tables[xs].ids)
 
-    rows, position = _theta_rows(dia, theta), That.position
+    rows, position = report.rows, That.position
     product = {x: t.product.tolist() for x, t in That.tables.items()}
 
     def mul(a1, a2):
         (c1, x1), (c2, x2) = a1, a2
         x, r2 = position[x2]
-        part = product[x][dia.image[HT.inv(c2)][position[x1][1]]][r2]
-        return HT.mul(c1, c2), That.tables[x].ids[product[x][rows[(c1, c2)][1]][part]]
+        acted = dia.image[HT.inv(c2)][position[x1][1]]      # c2^-1 acting on x1, over x
+        out = product[x][rows[(c1, c2)][1]][product[x][acted][r2]]
+        return HT.mul(c1, c2), That.tables[x].ids[out]
 
     B = build_groupoid(set(unit_id.values()), arrows, mul, name=f"boxtimes({HT.name})")
     dia.boxtimes = (dict(theta.values), B)
@@ -681,8 +693,9 @@ def reconstruction_iso(
     pkg = derive_weyl_actions(G, S_members)
     report = verify_action_package(pkg)
     if not report.all_pass():
-        failing = [k for k, ok in report.clauses.items() if not ok]
-        raise AssumptionUnverified(f"derived package fails: {failing}")
+        raise AssumptionUnverified(
+            f"derived package fails: {[k for k, v in report.clauses.items() if not v]}"
+        )
     dia = diamond_action(pkg, report)
     data = pkg.weyl
     theta = theta_for_package(pkg, dia, section)
@@ -718,5 +731,11 @@ def reconstruction_iso(
         off_grade = [a for a in B.arrows if c.value(phi[a]) != class_grade[a[0]]]
         if off_grade:
             raise IsoCheckFailed(("grading", off_grade[0]))
-    return ReconstructionReport(phi=phi, boxtimes=B, theta=theta, dia=dia,
-                                grading_checked=c is not None, sizes=(len(B), len(G)))
+    return ReconstructionReport(
+        phi=phi,
+        boxtimes=B,
+        theta=theta,
+        dia=dia,
+        grading_checked=c is not None,
+        sizes=(len(B), len(G)),
+    )

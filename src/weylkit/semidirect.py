@@ -219,16 +219,21 @@ def _closed_form_action(spec: SemidirectSpec, dual, use_corollary: bool) -> dict
     action = {}
     for k in spec.k_elements():
         nk = _neg(spec.k_orders, k)
-        # at h, with b = beta_{-k}(h): -lead + omega((0, -k), (h, 0)) + omega((b, -k), (0, k)) + chi(b)
-        phases, at = [ZERO if use_corollary else spec.omega((zero_h, nk), (zero_h, k))], []
+        lead = (
+            ZERO
+            if use_corollary
+            else -spec.omega((zero_h, nk), (zero_h, k))
+        )
+        # per h: the character-free terms, and the column of beta_{-k}(h) where chi is read
+        terms, at = [], []
         for h in h_elems:
-            b = spec.beta(nk, h)
-            phases += [spec.omega((zero_h, nk), (h, zero_k)), spec.omega((b, nk), (zero_h, k))]
-            at.append(t.column[spec.elem_id((b, zero_k))])
-        D = dual.denominator(math.lcm(*(ph.den for ph in phases)))
-        num = np.array([ph.num * (D // ph.den) for ph in phases], dtype=np.int64)
+            bh = spec.beta(nk, h)
+            terms.append(lead + spec.omega((zero_h, nk), (h, zero_k)) + spec.omega((bh, nk), (zero_h, k)))
+            at.append(t.column[spec.elem_id((bh, zero_k))])
+        D = common_denominator(((f"phase {ph} at {h}", ph.den) for h, ph in zip(h_elems, terms)), t.exponent)
+        num = np.array([ph.num * (D // ph.den) for ph in terms], dtype=np.int64)
         vals = np.empty_like(t.values)
-        vals[:, h_col] = (num[1::2] + num[2::2] - num[0] + t.values[:, at] * (D // t.exponent)) % D
+        vals[:, h_col] = (num + t.values[:, at] * (D // t.exponent)) % D
         cid = min(spec.elem_id((h, k)) for h in h_elems)
         action.update(((cid, i), t.ids[r]) for i, r in zip(t.ids, image_rows(t, vals, D, cid, t.ids)))
     return action
@@ -287,7 +292,7 @@ def verify_untwisting(spec: SemidirectSpec) -> UntwistingReport:
     # both sides as numerator tables: C's own, and omega on K x K from the spec
     expected = [((k1, k2), spec.omega((zero_h, k1), (zero_h, k2))) for k1 in k_elems for k2 in k_elems]
     twist, _, den = C._int_table()
-    D = common_denominator(expected, den)
+    D = common_denominator(((f"phase {ph} at {k}", ph.den) for k, ph in expected), den)
     on_k = np.array([ph.num * (D // ph.den) for _, ph in expected], dtype=np.int64)
     on_k = on_k.reshape(len(k_elems), len(k_elems))
     k_of = np.array([k_of_class[cid] for cid, _ in GW.arrows])

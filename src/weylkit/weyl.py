@@ -14,6 +14,7 @@ import numpy as np
 from .cocycle import (
     TwoCocycle,
     check_symmetric_on,
+    common_denominator,
     is_maximal_symmetric_abelian,
 )
 from .dual import CharacterBundle, CharacterTable, bundle_from_subgroupoid, dual_bundle
@@ -224,7 +225,8 @@ def weyl_action(G: FiniteGroupoid, S_members, omega: TwoCocycle):
     Q, class_map = quotient_by_bundle(G, S)
     dual = dual_bundle(bundle_from_subgroupoid(G, S))
     om, comp, den = omega._int_table()
-    D = dual.denominator(den)
+    exponents = ((f"character exponent {t.exponent} at {x}", t.exponent) for x, t in dual.tables.items())
+    D = common_denominator(exponents, den)
     om = om * (D // den)
     pos = _columns(G, dual)
     inv = G.inverse_indices()
@@ -363,7 +365,8 @@ def weyl_twist_cocycle(GW: FiniteGroupoid, data: WeylData) -> TwoCocycle:
     """
     G, dual, sec = data.G, data.dual, data.section
     om, comp, den = data.omega._int_table()
-    D = dual.denominator(den)
+    exponents = ((f"character exponent {t.exponent} at {x}", t.exponent) for x, t in dual.tables.items())
+    D = common_denominator(exponents, den)
     pos = _columns(G, dual)
     inv = G.inverse_indices()
     in_S = np.zeros(len(G.arrows), dtype=bool)

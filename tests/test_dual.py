@@ -176,12 +176,15 @@ def test_cached_products_match_value_tables(entry, name):
         for chi in chars:
             table = dict(chi.values)
             assert all(chi.value(a) == table[a] for a in table)
+            # an equal character that is not the bundle's own instance
+            copy = Character.from_table(x, table)
             inverse = Character.from_table(x, {a: -p for a, p in chi.values})
             assert dual.invert(chi) == inverse
             for nu in chars:
                 product = Character.from_table(x, {a: p + dict(nu.values)[a] for a, p in chi.values})
                 assert dual.multiply(chi, nu) == product
                 assert dual.multiply(chi, nu) is dual.fibres[x][dual.tables[x].product[chars.index(chi), chars.index(nu)]]
+                assert dual.multiply(copy, nu) is dual.multiply(chi, nu)
 
 
 def _cyclic_product(orders) -> GroupBundle:
