@@ -29,12 +29,14 @@ INPUTS = {
     "d4": ["d4"],
     "pair(6)": ["pair", "6"],
     "z2z2": ["z2z2"],
+    "z2xR2": ["z2xR2"],
 }
 
 CASES = (
     [(cmd, name) for cmd in ("weyl", "twist") for name in ("rotation(12,5)", "q8")]
     + [(cmd, name) for cmd in ("boxtimes", "roundtrip") for name in ("rotation(12,0)", "d4", "q8", "pair(6)")]
     + [(cmd, name) for cmd in ("actions", "hypotheses") for name in ("z2z2", "d4", "q8")]
+    + [("actions", name) for name in ("z2xR2", "pair(6)", "rotation(12,0)")]
 )
 
 WRITES_FILE = {"weyl", "twist", "boxtimes"}
