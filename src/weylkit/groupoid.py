@@ -139,15 +139,17 @@ class FiniteGroupoid:
     def generators(self):
         """Arrow indices whose composable products give every arrow.
 
-        Greedy, hence deterministic: the least arrow index not yet in the
-        product closure of the generators chosen so far.  The closure is
-        taken from the generators alone, so a unit is either a product
-        g*g^-1 of generators or a generator itself.  Built once, read-only.
+        Greedy, hence deterministic: the non-unit arrows in index order,
+        then the units, each taken when it is not yet in the product
+        closure of the generators chosen so far.  The closure is taken from
+        the generators alone, so a unit is a generator only when no product
+        g*g^-1 of the others reaches it, as in a groupoid of units alone.
+        Built once, read-only, in the order chosen.
         """
         if self._gens is None:
             covered = np.zeros(len(self.arrows), dtype=bool)
             gens = []
-            for g in range(len(self.arrows)):
+            for g in np.argsort(self._ends[0] == np.arange(len(self.arrows)), kind="stable").tolist():
                 if not covered[g]:
                     gens.append(g)
                     product_closure(self, covered, np.array([g]))

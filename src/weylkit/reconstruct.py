@@ -10,9 +10,8 @@ requires a trivial 2-cocycle.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -28,7 +27,6 @@ from .errors import (
     NotInS,
     SchemaError,
     ThetaInvalid,
-    WeylkitError,
 )
 from .groupoid import (
     FiniteGroupoid,
@@ -53,22 +51,27 @@ from .weyl import (
 class ActionPackage:
     """A groupoid H whose unit space is a group bundle T over a base X.
 
-    ``left(t, eta)`` and ``right(eta, t)`` are the bundle actions on arrows
-    (defined when the moment maps match); ``lam(eta, t)`` and ``rho(t, eta)``
-    are the exchange maps that let the two actions commute past composition.
-    T element ids are exactly the unit arrow ids of H.  In a Weyl-derived
-    package (:func:`derive_weyl_actions`) the four maps read per-class
-    tables: ``rho`` and ``lam`` are table lookups, and ``left`` and
-    ``right`` one lookup in the character product table each.
+    The bundle acts on arrows from both sides, and the exchange maps let the
+    two actions commute past composition.  Each map is a read-only int
+    array over indices: an element of T by its position in
+    ``t_elements()``, an arrow of H by its arrow index.  ``left[t, eta]``
+    and ``rho[t, eta]`` are defined for t over r(eta), ``right[eta, t]``
+    and ``lam[eta, t]`` for t over s(eta), and -1 marks every other pair.
+    ``left`` and ``right`` hold arrow indices, ``lam`` and ``rho`` T
+    indices, as int32.  T element ids are exactly the unit arrow ids of H.
     """
 
     H: FiniteGroupoid
     T: GroupBundle
-    left: Callable
-    right: Callable
-    lam: Callable
-    rho: Callable
+    left: np.ndarray
+    right: np.ndarray
+    lam: np.ndarray
+    rho: np.ndarray
     weyl: Optional[WeylData] = None
+
+    def __post_init__(self):
+        for a in (self.left, self.right, self.lam, self.rho):
+            a.setflags(write=False)
 
     def p_r(self, eta):
         return self.T.p[self.H.tgt[eta]]
@@ -116,127 +119,122 @@ class ActionPackageReport:
         }
 
 
+def _padded(a: np.ndarray) -> np.ndarray:
+    """``a`` with a trailing -1 on every axis, so that index -1 reads -1."""
+    return np.pad(a, [(0, 1)] * a.ndim, constant_values=-1)
+
+
+def _agree(a, b):
+    """Where both sides are defined and equal."""
+    return (a == b) & (a >= 0)
+
+
 def verify_action_package(pkg: ActionPackage) -> ActionPackageReport:
-    """Exhaustively check every axiom the two T-actions must satisfy."""
+    """Exhaustively check every axiom the two T-actions must satisfy.
+
+    Each clause is a gather and a comparison over the package's arrays,
+    padded so that index -1 reads -1.  An instance passes when both sides
+    are defined and agree, so a map value outside its fibre fails every
+    clause that reads it.  The (t, eta) clauses run over each arrow's two
+    fibres, the (t, t2, eta) clauses over pairs from those fibres, and the
+    composition laws over ``H.pair_indices()`` times a fibre.  Each
+    instance has a key in scan order: t, then t2, then eta, with the
+    r-fibre instance of a (t, eta) before the s-fibre one; for the
+    composition laws, the pair, then the position in the fibre.  A failing
+    clause's witness is its failing instance of least key.
+    """
     pkg.check_moment_maps()
     H, T = pkg.H, pkg.T
-    clauses, wit, counts = {}, {}, {}
+    ids = pkg.t_elements()
+    pos = {t: i for i, t in enumerate(ids)}
+    n_t, n_h = len(ids), len(H.arrows)
+    left, right, lam, rho = map(_padded, (pkg.left, pkg.right, pkg.lam, pkg.rho))
+    src, tgt = map(_padded, H.endpoint_indices())
+    inv, comp = _padded(H.inverse_indices()), _padded(H.comp_matrix())
 
-    def record(name, check, witness=None):
-        # a check that raises a KeyError or a WeylkitError (e.g. a mutated
-        # action landing outside the arrow set) counts as a failure, with
-        # the exception type in the witness; anything else is a bug
-        try:
-            ok, raised = bool(check()), None
-        except (KeyError, WeylkitError) as exc:
-            ok, raised = False, type(exc).__name__
-        clauses[name] = clauses[name] and ok
-        counts[name] += 1
-        if not ok and name not in wit:
-            wit[name] = witness if raised is None else (*witness, raised)
+    # in T indices: the fibre through each element, as a row padded with
+    # -1, each element's identity, and the product, -1 across fibres
+    k = max(map(len, T.fibres.values()), default=0)
+    fibre, ident, prod = np.full((n_t, k), -1), np.full(n_t + 1, -1), np.full((n_t + 1, n_t + 1), -1)
+    for x in T.base:
+        f = [pos[t] for t in T.fibre(x)]
+        fibre[f, :len(f)] = f
+        ident[f] = pos[T.identity[x]]
+        prod[np.ix_(f, f)] = [[pos.get(T.mult(a, b), -1) for b in T.fibre(x)] for a in T.fibre(x)]
+    unit_t = np.array([pos.get(a, -1) for a in H.arrows])     # the T index of each unit arrow
+    R, S = fibre[unit_t[tgt[:-1]]], fibre[unit_t[src[:-1]]]  # T over r(eta), over s(eta)
 
-    t_elems = pkg.t_elements()
-    for name in (
-        "units_compatible", "endpoints_compatible", "actions_commute",
-        "left_free", "right_free",
-        "right_via_lambda", "left_via_rho",
-        "right_distributes", "left_distributes",
-        "inverse_right", "inverse_left",
-        "lambda_rho_inverse", "lambda_multiplicative",
-        "identity_on_units", "lambda_composition", "rho_composition",
-    ):
-        clauses[name], counts[name] = True, 0
+    e = np.arange(n_h)[:, None]
+    L, Rt, lam_S, rho_R = left[R, e], right[e, S], lam[e, S], rho[R, e]
+    # scan-order keys of the (t, eta) instances, the one over r(eta) first
+    key_R, key_S = 2 * (R * n_h + e), 2 * (S * n_h + e) + 1
+    units = np.flatnonzero(unit_t >= 0)
+    U, RU = units[:, None], R[units]
+    # (eta, t, t2) with t over r(eta) or, as s1, over s(eta), and t2 over s(eta)
+    t, t2, s1, e3 = R[:, :, None], S[:, None, :], S[:, :, None], e[:, :, None]
+    lam_t, lam_t2 = lam_S[:, :, None], lam_S[:, None, :]
+    gi, hi = H.pair_indices()
+    g, h, gh = gi[:, None], hi[:, None], comp[gi, hi][:, None]
+    after, before = S[hi], R[gi]                             # T over s(eta), over r(gamma)
+    lam_h, rho_g = lam[h, after], rho[before, g]
 
-    for t in t_elems:
-        x = T.p[t]
-        for eta in H.arrows:
-            if pkg.p_r(eta) == x:
-                record("endpoints_compatible",
-                       lambda t=t, eta=eta: H.tgt[pkg.left(t, eta)] == pkg.left(t, H.tgt[eta]),
-                       (t, eta))
-                record("left_free",
-                       lambda t=t, eta=eta, x=x: pkg.left(t, eta) != eta or t == T.identity[x],
-                       (t, eta))
-                record("left_via_rho",
-                       lambda t=t, eta=eta: pkg.left(t, eta) == pkg.right(eta, pkg.rho(t, eta)),
-                       (t, eta))
-                record("inverse_left",
-                       lambda t=t, eta=eta: H.inv(pkg.left(t, eta)) == pkg.right(H.inv(eta), t),
-                       (t, eta))
-                record("lambda_rho_inverse",
-                       lambda t=t, eta=eta: pkg.lam(eta, pkg.rho(t, eta)) == t,
-                       (t, eta))
-            if pkg.p_s(eta) == x:
-                record("endpoints_compatible",
-                       lambda t=t, eta=eta: H.src[pkg.right(eta, t)] == pkg.right(H.src[eta], t),
-                       (t, eta))
-                record("right_free",
-                       lambda t=t, eta=eta, x=x: pkg.right(eta, t) != eta or t == T.identity[x],
-                       (t, eta))
-                record("right_via_lambda",
-                       lambda t=t, eta=eta: pkg.right(eta, t) == pkg.left(pkg.lam(eta, t), eta),
-                       (t, eta))
-                record("inverse_right",
-                       lambda t=t, eta=eta: H.inv(pkg.right(eta, t)) == pkg.left(t, H.inv(eta)),
-                       (t, eta))
-                record("lambda_rho_inverse",
-                       lambda t=t, eta=eta: pkg.rho(pkg.lam(eta, t), eta) == t,
-                       (t, eta))
-            if H.is_unit(eta) and T.p[eta] == x:
-                record("units_compatible",
-                       lambda t=t, eta=eta: pkg.left(t, eta) == pkg.right(eta, t),
-                       (t, eta))
-                record("identity_on_units",
-                       lambda t=t, eta=eta: pkg.rho(t, eta) == t and pkg.lam(eta, t) == t,
-                       (t, eta))
+    def pair_witness(key):
+        return ids[key // 2 // n_h], H.arrows[key // 2 % n_h]
 
-    for t, t2 in itertools.product(t_elems, t_elems):
-        for eta in H.arrows:
-            if pkg.p_r(eta) == T.p[t] and pkg.p_s(eta) == T.p[t2]:
-                record("actions_commute",
-                       lambda t=t, eta=eta, t2=t2:
-                       pkg.right(pkg.left(t, eta), t2) == pkg.left(t, pkg.right(eta, t2)),
-                       (t, eta, t2))
-            if pkg.p_s(eta) == T.p[t] == T.p[t2]:
-                record("lambda_multiplicative",
-                       lambda t=t, eta=eta, t2=t2:
-                       pkg.lam(eta, T.mult(t, t2)) == T.mult(pkg.lam(eta, t), pkg.lam(eta, t2)),
-                       (t, eta, t2))
+    def triple_witness(key):
+        return ids[key // n_h // n_t], H.arrows[key % n_h], ids[key // n_h % n_t]
 
-    for (gamma, eta) in H.compose:
-        ge = H.mul(gamma, eta)
-        for t in T.fibre(pkg.p_s(eta)):
-            record("right_distributes",
-                   lambda ge=ge, gamma=gamma, eta=eta, t=t:
-                   pkg.right(ge, t)
-                   == H.mul(pkg.right(gamma, pkg.lam(eta, t)), pkg.right(eta, t)),
-                   (gamma, eta, t))
-            record("lambda_composition",
-                   lambda ge=ge, gamma=gamma, eta=eta, t=t:
-                   pkg.lam(ge, t) == pkg.lam(gamma, pkg.lam(eta, t)),
-                   (gamma, eta, t))
-        for t in T.fibre(pkg.p_r(gamma)):
-            record("left_distributes",
-                   lambda ge=ge, gamma=gamma, eta=eta, t=t:
-                   pkg.left(t, ge)
-                   == H.mul(pkg.left(t, gamma), pkg.left(pkg.rho(t, gamma), eta)),
-                   (gamma, eta, t))
-            record("rho_composition",
-                   lambda ge=ge, gamma=gamma, eta=eta, t=t:
-                   pkg.rho(t, ge) == pkg.rho(pkg.rho(t, gamma), eta),
-                   (gamma, eta, t))
+    def composition_witness(fib):
+        return lambda key: (H.arrows[gi[key // k]], H.arrows[hi[key // k]], ids[fib.flat[key]])
 
-    return ActionPackageReport(clauses, wit, counts)
+    flat = np.arange(gi.size * k).reshape(-1, k)
+    # (name, domain, passes, key, witness of a key), a clause's parts in its scan order
+    checks = (
+        ("units_compatible", RU >= 0, _agree(left[RU, U], right[U, RU]), key_R[units], pair_witness),
+        ("endpoints_compatible", R >= 0, _agree(tgt[L], left[R, tgt[e]]), key_R, pair_witness),
+        ("endpoints_compatible", S >= 0, _agree(src[Rt], right[src[e], S]), key_S, pair_witness),
+        ("actions_commute", (t >= 0) & (t2 >= 0), _agree(right[L[:, :, None], t2], left[t, Rt[:, None, :]]),
+         (t * n_t + t2) * n_h + e3, triple_witness),
+        ("left_free", R >= 0, (L >= 0) & ((L != e) | (R == ident[R])), key_R, pair_witness),
+        ("right_free", S >= 0, (Rt >= 0) & ((Rt != e) | (S == ident[S])), key_S, pair_witness),
+        ("right_via_lambda", S >= 0, _agree(Rt, left[lam_S, e]), key_S, pair_witness),
+        ("left_via_rho", R >= 0, _agree(L, right[e, rho_R]), key_R, pair_witness),
+        ("right_distributes", after >= 0, _agree(right[gh, after], comp[right[g, lam_h], right[h, after]]),
+         flat, composition_witness(after)),
+        ("left_distributes", before >= 0, _agree(left[before, gh], comp[left[before, g], left[rho_g, h]]),
+         flat, composition_witness(before)),
+        ("inverse_right", S >= 0, _agree(inv[Rt], left[S, inv[e]]), key_S, pair_witness),
+        ("inverse_left", R >= 0, _agree(inv[L], right[inv[e], R]), key_R, pair_witness),
+        ("lambda_rho_inverse", R >= 0, _agree(lam[e, rho_R], R), key_R, pair_witness),
+        ("lambda_rho_inverse", S >= 0, _agree(rho[lam_S, e], S), key_S, pair_witness),
+        ("lambda_multiplicative", (s1 >= 0) & (t2 >= 0), _agree(lam[e3, prod[s1, t2]], prod[lam_t, lam_t2]),
+         (s1 * n_t + t2) * n_h + e3, triple_witness),
+        ("identity_on_units", RU >= 0, (rho[RU, U] == RU) & (lam[U, RU] == RU), key_R[units], pair_witness),
+        ("lambda_composition", after >= 0, _agree(lam[gh, after], lam[g, lam_h]), flat, composition_witness(after)),
+        ("rho_composition", before >= 0, _agree(rho[before, gh], rho[rho_g, h]), flat, composition_witness(before)),
+    )
+
+    names = [name for name, *_ in checks]
+    report = ActionPackageReport(dict.fromkeys(names, True), {}, dict.fromkeys(names, 0))
+    first, witness_of = {}, {}
+    for name, domain, passes, key, witness in checks:
+        bad = domain & ~passes
+        report.instances[name] += int(np.count_nonzero(domain))
+        if bad.any():
+            report.clauses[name] = False
+            first[name], witness_of[name] = min(first.get(name, np.inf), key[bad].min()), witness
+    report.witnesses = {name: witness_of[name](int(first[name])) for name in names if name in first}
+    return report
 
 
 def derive_weyl_actions(G: FiniteGroupoid, S_members, omega: Optional[TwoCocycle] = None) -> ActionPackage:
     """The canonical ActionPackage on a Weyl groupoid H = (G/S acting on the dual).
 
-    The four maps are per-class tables.  Conjugation by each class of G/S,
-    pulled back to the characters of T, is tabulated once; ``rho(t, eta)``
-    reads it at the class of eta and ``lam(eta, t)`` at the inverse class.
-    The left action multiplies the character part of eta by ``rho(t, eta)``
-    and the right action multiplies it by t, one product-table lookup each.
+    Conjugation by each class of G/S, pulled back to the characters of T,
+    is tabulated once as a map of character rows; ``rho[t, eta]`` reads it
+    at the class of eta and ``lam[eta, t]`` at the inverse class.  The left
+    action multiplies the character part of eta by ``rho[t, eta]`` and the
+    right action multiplies it by t, in the character product table.
     Arrows of H are pairs (class id, character id), and T is the unit pairs.
     """
     omega = omega if omega is not None else TwoCocycle(G, {})
@@ -253,78 +251,68 @@ def derive_weyl_actions(G: FiniteGroupoid, S_members, omega: Optional[TwoCocycle
         inv=lambda a: t_of[K.inv(a[1])],
         identity={u: t_of[K.identity[u]] for u in G.units},
     )
+    pos = {t: i for i, t in enumerate(sorted(T.p))}
+    t_row = {x: np.array([pos[t_of[c]] for c in t.ids]) for x, t in dual.tables.items()}  # T index of each row
 
-    # ad[cid]: T over the target of the class -> T over its source, the
-    # character chi going to a -> chi(gamma a gamma^-1) for the least member
-    # gamma.  This is representative-independent because the bundle is
-    # abelian and normal; no cocycle correction enters (the corrections
-    # live in the quotient action, not in conjugation).
+    # ad[cid]: the rows over the target of the class -> rows over its
+    # source, the character chi going to a -> chi(gamma a gamma^-1) for the
+    # least member gamma.  This is representative-independent because the
+    # bundle is abelian and normal; no cocycle correction enters (the
+    # corrections live in the quotient action, not in conjugation).
     ad = {}
     for cid, members in data.classes.items():
         gamma = min(members)
         tx, ty = dual.tables[G.src[gamma]], dual.tables[G.tgt[gamma]]
         conj = [ty.column[G.mul_all(gamma, a, G.inv(gamma))] for a in tx.elements]
-        rows = tx.rows_of(ty.values[:, conj], ty.exponent)
-        ad[cid] = {t_of[c]: t_of[tx.ids[r]] for c, r in zip(ty.ids, rows.tolist())}
+        ad[cid] = tx.rows_of(ty.values[:, conj], ty.exponent)
 
-    # each map reads eta through pkg.p_r or pkg.p_s first, so an id that
-    # is not an arrow of H raises KeyError there
-    def left(t, eta):
-        if pkg.p_r(eta) != T.p[t]:
-            raise MomentMapMismatch(f"left action undefined on ({t}, {eta})")
-        cid, i = eta
-        return cid, K.mult(ad[cid][t][1], i)
-
-    def right(eta, t):
-        if pkg.p_s(eta) != T.p[t]:
-            raise MomentMapMismatch(f"right action undefined on ({eta}, {t})")
-        cid, i = eta
-        return cid, K.mult(i, t[1])
-
-    def lam(eta, t):
-        if pkg.p_s(eta) != T.p[t]:
-            raise MomentMapMismatch(f"lambda undefined on ({eta}, {t})")
-        return ad[Q.inv(eta[0])][t]
-
-    def rho(t, eta):
-        if pkg.p_r(eta) != T.p[t]:
-            raise MomentMapMismatch(f"rho undefined on ({t}, {eta})")
-        return ad[eta[0]][t]
-
-    pkg = ActionPackage(H=GW, T=T, left=left, right=right, lam=lam, rho=rho, weyl=data)
-    return pkg
+    left, rho = np.full((2, len(pos), len(GW.arrows)), -1, dtype=np.int32)
+    right, lam = np.full((2, len(GW.arrows), len(pos)), -1, dtype=np.int32)
+    for cid in data.classes:
+        tx, ts, tt = dual.tables[G.src[cid]], t_row[G.src[cid]], t_row[G.tgt[cid]]
+        eta = np.array([GW.index[(cid, i)] for i in tx.ids])   # the arrow of each row over the source
+        rho[tt[:, None], eta] = ts[ad[cid]][:, None]
+        left[tt[:, None], eta] = eta[tx.product[ad[cid]]]
+        right[eta[:, None], ts] = eta[tx.product]
+        lam[eta[:, None], ts] = tt[ad[Q.inv(cid)]]
+    return ActionPackage(H=GW, T=T, left=left, right=right, lam=lam, rho=rho, weyl=data)
 
 
 def bundle_package(T: GroupBundle) -> ActionPackage:
-    """The degenerate package where H is just the unit space T (co-trivial)."""
+    """The degenerate package where H is just the unit space T (co-trivial).
+
+    Both actions are T's product, and the exchange maps are the identity.
+    """
     ids = sorted(T.p)
-    arrows = {t: (t, t) for t in ids}
-    H = build_groupoid(ids, arrows, lambda a, b: a, name="cotrivial(T)")
-    return ActionPackage(
-        H=H,
-        T=T,
-        left=lambda t, eta: T.mult(t, eta),
-        right=lambda eta, t: T.mult(eta, t),
-        lam=lambda eta, t: t,
-        rho=lambda t, eta: t,
-    )
+    pos = {t: i for i, t in enumerate(ids)}
+    H = build_groupoid(ids, {t: (t, t) for t in ids}, lambda a, b: a, name="cotrivial(T)")
+    left, right, lam, rho = np.full((4, len(ids), len(ids)), -1, dtype=np.int32)
+    for x in T.base:
+        f = np.array([pos[t] for t in T.fibre(x)])
+        on = np.ix_(f, f)
+        left[on] = right[on] = [[pos[T.mult(a, b)] for b in T.fibre(x)] for a in T.fibre(x)]
+        lam[on], rho[on] = f[None, :], f[:, None]
+    return ActionPackage(H=H, T=T, left=left, right=right, lam=lam, rho=rho)
 
 
 def quotient_HT(pkg: ActionPackage, report: Optional[ActionPackageReport] = None):
     """The quotient of H by the right T-action, as a groupoid over the base X.
 
-    Returns (H/T, class map).  Requires a passing ActionPackageReport.
+    The right orbit of an arrow is its row of ``right``, and it must equal
+    the left orbit, its column of ``left``.  Returns (H/T, class map).
+    Requires a passing ActionPackageReport.
     """
     if report is None:
         report = verify_action_package(pkg)
     if not report.all_pass():
         failing = [k for k, v in report.clauses.items() if not v]
         raise AssumptionUnverified(f"action axioms fail: {failing}")
-    H, T = pkg.H, pkg.T
+    H = pkg.H
 
     def orbit(eta):
-        right = frozenset(pkg.right(eta, t) for t in T.fibre(pkg.p_s(eta)))
-        if right != frozenset(pkg.left(t, eta) for t in T.fibre(pkg.p_r(eta))):
+        row, col = pkg.right[H.index[eta]], pkg.left[:, H.index[eta]]
+        right = frozenset(map(H.arrows.__getitem__, row[row >= 0].tolist()))
+        if right != frozenset(map(H.arrows.__getitem__, col[col >= 0].tolist())):
             raise AssumptionUnverified(f"left and right orbits of {eta} differ")
         return right
 
@@ -355,16 +343,18 @@ def diamond_action(pkg: ActionPackage, report: Optional[ActionPackageReport] = N
     H, T = pkg.H, pkg.T
     classes = class_table(class_map)
     That = dual_bundle(T)
+    ids = pkg.t_elements()
+    pos = {t: i for i, t in enumerate(ids)}
 
     action, image = {}, {}
     for cid, members in classes.items():
-        rhos = {tuple((t, pkg.rho(t, eta)) for t in T.fibre(pkg.p_r(eta))) for eta in sorted(members)}
-        if len(rhos) != 1:
+        # rho descends: every member of the class has the same column
+        rho = pkg.rho[:, sorted(H.index[eta] for eta in members)]
+        if (rho != rho[:, :1]).any():
             raise DescentFailure(tuple(sorted(members)[:2]))
-        rho = dict(rhos.pop())
         tr, ts = That.tables[pkg.p_r(min(members))], That.tables[pkg.p_s(min(members))]
         # chi over the source goes to chi o rho over the target
-        at_rho = ts.values[:, [ts.column[rho[t]] for t in tr.elements]]
+        at_rho = ts.values[:, [ts.column[ids[rho[pos[t], 0]]] for t in tr.elements]]
         image[cid] = image_rows(tr, at_rho, ts.exponent, cid, ts.ids)
         action.update(((cid, i), That.fibres[tr.base][r]) for i, r in zip(ts.ids, image[cid]))
 
@@ -470,7 +460,10 @@ def verify_theta(dia: DiamondData, theta: ThetaDatum) -> ThetaReport:
     """Unit triviality and the character-valued cocycle identity, exhaustively.
 
     Each value must be a character of the dual of T over the source of c2;
-    one that is not fails ``coverage`` with an "outside the dual" violation.
+    one that is not fails ``coverage`` with an "outside the dual" violation,
+    as a missing one does.  The cocycle identity is checked on every triple
+    whose four values lie in the dual, so it fails on a break there even
+    when ``coverage`` fails elsewhere.
     """
     HT, That = dia.HT, dia.That
     violations = []
@@ -497,21 +490,22 @@ def verify_theta(dia: DiamondData, theta: ThetaDatum) -> ThetaReport:
                 violations.append(("unit", pair))
 
     cocycle_ok = True
-    if coverage:
-        row = {pair: r for pair, (_, r) in rows.items()}
-        product = {x: t.product.tolist() for x, t in That.tables.items()}
-        for (c1, c2) in HT.compose:
-            c12 = HT.mul(c1, c2)
-            for c3 in HT.arrows:
-                if not HT.composable(c2, c3):
-                    continue
-                c23 = HT.mul(c2, c3)
-                # all four values lie over the source of c3, and so do their products
-                mul = product[rows[(c2, c3)][0]]
-                acted = dia.image[HT.inv(c3)][row[(c1, c2)]]      # c3^-1 acting on theta(c1, c2)
-                if mul[acted][row[(c12, c3)]] != mul[row[(c1, c23)]][row[(c2, c3)]]:
-                    cocycle_ok = False
-                    violations.append(("cocycle", (c1, c2, c3)))
+    row = {pair: found[1] for pair, found in rows.items() if found is not None}
+    product = {x: t.product.tolist() for x, t in That.tables.items()}
+    for (c1, c2) in HT.compose:
+        c12 = HT.mul(c1, c2)
+        for c3 in HT.arrows:
+            if not HT.composable(c2, c3):
+                continue
+            c23 = HT.mul(c2, c3)
+            if not {(c1, c2), (c12, c3), (c1, c23), (c2, c3)} <= row.keys():
+                continue
+            # all four values lie over the source of c3, and so do their products
+            mul = product[rows[(c2, c3)][0]]
+            acted = dia.image[HT.inv(c3)][row[(c1, c2)]]      # c3^-1 acting on theta(c1, c2)
+            if mul[acted][row[(c12, c3)]] != mul[row[(c1, c23)]][row[(c2, c3)]]:
+                cocycle_ok = False
+                violations.append(("cocycle", (c1, c2, c3)))
     return ThetaReport(unit_ok, cocycle_ok, coverage, violations, rows)
 
 

@@ -1,11 +1,14 @@
 """Action-package mutations used to show each axiom clause can fail with a witness.
 
 Each mutation takes a healthy Weyl-derived ActionPackage and returns a broken
-copy.  EXPECTED_FAILURES maps mutation name -> the clause(s) that must report
-False; a mutation may break more clauses than listed, but never fewer.
+copy.  A mutation is written as a map over ids, on the package's maps over
+ids (:func:`oracles.action_maps`), and tabulated into the copy's arrays by
+:func:`oracles.tabulate_actions`.  EXPECTED_FAILURES maps mutation name ->
+the clause(s) that must report False; a mutation may break more clauses
+than listed, but never fewer.
 """
 
-import dataclasses
+from oracles import action_maps, tabulate_actions
 
 
 def _anchors(pkg):
@@ -24,48 +27,51 @@ def mut_units_left(pkg):
     """Left action on units answers with the inverse bundle element."""
     _, _, _ = _anchors(pkg)
     H, T = pkg.H, pkg.T
-    return dataclasses.replace(
+    left, right, _, _ = action_maps(pkg)
+    return tabulate_actions(
         pkg,
-        left=lambda t, eta: pkg.right(eta, T.inv(t)) if H.is_unit(eta) else pkg.left(t, eta),
+        left=lambda t, eta: right(eta, T.inv(t)) if H.is_unit(eta) else left(t, eta),
     )
 
 
 def mut_rho_inverts_units(pkg):
     """rho on unit arrows inverts instead of being the identity."""
     H, T = pkg.H, pkg.T
-    return dataclasses.replace(
+    rho = action_maps(pkg)[3]
+    return tabulate_actions(
         pkg,
-        rho=lambda t, eta: T.inv(t) if H.is_unit(eta) else pkg.rho(t, eta),
+        rho=lambda t, eta: T.inv(t) if H.is_unit(eta) else rho(t, eta),
     )
 
 
 def mut_left_constant(pkg):
     """Left action fixes every arrow (never free)."""
-    return dataclasses.replace(pkg, left=lambda t, eta: eta)
+    return tabulate_actions(pkg, left=lambda t, eta: eta)
 
 
 def mut_right_constant(pkg):
     """Right action fixes every arrow (never free)."""
-    return dataclasses.replace(pkg, right=lambda eta, t: eta)
+    return tabulate_actions(pkg, right=lambda eta, t: eta)
 
 
 def mut_lambda_identity(pkg):
     """lambda forced to the identity; wrong whenever conjugation is nontrivial."""
-    return dataclasses.replace(pkg, lam=lambda eta, t: t)
+    return tabulate_actions(pkg, lam=lambda eta, t: t)
 
 
 def mut_rho_identity(pkg):
     """rho forced to the identity; wrong whenever conjugation is nontrivial."""
-    return dataclasses.replace(pkg, rho=lambda t, eta: t)
+    return tabulate_actions(pkg, rho=lambda t, eta: t)
 
 
 def mut_lambda_swap(pkg):
     """lambda output has two values swapped: no longer a homomorphism."""
     H = pkg.H
     _, t0, t1 = _anchors(pkg)
+    healthy = action_maps(pkg)[2]
 
     def lam(eta, t):
-        v = pkg.lam(eta, t)
+        v = healthy(eta, t)
         if not H.is_unit(eta):
             if v == t0:
                 return t1
@@ -73,19 +79,20 @@ def mut_lambda_swap(pkg):
                 return t0
         return v
 
-    return dataclasses.replace(pkg, lam=lam)
+    return tabulate_actions(pkg, lam=lam)
 
 
 def mut_rho_class_flip(pkg):
     """rho inverted over one quotient class only."""
     H, T = pkg.H, pkg.T
     c_flip = min(a[0] for a in H.arrows if not H.is_unit(a))
+    healthy = action_maps(pkg)[3]
 
     def rho(t, eta):
-        v = pkg.rho(t, eta)
+        v = healthy(t, eta)
         return T.inv(v) if eta[0] == c_flip else v
 
-    return dataclasses.replace(pkg, rho=rho)
+    return tabulate_actions(pkg, rho=rho)
 
 
 def mut_left_char_dependent(pkg):
@@ -95,14 +102,15 @@ def mut_left_char_dependent(pkg):
     """
     H, T = pkg.H, pkg.T
     data = pkg.weyl
+    healthy = action_maps(pkg)[0]
 
     def left(t, eta):
         chi = data.dual.by_id[eta[1]]
         if not chi.is_trivial and not H.is_unit(eta):
-            return pkg.left(T.inv(t), eta)
-        return pkg.left(t, eta)
+            return healthy(T.inv(t), eta)
+        return healthy(t, eta)
 
-    return dataclasses.replace(pkg, left=left)
+    return tabulate_actions(pkg, left=left)
 
 
 MUTATIONS = {

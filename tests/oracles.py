@@ -15,10 +15,12 @@ pair, tuple-keyed dicts for the parsed tables, one multiplication call per
 semidirect pair, one lookup per composable pair of the quotient, one
 ``mul`` per pair of members, a breadth-first search per closure, and
 characters enumerated and checked as ``Character`` objects, one ``Phase``
-sum at a time.  The tests compare the two.
+sum at a time, and the action-package axioms checked one call of the
+four maps at a time, as functions over ids.  The tests compare the two.
 """
 
 import cmath
+import dataclasses
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,10 +42,12 @@ from weylkit.errors import (
     NotStarHomomorphism,
     SchemaError,
     UnknownArrowId,
+    WeylkitError,
 )
 from weylkit.groupoid import Grading, PropertyReport, build_groupoid, validate_groupoid
 from weylkit.io import GroupoidFile, _expect, _split_pair
 from weylkit.phases import ZERO, Phase
+from weylkit.reconstruct import ActionPackageReport
 from weylkit.weyl import conditional_expectation
 
 
@@ -615,3 +619,165 @@ def dual_fibres_oracle(bundle) -> dict:
                 raise DualityFailure(("degenerate element", x, a))
         out[x] = tuple(chars)
     return out
+
+
+def action_maps(pkg):
+    """The package's four maps as functions over ids, read from its arrays.
+
+    Returns (left, right, lam, rho), called as left(t, eta), right(eta, t),
+    lam(eta, t) and rho(t, eta).  An id outside T or H, or an entry -1,
+    raises KeyError.
+    """
+    H, ids = pkg.H, pkg.t_elements()
+    pos = {t: i for i, t in enumerate(ids)}
+
+    def read(table, out, i, j):
+        v = int(table[i, j])
+        if v < 0:
+            raise KeyError((i, j))
+        return out[v]
+
+    return (
+        lambda t, eta: read(pkg.left, H.arrows, pos[t], H.index[eta]),
+        lambda eta, t: read(pkg.right, H.arrows, H.index[eta], pos[t]),
+        lambda eta, t: read(pkg.lam, ids, H.index[eta], pos[t]),
+        lambda t, eta: read(pkg.rho, ids, pos[t], H.index[eta]),
+    )
+
+
+def tabulate_actions(pkg, **maps):
+    """A copy of ``pkg`` with each map given by name (left, right, lam, rho) tabulated from a function over ids.
+
+    The function is called on every pair over the moment-map fibres; a
+    KeyError or WeylkitError, or a value that is no arrow of H (for left
+    and right) or element of T (for lam and rho), becomes -1.  Any other
+    exception propagates.
+    """
+    H, T, ids = pkg.H, pkg.T, pkg.t_elements()
+    pos = {t: i for i, t in enumerate(ids)}
+    out = {"left": H.index, "right": H.index, "lam": pos, "rho": pos}
+    arrays = {}
+    for name, f in maps.items():
+        table = np.full((len(ids), len(H.arrows)), -1)
+        for i, t in enumerate(ids):
+            for j, eta in enumerate(H.arrows):
+                over = pkg.p_r(eta) if name in ("left", "rho") else pkg.p_s(eta)
+                if T.p[t] != over:
+                    continue
+                try:
+                    v = f(t, eta) if name in ("left", "rho") else f(eta, t)
+                except (KeyError, WeylkitError):
+                    continue
+                table[i, j] = out[name].get(v, -1)
+        arrays[name] = table if name in ("left", "rho") else table.T.copy()
+    return dataclasses.replace(pkg, **arrays)
+
+
+def verify_action_package_loop(pkg):
+    """Every action-package axiom, one call of the maps of :func:`action_maps` per instance.
+
+    A check that raises a KeyError or a WeylkitError fails; anything else
+    propagates.  The witness of a failing clause is its first failing
+    instance in scan order.
+    """
+    left, right, lam, rho = action_maps(pkg)
+    pkg.check_moment_maps()
+    H, T = pkg.H, pkg.T
+    clauses, wit, counts = {}, {}, {}
+
+    def record(name, check, witness=None):
+        try:
+            ok = bool(check())
+        except (KeyError, WeylkitError):
+            ok = False
+        clauses[name] = clauses[name] and ok
+        counts[name] += 1
+        if not ok and name not in wit:
+            wit[name] = witness
+
+    t_elems = pkg.t_elements()
+    for name in (
+        "units_compatible", "endpoints_compatible", "actions_commute",
+        "left_free", "right_free",
+        "right_via_lambda", "left_via_rho",
+        "right_distributes", "left_distributes",
+        "inverse_right", "inverse_left",
+        "lambda_rho_inverse", "lambda_multiplicative",
+        "identity_on_units", "lambda_composition", "rho_composition",
+    ):
+        clauses[name], counts[name] = True, 0
+
+    for t in t_elems:
+        x = T.p[t]
+        for eta in H.arrows:
+            if pkg.p_r(eta) == x:
+                record("endpoints_compatible",
+                       lambda t=t, eta=eta: H.tgt[left(t, eta)] == left(t, H.tgt[eta]),
+                       (t, eta))
+                record("left_free",
+                       lambda t=t, eta=eta, x=x: left(t, eta) != eta or t == T.identity[x],
+                       (t, eta))
+                record("left_via_rho",
+                       lambda t=t, eta=eta: left(t, eta) == right(eta, rho(t, eta)),
+                       (t, eta))
+                record("inverse_left",
+                       lambda t=t, eta=eta: H.inv(left(t, eta)) == right(H.inv(eta), t),
+                       (t, eta))
+                record("lambda_rho_inverse",
+                       lambda t=t, eta=eta: lam(eta, rho(t, eta)) == t,
+                       (t, eta))
+            if pkg.p_s(eta) == x:
+                record("endpoints_compatible",
+                       lambda t=t, eta=eta: H.src[right(eta, t)] == right(H.src[eta], t),
+                       (t, eta))
+                record("right_free",
+                       lambda t=t, eta=eta, x=x: right(eta, t) != eta or t == T.identity[x],
+                       (t, eta))
+                record("right_via_lambda",
+                       lambda t=t, eta=eta: right(eta, t) == left(lam(eta, t), eta),
+                       (t, eta))
+                record("inverse_right",
+                       lambda t=t, eta=eta: H.inv(right(eta, t)) == left(t, H.inv(eta)),
+                       (t, eta))
+                record("lambda_rho_inverse",
+                       lambda t=t, eta=eta: rho(lam(eta, t), eta) == t,
+                       (t, eta))
+            if H.is_unit(eta) and T.p[eta] == x:
+                record("units_compatible",
+                       lambda t=t, eta=eta: left(t, eta) == right(eta, t),
+                       (t, eta))
+                record("identity_on_units",
+                       lambda t=t, eta=eta: rho(t, eta) == t and lam(eta, t) == t,
+                       (t, eta))
+
+    for t, t2 in itertools.product(t_elems, t_elems):
+        for eta in H.arrows:
+            if pkg.p_r(eta) == T.p[t] and pkg.p_s(eta) == T.p[t2]:
+                record("actions_commute",
+                       lambda t=t, eta=eta, t2=t2: right(left(t, eta), t2) == left(t, right(eta, t2)),
+                       (t, eta, t2))
+            if pkg.p_s(eta) == T.p[t] == T.p[t2]:
+                record("lambda_multiplicative",
+                       lambda t=t, eta=eta, t2=t2: lam(eta, T.mult(t, t2)) == T.mult(lam(eta, t), lam(eta, t2)),
+                       (t, eta, t2))
+
+    for (gamma, eta) in H.compose:
+        ge = H.mul(gamma, eta)
+        for t in T.fibre(pkg.p_s(eta)):
+            record("right_distributes",
+                   lambda ge=ge, gamma=gamma, eta=eta, t=t:
+                   right(ge, t) == H.mul(right(gamma, lam(eta, t)), right(eta, t)),
+                   (gamma, eta, t))
+            record("lambda_composition",
+                   lambda ge=ge, gamma=gamma, eta=eta, t=t: lam(ge, t) == lam(gamma, lam(eta, t)),
+                   (gamma, eta, t))
+        for t in T.fibre(pkg.p_r(gamma)):
+            record("left_distributes",
+                   lambda ge=ge, gamma=gamma, eta=eta, t=t:
+                   left(t, ge) == H.mul(left(t, gamma), left(rho(t, gamma), eta)),
+                   (gamma, eta, t))
+            record("rho_composition",
+                   lambda ge=ge, gamma=gamma, eta=eta, t=t: rho(t, ge) == rho(rho(t, gamma), eta),
+                   (gamma, eta, t))
+
+    return ActionPackageReport(clauses, wit, counts)

@@ -13,9 +13,11 @@ from oracles import (
 )
 from weylkit import corpus
 from weylkit.cocycle import TwoCocycle, check_cocycle
+from weylkit.dual import bundle_from_subgroupoid
 from weylkit.errors import AssociativityViolation, WeylkitError
 from weylkit.groupoid import validate_groupoid
 from weylkit.phases import HALF, Phase
+from weylkit.reconstruct import bundle_package
 from weylkit.weyl import build_weyl_groupoid, weyl_twist_cocycle
 
 CORPUS = ["pauli", "z2z2", "s3", "s3-ungraded", "d4", "q8", "z2xR2",
@@ -73,10 +75,18 @@ def test_generators_close_to_every_arrow(entry, name, weyl):
 
 
 def test_generators_cover_units_by_products_or_themselves():
+    # non-unit arrows are scanned first, so every unit of pair(3) is a product g * g^-1
     G = corpus.pair_groupoid(3).G
     gens = [G.arrows[i] for i in G.generators()]
-    assert set(gens) & set(G.units) == {"0>0"}
-    assert {"1>1", "2>2"} <= _closure(G, [g for g in gens if g != "0>0"])
+    assert not set(gens) & set(G.units)
+    assert set(G.units) <= _closure(G, gens)
+    G = corpus.rotation(8, 3).G
+    assert [G.arrows[i] for i in G.generators()] == ["0|1", "1|0"]
+    # a groupoid of units alone: each unit is a generator itself
+    e = corpus.by_name("z2xR2")
+    H = bundle_package(bundle_from_subgroupoid(e.G, e.S)).H
+    assert set(H.arrows) == set(H.units)
+    assert H.generators().tolist() == list(range(len(H.units)))
 
 
 def _associativity_agrees(G, compose):

@@ -1,6 +1,5 @@
 """Action packages, quotients, diamond action, theta, twisted product, round trip."""
 
-import dataclasses
 import itertools
 
 import pytest
@@ -10,7 +9,6 @@ from weylkit.dual import Character, bundle_from_subgroupoid
 from weylkit.errors import (
     AssumptionUnverified,
     IsoCheckFailed,
-    MomentMapMismatch,
     NontrivialCocycle,
     SchemaError,
     ThetaInvalid,
@@ -36,6 +34,7 @@ from weylkit.reconstruct import (
 )
 
 from mutations import ALL_CLAUSES, EXPECTED_FAILURES, MUTATIONS
+from oracles import tabulate_actions
 
 RECON = ["z2z2", "s3", "d4", "q8", "z2xR2"]
 
@@ -121,13 +120,15 @@ def test_bundle_package_passes(entry):
 def test_moment_map_guards(derived):
     pkg = derived("z2xR2")  # two base units, so off-fibre elements exist
     H, T = pkg.H, pkg.T
-    eta = next(a for a in H.arrows if not H.is_unit(a))
-    wrong = next(t for t in pkg.t_elements() if T.p[t] != pkg.p_r(eta))
-    with pytest.raises(MomentMapMismatch):
-        pkg.left(wrong, eta)
-    wrong_s = next(t for t in pkg.t_elements() if T.p[t] != pkg.p_s(eta))
-    with pytest.raises(MomentMapMismatch):
-        pkg.right(eta, wrong_s)
+    off = 0
+    for i, t in enumerate(pkg.t_elements()):
+        for j, eta in enumerate(H.arrows):
+            on_r, on_s = T.p[t] == pkg.p_r(eta), T.p[t] == pkg.p_s(eta)
+            assert (pkg.left[i, j] >= 0) == on_r and (pkg.rho[i, j] >= 0) == on_r, (t, eta)
+            assert (pkg.right[j, i] >= 0) == on_s and (pkg.lam[j, i] >= 0) == on_s, (eta, t)
+            off += not on_r
+    assert off > 0
+    assert not any(a.flags.writeable for a in (pkg.left, pkg.right, pkg.lam, pkg.rho))
 
 
 def test_mutation_clause_coverage():
@@ -372,19 +373,20 @@ def test_roundtrip(entry, name):
     assert set(rec.phi.values()) == set(e.G.arrows)
 
 
-def test_action_check_names_the_exception_and_lets_bugs_through(derived):
+def test_action_check_names_the_witness_and_lets_bugs_through(derived):
     pkg = derived("q8")
-    # an action that lands outside the arrow set fails its clauses, and the
-    # witness says which exception the check raised
+    # an action that lands outside the arrow set fails its clauses, with
+    # the first failing instance as the witness
     report = verify_action_package(MUTATIONS["rho_identity"](pkg))
-    assert report.witnesses["left_distributes"][-1] == "KeyError"
+    assert report.witnesses["left_distributes"] == (("-j", "1#0"), ("-1", "1#0"), ("-1", "1#2"))
 
-    # any other exception is a programming error and propagates
+    # a map that raises anything but KeyError or WeylkitError while it is
+    # tabulated is a programming error, and it propagates
     def broken(t, eta):
         raise ZeroDivisionError
 
     with pytest.raises(ZeroDivisionError):
-        verify_action_package(dataclasses.replace(pkg, left=broken))
+        tabulate_actions(pkg, left=broken)
 
 
 @pytest.mark.parametrize("name", RECON + ["pauli", "rotation(4,1)", "pair(3)"])
@@ -392,17 +394,18 @@ def test_tabulated_package_matches_closed_formulas(derived, name):
     pkg = pair3_package() if name == "pair(3)" else derived(name)
     H, T = pkg.H, pkg.T
     left, right, lam, rho, mult, inv = oracle_maps(pkg)
-    for t in pkg.t_elements():
+    ids = pkg.t_elements()
+    for i, t in enumerate(ids):
         assert T.inv(t) == inv(t), (t,)
         for t2 in T.fibre(T.p[t]):
             assert T.mult(t, t2) == mult(t, t2), (t, t2)
-        for eta in H.arrows:
+        for j, eta in enumerate(H.arrows):
             if pkg.p_r(eta) == T.p[t]:
-                assert pkg.left(t, eta) == left(t, eta), (t, eta)
-                assert pkg.rho(t, eta) == rho(t, eta), (t, eta)
+                assert H.arrows[pkg.left[i, j]] == left(t, eta), (t, eta)
+                assert ids[pkg.rho[i, j]] == rho(t, eta), (t, eta)
             if pkg.p_s(eta) == T.p[t]:
-                assert pkg.right(eta, t) == right(eta, t), (eta, t)
-                assert pkg.lam(eta, t) == lam(eta, t), (eta, t)
+                assert H.arrows[pkg.right[j, i]] == right(eta, t), (eta, t)
+                assert ids[pkg.lam[j, i]] == lam(eta, t), (eta, t)
 
 
 def clause_domain_sizes(pkg):
@@ -505,3 +508,20 @@ def test_theta_value_outside_the_dual_is_a_violation(diamond, derived, name):
         assert not report.all_pass() and ("outside the dual", pair) in report.violations
         with pytest.raises(ThetaInvalid):
             build_boxtimes(dia, ThetaDatum({**theta.values, pair: value}))
+
+
+def test_theta_cocycle_break_fails_although_a_value_is_missing(diamond):
+    # d4: H/T is Z2 acting on the dual of Z4 by inversion
+    dia = diamond("d4")
+    c = next(a for a in dia.HT.arrows if not dia.HT.is_unit(a))
+    e = dia.HT.src[c]
+    values = dict(trivial_theta(dia).values)
+    x = values[(c, c)].unit
+    # theta(c, c) of order 4 breaks the identity on (c, c, c): c inverts it
+    values[(c, c)] = dia.That.fibres[x][next(
+        r for r, i in enumerate(dia.That.tables[x].inverse) if i != r)]
+    del values[(e, e)]
+    report = verify_theta(dia, ThetaDatum(values))
+    assert not report.coverage
+    assert report.cocycle_identity is False
+    assert ("cocycle", (c, c, c)) in report.violations
