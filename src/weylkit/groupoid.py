@@ -149,6 +149,7 @@ class FiniteGroupoid:
         if self._gens is None:
             covered = np.zeros(len(self.arrows), dtype=bool)
             gens = []
+            # units are their own source: they sort last, each part in index order
             for g in np.argsort(self._ends[0] == np.arange(len(self.arrows)), kind="stable").tolist():
                 if not covered[g]:
                     gens.append(g)
