@@ -10,6 +10,7 @@ requires a trivial 2-cocycle.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -31,15 +32,20 @@ from .errors import (
 from .groupoid import (
     FiniteGroupoid,
     Grading,
+    arrow_index,
+    arrow_indices,
     build_groupoid,
     class_table,
     orbit_quotient,
+    validate_arrays,
 )
 from .weyl import (
     PowerTable,
     WeylData,
+    action_ids,
     build_weyl_groupoid,
     check_gamma_cartan_hypotheses,
+    fibres_of,
     first_centralizing_bound,
     image_rows,
     validate_section,
@@ -328,13 +334,23 @@ class DiamondData:
     class_map: dict           # H arrow -> H/T class id
     classes: dict             # class id -> frozenset
     That: CharacterBundle     # dual of pkg.T
-    action: dict              # (class id, char id) -> Character
     x_unit: dict              # base point of X -> H/T unit class id
     q_class: Optional[dict]   # H/T class id -> G/S class id; None unless Weyl-derived
-    image: dict               # class id -> row of the image of each row of the source fibre
+    image: np.ndarray         # the action's table, as in weyl_action
     # the last twisted product build_boxtimes verified and built, with a
     # copy of the theta values it was built from
     boxtimes: Optional[tuple] = field(default=None, repr=False, compare=False)
+
+    @functools.cached_property
+    def fibre_tables(self):
+        """(tables, source, target, size, start, product): :func:`fibres_of` for the diamond action.
+
+        Fibre f has size[f] rows, and rows i, j multiply to product[start[f] + i * size[f] + j].
+        """
+        tables, _, fs, ft = fibres_of(self.HT, self.That, self.x_unit)
+        size = np.array([len(t.ids) for t in tables])
+        start = np.cumsum(size * size) - size * size
+        return tables, fs, ft, size, start, np.concatenate([t.product.ravel() for t in tables])
 
 
 def diamond_action(pkg: ActionPackage, report: Optional[ActionPackageReport] = None) -> DiamondData:
@@ -346,7 +362,7 @@ def diamond_action(pkg: ActionPackage, report: Optional[ActionPackageReport] = N
     ids = pkg.t_elements()
     pos = {t: i for i, t in enumerate(ids)}
 
-    action, image = {}, {}
+    image = np.full((len(HT.arrows), max(len(t.ids) for t in That.tables.values())), -1)
     for cid, members in classes.items():
         # rho descends: every member of the class has the same column
         rho = pkg.rho[:, sorted(H.index[eta] for eta in members)]
@@ -355,24 +371,23 @@ def diamond_action(pkg: ActionPackage, report: Optional[ActionPackageReport] = N
         tr, ts = That.tables[pkg.p_r(min(members))], That.tables[pkg.p_s(min(members))]
         # chi over the source goes to chi o rho over the target
         at_rho = ts.values[:, [ts.column[ids[rho[pos[t], 0]]] for t in tr.elements]]
-        image[cid] = image_rows(tr, at_rho, ts.exponent, cid, ts.ids)
-        action.update(((cid, i), That.fibres[tr.base][r]) for i, r in zip(ts.ids, image[cid]))
+        image[HT.index[cid], :len(ts.ids)] = image_rows(tr, at_rho, ts.exponent, cid, ts.ids)
+    image.setflags(write=False)
 
-    x_unit = {T.p[u]: class_map[u] for u in H.units}
-
-    verify_groupoid_action(HT, That, action, {uc: x for x, uc in x_unit.items()})
+    dia = DiamondData(pkg, HT, class_map, classes, That, {T.p[u]: class_map[u] for u in H.units}, None, image)
+    verify_groupoid_action(HT, That, image, dia.x_unit)
     # each class acts by a homomorphism of the character groups
     for cid, members in classes.items():
         ts, tr = That.tables[pkg.p_s(min(members))], That.tables[pkg.p_r(min(members))]
-        img = np.array(image[cid])
+        img = image[HT.index[cid], :len(ts.ids)]
         bad = img[ts.product] != tr.product[img[:, None], img[None, :]]
         if bad.any():
             a, b = np.argwhere(bad)[0]
             raise NotAnAction(("multiplicativity", cid, ts.ids[a], ts.ids[b]))
 
     # an H/T class is one G/S class with all its characters
-    q_class = None if pkg.weyl is None else {cid: cid[0] for cid in classes}
-    return DiamondData(pkg, HT, class_map, classes, That, action, x_unit, q_class, image)
+    dia.q_class = None if pkg.weyl is None else {cid: cid[0] for cid in classes}
+    return dia
 
 
 @dataclass
@@ -388,8 +403,9 @@ class ThetaReport:
     cocycle_identity: bool
     coverage: bool
     violations: list = field(default_factory=list)
-    # (c1, c2) -> (x, row) of each value in the dual of T, None outside it
-    rows: dict = field(default_factory=dict, repr=False, compare=False)
+    instances: dict = field(default_factory=dict)   # per check, the instances checked
+    # theta(c1, c2) at [c1, c2] as a row over the source of c2, -1 where there is none
+    rows: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def all_pass(self) -> bool:
         return self.unit_triviality and self.cocycle_identity and self.coverage
@@ -420,12 +436,12 @@ def theta_for_package(pkg: ActionPackage, dia: DiamondData, section: Optional[di
         defect = G.mul_all(G.inv(sec[q12]), sec[q1], sec[q2])
         if defect not in data.S:
             raise NotInS(f"section defect {defect} lies outside the marked bundle")
-        values[(ht_of_q[q1], ht_of_q[q2])] = evaluation[defect]
+        values[(ht_of_q[q1], ht_of_q[q2])] = dia.That.by_id[evaluation[defect]]
     return ThetaDatum(values)
 
 
 def _evaluation(pkg: ActionPackage, dia: DiamondData) -> dict:
-    """Each element s of the marked bundle -> the character t -> t(s) of T, in the dual of T.
+    """Each element s of the marked bundle -> the id of the character t -> t(s) of T, in the dual of T.
 
     The elements of T are (class, character id) pairs of the Weyl dual.
     """
@@ -433,7 +449,7 @@ def _evaluation(pkg: ActionPackage, dia: DiamondData) -> dict:
     for x, t in dual.tables.items():
         tt = dia.That.tables[x]
         rows = tt.rows_of(t.values[[dual.position[cid][1] for _, cid in tt.elements]].T, t.exponent)
-        out.update(zip(t.elements, map(dia.That.fibres[x].__getitem__, rows.tolist())))
+        out.update(zip(t.elements, map(tt.ids.__getitem__, rows.tolist())))
     return out
 
 
@@ -461,60 +477,70 @@ def verify_theta(dia: DiamondData, theta: ThetaDatum) -> ThetaReport:
 
     Each value must be a character of the dual of T over the source of c2;
     one that is not fails ``coverage`` with an "outside the dual" violation,
-    as a missing one does.  The cocycle identity is checked on every triple
-    whose four values lie in the dual, so it fails on a break there even
-    when ``coverage`` fails elsewhere.
+    as a missing one does.  The cocycle identity is one gather over every
+    triple whose four values lie in the dual (each pair, then c3 in index
+    order), so it fails on a break there even when ``coverage`` fails elsewhere.
     """
     HT, That = dia.HT, dia.That
+    n, comp, inv = len(HT.arrows), HT.comp_matrix(), HT.inverse_indices()
+    (s, t), arrows = HT.endpoint_indices(), HT.arrows
+    tables, fs, _, size, start, prod = dia.fibre_tables
     violations = []
 
-    # (c1, c2) -> (x, row) of theta(c1, c2) in the dual of T over x, the source of c2; else None
-    source = {c: dia.pkg.p_s(min(ms)) for c, ms in dia.classes.items()}
-    at = (That.position.get(That.char_id.get(val)) for val in theta.values.values())
-    rows = {pair: p if p and p[0] == source.get(pair[1]) else None for pair, p in zip(theta.values, at)}
+    rows, outside = np.full((n, n), -1, dtype=np.int32), []
+    for (c1, c2), val in theta.values.items():
+        x, r = That.position.get(That.char_id.get(val), (None, -1))
+        j = HT.index.get(c2, -1)
+        if j < 0 or x != tables[fs[j]].base:
+            outside.append((c1, c2))
+        elif c1 in HT.index:
+            rows[HT.index[c1], j] = r
+    rows[comp < 0] = -1
+    rows.setflags(write=False)
 
     coverage = set(theta.values) == set(HT.compose)
     if not coverage:
         violations.append(("coverage", set(HT.compose) ^ set(theta.values)))
-    outside = [pair for pair, found in rows.items() if found is None]
     if outside:
         coverage = False
         violations += [("outside the dual", pair) for pair in outside]
 
+    # (r(c), c) and (c, s(c)) for every arrow c: a value that is not row 0
+    # may still be trivial outside the dual, so those are read as Characters
+    ar = np.arange(n)
+    left, right = np.stack([t, ar], axis=1).ravel(), np.stack([ar, s], axis=1).ravel()
     unit_ok = True
-    for c in HT.arrows:
-        for pair in ((HT.tgt[c], c), (c, HT.src[c])):
-            val = theta.values.get(pair)
-            if val is None or not val.is_trivial:
-                unit_ok = False
-                violations.append(("unit", pair))
+    for i, j in zip(*(a[rows[left, right] != 0].tolist() for a in (left, right))):
+        val = theta.values.get((arrows[i], arrows[j]))
+        if val is None or not val.is_trivial:
+            unit_ok = False
+            violations.append(("unit", (arrows[i], arrows[j])))
 
-    cocycle_ok = True
-    row = {pair: found[1] for pair, found in rows.items() if found is not None}
-    product = {x: t.product.tolist() for x, t in That.tables.items()}
-    for (c1, c2) in HT.compose:
-        c12 = HT.mul(c1, c2)
-        for c3 in HT.arrows:
-            if not HT.composable(c2, c3):
-                continue
-            c23 = HT.mul(c2, c3)
-            if not {(c1, c2), (c12, c3), (c1, c23), (c2, c3)} <= row.keys():
-                continue
-            # all four values lie over the source of c3, and so do their products
-            mul = product[rows[(c2, c3)][0]]
-            acted = dia.image[HT.inv(c3)][row[(c1, c2)]]      # c3^-1 acting on theta(c1, c2)
-            if mul[acted][row[(c12, c3)]] != mul[row[(c1, c23)]][row[(c2, c3)]]:
-                cocycle_ok = False
-                violations.append(("cocycle", (c1, c2, c3)))
-    return ThetaReport(unit_ok, cocycle_ok, coverage, violations, rows)
+    gi, hi = HT.pair_indices()
+    k, c3 = (comp[hi] >= 0).nonzero()
+    c1, c2 = gi[k], hi[k]
+    c12, c23 = comp[c1, c2], comp[c2, c3]
+    a, b, c, d = rows[c1, c2], rows[c12, c3], rows[c1, c23], rows[c2, c3]
+    checked = ((a >= 0) & (b >= 0) & (c >= 0) & (d >= 0)).nonzero()[0]
+    c1, c2, c3, a, b, c, d = (v[checked] for v in (c1, c2, c3, a, b, c, d))
+    # all four values lie over the source of c3, and so do their products;
+    # c3^-1 acts on theta(c1, c2)
+    f = fs[c3]
+    lhs = prod[start[f] + dia.image[inv[c3], a] * size[f] + b]
+    bad = (lhs != prod[start[f] + c * size[f] + d]).nonzero()[0]
+    violations += [("cocycle", (arrows[c1[i]], arrows[c2[i]], arrows[c3[i]])) for i in bad.tolist()]
+    instances = {"unit_triviality": 2 * n, "cocycle_identity": len(checked)}
+    return ThetaReport(unit_ok, not bad.size, coverage, violations, instances, rows)
 
 
 def build_boxtimes(dia: DiamondData, theta: ThetaDatum) -> FiniteGroupoid:
     """The groupoid of pairs (quotient class, dual character), twisted by theta.
 
-    Arrows pair a class of H/T with a character at its source base point;
-    the product twists the character part by theta and by the diamond action.
-    The unit space is identified with the base X.  The product is kept on
+    Arrows pair a class of H/T with a character at its source base point:
+    (c1, x1) (c2, x2) = (c1 c2, theta(c1, c2) (c2^-1 . x1) x2), one gather
+    over the composable pairs of the arrows as built (classes in index
+    order, characters in row order), then validated as a groupoid.  The
+    unit space is identified with the base X.  The product is kept on
     ``dia`` and returned again, unverified and unbuilt, for a theta with
     equal values.
     """
@@ -523,25 +549,28 @@ def build_boxtimes(dia: DiamondData, theta: ThetaDatum) -> FiniteGroupoid:
     report = verify_theta(dia, theta)
     if not report.all_pass():
         raise ThetaInvalid(f"theta fails verification: {report.violations[:3]}")
-    pkg, HT, That = dia.pkg, dia.HT, dia.That
+    HT, That = dia.HT, dia.That
+    tables, fs, ft, size, start, prod = dia.fibre_tables
+    unit_id = [(dia.x_unit[t.base], t.ids[0]) for t in tables]
 
-    unit_id = {x: (uc, That.tables[x].ids[0]) for x, uc in dia.x_unit.items()}
-    arrows = {}
-    for cid in HT.arrows:
-        xs, xt = pkg.p_s(min(dia.classes[cid])), pkg.p_r(min(dia.classes[cid]))
-        arrows.update(((cid, i), (unit_id[xs], unit_id[xt])) for i in That.tables[xs].ids)
+    # the arrows as built: class c[j] with row r[j] over its source, from arrow first[c]
+    c, r = (np.arange(size.max()) < size[fs][:, None]).nonzero()
+    first = np.cumsum(size[fs]) - size[fs]
+    keys = [(HT.arrows[ci], tables[fs[ci]].ids[ri]) for ci, ri in zip(c.tolist(), r.tolist())]
+    arrows = dict(zip(keys, [(unit_id[fs[ci]], unit_id[ft[ci]]) for ci in c.tolist()]))
+    index = arrow_indices(arrow_index(keys), keys, len(keys))
 
-    rows, position = report.rows, That.position
-    product = {x: t.product.tolist() for x, t in That.tables.items()}
+    # the composable pairs (g, h) of arrows as built
+    g, h = (fs[c][:, None] == ft[c][None, :]).nonzero()
+    c1, c2, f = c[g], c[h], fs[c[h]]
+    acted = prod[start[f] + dia.image[HT.inverse_indices()[c2], r[g]] * size[f] + r[h]]
+    out = prod[start[f] + report.rows[c1, c2] * size[f] + acted]
+    c12 = HT.comp_matrix()[c1, c2]
 
-    def mul(a1, a2):
-        (c1, x1), (c2, x2) = a1, a2
-        x, r2 = position[x2]
-        acted = dia.image[HT.inv(c2)][position[x1][1]]      # c2^-1 acting on x1, over x
-        out = product[x][rows[(c1, c2)][1]][product[x][acted][r2]]
-        return HT.mul(c1, c2), That.tables[x].ids[out]
+    def entry(j):
+        return (keys[g[j]], keys[h[j]]), (HT.arrows[c12[j]], tables[f[j]].ids[out[j]])
 
-    B = build_groupoid(set(unit_id.values()), arrows, mul, name=f"boxtimes({HT.name})")
+    B = validate_arrays(set(unit_id), arrows, index[g], index[h], index[first[c12] + out], entry, name=f"boxtimes({HT.name})")
     dia.boxtimes = (dict(theta.values), B)
     return B
 
@@ -625,9 +654,8 @@ def verify_reconstruction_hypotheses(
             effective, wit["kernel_effective"] = False, g
             break
 
-    K = That.to_bundle()
-    act_ids = {key: That.char_id[val] for key, val in dia.action.items()}
-    imm, imm_wit = check_imm_centralizing_action(HT, K, act_ids, dia.x_unit)
+    act = action_ids(HT, That, dia.image, dia.x_unit)
+    imm, imm_wit = check_imm_centralizing_action(HT, That.to_bundle(), act, dia.x_unit)
     if not imm:
         wit["imm_centralizing"] = imm_wit
 
@@ -698,7 +726,7 @@ def reconstruction_iso(
 
     # invert the evaluation pairing: each character of T comes from exactly
     # one element of the marked bundle
-    elem_of = {dia.That.char_id[chi]: G.index[s] for s, chi in _evaluation(pkg, dia).items()}
+    elem_of = {i: G.index[s] for s, i in _evaluation(pkg, dia).items()}
 
     stray = [a for a in B.arrows if a[1] not in elem_of]
     if stray:

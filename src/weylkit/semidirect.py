@@ -17,7 +17,7 @@ from .dual import bundle_from_subgroupoid, dual_bundle
 from .errors import CocycleInvalid, NotAutomorphism, RestrictionNotTrivial, SchemaError
 from .groupoid import Grading, arrow_index, arrow_indices, validate_arrays
 from .phases import ZERO, Phase
-from .weyl import build_weyl_groupoid, image_rows, weyl_twist_cocycle
+from .weyl import action_ids, build_weyl_groupoid, image_rows, weyl_twist_cocycle
 
 
 def _elements(orders):
@@ -235,7 +235,7 @@ def _closed_form_action(spec: SemidirectSpec, dual, use_corollary: bool) -> dict
         vals = np.empty_like(t.values)
         vals[:, h_col] = (num + t.values[:, at] * (D // t.exponent)) % D
         cid = min(spec.elem_id((h, k)) for h in h_elems)
-        action.update(((cid, i), t.ids[r]) for i, r in zip(t.ids, image_rows(t, vals, D, cid, t.ids)))
+        action.update(((cid, i), t.ids[r]) for i, r in zip(t.ids, image_rows(t, vals, D, cid, t.ids).tolist()))
     return action
 
 
@@ -271,7 +271,7 @@ def verify_untwisting(spec: SemidirectSpec) -> UntwistingReport:
     GW, data = build_weyl_groupoid(G, S, omega)
     # both actions as character ids of the one dual bundle
     closed = _closed_form_action(spec, data.dual, use_corollary=False)
-    general = {key: data.dual.char_id[chi] for key, chi in data.action.items()}
+    general = action_ids(data.Q, data.dual, data.image, data.class_map)
     mismatches = [key for key in closed if closed[key] != general.get(key)]
     action_ok = not mismatches and set(closed) == set(general)
 

@@ -197,7 +197,7 @@ class WeylData:
     class_map: dict           # G arrow -> class id
     classes: dict             # class id -> frozenset of members
     dual: CharacterBundle     # dual of the bundle S
-    action: dict              # (class id, char id) -> Character
+    image: np.ndarray         # the action's table, see weyl_action
     section: dict             # class id -> G arrow
 
 
@@ -218,8 +218,9 @@ def weyl_action(G: FiniteGroupoid, S_members, omega: TwoCocycle):
     character tables, as numerators over one common denominator, and all
     members must agree, and each image must be a character of the dual.
 
-    Returns (Q, class_map, dual, action) with action keyed by
-    (class id, character id).
+    Returns (Q, class_map, dual, image): ``image[c, r]`` is the row over
+    the target of the class of index c of the image of row r over its
+    source, -1 past the source fibre; read-only.
     """
     S = frozenset(S_members)
     Q, class_map = quotient_by_bundle(G, S)
@@ -231,7 +232,7 @@ def weyl_action(G: FiniteGroupoid, S_members, omega: TwoCocycle):
     pos = _columns(G, dual)
     inv = G.inverse_indices()
 
-    action = {}
+    image = np.full((len(Q.arrows), max(len(t.ids) for t in dual.tables.values())), -1)
     for cid, members in class_table(class_map).items():
         tx, ty = dual.tables[G.src[cid]], dual.tables[G.tgt[cid]]
         g = np.array([G.index[m] for m in sorted(members)])[:, None]
@@ -245,15 +246,15 @@ def weyl_action(G: FiniteGroupoid, S_members, omega: TwoCocycle):
         disagree = (vals != vals[:, :1]).any(axis=(1, 2))
         if disagree.any():
             raise RepresentativeDisagreement((cid, tx.ids[int(np.argmax(disagree))]))
-        rows = image_rows(ty, vals[:, 0], D, cid, tx.ids)
-        action.update(((cid, i), dual.fibres[G.tgt[cid]][r]) for i, r in zip(tx.ids, rows))
+        image[Q.index[cid], :len(tx.ids)] = image_rows(ty, vals[:, 0], D, cid, tx.ids)
+    image.setflags(write=False)
     # the action is affine in the character for a nontrivial cocycle, so
     # multiplicativity is deliberately not checked here
-    verify_groupoid_action(Q, dual, action, {class_map[u]: u for u in G.units})
-    return Q, class_map, dual, action
+    verify_groupoid_action(Q, dual, image, class_map)
+    return Q, class_map, dual, image
 
 
-def image_rows(t: CharacterTable, nums, den: int, cid, ids) -> list:
+def image_rows(t: CharacterTable, nums, den: int, cid, ids) -> np.ndarray:
     """The row of ``t`` of each image ``nums[k]``/``den`` of the character ``ids[k]`` under the arrow ``cid``.
 
     An image that is no character of ``t`` raises NotAnAction, naming the first.
@@ -261,34 +262,66 @@ def image_rows(t: CharacterTable, nums, den: int, cid, ids) -> list:
     rows = t.rows_of(nums, den)
     if (rows < 0).any():
         raise NotAnAction(("image outside the dual", cid, ids[int(np.argmax(rows < 0))]))
-    return rows.tolist()
+    return rows
 
 
-def verify_groupoid_action(
-    Q: FiniteGroupoid, dual: CharacterBundle, action: Mapping, base_of_unit: Mapping
-):
-    """Check that ``action`` is an action of the groupoid Q on the bundle ``dual``.
+def fibres_of(Q: FiniteGroupoid, dual: CharacterBundle, unit_of_base: Mapping):
+    """(tables, units, source, target): the fibres of ``dual`` numbered for a groupoid Q acting on it.
 
-    ``action`` maps (arrow of Q, character id) -> Character, for the
-    characters over the base point of the arrow's source; ``base_of_unit``
-    sends each unit of Q to its base point.  Unit arrows must act trivially
-    and the action must respect composition.  Raises NotAnAction with the
+    ``unit_of_base`` sends each base point of ``dual`` to its unit of Q,
+    and gives the numbering; other keys are ignored, so a class map of G
+    serves.  Fibre f is ``tables[f]`` over the unit of index ``units[f]``;
+    the arrow of index c runs from fibre ``source[c]`` to ``target[c]``.
+    """
+    tables = [dual.tables[x] for x in unit_of_base if x in dual.tables]
+    units = np.array([Q.index[unit_of_base[t.base]] for t in tables], dtype=np.int64)
+    fibre = np.empty(len(Q.arrows), dtype=np.int64)
+    fibre[units] = np.arange(len(tables))
+    s, t = Q.endpoint_indices()
+    return tables, units, fibre[s], fibre[t]
+
+
+def verify_groupoid_action(Q: FiniteGroupoid, dual: CharacterBundle, image: np.ndarray, unit_of_base: Mapping):
+    """Check that the table ``image`` is an action of the groupoid Q on the bundle ``dual``.
+
+    ``image[c, r]`` is the row over the target of the arrow of index c of
+    the image of row r over its source, -1 past the source fibre;
+    ``unit_of_base`` is as in :func:`fibres_of`.  Each image must be a row
+    of the target fibre, units must act trivially and the action must
+    respect composition: gathers over the arrows, the units and
+    ``Q.pair_indices()``, times the rows.  Raises NotAnAction with the
     first failing instance.
     """
-    # work on character ids, so that each Character is hashed once
-    act = {key: dual.char_id.get(chi) for key, chi in action.items()}
-    stray = [key for key, i in act.items() if i is None]
-    if stray:
-        raise NotAnAction(("image outside the dual", *stray[0]))
-    ids = {x: t.ids for x, t in dual.tables.items()}
-    for u, x in base_of_unit.items():
-        for i in ids[x]:
-            if act[(u, i)] != i:
-                raise NotAnAction(("unit acts nontrivially", u, i))
-    for (c1, c2), c12 in Q.compose.items():
-        for i in ids[base_of_unit[Q.src[c2]]]:
-            if act[(c12, i)] != act[(c1, act[(c2, i)])]:
-                raise NotAnAction(("composition", c1, c2, i))
+    tables, units, fs, ft = fibres_of(Q, dual, unit_of_base)
+    size = np.array([len(t.ids) for t in tables])
+    r = np.arange(image.shape[1])
+
+    def fail(kind, arrows, c, i):  # row i over the source of the arrow of index c
+        raise NotAnAction((kind, *map(Q.arrows.__getitem__, arrows), tables[fs[c]].ids[i]))
+
+    dom = r < size[fs][:, None]
+    stray = dom & ((image < 0) | (image >= size[ft][:, None]))
+    if stray.any():
+        c, i = np.argwhere(stray)[0]
+        fail("image outside the dual", [c], c, i)
+    moved = dom[units] & (image[units] != r)
+    if moved.any():
+        j, i = np.argwhere(moved)[0]
+        fail("unit acts nontrivially", [units[j]], units[j], i)
+    gi, hi = Q.pair_indices()
+    broken = dom[hi] & (image[Q.comp_matrix()[gi, hi]] != image[gi[:, None], image[hi]])
+    if broken.any():
+        j, i = np.argwhere(broken)[0]
+        fail("composition", [gi[j], hi[j]], hi[j], i)
+
+
+def action_ids(Q: FiniteGroupoid, dual: CharacterBundle, image: np.ndarray, unit_of_base: Mapping) -> dict:
+    """The action table ``image`` of :func:`verify_groupoid_action` spelled as (arrow id, character id) -> character id."""
+    tables, _, fs, ft = fibres_of(Q, dual, unit_of_base)
+    out = {}
+    for c, row, a, b in zip(Q.arrows, image.tolist(), fs.tolist(), ft.tolist()):
+        out.update(((c, i), tables[b].ids[r]) for i, r in zip(tables[a].ids, row))
+    return out
 
 
 def choose_section(G: FiniteGroupoid, class_map, classes) -> dict:
@@ -324,7 +357,7 @@ def build_weyl_groupoid(
     A Weyl arrow is the key of its action entry, the pair (class id,
     character id); the units are the unit classes with each character.
     """
-    Q, class_map, dual, action = weyl_action(G, S_members, omega)
+    Q, class_map, dual, image = weyl_action(G, S_members, omega)
     classes = class_table(class_map)
     if section is None:
         section = choose_section(G, class_map, classes)
@@ -337,13 +370,13 @@ def build_weyl_groupoid(
         class_map=class_map,
         classes=classes,
         dual=dual,
-        action=action,
+        image=image,
         section=section,
     )
 
-    # the Weyl unit over each character
+    # the Weyl unit over each character, and each arrow's ends: its character and the image's
     unit_of = {cid: (class_map[x], cid) for cid, (x, _) in dual.position.items()}
-    arrows = {key: (unit_of[key[1]], unit_of[dual.char_id[chi]]) for key, chi in action.items()}
+    arrows = {key: (unit_of[key[1]], unit_of[i]) for key, i in action_ids(Q, dual, image, class_map).items()}
 
     def gw_mul(a1, a2):
         return Q.mul(a1[0], a2[0]), a2[1]

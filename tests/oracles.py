@@ -16,7 +16,12 @@ semidirect pair, one lookup per composable pair of the quotient, one
 ``mul`` per pair of members, a breadth-first search per closure, and
 characters enumerated and checked as ``Character`` objects, one ``Phase``
 sum at a time, and the action-package axioms checked one call of the
-four maps at a time, as functions over ids.  The tests compare the two.
+four maps at a time, as functions over ids.  The actions on a dual bundle,
+theta's cocycle identity and the twisted product run as gathers over one
+row table per action; their plain versions take the action as a dict of
+``Character`` values, loop over every (c1, c2) x c3 triple, and build the
+twisted product through ``build_groupoid`` with one ``mul`` call per
+composable pair.  The tests compare the two.
 """
 
 import cmath
@@ -32,6 +37,8 @@ from weylkit.cocycle import TwoCocycle, check_cocycle
 from weylkit.dual import Character, bundle_from_subgroupoid, dual_bundle
 from weylkit.errors import (
     AssociativityViolation,
+    NotAnAction,
+    ThetaInvalid,
     BadInverse,
     CocycleInvalid,
     ConventionMismatch,
@@ -47,7 +54,7 @@ from weylkit.errors import (
 from weylkit.groupoid import Grading, PropertyReport, build_groupoid, validate_groupoid
 from weylkit.io import GroupoidFile, _expect, _split_pair
 from weylkit.phases import ZERO, Phase
-from weylkit.reconstruct import ActionPackageReport
+from weylkit.reconstruct import ActionPackageReport, ThetaReport
 from weylkit.weyl import conditional_expectation
 
 
@@ -781,3 +788,111 @@ def verify_action_package_loop(pkg):
                    (gamma, eta, t))
 
     return ActionPackageReport(clauses, wit, counts)
+
+
+def verify_groupoid_action_loop(Q, dual, action, base_of_unit):
+    """Check that ``action`` is an action of the groupoid Q on the bundle ``dual``, one character at a time.
+
+    ``action`` maps (arrow of Q, character id) -> Character, for the
+    characters over the base point of the arrow's source; ``base_of_unit``
+    sends each unit of Q to its base point.  Raises NotAnAction with the
+    first failing instance.
+    """
+    act = {key: dual.char_id.get(chi) for key, chi in action.items()}
+    stray = [key for key, i in act.items() if i is None]
+    if stray:
+        raise NotAnAction(("image outside the dual", *stray[0]))
+    ids = {x: t.ids for x, t in dual.tables.items()}
+    for u, x in base_of_unit.items():
+        for i in ids[x]:
+            if act[(u, i)] != i:
+                raise NotAnAction(("unit acts nontrivially", u, i))
+    for (c1, c2), c12 in Q.compose.items():
+        for i in ids[base_of_unit[Q.src[c2]]]:
+            if act[(c12, i)] != act[(c1, act[(c2, i)])]:
+                raise NotAnAction(("composition", c1, c2, i))
+
+
+def verify_theta_loop(dia, theta):
+    """Unit triviality and the cocycle identity of ``theta``, one (c1, c2) x c3 triple at a time.
+
+    The diamond action is read from its table one row at a time.  The
+    report's ``rows`` maps each pair of ``theta`` to the (base point, row)
+    of its value, None outside the dual; ``instances`` counts the unit
+    pairs and the triples checked.
+    """
+    HT, That = dia.HT, dia.That
+    image = dict(zip(HT.arrows, dia.image.tolist()))
+    violations = []
+
+    source = {c: dia.pkg.p_s(min(ms)) for c, ms in dia.classes.items()}
+    at = (That.position.get(That.char_id.get(val)) for val in theta.values.values())
+    rows = {pair: p if p and p[0] == source.get(pair[1]) else None for pair, p in zip(theta.values, at)}
+
+    coverage = set(theta.values) == set(HT.compose)
+    if not coverage:
+        violations.append(("coverage", set(HT.compose) ^ set(theta.values)))
+    outside = [pair for pair, found in rows.items() if found is None]
+    if outside:
+        coverage = False
+        violations += [("outside the dual", pair) for pair in outside]
+
+    unit_ok, units = True, 0
+    for c in HT.arrows:
+        for pair in ((HT.tgt[c], c), (c, HT.src[c])):
+            units += 1
+            val = theta.values.get(pair)
+            if val is None or not val.is_trivial:
+                unit_ok = False
+                violations.append(("unit", pair))
+
+    cocycle_ok, triples = True, 0
+    row = {pair: found[1] for pair, found in rows.items() if found is not None}
+    product = {x: t.product.tolist() for x, t in That.tables.items()}
+    for (c1, c2) in HT.compose:
+        c12 = HT.mul(c1, c2)
+        for c3 in HT.arrows:
+            if not HT.composable(c2, c3):
+                continue
+            c23 = HT.mul(c2, c3)
+            if not {(c1, c2), (c12, c3), (c1, c23), (c2, c3)} <= row.keys():
+                continue
+            triples += 1
+            mul = product[rows[(c2, c3)][0]]
+            acted = image[HT.inv(c3)][row[(c1, c2)]]
+            if mul[acted][row[(c12, c3)]] != mul[row[(c1, c23)]][row[(c2, c3)]]:
+                cocycle_ok = False
+                violations.append(("cocycle", (c1, c2, c3)))
+    instances = {"unit_triviality": units, "cocycle_identity": triples}
+    return ThetaReport(unit_ok, cocycle_ok, coverage, violations, instances, rows)
+
+
+def build_boxtimes_loop(dia, theta):
+    """The twisted product through ``build_groupoid``, one ``mul`` call per composable pair.
+
+    Verifies ``theta`` with :func:`verify_theta_loop` and raises
+    ThetaInvalid as the library does; never reads or writes ``dia.boxtimes``.
+    """
+    report = verify_theta_loop(dia, theta)
+    if not report.all_pass():
+        raise ThetaInvalid(f"theta fails verification: {report.violations[:3]}")
+    pkg, HT, That = dia.pkg, dia.HT, dia.That
+    image = dict(zip(HT.arrows, dia.image.tolist()))
+
+    unit_id = {x: (uc, That.tables[x].ids[0]) for x, uc in dia.x_unit.items()}
+    arrows = {}
+    for cid in HT.arrows:
+        xs, xt = pkg.p_s(min(dia.classes[cid])), pkg.p_r(min(dia.classes[cid]))
+        arrows.update(((cid, i), (unit_id[xs], unit_id[xt])) for i in That.tables[xs].ids)
+
+    rows, position = report.rows, That.position
+    product = {x: t.product.tolist() for x, t in That.tables.items()}
+
+    def mul(a1, a2):
+        (c1, x1), (c2, x2) = a1, a2
+        x, r2 = position[x2]
+        acted = image[HT.inv(c2)][position[x1][1]]
+        out = product[x][rows[(c1, c2)][1]][product[x][acted][r2]]
+        return HT.mul(c1, c2), That.tables[x].ids[out]
+
+    return build_groupoid(set(unit_id.values()), arrows, mul, name=f"boxtimes({HT.name})")

@@ -16,7 +16,7 @@ from weylkit.weyl import build_weyl_groupoid, weyl_action, weyl_twist_cocycle
 
 def action_outcome(G, S, omega):
     try:
-        return weyl_action(G, S, omega)[3]
+        return weyl_action(G, S, omega)[3].tolist()
     except WeylkitError as exc:
         return type(exc).__name__, str(exc)
 

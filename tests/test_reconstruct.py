@@ -32,6 +32,7 @@ from weylkit.reconstruct import (
     verify_reconstruction_hypotheses,
     verify_theta,
 )
+from weylkit.weyl import action_ids
 
 from mutations import ALL_CLAUSES, EXPECTED_FAILURES, MUTATIONS
 from oracles import tabulate_actions
@@ -178,14 +179,15 @@ def test_diamond_action_d4_inverts_dual(diamond):
     dia = diamond("d4")
     nontrivial = next(c for c in dia.HT.arrows if not dia.HT.is_unit(c))
     x = dia.pkg.p_s(min(dia.classes[nontrivial]))
+    action = action_ids(dia.HT, dia.That, dia.image, dia.x_unit)
     for chi in dia.That.fibres[x]:
-        assert dia.action[(nontrivial, dia.That.char_id[chi])] == dia.That.invert(chi)
+        assert dia.That.by_id[action[(nontrivial, dia.That.char_id[chi])]] == dia.That.invert(chi)
 
 
 def test_diamond_action_trivial_for_abelian(diamond):
     dia = diamond("z2z2")
-    for (cid, char_id), chi in dia.action.items():
-        assert chi == dia.That.by_id[char_id]
+    for (cid, char_id), image in action_ids(dia.HT, dia.That, dia.image, dia.x_unit).items():
+        assert image == char_id
 
 
 def test_theta_oracle_values(derived, diamond):
@@ -313,14 +315,14 @@ def test_imm_centralizing_action(diamond):
     # trivial action on an exponent-2 dual: immediately centralizing
     dia = diamond("z2z2")
     K = dia.That.to_bundle()
-    act = {k: dia.That.char_id[v] for k, v in dia.action.items()}
+    act = action_ids(dia.HT, dia.That, dia.image, dia.x_unit)
     assert check_imm_centralizing_action(dia.HT, K, act, dia.x_unit) == (True, None)
 
     # inversion on a Z4 dual: premise holds at k=2 but the action moves
     # order-4 characters
     dia4 = diamond("d4")
     K4 = dia4.That.to_bundle()
-    act4 = {k: dia4.That.char_id[v] for k, v in dia4.action.items()}
+    act4 = action_ids(dia4.HT, dia4.That, dia4.image, dia4.x_unit)
     ok, (g, k) = check_imm_centralizing_action(dia4.HT, K4, act4, dia4.x_unit)
     assert not ok and k == 2
 

@@ -27,13 +27,23 @@ from weylkit.weyl import (
     check_immediately_centralizing,
     choose_section,
     conditional_expectation,
+    action_ids,
     iso_kernel_members,
     verify_groupoid_action,
     weyl_action,
     weyl_twist_cocycle,
 )
 
+from oracles import verify_groupoid_action_loop
+
 NAMED = ["pauli", "s3", "d4", "q8", "z2xR2"]
+
+
+def weyl_characters(G, S, omega):
+    """``weyl_action`` with its table spelled as (class id, character id) -> Character."""
+    Q, class_map, dual, image = weyl_action(G, S, omega)
+    ids = action_ids(Q, dual, image, class_map)
+    return Q, class_map, dual, {key: dual.by_id[i] for key, i in ids.items()}
 
 
 @pytest.mark.parametrize("name", NAMED + ["rotation(4,1)", "rotation(6,2)"])
@@ -99,14 +109,14 @@ def test_immediately_centralizing_direct(entry):
 
 def test_weyl_action_trivial_for_abelian_trivial_cocycle(entry):
     e = entry("z2z2")
-    _, _, dual, action = weyl_action(e.G, e.S, e.omega)
+    _, _, dual, action = weyl_characters(e.G, e.S, e.omega)
     for (cid, char_id), chi in action.items():
         assert chi == dual.by_id[char_id]
 
 
 def test_weyl_action_pauli_shifts_characters(entry):
     e = entry("pauli")
-    Q, class_map, dual, action = weyl_action(e.G, e.S, e.omega)
+    Q, class_map, dual, action = weyl_characters(e.G, e.S, e.omega)
     u = e.G.units[0]
     nontrivial_class = class_map["0|1"]
     triv = dual.trivial(u)
@@ -129,11 +139,12 @@ def test_d4_weyl_orbits(entry):
     GW, data = build_weyl_groupoid(e.G, e.S, e.omega)
     assert len(GW.units) == 4 and len(GW) == 8
     reflection_class = data.class_map["0|1"]
+    action = action_ids(data.Q, data.dual, data.image, data.class_map)
     orbits = set()
     for chi in data.dual.fibres[e.G.units[0]]:
         orbit = frozenset({
             data.dual.char_id[chi],
-            data.dual.char_id[data.action[(reflection_class, data.dual.char_id[chi])]],
+            action[(reflection_class, data.dual.char_id[chi])],
         })
         orbits.add(orbit)
     assert sorted(len(o) for o in orbits) == [1, 1, 2]
@@ -281,16 +292,14 @@ def test_immediately_centralizing_matches_exhaustive_oracle(entry, name):
 
 def test_action_axiom_check_reports_a_witness(entry):
     e = entry("pauli")
-    Q, class_map, dual, action = weyl_action(e.G, e.S, e.omega)
-    units = {class_map[u]: u for u in e.G.units}
-    verify_groupoid_action(Q, dual, action, units)
+    Q, class_map, dual, image = weyl_action(e.G, e.S, e.omega)
+    verify_groupoid_action(Q, dual, image, class_map)
     unit_class = class_map[e.G.units[0]]
-    key = next(k for k in action if k[0] == unit_class)
-    broken = dict(action)
-    broken[key] = next(chi for chi in dual.fibres[e.G.units[0]] if chi != action[key])
+    broken = image.copy()
+    broken[Q.index[unit_class], 0] = 1      # the trivial character sent to the other one
     with pytest.raises(NotAnAction) as exc:
-        verify_groupoid_action(Q, dual, broken, units)
-    assert exc.value.witness == ("unit acts nontrivially", *key)
+        verify_groupoid_action(Q, dual, broken, class_map)
+    assert exc.value.witness == ("unit acts nontrivially", unit_class, dual.tables[e.G.units[0]].ids[0])
 
 
 def _corpus(entry, name):
@@ -319,7 +328,7 @@ def _weyl_action_oracle(G, S, omega):
             if len(results) != 1:
                 raise RepresentativeDisagreement((cid, dual.char_id[chi]))
             action[(cid, dual.char_id[chi])] = results.pop()
-    verify_groupoid_action(Q, dual, action, {class_map[u]: u for u in G.units})
+    verify_groupoid_action_loop(Q, dual, action, {class_map[u]: u for u in G.units})
     return action
 
 
@@ -337,7 +346,7 @@ ORACLE_INPUTS = ["pauli", "z2z2", "s3", "d4", "q8", "z2xR2",
 @pytest.mark.parametrize("name", ORACLE_INPUTS)
 def test_weyl_action_matches_per_representative_oracle(entry, name):
     e = _corpus(entry, name)
-    assert weyl_action(e.G, e.S, e.omega)[3] == _weyl_action_oracle(e.G, e.S, e.omega)
+    assert weyl_characters(e.G, e.S, e.omega)[3] == _weyl_action_oracle(e.G, e.S, e.omega)
 
 
 @pytest.mark.parametrize("name", ["pauli", "d4", "q8", "rotation(4,1)", "rotation(6,2)"])
@@ -350,7 +359,7 @@ def test_weyl_action_witness_matches_oracle_on_shifted_cocycles(entry, name):
             values = dict(e.omega.values)
             values[(g, h)] = e.omega.omega(g, h) + Phase.of(1, 2 * G.element_order(g))
             omega = TwoCocycle(G, values)
-            new = _outcome(lambda: weyl_action(G, e.S, omega)[3])
+            new = _outcome(lambda: weyl_characters(G, e.S, omega)[3])
             assert new == _outcome(lambda: _weyl_action_oracle(G, e.S, omega))
             outcomes.add(new[0] if isinstance(new, tuple) else "action")
     assert "RepresentativeDisagreement" in outcomes
