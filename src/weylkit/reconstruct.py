@@ -374,8 +374,8 @@ def diamond_action(pkg: ActionPackage, report: Optional[ActionPackageReport] = N
         image[HT.index[cid], :len(ts.ids)] = image_rows(tr, at_rho, ts.exponent, cid, ts.ids)
     image.setflags(write=False)
 
-    dia = DiamondData(pkg, HT, class_map, classes, That, {T.p[u]: class_map[u] for u in H.units}, None, image)
-    verify_groupoid_action(HT, That, image, dia.x_unit)
+    x_unit = {T.p[u]: class_map[u] for u in H.units}
+    verify_groupoid_action(HT, That, image, x_unit)
     # each class acts by a homomorphism of the character groups
     for cid, members in classes.items():
         ts, tr = That.tables[pkg.p_s(min(members))], That.tables[pkg.p_r(min(members))]
@@ -386,8 +386,8 @@ def diamond_action(pkg: ActionPackage, report: Optional[ActionPackageReport] = N
             raise NotAnAction(("multiplicativity", cid, ts.ids[a], ts.ids[b]))
 
     # an H/T class is one G/S class with all its characters
-    dia.q_class = None if pkg.weyl is None else {cid: cid[0] for cid in classes}
-    return dia
+    q_class = None if pkg.weyl is None else {cid: cid[0] for cid in classes}
+    return DiamondData(pkg, HT, class_map, classes, That, x_unit, q_class, image)
 
 
 @dataclass
@@ -549,7 +549,7 @@ def build_boxtimes(dia: DiamondData, theta: ThetaDatum) -> FiniteGroupoid:
     report = verify_theta(dia, theta)
     if not report.all_pass():
         raise ThetaInvalid(f"theta fails verification: {report.violations[:3]}")
-    HT, That = dia.HT, dia.That
+    HT = dia.HT
     tables, fs, ft, size, start, prod = dia.fibre_tables
     unit_id = [(dia.x_unit[t.base], t.ids[0]) for t in tables]
 
@@ -570,7 +570,8 @@ def build_boxtimes(dia: DiamondData, theta: ThetaDatum) -> FiniteGroupoid:
     def entry(j):
         return (keys[g[j]], keys[h[j]]), (HT.arrows[c12[j]], tables[f[j]].ids[out[j]])
 
-    B = validate_arrays(set(unit_id), arrows, index[g], index[h], index[first[c12] + out], entry, name=f"boxtimes({HT.name})")
+    ki = index[first[c12] + out]
+    B = validate_arrays(set(unit_id), arrows, index[g], index[h], ki, entry, name=f"boxtimes({HT.name})")
     dia.boxtimes = (dict(theta.values), B)
     return B
 

@@ -316,7 +316,7 @@ def verify_groupoid_action(Q: FiniteGroupoid, dual: CharacterBundle, image: np.n
 
 
 def action_ids(Q: FiniteGroupoid, dual: CharacterBundle, image: np.ndarray, unit_of_base: Mapping) -> dict:
-    """The action table ``image`` of :func:`verify_groupoid_action` spelled as (arrow id, character id) -> character id."""
+    """The table ``image`` of :func:`verify_groupoid_action` spelled as (arrow id, character id) -> character id."""
     tables, _, fs, ft = fibres_of(Q, dual, unit_of_base)
     out = {}
     for c, row, a, b in zip(Q.arrows, image.tolist(), fs.tolist(), ft.tolist()):

@@ -84,14 +84,15 @@ def action_outcomes(Q, dual, image, unit_of_base):
 
 
 def theta_mutants(dia, theta):
-    """theta and its mutations: another character of a value's fibre, one from another fibre or none, a pair dropped."""
+    """theta and its mutations: another character of its fibre, one of another fibre, a stray one, a pair dropped."""
     yield "healthy", theta
     That, values = dia.That, theta.values
     for label, pair in (("first", next(iter(values))), ("last", list(values)[-1])):
         x = values[pair].unit
         fibre = That.fibres[x]
         if len(fibre) > 1:
-            yield f"other character ({label})", ThetaDatum({**values, pair: fibre[(fibre.index(values[pair]) + 1) % len(fibre)]})
+            other = fibre[(fibre.index(values[pair]) + 1) % len(fibre)]
+            yield f"other character ({label})", ThetaDatum({**values, pair: other})
         for y in That.base:
             if y != x:
                 yield f"other fibre ({label})", ThetaDatum({**values, pair: That.fibres[y][-1]})
@@ -120,7 +121,7 @@ def groupoid_tables(B):
 
 
 def theta_agreement(dia, theta):
-    """Whether the gathered and the loop forms agree on ``dia`` and ``theta`` (verdicts, then the product), and the new report."""
+    """Whether the gathered and loop forms agree on ``dia`` and ``theta``: (verdicts, product), and the new report."""
     report = verify_theta(dia, theta)
     fresh = dataclasses.replace(dia, boxtimes=None)
     agree = (
@@ -237,5 +238,5 @@ def test_theta_and_boxtimes_match_the_loop_oracles_under_python_O():
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True
     ).stdout.splitlines()
     assert len(out) >= 30 and all(line.split()[3] == "True" for line in out), out
-    healthy = [line.split()[4] for line in out if line.split()[1] == "healthy" and line.split()[2] in ("action", "healthy")]
+    healthy = [row[4] for row in map(str.split, out) if row[1] == "healthy" and row[2] in ("action", "healthy")]
     assert healthy == ["True"] * 6, out
