@@ -553,7 +553,7 @@ def build_boxtimes(dia: DiamondData, theta: ThetaDatum) -> FiniteGroupoid:
     tables, fs, ft, size, start, prod = dia.fibre_tables
     unit_id = [(dia.x_unit[t.base], t.ids[0]) for t in tables]
 
-    # the arrows as built: class c[j] with row r[j] over its source, from arrow first[c]
+    # the arrows as built: arrow j is class c[j] with row r[j] over its source; class c's start at first[c]
     c, r = (np.arange(size.max()) < size[fs][:, None]).nonzero()
     first = np.cumsum(size[fs]) - size[fs]
     keys = [(HT.arrows[ci], tables[fs[ci]].ids[ri]) for ci, ri in zip(c.tolist(), r.tolist())]
