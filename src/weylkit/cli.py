@@ -74,7 +74,9 @@ def _grading(gf):
 
 
 def _load_section(args):
-    if getattr(args, "section", "lex") == "lex":
+    if args.section_file is None:
+        if args.section == "file":
+            raise SchemaError("--section file needs --section-file")
         return None
     try:
         with open(args.section_file) as fh:

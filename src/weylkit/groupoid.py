@@ -569,54 +569,59 @@ def quotient_by_bundle(G: FiniteGroupoid, members: Iterable):
     if not rep.is_normal:
         raise NotNormal(f"bundle is not normal: {rep.witnesses}")
 
-    fibres = isotropy_fibres(G, S)
-    return orbit_quotient(
-        G,
-        lambda g: frozenset(G.mul(g, a) for a in fibres[G.src[g]]),
-        name=f"{G.name}/S",
-        error=NotNormal,
-    )
+    # row g is the coset gS: g times each member of S, -1 off the fibre at s(g)
+    cosets = G.comp_matrix()[:, arrow_indices(G.index, S, len(S))]
+    return orbit_quotient(G, cosets, name=f"{G.name}/S", error=NotNormal)
 
 
-def orbit_quotient(G: FiniteGroupoid, orbit: Callable, name: str, error: type):
+def distinct_rows(rows: np.ndarray) -> np.ndarray:
+    """Each row of the index table ``rows`` as a set: sorted, a repeated entry read as the padding -1."""
+    srt = np.sort(rows, axis=1)
+    srt[:, 1:][srt[:, 1:] == srt[:, :-1]] = -1
+    return np.sort(srt, axis=1)
+
+
+def orbit_quotient(G: FiniteGroupoid, orbits: np.ndarray, name: str, error: type):
     """Quotient G by the partition of its arrows into orbits.
 
-    ``orbit(g)`` is the set of arrows identified with g.  Class ids are the
-    least member of each orbit.  Classes are composed through representatives
-    that match on source, and the composition is checked to descend, on
-    every composable pair at once; a failure of either the partition or the
-    descent raises ``error``, naming the first pair in ``G.compose`` order.
-    Returns (quotient groupoid, class map arrow -> class id).
+    Row g of the index table ``orbits`` lists the arrows identified with g,
+    padded with -1.  Class ids are the least member of each orbit.  Classes
+    are composed through representatives, the least member of c1 with
+    source r(c2) times c2, as one gather; the composition is checked to
+    descend on every composable pair at once.  A failure of either the
+    partition or the descent raises ``error``, naming the first pair in
+    ``G.compose`` order.  Returns (quotient groupoid, class map arrow -> class id).
     """
-    class_map, classes = {}, {}
-    for g in G.arrows:
-        members = orbit(g)
-        cid = min(members)
-        class_map[g] = cid
-        classes.setdefault(cid, members)
-    if sum(len(ms) for ms in classes.values()) != len(G.arrows) or any(
-        class_map[m] != cid for cid, ms in classes.items() for m in ms
-    ):
+    n, ids = len(G.arrows), G.arrows
+    rows = distinct_rows(orbits)
+    cls = np.where(rows >= 0, rows, n).min(axis=1)
+    # every member of a row has the row's class, and every row holds its whole class
+    stray = (rows >= 0) & (np.append(cls, -1)[rows] != cls[:, None])
+    if stray.any() or ((rows >= 0).sum(axis=1) != np.bincount(cls, minlength=n + 1)[cls]).any():
         raise error("orbits do not partition the arrow set")
 
-    # the least member with each source (later keys overwrite earlier ones)
-    by_source = {cid: {G.src[m]: m for m in sorted(ms, reverse=True)} for cid, ms in classes.items()}
-    units = {class_map[u] for u in G.units}
-    arrows = {cid: (class_map[G.src[cid]], class_map[G.tgt[cid]]) for cid in classes}
+    cids, q = np.unique(cls, return_inverse=True)   # the class ids, and the class index of each arrow
+    s, t = G.endpoint_indices()
+    qs, qt = q[s[cids]], q[t[cids]]
+    # m * c2 where the class of m composes with c2; the least such m of each class
+    prod = G.comp_matrix()[:, cids]
+    m, c2 = ((prod >= 0) & (qs[q][:, None] == qt)).nonzero()
+    key, first = np.unique(q[m] * len(cids) + c2, return_index=True)
+    (gi, hi), ki = np.divmod(key, len(cids)), q[prod[m[first], c2[first]]]
+    arrows = {ids[c]: (ids[cids[a]], ids[cids[b]]) for c, a, b in zip(cids.tolist(), qs.tolist(), qt.tolist())}
 
-    def q_mul(c1, c2):
-        return class_map[G.mul(by_source[c1][G.tgt[c2]], c2)]
+    def entry(j):
+        return (ids[cids[gi[j]]], ids[cids[hi[j]]]), ids[cids[ki[j]]]
 
-    Q = build_groupoid(units, arrows, q_mul, name=name)
+    Q = validate_arrays(set(map(ids.__getitem__, cls[s].tolist())), arrows, gi, hi, ki, entry, name=name)
     # the class of g*h against the product of the classes, on every composable pair at once
-    cls = np.fromiter(map(Q.index.__getitem__, map(class_map.__getitem__, G.arrows)), np.int64, len(G.arrows))
     gi, hi = G.pair_indices()
-    bad = cls[G.comp_matrix()[gi, hi]] != Q.comp_matrix()[cls[gi], cls[hi]]
+    bad = q[G.comp_matrix()[gi, hi]] != Q.comp_matrix()[q[gi], q[hi]]
     if bad.any():
         j = int(np.argmax(bad))
         g, h = G.arrows[gi[j]], G.arrows[hi[j]]
         raise error(f"quotient composition depends on representatives: ({g}, {h})")
-    return Q, class_map
+    return Q, dict(zip(ids, map(ids.__getitem__, cls.tolist())))
 
 
 def class_table(class_map: Mapping) -> dict:

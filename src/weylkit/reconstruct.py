@@ -36,6 +36,7 @@ from .groupoid import (
     arrow_indices,
     build_groupoid,
     class_table,
+    distinct_rows,
     orbit_quotient,
     validate_arrays,
 )
@@ -48,6 +49,7 @@ from .weyl import (
     fibres_of,
     first_centralizing_bound,
     image_rows,
+    section_defects,
     validate_section,
     verify_groupoid_action,
 )
@@ -314,15 +316,10 @@ def quotient_HT(pkg: ActionPackage, report: Optional[ActionPackageReport] = None
         failing = [k for k, v in report.clauses.items() if not v]
         raise AssumptionUnverified(f"action axioms fail: {failing}")
     H = pkg.H
-
-    def orbit(eta):
-        row, col = pkg.right[H.index[eta]], pkg.left[:, H.index[eta]]
-        right = frozenset(map(H.arrows.__getitem__, row[row >= 0].tolist()))
-        if right != frozenset(map(H.arrows.__getitem__, col[col >= 0].tolist())):
-            raise AssumptionUnverified(f"left and right orbits of {eta} differ")
-        return right
-
-    return orbit_quotient(H, orbit, name=f"{H.name}/T", error=AssumptionUnverified)
+    differ = (distinct_rows(pkg.right) != distinct_rows(pkg.left.T)).any(axis=1)
+    if differ.any():
+        raise AssumptionUnverified(f"left and right orbits of {H.arrows[int(np.argmax(differ))]} differ")
+    return orbit_quotient(H, pkg.right, name=f"{H.name}/T", error=AssumptionUnverified)
 
 
 @dataclass
@@ -424,20 +421,17 @@ def theta_for_package(pkg: ActionPackage, dia: DiamondData, section: Optional[di
     if not data.omega.is_trivial():
         raise NontrivialCocycle("reconstruction requires a trivial 2-cocycle")
     G, Q = data.G, data.Q
-
-    ht_of_q = {q: cid for cid, q in dia.q_class.items()}
     sec = section if section is not None else data.section
     validate_section(G, data.class_map, data.classes, sec)
+    defects = section_defects(data, sec, lambda d: NotInS(f"section defect {d} lies outside the marked bundle"))
 
-    evaluation = _evaluation(pkg, dia)
-    values = {}
-    for (q1, q2) in Q.compose:
-        q12 = Q.mul(q1, q2)
-        defect = G.mul_all(G.inv(sec[q12]), sec[q1], sec[q2])
-        if defect not in data.S:
-            raise NotInS(f"section defect {defect} lies outside the marked bundle")
-        values[(ht_of_q[q1], ht_of_q[q2])] = dia.That.by_id[evaluation[defect]]
-    return ThetaDatum(values)
+    # the H/T class of each class index of Q, and the character of T each element of S evaluates to
+    ht_of_q = {q: cid for cid, q in dia.q_class.items()}
+    ht = [ht_of_q[q] for q in Q.arrows]
+    char = {G.index[s]: dia.That.by_id[i] for s, i in _evaluation(pkg, dia).items()}
+    q1, q2 = Q.pair_indices()
+    pairs = zip(q1.tolist(), q2.tolist(), defects[q1, q2].tolist())
+    return ThetaDatum({(ht[a], ht[b]): char[d] for a, b, d in pairs})
 
 
 def _evaluation(pkg: ActionPackage, dia: DiamondData) -> dict:

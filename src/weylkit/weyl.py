@@ -28,6 +28,7 @@ from .errors import (
 from .groupoid import (
     FiniteGroupoid,
     Grading,
+    arrow_indices,
     build_groupoid,
     class_table,
     isotropy_fibres,
@@ -387,55 +388,62 @@ def build_weyl_groupoid(
     return GW, data
 
 
+def section_defects(data: WeylData, section: Mapping, error) -> np.ndarray:
+    """The defect s12^-1 s1 s2 of the section values of c1, c2 and c1 c2, at [c1, c2], as one gather.
+
+    Entries are arrow indices of G over the class indices of Q, -1 off the
+    composable pairs.  The first pair in ``Q.compose`` order whose defect is
+    undefined raises SchemaError naming the classes; the first whose defect
+    lies outside S raises ``error(defect id)``.
+    """
+    G, Q, comp = data.G, data.Q, data.G.comp_matrix()
+    sec = arrow_indices(G.index, map(section.get, Q.arrows), len(Q.arrows))
+    q1, q2 = Q.pair_indices()
+    s1, s2, s12 = sec[q1], sec[q2], sec[Q.comp_matrix()[q1, q2]]
+    step = np.where((s1 < 0) | (s12 < 0), -1, comp[G.inverse_indices()[s12], s1])
+    defect = np.where((step < 0) | (s2 < 0), -1, comp[step, s2])
+    bad = ~np.isin(defect, arrow_indices(G.index, data.S, len(data.S)))
+    if bad.any():
+        j = int(np.argmax(bad))
+        if defect[j] < 0:
+            raise SchemaError(f"section defect at classes ({Q.arrows[q1[j]]}, {Q.arrows[q2[j]]}) is undefined")
+        raise error(G.arrows[defect[j]])
+    out = np.full((len(Q.arrows),) * 2, -1, dtype=np.int64)
+    out[q1, q2] = defect
+    return out
+
+
 def weyl_twist_cocycle(GW: FiniteGroupoid, data: WeylData) -> TwoCocycle:
     """The section-dependent 2-cocycle C on the Weyl groupoid.
 
     For composable Weyl arrows (c1, chi1), (c2, chi) with sections s1, s2
     and s12 of c1, c2 and c1 c2, the defect s12^-1 s1 s2 must lie in S, and
     C = chi(defect) - omega(s12, defect) + omega(s1, s2).  All pairs are
-    evaluated at once, as numerators over the denominator of the Weyl
-    action's tables.
+    evaluated at once, on the table of :func:`section_defects`, as
+    numerators over the denominator of the Weyl action's tables.
     """
-    G, dual, sec = data.G, data.dual, data.section
-    om, comp, den = data.omega._int_table()
+    G, Q, dual = data.G, data.Q, data.dual
+    defects = section_defects(data, data.section, ElementNotInS)
+    sec = arrow_indices(G.index, map(data.section.get, Q.arrows), len(Q.arrows))
+    om, _, den = data.omega._int_table()
     exponents = ((f"character exponent {t.exponent} at {x}", t.exponent) for x, t in dual.tables.items())
     D = common_denominator(exponents, den)
     pos = _columns(G, dual)
-    inv = G.inverse_indices()
-    in_S = np.zeros(len(G.arrows), dtype=bool)
-    in_S[[G.index[a] for a in data.S]] = True
 
     # the tables end to end, over D: Weyl arrow i's character at a is chars[row_of[i] + column of a]
     chars = np.concatenate([t.values.ravel() * (D // t.exponent) for t in dual.tables.values()])
     start = dict(zip(dual.tables, np.cumsum([0] + [t.values.size for t in dual.tables.values()]).tolist()))
-    sec_of, row_of = np.empty((2, len(GW.arrows)), dtype=np.int64)
+    q_of, row_of = np.empty((2, len(GW.arrows)), dtype=np.int64)
     for i, (cid, chi_id) in enumerate(GW.arrows):
         x, row = dual.position[chi_id]
-        sec_of[i], row_of[i] = G.index[sec[cid]], start[x] + row * len(dual.tables[x].values)
+        q_of[i], row_of[i] = Q.index[cid], start[x] + row * len(dual.tables[x].values)
 
-    gw_comp = GW.comp_matrix()
-    a1, a2 = (gw_comp >= 0).nonzero()
-    s1, s2, s12 = sec_of[a1], sec_of[a2], sec_of[gw_comp[a1, a2]]
-    # a section value outside its class can leave a product undefined (-1)
-    # or the defect outside S; the loop then names the first such pair
-    step = comp[inv[s12], s1]
-    defect = comp[np.maximum(step, 0), s2]
-    bad = (step < 0) | (defect < 0) | ~in_S[np.maximum(defect, 0)]
-    if bad.any():
-        _raise_first_defect_outside_S(GW, data)
+    a1, a2 = (GW.comp_matrix() >= 0).nonzero()
+    c1, c2 = q_of[a1], q_of[a2]
+    s1, s2, s12, defect = sec[c1], sec[c2], sec[Q.comp_matrix()[c1, c2]], defects[c1, c2]
     num = np.zeros((len(GW.arrows), len(GW.arrows)), dtype=np.int64)
     num[a1, a2] = (chars[row_of[a2] + pos[defect]] + (om[s1, s2] - om[s12, defect]) * (D // den)) % D
     return TwoCocycle.from_table(GW, num, D)
-
-
-def _raise_first_defect_outside_S(GW: FiniteGroupoid, data: WeylData):
-    """Raise ElementNotInS for the first defect outside S, in ``GW.compose`` order."""
-    G, Q, sec = data.G, data.Q, data.section
-    for (c1, _), (c2, _) in GW.compose:
-        s12, s1, s2 = sec[Q.mul(c1, c2)], sec[c1], sec[c2]
-        defect = G.mul_all(G.inv(s12), s1, s2)
-        if defect not in data.S:
-            raise ElementNotInS(defect)
 
 
 def conditional_expectation(

@@ -21,7 +21,13 @@ theta's cocycle identity and the twisted product run as gathers over one
 row table per action; their plain versions take the action as a dict of
 ``Character`` values, loop over every (c1, c2) x c3 triple, and build the
 twisted product through ``build_groupoid`` with one ``mul`` call per
-composable pair.  The tests compare the two.
+composable pair.  The orbit quotient takes an orbit table and composes
+classes by one gather, and theta reads the section defects off one
+gathered table; their plain versions take each orbit as a frozenset from
+a callable (``orbits_of_table`` adapts a table), compose classes with one
+``mul`` per pair, compare H/T's left and right orbits one arrow at a
+time, and form each section defect with ``mul_all``.  The tests compare
+the two.
 """
 
 import cmath
@@ -37,6 +43,7 @@ from weylkit.cocycle import TwoCocycle, check_cocycle
 from weylkit.dual import Character, bundle_from_subgroupoid, dual_bundle
 from weylkit.errors import (
     AssociativityViolation,
+    AssumptionUnverified,
     NotAnAction,
     ThetaInvalid,
     BadInverse,
@@ -46,6 +53,8 @@ from weylkit.errors import (
     DualityFailure,
     ElementNotInS,
     MissingComposite,
+    NontrivialCocycle,
+    NotInS,
     NotStarHomomorphism,
     SchemaError,
     UnknownArrowId,
@@ -54,8 +63,8 @@ from weylkit.errors import (
 from weylkit.groupoid import Grading, PropertyReport, build_groupoid, validate_groupoid
 from weylkit.io import GroupoidFile, _expect, _split_pair
 from weylkit.phases import ZERO, Phase
-from weylkit.reconstruct import ActionPackageReport, ThetaReport
-from weylkit.weyl import conditional_expectation
+from weylkit.reconstruct import ActionPackageReport, ThetaDatum, ThetaReport, _evaluation
+from weylkit.weyl import conditional_expectation, validate_section
 
 
 @dataclass(frozen=True, order=True)
@@ -470,6 +479,11 @@ def build_semidirect_loop(spec):
     return G, omega, S, c
 
 
+def orbits_of_table(G, orbits):
+    """The orbit callable of an orbit table: arrow id -> the frozenset of the ids in its row."""
+    return lambda g: frozenset(G.arrows[i] for i in orbits[G.index[g]].tolist() if i >= 0)
+
+
 def orbit_quotient_loop(G, orbit, name, error):
     """orbit_quotient with the descent checked one ``G.compose`` entry at a time."""
     class_map, classes = {}, {}
@@ -494,6 +508,22 @@ def orbit_quotient_loop(G, orbit, name, error):
         if class_map[gh] != Q.mul(class_map[g], class_map[h]):
             raise error(f"quotient composition depends on representatives: ({g}, {h})")
     return Q, class_map
+
+
+def quotient_HT_loop(pkg, report):
+    """quotient_HT with each orbit a frozenset of ids, compared one arrow at a time, through orbit_quotient_loop."""
+    if not report.all_pass():
+        raise AssumptionUnverified(f"action axioms fail: {[k for k, v in report.clauses.items() if not v]}")
+    H = pkg.H
+
+    def orbit(eta):
+        row, col = pkg.right[H.index[eta]], pkg.left[:, H.index[eta]]
+        right = frozenset(map(H.arrows.__getitem__, row[row >= 0].tolist()))
+        if right != frozenset(map(H.arrows.__getitem__, col[col >= 0].tolist())):
+            raise AssumptionUnverified(f"left and right orbits of {eta} differ")
+        return right
+
+    return orbit_quotient_loop(H, orbit, name=f"{H.name}/T", error=AssumptionUnverified)
 
 
 def subgroupoid_properties_loop(G, members):
@@ -865,6 +895,27 @@ def verify_theta_loop(dia, theta):
                 violations.append(("cocycle", (c1, c2, c3)))
     instances = {"unit_triviality": units, "cocycle_identity": triples}
     return ThetaReport(unit_ok, cocycle_ok, coverage, violations, instances, rows)
+
+
+def theta_for_package_loop(pkg, dia, section=None):
+    """theta_for_package with one ``mul_all`` section defect per composable pair of G/S, in ``Q.compose`` order."""
+    data = pkg.weyl
+    if data is None:
+        raise SchemaError("theta extraction needs a Weyl-derived package")
+    if not data.omega.is_trivial():
+        raise NontrivialCocycle("reconstruction requires a trivial 2-cocycle")
+    G, Q = data.G, data.Q
+    ht_of_q = {q: cid for cid, q in dia.q_class.items()}
+    sec = section if section is not None else data.section
+    validate_section(G, data.class_map, data.classes, sec)
+    evaluation = _evaluation(pkg, dia)
+    values = {}
+    for (q1, q2) in Q.compose:
+        defect = G.mul_all(G.inv(sec[Q.mul(q1, q2)]), sec[q1], sec[q2])
+        if defect not in data.S:
+            raise NotInS(f"section defect {defect} lies outside the marked bundle")
+        values[(ht_of_q[q1], ht_of_q[q2])] = dia.That.by_id[evaluation[defect]]
+    return ThetaDatum(values)
 
 
 def build_boxtimes_loop(dia, theta):

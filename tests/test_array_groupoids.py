@@ -2,12 +2,15 @@
 
 The parser and ``build_semidirect`` hand index arrays to
 ``validate_arrays``, ``compose`` and ``values`` are built on first read, and
-the quotient's descent is one array comparison.  The oracles are the tuple-keyed dict
-parse, the multiplication-callable build and the per-pair descent loop.
+the quotient of an orbit table is built and checked by gathers.  The oracles
+are the tuple-keyed dict parse, the multiplication-callable build and the
+quotient of an orbit callable with its per-pair descent loop.
 """
 
 import json
 import random
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from oracles import (
     build_semidirect_loop,
     is_cocycle_violation,
     orbit_quotient_loop,
+    orbits_of_table,
     parse_groupoid_data_dicts,
 )
 from weylkit import corpus
@@ -24,13 +28,13 @@ from weylkit.errors import GroupoidError, NotAutomorphism, NotNormal, WeylkitErr
 from weylkit.groupoid import (
     FiniteGroupoid,
     arrow_index,
-    isotropy_fibres,
     orbit_quotient,
     validate_arrays,
     validate_groupoid,
 )
 from weylkit.io import emit_groupoid_data, parse_groupoid_data
 from weylkit.phases import HALF, Phase
+from weylkit.reconstruct import induced_grading_on_H, reconstruction_iso, verify_reconstruction_hypotheses
 from weylkit.semidirect import SemidirectSpec, build_semidirect, gen_rotation, verify_untwisting
 from weylkit.weyl import build_weyl_groupoid, check_gamma_cartan_hypotheses, weyl_twist_cocycle
 
@@ -280,13 +284,9 @@ def quotient_outcome(quotient, G, orbit):
 @pytest.mark.parametrize("name", QUOTIENTS)
 def test_quotient_by_the_bundle_matches_the_loop(name):
     e = by_name(name)
-    fibres = isotropy_fibres(e.G, e.S)
-
-    def orbit(g):
-        return frozenset(e.G.mul(g, a) for a in fibres[e.G.src[g]])
-
-    new = quotient_outcome(orbit_quotient, e.G, orbit)
-    assert new == quotient_outcome(orbit_quotient_loop, e.G, orbit)
+    cosets = e.G.comp_matrix()[:, sorted(e.G.index[a] for a in e.S)]
+    new = quotient_outcome(orbit_quotient, e.G, cosets)
+    assert new == quotient_outcome(orbit_quotient_loop, e.G, orbits_of_table(e.G, cosets))
     assert len(new) == 3
 
 
@@ -298,13 +298,73 @@ def test_cosets_of_non_normal_subgroups_fail_like_the_loop():
     failed = 0
     for G in groups:
         for a in G.arrows:
-            powers = frozenset(G.mul_all(*[a] * n) for n in range(1, G.element_order(a) + 1))
-            for orbit in (lambda g: frozenset(G.mul(g, b) for b in powers),
-                          lambda g: frozenset(G.mul(b, g) for b in powers)):
-                new = quotient_outcome(orbit_quotient, G, orbit)
-                assert new == quotient_outcome(orbit_quotient_loop, G, orbit)
+            powers = [G.index[G.mul_all(*[a] * n)] for n in range(1, G.element_order(a) + 1)]
+            for cosets in (G.comp_matrix()[:, powers], G.comp_matrix()[powers].T):
+                new = quotient_outcome(orbit_quotient, G, cosets)
+                assert new == quotient_outcome(orbit_quotient_loop, G, orbits_of_table(G, cosets))
                 failed += "depends on representatives" in str(new[-1])
     assert failed >= 15, failed
+
+
+def non_partitions(G, cosets):
+    """Mutants of the coset table that are no partition, each in the row of a class's least member.
+
+    A row missing its own arrow, a row with a member repeated in place of
+    another, a row with an extra member from another class, and a row with
+    a member swapped for one from another class.  The loop checks the first
+    row of each class, so these are the rows it sees.
+    """
+    table = np.hstack([cosets, np.full((len(cosets), 1), -1, dtype=cosets.dtype)])
+    for a in np.unique(np.where(cosets >= 0, cosets, len(G.arrows)).min(axis=1)).tolist():
+        row = table[a]
+        members = row[row >= 0]
+        if len(members) < 2:
+            continue
+        other = max(x for x in range(len(G.arrows)) if x not in members)
+        for label, old, value in (("missing", a, -1), ("repeated", members.max(), a), ("extra", -1, other),
+                                  ("swapped", members.max(), other)):
+            out = table.copy()
+            out[a, np.argmax(row == old)] = value
+            yield label, out
+
+
+@pytest.mark.parametrize("name", ["z2xR2", "q8", "d4", "pauli", "rotation(4,1)", "rotation(6,0)"])
+def test_non_partitions_fail_like_the_loop(name):
+    e = by_name(name)
+    cosets = e.G.comp_matrix()[:, sorted(e.G.index[a] for a in e.S)]
+    assert len(quotient_outcome(orbit_quotient, e.G, cosets)) == 3
+    seen = set()
+    for label, table in non_partitions(e.G, cosets):
+        new = quotient_outcome(orbit_quotient, e.G, table)
+        assert new == quotient_outcome(orbit_quotient_loop, e.G, orbits_of_table(e.G, table)), label
+        assert new == (NotNormal, "orbits do not partition the arrow set"), label
+        seen.add(label)
+    assert seen == {"missing", "repeated", "extra", "swapped"}
+
+
+def test_no_mul_call_comes_from_the_quotients_or_theta(monkeypatch):
+    """FiniteGroupoid.mul calls by caller over a round trip and its hypotheses check."""
+    callers, stacks = Counter(), set()
+    mul = FiniteGroupoid.mul
+
+    def counted(self, g, h):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name in ("mul_all", "conjugate") or frame.f_code.co_name.startswith("<"):
+            frame = frame.f_back
+        callers[frame.f_code.co_name] += 1
+        while frame is not None:
+            stacks.add(frame.f_code.co_name)
+            frame = frame.f_back
+        return mul(self, g, h)
+
+    monkeypatch.setattr(FiniteGroupoid, "mul", counted)
+    for e in (corpus.rotation(8, 0), corpus.pair_groupoid(6)):
+        rec = reconstruction_iso(e.G, e.S, e.c)
+        c_tilde = induced_grading_on_H(rec.dia.pkg, e.c)
+        assert verify_reconstruction_hypotheses(rec.dia, rec.theta, c_tilde).all_pass()
+    assert callers["derive_weyl_actions"] > 0 and callers["gw_mul"] > 0, callers
+    banned = {"orbit_quotient", "quotient_by_bundle", "quotient_HT", "theta_for_package", "section_defects"}
+    assert not stacks & banned, (stacks & banned, callers)
 
 
 # -------------------------------------------------------------- dict builds

@@ -205,6 +205,25 @@ def test_bad_section_file_is_schema_error(q8_file, tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_section_file_is_read_without_section_file_flag(q8_file, tmp_path, capsys):
+    # a given --section-file is read whether or not --section file is also given
+    path = tmp_path / "section.json"
+    path.write_text(json.dumps({"-1": "1", "-j": "j", "x": "1"}))   # an unknown class
+    for command in ("weyl", "boxtimes", "roundtrip"):
+        assert main([command, q8_file, "--section-file", str(path)]) == 2, command
+        assert "unknown class x" in capsys.readouterr().err
+    path.write_text(json.dumps({"-1": "1", "-j": "j"}))
+    assert main(["boxtimes", q8_file, "--section-file", str(path)]) == 0
+    assert main(["boxtimes", q8_file, "--section", "lex"]) == 0
+
+
+def test_section_file_flag_without_a_file_is_schema_error(q8_file, capsys):
+    for command in ("weyl", "boxtimes", "roundtrip"):
+        assert main([command, q8_file, "--section", "file"]) == 2, command
+        err = capsys.readouterr().err
+        assert "--section-file" in err and "Traceback" not in err
+
+
 def test_non_integer_seed_is_schema_error(pauli_file, monkeypatch):
     monkeypatch.setenv("WEYLKIT_SEED", "x")
     assert main(["algebra", pauli_file]) == 2

@@ -9,7 +9,7 @@ import pytest
 from oracles import weyl_twist_cocycle_loop
 from weylkit import cocycle, corpus, io, semidirect
 from weylkit.cocycle import TwoCocycle, check_cocycle, numerator_table
-from weylkit.errors import ElementNotInS, WeylkitError
+from weylkit.errors import ElementNotInS, SchemaError, WeylkitError
 from weylkit.phases import HALF, Phase
 from weylkit.weyl import build_weyl_groupoid, weyl_action, weyl_twist_cocycle
 
@@ -142,6 +142,23 @@ def test_defect_outside_S_raises_with_the_loop_witness():
         assert new.value.arrow == old.value.arrow and str(new.value) == str(old.value)
         raised += 1
     assert raised >= 30, raised
+
+
+@pytest.mark.parametrize("name, pair", [("pair(3)", "(0>1, 1>0)"), ("z2xR2", "(z0:0>1, z0:1>0)")])
+def test_section_value_with_other_endpoints_is_a_typed_error(name, pair):
+    e = corpus.pair_groupoid(3) if name == "pair(3)" else corpus.by_name(name)
+    G = e.G
+    GW, data = build_weyl_groupoid(G, e.S, e.omega)
+    cid = min(c for c in data.classes if not G.is_unit(data.section[c]))
+    other = min(g for g in G.arrows if (G.src[g], G.tgt[g]) != (G.src[cid], G.tgt[cid]))
+    data.section = {**data.section, cid: other}
+    # the first class pair, in Q.compose order, whose defect does not compose
+    with pytest.raises(SchemaError) as exc:
+        weyl_twist_cocycle(GW, data)
+    assert str(exc.value).startswith(f"section defect at classes {pair} is undefined")
+    # the loop it replaced fails untyped
+    with pytest.raises(KeyError):
+        weyl_twist_cocycle_loop(GW, data)
 
 
 def test_untwisting_lists_every_pair_where_the_twist_leaves_omega(monkeypatch):

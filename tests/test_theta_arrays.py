@@ -5,11 +5,14 @@ one row table per action as gathers; the oracles in ``oracles.py`` take
 the action as a dict of ``Character`` values, loop over every triple, and
 build the twisted product through ``build_groupoid``.  Both must give the
 same witness, verdicts, violations and groupoid, on healthy inputs and
-under one-entry mutations of theta and of the action tables.
+under one-entry mutations of theta and of the action tables.  theta read
+off the section-defect table and H/T from the orbit table ``right`` are
+compared in the same way with their per-pair and per-arrow loops.
 """
 
 import dataclasses
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -27,14 +30,22 @@ from weylkit.reconstruct import (
     build_boxtimes,
     derive_weyl_actions,
     diamond_action,
+    quotient_HT,
     reconstruction_iso,
     theta_for_package,
     trivial_theta,
+    verify_action_package,
     verify_theta,
 )
 from weylkit.weyl import action_ids, verify_groupoid_action
 
-from oracles import build_boxtimes_loop, verify_groupoid_action_loop, verify_theta_loop
+from oracles import (
+    build_boxtimes_loop,
+    quotient_HT_loop,
+    theta_for_package_loop,
+    verify_groupoid_action_loop,
+    verify_theta_loop,
+)
 
 TRIVIAL = (
     [name for name in corpus.BUILDERS if corpus.by_name(name).omega.is_trivial()]
@@ -164,6 +175,66 @@ def test_theta_and_boxtimes_match_the_loop_oracles(name):
             seen.add((state, mutation, report.all_pass()))
     assert ("healthy", "healthy", True) in seen
     assert not any(ok for state, mutation, ok in seen if mutation.startswith(("stray", "missing", "other fibre")))
+
+
+def valid_sections(data, seed):
+    """The least-id section, then two seeded ones: units on unit classes, random members elsewhere."""
+    yield None
+    rng = random.Random(seed)
+    units = {data.class_map[u]: u for u in data.G.units}
+    for _ in range(2):
+        yield {cid: units.get(cid) or rng.choice(sorted(members)) for cid, members in sorted(data.classes.items())}
+
+
+@pytest.mark.parametrize("name", TRIVIAL)
+def test_theta_for_package_matches_the_loop(name):
+    pkg, dia = pipeline(name)
+    for section in valid_sections(pkg.weyl, name):
+        new, old = theta_for_package(pkg, dia, section), theta_for_package_loop(pkg, dia, section)
+        assert list(new.values.items()) == list(old.values.items())
+
+
+def package_mutants(pkg):
+    """The package and copies with one entry of ``right`` or ``left`` changed.
+
+    On the fibre an entry moves to the next arrow or to -1; off it, a -1
+    becomes a member of the orbit already there, which leaves the orbit's set alone.
+    """
+    yield "healthy", pkg
+    n = len(pkg.H.arrows)
+    for side in ("right", "left"):
+        table = getattr(pkg, side)
+        orbits = table if side == "right" else table.T
+        on, off = np.argwhere(orbits >= 0), np.argwhere(orbits < 0)
+        changes = [("next arrow", on[-1], (orbits[tuple(on[-1])] + 1) % n), ("dropped", on[0], -1)]
+        if len(off):
+            changes.append(("repeated member", off[0], orbits[off[0][0]].max()))
+        for label, (i, j), value in changes:
+            out = table.copy()
+            out[(i, j) if side == "right" else (j, i)] = value
+            yield f"{side} {label}", dataclasses.replace(pkg, **{side: out})
+
+
+def quotient_outcome(quotient, pkg, report):
+    try:
+        Q, class_map = quotient(pkg, report)
+    except WeylkitError as exc:
+        return type(exc).__name__, str(exc)
+    return Q.arrows, list(Q.compose.items()), list(class_map.items())
+
+
+@pytest.mark.parametrize("name", TRIVIAL)
+def test_quotient_HT_matches_the_loop(name):
+    pkg, _ = pipeline(name)
+    report = verify_action_package(pkg)
+    seen = set()
+    for mutation, p in package_mutants(pkg):
+        # the healthy package's passing report, so that the orbit comparison is reached
+        new = quotient_outcome(quotient_HT, p, report)
+        assert new == quotient_outcome(quotient_HT_loop, p, report), mutation
+        seen.add((mutation.split()[-1], len(new) == 3))
+    assert {("healthy", True), ("dropped", False)} <= seen and ("member", False) not in seen
+    assert ("arrow", False) in seen or len(pkg.H.arrows) == 1
 
 
 def test_boxtimes_keeps_the_order_of_arrows_as_built_past_ten_characters():

@@ -403,6 +403,24 @@ def test_failures_survive_python_O():
         "except Exception as exc:\n"
         "    print(type(exc).__name__, exc.triple)\n"
         "print(check_cocycle(e.G, TwoCocycle(e.G, {**e.omega.values, ('1|0', '0|1'): HALF}))[:2])\n"
+        "import numpy as np\n"
+        "from weylkit.errors import NotNormal\n"
+        "from weylkit.groupoid import orbit_quotient\n"
+        "from weylkit.weyl import build_weyl_groupoid, weyl_twist_cocycle\n"
+        "s3 = corpus.by_name('s3').G\n"
+        "# every row the class of 0|0 alone, then the left cosets of the reflection 0|1\n"
+        "for orbits in (np.zeros((6, 1), dtype=np.int64), s3.comp_matrix()[:, [0, 1]]):\n"
+        "    try:\n"
+        "        orbit_quotient(s3, orbits, name='Q', error=NotNormal)\n"
+        "    except NotNormal as exc:\n"
+        "        print('NotNormal', exc)\n"
+        "r = corpus.by_name('rotation(3,0)')\n"
+        "GW, data = build_weyl_groupoid(r.G, r.S, r.omega)\n"
+        "data.section = {**data.section, '0|1': '1|2'}\n"
+        "try:\n"
+        "    weyl_twist_cocycle(GW, data)\n"
+        "except Exception as exc:\n"
+        "    print(type(exc).__name__, exc.arrow)\n"
     )
     src = str(Path(weylkit.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -414,6 +432,9 @@ def test_failures_survive_python_O():
         "NotHomomorphism ('0|1', '0|1')",
         "AssociativityViolation ('0|1', '0|1', '1|0')",
         "[('1|0', '0|1', '0|1'), ('1|0', '0|1', '1|0')]",
+        "NotNormal orbits do not partition the arrow set",
+        "NotNormal quotient composition depends on representatives: (0|1, 1|0)",
+        "ElementNotInS 2|2",
     ], out
 
 
