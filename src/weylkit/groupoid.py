@@ -594,7 +594,7 @@ def orbit_quotient(G: FiniteGroupoid, orbits: np.ndarray, name: str, error: type
     """
     n, ids = len(G.arrows), G.arrows
     rows = distinct_rows(orbits)
-    cls = np.where(rows >= 0, rows, n).min(axis=1)
+    cls = np.where(rows >= 0, rows, n).min(axis=1, initial=n)
     # every member of a row has the row's class, and every row holds its whole class
     stray = (rows >= 0) & (np.append(cls, -1)[rows] != cls[:, None])
     if stray.any() or ((rows >= 0).sum(axis=1) != np.bincount(cls, minlength=n + 1)[cls]).any():

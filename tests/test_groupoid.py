@@ -203,8 +203,9 @@ def test_groupoid_error_is_common_base():
 def test_orbit_quotient_requires_a_partition():
     G = corpus.pair_groupoid(3).G
     ar = np.arange(len(G.arrows))[:, None]
-    with pytest.raises(NotNormal, match="partition"):
-        orbit_quotient(G, np.hstack([ar, np.full_like(ar, G.index[G.units[0]])]), name="bad", error=NotNormal)
+    for orbits in (np.hstack([ar, np.full_like(ar, G.index[G.units[0]])]), ar[:, :0]):
+        with pytest.raises(NotNormal, match="partition"):
+            orbit_quotient(G, orbits, name="bad", error=NotNormal)
     # the trivial partition gives G back
     Q, class_map = orbit_quotient(G, ar, name="same", error=NotNormal)
     assert len(Q) == len(G) and all(class_map[g] == g for g in G.arrows)
