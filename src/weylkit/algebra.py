@@ -6,19 +6,27 @@ groupoid's compose array and ``phase`` is filled from the cocycle's
 numerator table with one ``Phase.to_complex`` per distinct numerator.
 Every step runs on these two arrays:
 
-- The left regular representations (one block per unit, acting on the
-  span of the arrows out of that unit) are one scatter into a stacked
-  array of matrices.  The star law is checked on every arrow, and the
-  product law pi(g) pi(b) = omega(g, b) pi(gb) for b in ``G.generators()``.
-  On the basis vector x the product law at (g, b) is the cocycle identity
-  at (g, b, x), so, as in ``check_cocycle``, the middle arguments that
-  pass are closed under products and the law holds for every pair.
+- A representation on the span of a union of source fibres B (one fibre
+  for a left regular representation, every fibre for the total one) is
+  held as two (|G|, |B|) tables, filled by one gather: target[g, j], the
+  position of g * B[j] in B (-1 where they do not compose), and
+  value[g, j], its phase.  Each delta_g is monomial, so the tables are the
+  whole matrix.  The star law is checked on every arrow, and the product
+  law pi(g) pi(b) = omega(g, b) pi(gb) for b in ``G.generators()``, both
+  by gathers on the tables.  On the basis vector x the product law at
+  (g, b) is the cocycle identity at (g, b, x), so, as in
+  ``check_cocycle``, the middle arguments that pass are closed under
+  products and the law holds for every pair.  The dense matrices of the
+  deltas are built from the tables only for the callers that return them.
 - The center and the commutant are null spaces of commutator maps
   z -> [z, delta_b] on coefficient vectors, written down from
   [delta_h, delta_b] = phase[h, b] delta_{hb} - phase[b, h] delta_{bh}.
   For the center b ranges over the generators, whose deltas generate the
   algebra.
 - A convolution is one gather over the composable pairs and a bincount.
+- The Wedderburn split diagonalizes a random central element, one scatter
+  from the tables, and takes the rank of Q^* pi(g) Q over every g on each
+  eigenspace Q with one matrix product.
 
 Exact phases enter only through the structure constants; from there on the
 computations are numerical with fixed tolerances.
@@ -120,42 +128,91 @@ class TwistedAlgebra:
         return out
 
 
-def _represent(alg: TwistedAlgebra, basis):
-    """The stacked matrices of every arrow delta on the span of ``basis``.
+def _tables(alg: TwistedAlgebra, basis):
+    """The arrow deltas on the span of ``basis`` as two (|G|, |B|) tables.
 
     ``basis`` holds arrow indices and is a union of source fibres, so it is
-    closed under left multiplication: [g][position of gx, position of x] is
-    phase[g, x].  Verified to be a *-homomorphism to HOM_TOL.
+    closed under left multiplication: delta_g sends basis vector j to
+    value[g, j] times basis vector target[g, j], the position of g * basis[j],
+    and target[g, j] is -1 where g and basis[j] do not compose.  Verified to
+    be a *-homomorphism to HOM_TOL.
     """
     pos = np.empty(len(alg.G), dtype=np.int64)
     pos[basis] = np.arange(len(basis))
     cols = alg.comp[:, basis]
-    g, j = np.nonzero(cols >= 0)
-    stack = np.zeros((len(alg.G), len(basis), len(basis)), dtype=complex)
-    stack[g, pos[cols[g, j]], j] = alg.phase[g, basis[j]]
-    _verify_star_hom(alg, stack)
-    return stack
+    composes = cols >= 0
+    target = np.where(composes, pos[cols], -1)
+    value = np.where(composes, alg.phase[:, basis], 0)
+    _verify_tables(alg, target, value)
+    return target, value
 
 
-def _verify_star_hom(alg: TwistedAlgebra, stack):
-    """The star law on every arrow, the product law on (g, b) for b over the generators."""
+def _verify_tables(alg: TwistedAlgebra, target, value):
+    """The star law on every arrow, the product law on (g, b) for b over the generators.
+
+    Every matrix compared has at most one nonzero per column, so each law is
+    compared column by column: a column's error is the difference of the two
+    entries where both sit in one row, and 1 where the supports differ.  The
+    error of a law is its largest column error, as for the dense difference,
+    and the witness is the first arrow, then the first (g, b) in g-major,
+    generator order, whose error is not below HOM_TOL.
+    """
     arrows = alg.G.arrows
-    for g, M in enumerate(stack):
-        if not np.max(np.abs(M.conj().T - alg.star_phase[g] * stack[alg.inv[g]])) < HOM_TOL:
-            raise NotStarHomomorphism(("star", arrows[g]))
+    inv = alg.inv[:, None]
+    defined = target >= 0
+    # column t of delta_g^* holds conj(value[g, j]) in row j when target[g, j] = t
+    t = np.where(defined, target, 0)
+    same = defined & (target[inv, t] == np.arange(target.shape[1]))
+    err = np.where(same, np.abs(value.conj() - alg.star_phase[:, None] * value[inv, t]), defined)
+    err = np.maximum(err.max(axis=1, initial=0.0), defined.sum(axis=1) != defined[alg.inv].sum(axis=1))
+    bad = ~(err < HOM_TOL)
+    if bad.any():
+        raise NotStarHomomorphism(("star", arrows[bad.argmax()]))
     gens = alg.G.generators()
-    for g, M in enumerate(stack):
-        bs = gens[alg.comp[g, gens] >= 0]
-        gb = alg.comp[g, bs]
-        err = np.abs(M @ stack[bs] - alg.phase[g, bs][:, None, None] * stack[gb]).max(axis=(1, 2))
-        bad = ~(err < HOM_TOL)
-        if bad.any():
-            raise NotStarHomomorphism(("product", arrows[g], arrows[bs[bad.argmax()]]))
+    g, b = np.nonzero(alg.comp[:, gens] >= 0)
+    b = gens[b]
+    gb = alg.comp[g, b]
+    mid = t[b]                                                  # pi(b) sends column j to row mid
+    left = np.where(defined[b], target[g[:, None], mid], -1)    # the row of column j in pi(g) pi(b)
+    right = target[gb]                                          # and in omega(g, b) pi(gb)
+    diff = value[g[:, None], mid] * value[b] - alg.phase[g, b][:, None] * value[gb]
+    err = np.where((left >= 0) & (left == right), np.abs(diff), (left >= 0) | (right >= 0))
+    bad = ~(err.max(axis=1, initial=0.0) < HOM_TOL)
+    if bad.any():
+        k = bad.argmax()
+        raise NotStarHomomorphism(("product", arrows[g[k]], arrows[b[k]]))
+
+
+def _matrix(target, value, coeffs):
+    """The matrix of sum_g coeffs[g] delta_g, by one scatter.
+
+    For each column x the row gx determines g, so no two terms share an entry.
+    """
+    g, j = np.nonzero(target >= 0)
+    M = np.zeros((target.shape[1], target.shape[1]), dtype=complex)
+    M[target[g, j], j] = coeffs[g] * value[g, j]
+    return M
 
 
 def _fibre(G: FiniteGroupoid, u):
     """Indices of the arrows out of u, in index order."""
     return np.array([G.index[g] for g in G.arrows_from(u)], dtype=np.int64)
+
+
+def _total_basis(G: FiniteGroupoid):
+    """Every arrow index, fibre by fibre over the units: the basis of the total representation."""
+    basis = np.concatenate([_fibre(G, u) for u in G.units])
+    if len(basis) != len(G):
+        raise CardinalityMismatch(("total representation", len(basis), len(G)))
+    return basis
+
+
+def _stack(target, value):
+    """The dense (|G|, |B|, |B|) matrices of a representation's tables."""
+    g, j = np.nonzero(target >= 0)
+    stack = np.zeros((*target.shape, target.shape[1]), dtype=complex)
+    stack[g, target[g, j], j] = value[g, j]
+    return stack
 
 
 def regular_representation(G: FiniteGroupoid, omega: TwoCocycle, u):
@@ -165,7 +222,7 @@ def regular_representation(G: FiniteGroupoid, omega: TwoCocycle, u):
     Verified to be a *-homomorphism to 1e-12.
     """
     basis = _fibre(G, u)
-    stack = _represent(TwistedAlgebra(G, omega), basis)
+    stack = _stack(*_tables(TwistedAlgebra(G, omega), basis))
     return dict(zip(G.arrows, stack)), [G.arrows[i] for i in basis]
 
 
@@ -174,28 +231,18 @@ def total_representation(G: FiniteGroupoid, omega: TwoCocycle):
 
     Faithful, of total dimension |G|.  Returns arrow -> ndarray.
     """
-    basis = np.concatenate([_fibre(G, u) for u in G.units])
-    if len(basis) != len(G):
-        raise CardinalityMismatch(("total representation", len(basis), len(G)))
-    return dict(zip(G.arrows, _represent(TwistedAlgebra(G, omega), basis)))
-
-
-def rep_matrix(mats, f):
-    """The matrix of a finitely supported function under a representation."""
-    some = next(iter(mats.values()))
-    M = np.zeros_like(some)
-    for g, v in f.items():
-        if v:
-            M = M + v * mats[g]
-    return M
+    basis = _total_basis(G)
+    return dict(zip(G.arrows, _stack(*_tables(TwistedAlgebra(G, omega), basis))))
 
 
 def reduced_norm(G: FiniteGroupoid, omega: TwoCocycle, f) -> float:
     """sup over units of the operator norm of the regular representation."""
+    alg = TwistedAlgebra(G, omega)
+    coeffs = alg.vector(f)
     best = 0.0
     for u in G.units:
-        mats, _ = regular_representation(G, omega, u)
-        best = max(best, float(np.linalg.norm(rep_matrix(mats, f), 2)))
+        M = _matrix(*_tables(alg, _fibre(G, u)), coeffs)
+        best = max(best, float(np.linalg.norm(M, 2)))
     return best
 
 
@@ -254,8 +301,8 @@ def commutant_check(G: FiniteGroupoid, omega: TwoCocycle, c: Grading, S_members)
     """
     S = sorted(set(S_members))
     A0 = sorted(g for g in G.arrows if c.value(g) == c.zero)
-    total_representation(G, omega)      # raises NotStarHomomorphism unless omega is a cocycle
     alg = TwistedAlgebra(G, omega)
+    _tables(alg, _total_basis(G))       # raises NotStarHomomorphism unless omega is a cocycle
     s = [G.index[g] for g in S]
     commutant_dim = _null_space(_commutator_map(alg, s, [G.index[g] for g in A0]), SPEC_TOL).shape[1]
     abelian = not np.max(np.abs(_commutator_map(alg, s, s)), initial=0.0) > SPEC_TOL
@@ -348,19 +395,18 @@ def expectation_checks(
     return ExpectationReport(trials, seed, failures, max_neg, faithful_ok, diagonal_ok)
 
 
-def _split_blocks(mats, center, seed, tol):
-    """Sorted Wedderburn block sizes from a representation and a center basis.
+def _split_blocks(target, value, center, seed, tol):
+    """Sorted Wedderburn block sizes from a faithful representation's tables and a center basis.
 
     A random self-adjoint central element is diagonalized; its spectral
     projections cut out the simple ideals, each of dimension n_i^2.
     """
-    arrows = list(mats)
     center_dim = center.shape[1]
+    n_arrows = len(target)
     rng = np.random.default_rng(seed)
     for attempt in range(5):
         coeffs = rng.standard_normal(center_dim) + 1j * rng.standard_normal(center_dim)
-        z = dict(zip(arrows, center @ coeffs))
-        A = rep_matrix(mats, z)
+        A = _matrix(target, value, center @ coeffs)
         H = A + A.conj().T
         eigvals, eigvecs = np.linalg.eigh(H)
         scale = max(1.0, float(np.max(np.abs(eigvals))))
@@ -375,12 +421,16 @@ def _split_blocks(mats, center, seed, tol):
         blocks = []
         ok = True
         for cl in clusters:
-            # P M_g P = Q (Q^* M_g Q) Q^* with Q^* Q = 1: the same rank, on m x m matrices
+            # P M_g P = Q (Q^* M_g Q) Q^* with Q^* Q = 1: the same rank, on m x m matrices.
+            # W[a, g, j] = conj(Q[target[g, j], a]) value[g, j] is row a of Q^* M_g
+            # (value is 0 where target is -1), so W @ Q holds every Q^* M_g Q at once.
             Q = eigvecs[:, cl]
-            Qh = Q.conj().T
-            span = np.empty((len(cl) ** 2, len(arrows)), dtype=complex)
-            for i, g in enumerate(arrows):
-                span[:, i] = (Qh @ mats[g] @ Q).ravel()
+            m = len(cl)
+            W = Q.conj().T[:, target]
+            W *= value
+            span = (W.reshape(m * n_arrows, -1) @ Q).reshape(m, n_arrows, m)
+            del W
+            span = span.transpose(0, 2, 1).reshape(m * m, n_arrows)     # column g holds Q^* M_g Q
             d = int(np.linalg.matrix_rank(span, tol=tol))
             root = round(d**0.5)
             if root * root != d:
@@ -389,7 +439,7 @@ def _split_blocks(mats, center, seed, tol):
             blocks.append(root)
         if not ok:
             continue
-        if sum(b * b for b in blocks) != len(arrows):
+        if sum(b * b for b in blocks) != n_arrows:
             continue
         return sorted(blocks)
     raise DegenerateSample(
@@ -406,9 +456,10 @@ def wedderburn_blocks(G: FiniteGroupoid, omega: TwoCocycle, seed: int = 0, tol: 
     """
     _check_seed(seed)
     _check_tol(tol)
-    mats = total_representation(G, omega)
-    center = _center_basis(TwistedAlgebra(G, omega), tol=tol)
-    return _split_blocks(mats, center, seed, tol), center.shape[1]
+    alg = TwistedAlgebra(G, omega)
+    target, value = _tables(alg, _total_basis(G))
+    center = _center_basis(alg, tol=tol)
+    return _split_blocks(target, value, center, seed, tol), center.shape[1]
 
 
 @dataclass

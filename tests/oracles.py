@@ -38,7 +38,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from weylkit.algebra import HOM_TOL, POS_TOL, SPEC_TOL, ExpectationReport, _split_blocks, reduced_norm
+from weylkit.algebra import (
+    HOM_TOL,
+    POS_TOL,
+    SPEC_TOL,
+    ExpectationReport,
+    TwistedAlgebra,
+    _center_basis,
+    _total_basis,
+    reduced_norm,
+)
 from weylkit.cocycle import TwoCocycle, check_cocycle
 from weylkit.dual import Character, bundle_from_subgroupoid, dual_bundle
 from weylkit.errors import (
@@ -50,6 +59,7 @@ from weylkit.errors import (
     CocycleInvalid,
     ConventionMismatch,
     DanglingUnit,
+    DegenerateSample,
     DualityFailure,
     ElementNotInS,
     MissingComposite,
@@ -276,6 +286,16 @@ def regular_representation_loop(G, omega, u):
     return mats, basis
 
 
+def reduced_norm_loop(G, omega, f):
+    """The largest operator norm of f over the loop-built regular representations, summed matrix by matrix."""
+    best = 0.0
+    for u in G.units:
+        mats, _ = regular_representation_loop(G, omega, u)
+        M = sum((v * mats[g] for g, v in f.items()), np.zeros_like(mats[G.arrows[0]]))
+        best = max(best, float(np.linalg.norm(M, 2)))
+    return best
+
+
 def verify_star_hom_exhaustive(G, omega, mats):
     """The star law on every arrow, then the product law on every composable pair."""
     for g in G.arrows:
@@ -305,6 +325,86 @@ def total_representation_loop(G, omega):
     return mats
 
 
+def represent_stack(alg, basis):
+    """The stacked dense matrices of every arrow delta on the span of ``basis``, checked by products."""
+    pos = np.empty(len(alg.G), dtype=np.int64)
+    pos[basis] = np.arange(len(basis))
+    cols = alg.comp[:, basis]
+    g, j = np.nonzero(cols >= 0)
+    stack = np.zeros((len(alg.G), len(basis), len(basis)), dtype=complex)
+    stack[g, pos[cols[g, j]], j] = alg.phase[g, basis[j]]
+    verify_star_hom_stack(alg, stack)
+    return stack
+
+
+def verify_star_hom_stack(alg, stack):
+    """The star law on every arrow, the product law on (g, b) for b over the generators, by dense products."""
+    arrows = alg.G.arrows
+    for g, M in enumerate(stack):
+        if not np.max(np.abs(M.conj().T - alg.star_phase[g] * stack[alg.inv[g]])) < HOM_TOL:
+            raise NotStarHomomorphism(("star", arrows[g]))
+    gens = alg.G.generators()
+    for g, M in enumerate(stack):
+        bs = gens[alg.comp[g, gens] >= 0]
+        gb = alg.comp[g, bs]
+        err = np.abs(M @ stack[bs] - alg.phase[g, bs][:, None, None] * stack[gb]).max(axis=(1, 2))
+        bad = ~(err < HOM_TOL)
+        if bad.any():
+            raise NotStarHomomorphism(("product", arrows[g], arrows[bs[bad.argmax()]]))
+
+
+def total_representation_stack(G, omega):
+    """The total representation as dense matrices, checked by dense products."""
+    return dict(zip(G.arrows, represent_stack(TwistedAlgebra(G, omega), _total_basis(G))))
+
+
+def split_blocks_dense(mats, center, seed, tol):
+    """Sorted Wedderburn block sizes from dense matrices: the rank of Q^* M_g Q per cluster, arrow by arrow."""
+    arrows = list(mats)
+    center_dim = center.shape[1]
+    rng = np.random.default_rng(seed)
+    for attempt in range(5):
+        coeffs = rng.standard_normal(center_dim) + 1j * rng.standard_normal(center_dim)
+        A = np.zeros_like(mats[arrows[0]])
+        for g, v in zip(arrows, center @ coeffs):
+            if v:
+                A = A + v * mats[g]
+        H = A + A.conj().T
+        eigvals, eigvecs = np.linalg.eigh(H)
+        scale = max(1.0, float(np.max(np.abs(eigvals))))
+        clusters = []
+        start = 0
+        for i in range(1, len(eigvals) + 1):
+            if i == len(eigvals) or eigvals[i] - eigvals[i - 1] > tol * scale:
+                clusters.append(range(start, i))
+                start = i
+        if len(clusters) != center_dim:
+            continue
+        blocks = []
+        for cl in clusters:
+            Q = eigvecs[:, cl]
+            Qh = Q.conj().T
+            span = np.empty((len(cl) ** 2, len(arrows)), dtype=complex)
+            for i, g in enumerate(arrows):
+                span[:, i] = (Qh @ mats[g] @ Q).ravel()
+            d = int(np.linalg.matrix_rank(span, tol=tol))
+            root = round(d**0.5)
+            if root * root != d:
+                break
+            blocks.append(root)
+        else:
+            if sum(b * b for b in blocks) == len(arrows):
+                return sorted(blocks)
+    raise DegenerateSample(f"no separating central element found after 5 attempts (seed {seed})")
+
+
+def wedderburn_blocks_stack(G, omega, seed=0, tol=SPEC_TOL):
+    """Wedderburn blocks and center dimension from the dense stack, split arrow by arrow."""
+    mats = total_representation_stack(G, omega)
+    center = _center_basis(TwistedAlgebra(G, omega), tol=tol)
+    return split_blocks_dense(mats, center, seed, tol), center.shape[1]
+
+
 def center_basis_dense(mats, arrows, tol=SPEC_TOL):
     """The center as the common null space of every dense commutator [M_h, M_g]."""
     M = np.zeros((len(arrows), len(arrows)), dtype=complex)
@@ -321,14 +421,14 @@ def wedderburn_blocks_dense(G, omega, seed=0, tol=SPEC_TOL):
     """Wedderburn blocks and center dimension from the loop-built matrices and the dense center."""
     mats = total_representation_loop(G, omega)
     center = center_basis_dense(mats, list(G.arrows), tol)
-    return _split_blocks(mats, center, seed, tol), center.shape[1]
+    return split_blocks_dense(mats, center, seed, tol), center.shape[1]
 
 
-def commutant_check_dense(G, omega, c, S_members):
+def commutant_check_dense(G, omega, c, S_members, represent=total_representation_loop):
     """(commutant dimension, span(S) abelian) from dense commutators of the loop-built matrices."""
     S = sorted(set(S_members))
     A0 = sorted(g for g in G.arrows if c.value(g) == c.zero)
-    mats = total_representation_loop(G, omega)
+    mats = represent(G, omega)
     M = np.zeros((len(A0), len(A0)), dtype=complex)
     for s in S:
         Ds = mats[s]
