@@ -426,7 +426,7 @@ def _split_blocks(target, value, center, seed, tol):
             # (value is 0 where target is -1), so W @ Q holds every Q^* M_g Q at once.
             Q = eigvecs[:, cl]
             m = len(cl)
-            W = Q.conj().T[:, target]
+            W = np.take(Q.conj().T, target, axis=1)     # C-ordered, so the reshape below copies nothing
             W *= value
             span = (W.reshape(m * n_arrows, -1) @ Q).reshape(m, n_arrows, m)
             del W
