@@ -363,7 +363,7 @@ def split_blocks_dense(mats, center, seed, tol):
     arrows = list(mats)
     center_dim = center.shape[1]
     rng = np.random.default_rng(seed)
-    for attempt in range(5):
+    for _ in range(5):
         coeffs = rng.standard_normal(center_dim) + 1j * rng.standard_normal(center_dim)
         A = np.zeros_like(mats[arrows[0]])
         for g, v in zip(arrows, center @ coeffs):
@@ -425,7 +425,7 @@ def wedderburn_blocks_dense(G, omega, seed=0, tol=SPEC_TOL):
 
 
 def commutant_check_dense(G, omega, c, S_members, represent=total_representation_loop):
-    """(commutant dimension, span(S) abelian) from dense commutators of the loop-built matrices."""
+    """(commutant dimension, span(S) abelian) from dense commutators of the matrices ``represent`` builds."""
     S = sorted(set(S_members))
     A0 = sorted(g for g in G.arrows if c.value(g) == c.zero)
     mats = represent(G, omega)
