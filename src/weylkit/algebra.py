@@ -24,9 +24,9 @@ Every step runs on these two arrays:
   For the center b ranges over the generators, whose deltas generate the
   algebra.
 - A convolution is one gather over the composable pairs and a bincount.
-- The Wedderburn split diagonalizes a random central element, one scatter
-  from the tables, and takes the rank of Q^* pi(g) Q over every g on each
-  eigenspace Q with one matrix product.
+- The Wedderburn split takes the eigenvalues of a random self-adjoint
+  central element, one scatter from the tables; block n_i is an
+  eigenvalue of multiplicity n_i^2 (see ``_split_blocks``).
 
 Exact phases enter only through the structure constants; from there on the
 computations are numerical with fixed tolerances.
@@ -360,9 +360,14 @@ def expectation_checks(
     alg = TwistedAlgebra(G, omega)
     dual = dual_bundle(bundle_from_subgroupoid(G, frozenset(S_members)))
     arrows = G.arrows
-    pairing = {
-        cid: list(zip(t.elements, row)) for t in dual.tables.values() for cid, row in zip(t.ids, t.pairing)
-    }
+    # the Gelfand transform on span(S) at [character, member of S], from each Character's
+    # own phases, where conditional_expectation reads the tables' pairing rows
+    S = sorted(S_members)
+    column = {a: k for k, a in enumerate(S)}
+    gelfand_phases = np.zeros((len(dual.by_id), len(S)), dtype=complex)
+    for r, chi in enumerate(dual.by_id.values()):
+        gelfand_phases[r, [column[a] for a, _ in chi.values]] = [ph.to_complex() for _, ph in chi.values]
+    s_index = [G.index[a] for a in S]
 
     failures, max_neg = 0, 0.0
     faithful_ok, diagonal_ok = True, True
@@ -381,12 +386,10 @@ def expectation_checks(
                 faithful_ok = False
 
         # restriction to the bundle is the Gelfand transform on its span
-        d = {g: f[g] for g in S_members}
-        gelfand = conditional_expectation(G, dual, d)
-        for cid, terms in pairing.items():
-            direct = sum(ph * d.get(a, 0) for a, ph in terms)
-            if abs(gelfand[cid] - direct) > SPEC_TOL:
-                diagonal_ok = False
+        gelfand = conditional_expectation(G, dual, {g: f[g] for g in S})
+        direct = gelfand_phases @ coeffs[s_index]
+        if np.abs(np.array([gelfand[cid] for cid in dual.by_id]) - direct).max(initial=0.0) > SPEC_TOL:
+            diagonal_ok = False
 
     if failures >= max(1, trials // 2):
         raise ConventionMismatch(
@@ -396,63 +399,36 @@ def expectation_checks(
 
 
 def _split_blocks(target, value, center, seed, tol):
-    """Sorted Wedderburn block sizes from a faithful representation's tables and a center basis.
+    """Sorted Wedderburn block sizes from the total representation's tables and a center basis.
 
-    A random self-adjoint central element is diagonalized; its spectral
-    projections cut out the simple ideals, each of dimension n_i^2.
+    The tables on ``_total_basis`` are the left regular representation of
+    A = M_{n_1} + ... + M_{n_k} on itself, where M_n has dimension n^2.  A
+    central z = sum lambda_i 1_i acts on the i-th summand as lambda_i, so
+    once the eigenvalue clusters of a random z + z^* are as many as the
+    center's dimension, cluster i has exactly n_i^2 members.  Other samples
+    are retried with fresh coefficients.
     """
     center_dim = center.shape[1]
-    n_arrows = len(target)
     rng = np.random.default_rng(seed)
-    for attempt in range(5):
+    for _ in range(5):
         coeffs = rng.standard_normal(center_dim) + 1j * rng.standard_normal(center_dim)
         A = _matrix(target, value, center @ coeffs)
-        H = A + A.conj().T
-        eigvals, eigvecs = np.linalg.eigh(H)
+        eigvals = np.linalg.eigvalsh(A + A.conj().T)
         scale = max(1.0, float(np.max(np.abs(eigvals))))
-        clusters = []
-        start = 0
-        for i in range(1, len(eigvals) + 1):
-            if i == len(eigvals) or eigvals[i] - eigvals[i - 1] > tol * scale:
-                clusters.append(range(start, i))
-                start = i
-        if len(clusters) != center_dim:
-            continue  # degenerate sample; retry with fresh coefficients
-        blocks = []
-        ok = True
-        for cl in clusters:
-            # P M_g P = Q (Q^* M_g Q) Q^* with Q^* Q = 1: the same rank, on m x m matrices.
-            # W[a, g, j] = conj(Q[target[g, j], a]) value[g, j] is row a of Q^* M_g
-            # (value is 0 where target is -1), so W @ Q holds every Q^* M_g Q at once.
-            Q = eigvecs[:, cl]
-            m = len(cl)
-            W = np.take(Q.conj().T, target, axis=1)     # C-ordered, so the reshape below copies nothing
-            W *= value
-            span = (W.reshape(m * n_arrows, -1) @ Q).reshape(m, n_arrows, m)
-            del W
-            span = span.transpose(0, 2, 1).reshape(m * m, n_arrows)     # column g holds Q^* M_g Q
-            d = int(np.linalg.matrix_rank(span, tol=tol))
-            root = round(d**0.5)
-            if root * root != d:
-                ok = False
-                break
-            blocks.append(root)
-        if not ok:
-            continue
-        if sum(b * b for b in blocks) != n_arrows:
-            continue
-        return sorted(blocks)
-    raise DegenerateSample(
-        f"no separating central element found after 5 attempts (seed {seed})"
-    )
+        ends = np.flatnonzero(np.diff(eigvals) > tol * scale) + 1
+        sizes = np.diff(ends, prepend=0, append=len(eigvals))
+        roots = np.rint(np.sqrt(sizes)).astype(np.int64)
+        if len(sizes) == center_dim and (roots * roots == sizes).all():
+            return sorted(roots.tolist())
+    raise DegenerateSample(f"no separating central element found after 5 attempts (seed {seed})")
 
 
 def wedderburn_blocks(G: FiniteGroupoid, omega: TwoCocycle, seed: int = 0, tol: float = SPEC_TOL):
     """Block sizes of the algebra as a direct sum of matrix algebras.
 
-    A random self-adjoint central element is diagonalized; its spectral
-    projections cut out the simple ideals, each of dimension n_i^2.
-    Returns (sorted block list, center dimension).
+    The eigenvalue multiplicities of a random self-adjoint central element
+    on the total representation are the squares n_i^2 (see
+    :func:`_split_blocks`).  Returns (sorted block list, center dimension).
     """
     _check_seed(seed)
     _check_tol(tol)

@@ -25,7 +25,6 @@ from .errors import (
     MomentMapMismatch,
     NontrivialCocycle,
     NotAnAction,
-    NotInS,
     SchemaError,
     ThetaInvalid,
 )
@@ -423,7 +422,7 @@ def theta_for_package(pkg: ActionPackage, dia: DiamondData, section: Optional[di
     G, Q = data.G, data.Q
     sec = section if section is not None else data.section
     validate_section(G, data.class_map, data.classes, sec)
-    defects = section_defects(data, sec, lambda d: NotInS(f"section defect {d} lies outside the marked bundle"))
+    defects = section_defects(data, sec)
 
     # the H/T class of each class index of Q, and the character of T each element of S evaluates to
     ht_of_q = {q: cid for cid, q in dia.q_class.items()}

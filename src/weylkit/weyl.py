@@ -388,13 +388,13 @@ def build_weyl_groupoid(
     return GW, data
 
 
-def section_defects(data: WeylData, section: Mapping, error) -> np.ndarray:
+def section_defects(data: WeylData, section: Mapping) -> np.ndarray:
     """The defect s12^-1 s1 s2 of the section values of c1, c2 and c1 c2, at [c1, c2], as one gather.
 
     Entries are arrow indices of G over the class indices of Q, -1 off the
     composable pairs.  The first pair in ``Q.compose`` order whose defect is
     undefined raises SchemaError naming the classes; the first whose defect
-    lies outside S raises ``error(defect id)``.
+    lies outside S raises ElementNotInS.
     """
     G, Q, comp = data.G, data.Q, data.G.comp_matrix()
     sec = arrow_indices(G.index, map(section.get, Q.arrows), len(Q.arrows))
@@ -407,7 +407,7 @@ def section_defects(data: WeylData, section: Mapping, error) -> np.ndarray:
         j = int(np.argmax(bad))
         if defect[j] < 0:
             raise SchemaError(f"section defect at classes ({Q.arrows[q1[j]]}, {Q.arrows[q2[j]]}) is undefined")
-        raise error(G.arrows[defect[j]])
+        raise ElementNotInS(G.arrows[defect[j]])
     out = np.full((len(Q.arrows),) * 2, -1, dtype=np.int64)
     out[q1, q2] = defect
     return out
@@ -423,7 +423,7 @@ def weyl_twist_cocycle(GW: FiniteGroupoid, data: WeylData) -> TwoCocycle:
     numerators over the denominator of the Weyl action's tables.
     """
     G, Q, dual = data.G, data.Q, data.dual
-    defects = section_defects(data, data.section, ElementNotInS)
+    defects = section_defects(data, data.section)
     sec = arrow_indices(G.index, map(data.section.get, Q.arrows), len(Q.arrows))
     om, _, den = data.omega._int_table()
     exponents = ((f"character exponent {t.exponent} at {x}", t.exponent) for x, t in dual.tables.items())

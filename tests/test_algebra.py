@@ -6,6 +6,7 @@ import cmath
 import numpy as np
 import pytest
 
+from weylkit import algebra
 from weylkit.algebra import (
     TwistedAlgebra,
     commutant_check,
@@ -133,6 +134,25 @@ def test_systematic_positivity_failure_raises(entry):
     bad.values[("1|0", "1|0")] = HALF  # bypasses cocycle validation on purpose
     with pytest.raises(ConventionMismatch):
         expectation_checks(e.G, bad, e.S, trials=20, seed=0)
+
+
+@pytest.mark.parametrize("name", ["q8", "z2xR2", "rotation(4,0)"])
+def test_expectation_diagonal_check_sees_a_corrupted_pairing_row(entry, name, monkeypatch):
+    # row 1 of one fibre's pairing repeats row 0: still a character, so positivity
+    # holds, but the expectation no longer matches the Gelfand transform at "<x>#1"
+    def corrupted(bundle):
+        dual = real(bundle)
+        t = next(t for t in dual.tables.values() if len(t.elements) > 1)
+        t.pairing[1] = list(t.pairing[0])
+        return dual
+
+    real = algebra.dual_bundle
+    e = entry(name)
+    assert expectation_checks(e.G, e.omega, e.S, trials=10, seed=0).diagonal_ok
+    monkeypatch.setattr(algebra, "dual_bundle", corrupted)
+    report = expectation_checks(e.G, e.omega, e.S, trials=10, seed=0)
+    assert report.positivity_failures == 0 and report.faithful_ok
+    assert not report.diagonal_ok and not report.all_pass()
 
 
 @pytest.mark.parametrize("name", sorted(BLOCK_ORACLE))

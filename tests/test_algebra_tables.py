@@ -22,8 +22,11 @@ import pytest
 import weylkit
 from weylkit import corpus
 from weylkit.algebra import (
+    SPEC_TOL,
     TwistedAlgebra,
+    _center_basis,
     _fibre,
+    _split_blocks,
     _stack,
     _tables,
     _total_basis,
@@ -36,7 +39,7 @@ from weylkit.algebra import (
     wedderburn_blocks,
 )
 from weylkit.cocycle import TwoCocycle
-from weylkit.errors import NotStarHomomorphism
+from weylkit.errors import DegenerateSample, NotStarHomomorphism
 from weylkit.phases import HALF, Phase
 
 from oracles import (
@@ -228,15 +231,33 @@ def test_table_check_survives_optimized_mode():
 
 
 def test_blocks_at_256_arrows_without_the_dense_stack():
-    # the (|G|, |G|, |G|) stack alone would take 256**3 * 16 bytes = 268 MB
-    e = corpus.rotation(16, 4)
-    tracemalloc.start()
-    try:
-        blocks = wedderburn_blocks(e.G, e.omega)
-        report = commutant_check(e.G, e.omega, e.c, e.S)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert blocks == ([4] * 16, 16)
-    assert report.maximal_abelian
-    assert peak < 100e6, peak
+    # the (|G|, |G|, |G|) stack alone would take 256**3 * 16 bytes = 268 MB, and so
+    # would the span of the one eigenspace of rotation(16,1) or pair(16)
+    for e, expected in (
+        (corpus.rotation(16, 4), ([4] * 16, 16)),
+        (corpus.rotation(16, 1), ([16], 1)),
+        (build("pair(16)"), ([16], 1)),
+    ):
+        tracemalloc.start()
+        try:
+            blocks = wedderburn_blocks(e.G, e.omega)
+            report = commutant_check(e.G, e.omega, e.c, e.S)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert blocks == expected, e.G.name
+        assert report.maximal_abelian, e.G.name
+        assert peak < 100e6, (e.G.name, peak)
+
+
+def test_a_center_basis_with_a_repeated_column_is_a_degenerate_sample():
+    # z stays central, so its eigenvalues fall in at most 5 clusters where 6 are asked for
+    e = build("d4")
+    alg = TwistedAlgebra(e.G, e.omega)
+    target, value = _tables(alg, _total_basis(e.G))
+    center = _center_basis(alg)
+    assert center.shape[1] == 5
+    for seed in SEEDS:
+        assert _split_blocks(target, value, center, seed, SPEC_TOL) == [1, 1, 1, 1, 2]
+        with pytest.raises(DegenerateSample, match=f"seed {seed}"):
+            _split_blocks(target, value, np.hstack([center, center[:, :1]]), seed, SPEC_TOL)

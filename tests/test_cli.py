@@ -254,6 +254,16 @@ def test_tol_outside_the_unit_interval_is_schema_error(pauli_file, capsys):
     assert main(["algebra", pauli_file, "--tol", "1e-6"]) == 0
 
 
+def test_a_tolerance_that_merges_blocks_is_a_math_failure(tmp_path, capsys):
+    # at tol 0.9 no sample's eigenvalues on d4 fall in as many clusters as the center's dimension
+    path = tmp_path / "d4.json"
+    assert main(["gen", "d4", "-o", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["algebra", str(path), "--tol", "0.9"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("failure: no separating central element") and "Traceback" not in err
+
+
 def test_validate_oversized_denominators_is_schema_error(tmp_path):
     path = tmp_path / "d4.json"
     assert main(["gen", "d4", "-o", str(path)]) == 0
