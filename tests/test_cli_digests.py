@@ -38,6 +38,7 @@ CASES = (
     + [(cmd, name) for cmd in ("actions", "hypotheses") for name in ("z2z2", "d4", "q8")]
     + [("actions", name) for name in ("z2xR2", "pair(6)", "rotation(12,0)")]
     + [("weyl", "z2xR2"), ("weyl", "pair(6)"), ("boxtimes", "z2xR2"), ("roundtrip", "z2xR2")]
+    + [(cmd, name) for cmd in ("expectation", "algebra") for name in ("q8", "pair(6)", "rotation(12,5)")]
 )
 
 WRITES_FILE = {"weyl", "twist", "boxtimes"}
