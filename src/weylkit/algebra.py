@@ -22,8 +22,14 @@ Every step runs on these two arrays:
   z -> [z, delta_b] on coefficient vectors, written down from
   [delta_h, delta_b] = phase[h, b] delta_{hb} - phase[b, h] delta_{bh}.
   For the center b ranges over the generators, whose deltas generate the
-  algebra.
-- A convolution is one gather over the composable pairs and a bincount.
+  algebra, and the map's Gram matrix is scattered directly, one entry per
+  (arrow, generator) (see ``_center_gram``).
+- A convolution gathers the composable pairs whose products are asked
+  for, grouped by product, and sums each group, over any leading axes in
+  blocks of rows.
+- The expectation trials run as blocked array passes over the same
+  seeded stream of coefficients: f^* . f only at the members of S, and
+  the expectation as one product with the tables' pairing rows.
 - The Wedderburn split takes the eigenvalues of a random self-adjoint
   central element, one scatter from the tables; block n_i is an
   eigenvalue of multiplicity n_i^2 (see ``_split_blocks``).
@@ -49,11 +55,11 @@ from .errors import (
 )
 from .groupoid import FiniteGroupoid, Grading
 from .phases import Phase
-from .weyl import conditional_expectation
 
 HOM_TOL = 1e-12
 SPEC_TOL = 1e-8
 POS_TOL = 1e-10
+_GATHER = 2**15     # complex entries in one block of trial coefficients or convolution terms
 
 
 def _check_seed(seed):
@@ -102,19 +108,37 @@ class TwistedAlgebra:
         return out
 
     def star_vector(self, a):
-        """The coefficient vector of f^* for the coefficient vector a of f."""
+        """The coefficients of f^* for the coefficients a of f, along the last axis."""
         out = np.empty_like(a)
-        out[self.inv] = a.conj() * self.star_phase
+        out[..., self.inv] = a.conj() * self.star_phase
         return out
 
-    def convolve_vectors(self, a, b):
-        """The coefficient vector of f * h for the coefficient vectors a, b of f, h."""
-        gi, hi = self.pairs
-        terms = a[gi] * b[hi] * self.pair_phase
-        out = np.empty(len(self.G), dtype=complex)
-        out.real = np.bincount(self.pair_prod, terms.real, len(out))
-        out.imag = np.bincount(self.pair_prod, terms.imag, len(out))
-        return out
+    def convolve_vectors(self, a, b, at=None):
+        """The coefficients of f * h at the arrow indices ``at`` (default: every arrow).
+
+        a and b hold the coefficients of f and h along their last axis, with
+        any leading axes (one row per trial, say).  The value at x sums the
+        composable pairs whose product is x, and only those pairs are
+        gathered, in blocks of rows of at most _GATHER terms.
+        """
+        at = np.arange(len(self.G)) if at is None else np.asarray(at, dtype=np.int64)
+        pos = np.full(len(self.G), -1, dtype=np.int64)
+        pos[at] = np.arange(len(at))
+        k = pos[self.pair_prod]
+        pick = np.flatnonzero(k >= 0)
+        pick = pick[np.argsort(k[pick], kind="stable")]
+        # every arrow x is a product, of r(x) and x, so no run of pairs is empty
+        starts = np.searchsorted(k[pick], np.arange(len(at)))
+        gi, hi, phase = self.pairs[0][pick], self.pairs[1][pick], self.pair_phase[pick]
+        a2, b2 = (np.asarray(v, dtype=complex).reshape(-1, v.shape[-1]) for v in (a, b))
+        out = np.empty((len(a2), len(at)), dtype=complex)
+        step = max(1, _GATHER // max(1, len(pick)))
+        for lo in range(0, len(out), step):
+            terms = a2[lo:lo + step, gi]
+            terms *= b2[lo:lo + step, hi]
+            terms *= phase
+            out[lo:lo + step] = np.add.reduceat(terms, starts, axis=1)
+        return out.reshape(*a.shape[:-1], len(at))
 
     def convolve(self, f, h):
         out = self.convolve_vectors(self.vector(f), self.vector(h))
@@ -261,16 +285,44 @@ def _commutator_map(alg: TwistedAlgebra, left, cols):
     return K.reshape(-1, len(cols))
 
 
-def _null_space(K, tol):
-    """Orthonormal columns spanning the null space of K: eigenvalues of K^* K below tol * scale."""
-    eigvals, eigvecs = np.linalg.eigh(K.conj().T @ K)
+def _null_space(gram, tol):
+    """Orthonormal columns spanning the null space of K, from its Gram matrix K^* K.
+
+    The null space is spanned by the eigenvectors whose eigenvalues lie below tol * scale.
+    """
+    eigvals, eigvecs = np.linalg.eigh(gram)
     scale = max(1.0, float(eigvals.max(initial=1.0)))
     return eigvecs[:, eigvals < tol * scale]
 
 
+def _center_gram(alg: TwistedAlgebra):
+    """The Gram matrix K^* K of the commutator map K over the generators b, built without K.
+
+    K_b = R_b - L_b, right minus left multiplication by delta_b, and both
+    are monomial: R_b^* R_b and L_b^* L_b are diagonal, counting the
+    arrows x with x b, and with b x, defined.  The cross term
+    C = sum_b R_b^* L_b has conj(phase[x, b]) phase[b, y] at [x, y] when
+    x b = b y, that is y = b^-1 (x b), so sum_b K_b^* K_b = counts - C - C^*
+    is scattered from one entry per (x, b).
+    """
+    n, gens = len(alg.G), alg.G.generators()
+    xb = alg.comp[:, gens]
+    defined = xb >= 0
+    y = alg.comp[alg.inv[gens], xb]                 # b^-1 (x b), read only where x b is defined
+    x, i = np.nonzero(defined & (y >= 0))
+    b, y = gens[i], y[x, i]
+    terms = alg.phase[x, b].conj() * alg.phase[b, y]
+    cross = np.empty(n * n, dtype=complex)
+    cross.real = np.bincount(x * n + y, terms.real, n * n)
+    cross.imag = np.bincount(x * n + y, terms.imag, n * n)
+    cross = cross.reshape(n, n)
+    counts = defined.sum(axis=1) + (alg.comp[gens] >= 0).sum(axis=0)
+    return np.diag(counts) - cross - cross.conj().T
+
+
 def _center_basis(alg: TwistedAlgebra, tol=SPEC_TOL):
-    """Orthonormal coefficient vectors spanning the center of the algebra."""
-    return _null_space(_commutator_map(alg, alg.G.generators(), np.arange(len(alg.G))), tol)
+    """Orthonormal coefficient vectors spanning the center of the algebra: the null space of ``_center_gram``."""
+    return _null_space(_center_gram(alg), tol)
 
 
 @dataclass
@@ -304,7 +356,8 @@ def commutant_check(G: FiniteGroupoid, omega: TwoCocycle, c: Grading, S_members)
     alg = TwistedAlgebra(G, omega)
     _tables(alg, _total_basis(G))       # raises NotStarHomomorphism unless omega is a cocycle
     s = [G.index[g] for g in S]
-    commutant_dim = _null_space(_commutator_map(alg, s, [G.index[g] for g in A0]), SPEC_TOL).shape[1]
+    K = _commutator_map(alg, s, [G.index[g] for g in A0])
+    commutant_dim = _null_space(K.conj().T @ K, SPEC_TOL).shape[1]
     abelian = not np.max(np.abs(_commutator_map(alg, s, s)), initial=0.0) > SPEC_TOL
     return CommutantReport(
         dim_D=len(S),
@@ -350,46 +403,52 @@ def expectation_checks(
 
     For each random f: the expectation of f* . f must be (numerically)
     nonnegative at every character, and can only vanish identically when
-    f itself is negligible in the reduced norm.  Raises ConventionMismatch
-    when positivity fails on at least half the trials.
+    f itself is negligible in the reduced norm; on f restricted to span(S)
+    it must be the Gelfand transform.  Raises ConventionMismatch when
+    positivity fails on at least half the trials.
+
+    The trials run as array passes over blocks of at most _GATHER
+    coefficients, each drawn as ``standard_normal((block, 2, |G|))``, real
+    part first: the stream of one real and one imaginary draw per trial,
+    so a seed gives the same f's.  f* . f is convolved only at the members
+    of S, where the expectation reads it.  The expectation is one product
+    with the (characters x S) matrix of the tables' pairing rows, as
+    ``conditional_expectation`` reads them, and the diagonal check
+    compares that matrix with each Character's own phases.
     """
     _check_seed(seed)
     if trials < 1:
         raise SchemaError(f"trials must be at least 1, got {trials!r}")
-    rng = np.random.default_rng(seed)
     alg = TwistedAlgebra(G, omega)
     dual = dual_bundle(bundle_from_subgroupoid(G, frozenset(S_members)))
-    arrows = G.arrows
-    # the Gelfand transform on span(S) at [character, member of S], from each Character's
-    # own phases, where conditional_expectation reads the tables' pairing rows
     S = sorted(S_members)
     column = {a: k for k, a in enumerate(S)}
-    gelfand_phases = np.zeros((len(dual.by_id), len(S)), dtype=complex)
-    for r, chi in enumerate(dual.by_id.values()):
+    pairing = np.zeros((len(dual.by_id), len(S)), dtype=complex)
+    gelfand_phases = np.zeros_like(pairing)
+    for r, (cid, chi) in enumerate(dual.by_id.items()):
+        x, i = dual.position[cid]
+        t = dual.tables[x]
+        pairing[r, [column[a] for a in t.elements]] = t.pairing[i]
         gelfand_phases[r, [column[a] for a, _ in chi.values]] = [ph.to_complex() for _, ph in chi.values]
-    s_index = [G.index[a] for a in S]
+    s_index = np.array([G.index[a] for a in S], dtype=np.int64)
 
+    rng = np.random.default_rng(seed)
     failures, max_neg = 0, 0.0
     faithful_ok, diagonal_ok = True, True
-    for _ in range(trials):
-        coeffs = rng.standard_normal(len(arrows)) + 1j * rng.standard_normal(len(arrows))
-        f = dict(zip(arrows, coeffs))
-        ff = dict(zip(arrows, alg.convolve_vectors(alg.star_vector(coeffs), coeffs)))
-        delta = conditional_expectation(G, dual, ff)
-        worst = min((v.real for v in delta.values()), default=0.0)
-        imag = max((abs(v.imag) for v in delta.values()), default=0.0)
-        if worst < -POS_TOL or imag > SPEC_TOL:
-            failures += 1
-            max_neg = min(max_neg, worst)
-        if max(abs(v) for v in delta.values()) <= POS_TOL:
-            if reduced_norm(G, omega, f) > SPEC_TOL:
-                faithful_ok = False
-
+    step = max(1, _GATHER // len(G))
+    for lo in range(0, trials, step):
+        draws = rng.standard_normal((min(step, trials - lo), 2, len(G)))
+        coeffs = draws[:, 0] + 1j * draws[:, 1]
+        delta = alg.convolve_vectors(alg.star_vector(coeffs), coeffs, at=s_index) @ pairing.T
+        worst = delta.real.min(axis=1, initial=0.0)
+        failed = (worst < -POS_TOL) | (np.abs(delta.imag).max(axis=1, initial=0.0) > SPEC_TOL)
+        failures += int(failed.sum())
+        max_neg = min(max_neg, float(worst[failed].min(initial=0.0)))
+        negligible = coeffs[np.abs(delta).max(axis=1, initial=0.0) <= POS_TOL]
+        norms = np.array([reduced_norm(G, omega, dict(zip(G.arrows, c))) for c in negligible])
+        faithful_ok &= not (norms > SPEC_TOL).any()
         # restriction to the bundle is the Gelfand transform on its span
-        gelfand = conditional_expectation(G, dual, {g: f[g] for g in S})
-        direct = gelfand_phases @ coeffs[s_index]
-        if np.abs(np.array([gelfand[cid] for cid in dual.by_id]) - direct).max(initial=0.0) > SPEC_TOL:
-            diagonal_ok = False
+        diagonal_ok &= not np.abs(coeffs[:, s_index] @ (pairing - gelfand_phases).T).max(initial=0.0) > SPEC_TOL
 
     if failures >= max(1, trials // 2):
         raise ConventionMismatch(

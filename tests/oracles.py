@@ -44,7 +44,8 @@ from weylkit.algebra import (
     SPEC_TOL,
     ExpectationReport,
     TwistedAlgebra,
-    _center_basis,
+    _commutator_map,
+    _null_space,
     _total_basis,
     reduced_norm,
 )
@@ -401,8 +402,14 @@ def split_blocks_dense(mats, center, seed, tol):
 def wedderburn_blocks_stack(G, omega, seed=0, tol=SPEC_TOL):
     """Wedderburn blocks and center dimension from the dense stack, split arrow by arrow."""
     mats = total_representation_stack(G, omega)
-    center = _center_basis(TwistedAlgebra(G, omega), tol=tol)
+    center = center_basis_stack(TwistedAlgebra(G, omega), tol=tol)
     return split_blocks_dense(mats, center, seed, tol), center.shape[1]
+
+
+def center_basis_stack(alg, tol=SPEC_TOL):
+    """The center from the whole (generators, |G|, |G|) commutator map K, by eigh of K^* K."""
+    K = _commutator_map(alg, alg.G.generators(), np.arange(len(alg.G)))
+    return _null_space(K.conj().T @ K, tol)
 
 
 def center_basis_dense(mats, arrows, tol=SPEC_TOL):

@@ -2,11 +2,17 @@
 commutants, expectation trials, Wedderburn blocks, isomorphism comparison."""
 
 import cmath
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from weylkit import algebra
+import weylkit
+from weylkit import algebra, corpus
 from weylkit.algebra import (
     TwistedAlgebra,
     commutant_check,
@@ -136,6 +142,31 @@ def test_systematic_positivity_failure_raises(entry):
         expectation_checks(e.G, bad, e.S, trials=20, seed=0)
 
 
+def test_positivity_failure_on_the_only_trial_raises(entry):
+    e = entry("z2z2")
+    bad = TwoCocycle(e.G, {})
+    bad.values[("1|0", "1|0")] = HALF
+    with pytest.raises(ConventionMismatch, match="1/1 trials"):
+        expectation_checks(e.G, bad, e.S, trials=1, seed=0)
+
+
+@pytest.mark.parametrize("name", ["q8", "z2xR2", "rotation(4,0)"])
+def test_expectation_reads_the_tables_pairing_rows(entry, name, monkeypatch):
+    # row 1 of one fibre's pairing becomes minus row 0, so the expectation at
+    # "<x>#1" is minus the one at the trivial character, negative on every trial
+    def corrupted(bundle):
+        dual = real(bundle)
+        t = next(t for t in dual.tables.values() if len(t.elements) > 1)
+        t.pairing[1] = [-v for v in t.pairing[0]]
+        return dual
+
+    real = algebra.dual_bundle
+    e = entry(name)
+    monkeypatch.setattr(algebra, "dual_bundle", corrupted)
+    with pytest.raises(ConventionMismatch, match="10/10 trials"):
+        expectation_checks(e.G, e.omega, e.S, trials=10, seed=0)
+
+
 @pytest.mark.parametrize("name", ["q8", "z2xR2", "rotation(4,0)"])
 def test_expectation_diagonal_check_sees_a_corrupted_pairing_row(entry, name, monkeypatch):
     # row 1 of one fibre's pairing repeats row 0: still a character, so positivity
@@ -153,6 +184,66 @@ def test_expectation_diagonal_check_sees_a_corrupted_pairing_row(entry, name, mo
     report = expectation_checks(e.G, e.omega, e.S, trials=10, seed=0)
     assert report.positivity_failures == 0 and report.faithful_ok
     assert not report.diagonal_ok and not report.all_pass()
+
+
+def test_expectation_trials_draw_one_real_and_one_imaginary_vector_per_trial(entry, monkeypatch):
+    # the stream the trials drew one at a time, so a seed keeps its f's; on d4,
+    # 4,100 trials are drawn in two blocks
+    e = entry("d4")
+    seen = []
+    star = TwistedAlgebra.star_vector
+    monkeypatch.setattr(TwistedAlgebra, "star_vector", lambda alg, a: seen.append(a.copy()) or star(alg, a))
+    expectation_checks(e.G, e.omega, e.S, trials=4100, seed=4)
+    assert len(seen) == 2
+    rng = np.random.default_rng(4)
+    expected = [rng.standard_normal(len(e.G)) + 1j * rng.standard_normal(len(e.G)) for _ in range(4100)]
+    assert np.array_equal(np.vstack(seen), expected)
+
+
+def test_expectation_at_256_arrows_in_bounded_memory():
+    # the trials' convolution terms are gathered in blocks: gathered at once,
+    # 100 trials of 16 * 256 composable pairs peaked at 23 MB
+    e = corpus.rotation(16, 1)
+    tracemalloc.start()
+    try:
+        report = expectation_checks(e.G, e.omega, e.S, trials=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.all_pass()
+    assert peak < 8e6, peak
+
+
+def test_expectation_failures_survive_optimized_mode():
+    # the checks compare arrays and raise typed errors, so they still run under python -O
+    script = (
+        "from weylkit import algebra, corpus\n"
+        "from weylkit.cocycle import TwoCocycle\n"
+        "from weylkit.errors import ConventionMismatch\n"
+        "from weylkit.phases import HALF\n"
+        "e = corpus.by_name('z2z2')\n"
+        "bad = TwoCocycle(e.G, {})\n"
+        "bad.values[('1|0', '1|0')] = HALF\n"
+        "try:\n"
+        "    algebra.expectation_checks(e.G, bad, e.S, trials=20, seed=0)\n"
+        "except ConventionMismatch as exc:\n"
+        "    print(type(exc).__name__)\n"
+        "real = algebra.dual_bundle\n"
+        "def corrupted(bundle):\n"
+        "    dual = real(bundle)\n"
+        "    t = next(t for t in dual.tables.values() if len(t.elements) > 1)\n"
+        "    t.pairing[1] = list(t.pairing[0])\n"
+        "    return dual\n"
+        "algebra.dual_bundle = corrupted\n"
+        "e = corpus.by_name('q8')\n"
+        "print(algebra.expectation_checks(e.G, e.omega, e.S, trials=10, seed=0).diagonal_ok)\n"
+    )
+    src = str(Path(weylkit.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout.splitlines()
+    assert out == ["ConventionMismatch", "False"]
 
 
 @pytest.mark.parametrize("name", sorted(BLOCK_ORACLE))

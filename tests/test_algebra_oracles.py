@@ -108,12 +108,28 @@ def test_convolution_matches_loop(algebras, key):
             assert max(abs(new.get(g, 0) - old.get(g, 0)) for g in G.arrows) < 1e-12
 
 
-@pytest.mark.parametrize("name", NAMES)
+def test_convolution_over_leading_axes_matches_one_row_at_a_time():
+    # 40 rows of 16 * 256 pairs each are gathered in several blocks
+    e = corpus.rotation(16, 1)
+    alg = TwistedAlgebra(e.G, e.omega)
+    rng = np.random.default_rng(12)
+    a, b = rng.standard_normal((2, 4, 10, len(e.G))) + 1j * rng.standard_normal((2, 4, 10, len(e.G)))
+    at = np.array(sorted(e.G.index[g] for g in e.S))
+    batch = alg.convolve_vectors(alg.star_vector(a), b, at=at)
+    assert batch.shape == (4, 10, len(at))
+    for i, j in np.ndindex(4, 10):
+        row = alg.convolve_vectors(alg.star_vector(a[i, j]), b[i, j])
+        assert np.max(np.abs(batch[i, j] - row[at])) < 1e-12
+
+
+@pytest.mark.parametrize("name", NAMES + ["pair(6)", "rotation(8,3)"])
 def test_expectation_report_matches_loop(entry, name):
-    e = entry(name)
+    # pair(6) and rotation(8,3) are inputs of the benchmark, which runs 100 trials
+    e = corpus.pair_groupoid(6) if name == "pair(6)" else entry(name)
+    trials = 100 if name == "rotation(8,3)" else 15
     for seed in (0, 5):
-        new = expectation_checks(e.G, e.omega, e.S, trials=15, seed=seed)
-        assert new.as_dict() == expectation_checks_loop(e.G, e.omega, e.S, trials=15, seed=seed).as_dict()
+        new = expectation_checks(e.G, e.omega, e.S, trials=trials, seed=seed)
+        assert new.as_dict() == expectation_checks_loop(e.G, e.omega, e.S, trials=trials, seed=seed).as_dict()
 
 
 def _mutated(omega, pair, shift):

@@ -25,6 +25,8 @@ from weylkit.algebra import (
     SPEC_TOL,
     TwistedAlgebra,
     _center_basis,
+    _center_gram,
+    _commutator_map,
     _fibre,
     _split_blocks,
     _stack,
@@ -43,6 +45,7 @@ from weylkit.errors import DegenerateSample, NotStarHomomorphism
 from weylkit.phases import HALF, Phase
 
 from oracles import (
+    center_basis_stack,
     commutant_check_dense,
     reduced_norm_loop,
     represent_stack,
@@ -248,6 +251,44 @@ def test_blocks_at_256_arrows_without_the_dense_stack():
         assert blocks == expected, e.G.name
         assert report.maximal_abelian, e.G.name
         assert peak < 100e6, (e.G.name, peak)
+
+
+@pytest.mark.parametrize("name", INPUTS)
+def test_center_matches_the_stacked_commutator_map(name):
+    # omega times the coboundary of a random lambda, zero on the units, gives
+    # an isomorphic algebra whose phases are non-real on both sides of a generator
+    e = build(name)
+    G = e.G
+    rng = np.random.default_rng(3)
+    lam = {g: Phase(0 if G.is_unit(g) else int(rng.integers(8)), 8) for g in G.arrows}
+    twisted = TwoCocycle(G, {(g, h): e.omega.omega(g, h) + lam[g] + lam[h] - lam[G.mul(g, h)]
+                             for g, h in G.compose})
+    dims = []
+    for omega in (e.omega, twisted):
+        alg = TwistedAlgebra(G, omega)
+        K = _commutator_map(alg, G.generators(), np.arange(len(G)))
+        assert np.max(np.abs(_center_gram(alg) - K.conj().T @ K)) < 1e-12
+        new, old = _center_basis(alg), center_basis_stack(alg)
+        assert new.shape == old.shape
+        # the same subspace: equal orthogonal projections
+        assert np.max(np.abs(new @ new.conj().T - old @ old.conj().T)) < 1e-8
+        dims.append(new.shape[1])
+    assert dims[0] == dims[1]
+
+
+def test_center_at_256_arrows_without_the_commutator_map():
+    # pair(16) has 30 generators, so the stacked map is 30 * 256**2 * 16 bytes = 31 MB
+    # and the call peaked at 61 MB; the Gram matrix is 1 MB
+    e = build("pair(16)")
+    alg = TwistedAlgebra(e.G, e.omega)
+    tracemalloc.start()
+    try:
+        center = _center_basis(alg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert center.shape == (256, 1)
+    assert peak < 8e6, peak
 
 
 def test_a_center_basis_with_a_repeated_column_is_a_degenerate_sample():
