@@ -59,7 +59,8 @@ from .phases import Phase
 HOM_TOL = 1e-12
 SPEC_TOL = 1e-8
 POS_TOL = 1e-10
-_GATHER = 2**15     # complex entries in one block of trial coefficients or convolution terms
+_GATHER = 2**15     # complex entries in one block of gathered convolution terms
+_PASS = 2**18       # coefficients drawn per pass of expectation trials
 
 
 def _check_seed(seed):
@@ -286,10 +287,7 @@ def _commutator_map(alg: TwistedAlgebra, left, cols):
 
 
 def _null_space(gram, tol):
-    """Orthonormal columns spanning the null space of K, from its Gram matrix K^* K.
-
-    The null space is spanned by the eigenvectors whose eigenvalues lie below tol * scale.
-    """
+    """Orthonormal columns spanning the null space of K: eigenvalues of gram = K^* K below tol * scale."""
     eigvals, eigvecs = np.linalg.eigh(gram)
     scale = max(1.0, float(eigvals.max(initial=1.0)))
     return eigvecs[:, eigvals < tol * scale]
@@ -321,7 +319,7 @@ def _center_gram(alg: TwistedAlgebra):
 
 
 def _center_basis(alg: TwistedAlgebra, tol=SPEC_TOL):
-    """Orthonormal coefficient vectors spanning the center of the algebra: the null space of ``_center_gram``."""
+    """Orthonormal coefficient vectors spanning the center: the null space of ``_center_gram``."""
     return _null_space(_center_gram(alg), tol)
 
 
@@ -407,14 +405,12 @@ def expectation_checks(
     it must be the Gelfand transform.  Raises ConventionMismatch when
     positivity fails on at least half the trials.
 
-    The trials run as array passes over blocks of at most _GATHER
-    coefficients, each drawn as ``standard_normal((block, 2, |G|))``, real
-    part first: the stream of one real and one imaginary draw per trial,
-    so a seed gives the same f's.  f* . f is convolved only at the members
-    of S, where the expectation reads it.  The expectation is one product
-    with the (characters x S) matrix of the tables' pairing rows, as
-    ``conditional_expectation`` reads them, and the diagonal check
-    compares that matrix with each Character's own phases.
+    The trials run as array passes over blocks of at most _PASS
+    coefficients, drawn as ``standard_normal((block, 2, |G|))``, real part
+    first: the stream of one real and one imaginary draw per trial.  f* . f
+    is convolved only at the members of S, and the expectation is one
+    product with the (characters x S) matrix of the tables' pairing rows,
+    which the diagonal check compares with each Character's own phases.
     """
     _check_seed(seed)
     if trials < 1:
@@ -430,12 +426,13 @@ def expectation_checks(
         t = dual.tables[x]
         pairing[r, [column[a] for a in t.elements]] = t.pairing[i]
         gelfand_phases[r, [column[a] for a, _ in chi.values]] = [ph.to_complex() for _, ph in chi.values]
+    mismatch = pairing - gelfand_phases
     s_index = np.array([G.index[a] for a in S], dtype=np.int64)
 
     rng = np.random.default_rng(seed)
     failures, max_neg = 0, 0.0
     faithful_ok, diagonal_ok = True, True
-    step = max(1, _GATHER // len(G))
+    step = max(1, _PASS // len(G))
     for lo in range(0, trials, step):
         draws = rng.standard_normal((min(step, trials - lo), 2, len(G)))
         coeffs = draws[:, 0] + 1j * draws[:, 1]
@@ -448,7 +445,7 @@ def expectation_checks(
         norms = np.array([reduced_norm(G, omega, dict(zip(G.arrows, c))) for c in negligible])
         faithful_ok &= not (norms > SPEC_TOL).any()
         # restriction to the bundle is the Gelfand transform on its span
-        diagonal_ok &= not np.abs(coeffs[:, s_index] @ (pairing - gelfand_phases).T).max(initial=0.0) > SPEC_TOL
+        diagonal_ok &= not np.abs(coeffs[:, s_index] @ mismatch.T).max(initial=0.0) > SPEC_TOL
 
     if failures >= max(1, trials // 2):
         raise ConventionMismatch(

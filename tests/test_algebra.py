@@ -188,15 +188,15 @@ def test_expectation_diagonal_check_sees_a_corrupted_pairing_row(entry, name, mo
 
 def test_expectation_trials_draw_one_real_and_one_imaginary_vector_per_trial(entry, monkeypatch):
     # the stream the trials drew one at a time, so a seed keeps its f's; on d4,
-    # 4,100 trials are drawn in two blocks
+    # 32,800 trials are drawn in two passes
     e = entry("d4")
     seen = []
     star = TwistedAlgebra.star_vector
     monkeypatch.setattr(TwistedAlgebra, "star_vector", lambda alg, a: seen.append(a.copy()) or star(alg, a))
-    expectation_checks(e.G, e.omega, e.S, trials=4100, seed=4)
+    expectation_checks(e.G, e.omega, e.S, trials=32800, seed=4)
     assert len(seen) == 2
     rng = np.random.default_rng(4)
-    expected = [rng.standard_normal(len(e.G)) + 1j * rng.standard_normal(len(e.G)) for _ in range(4100)]
+    expected = [rng.standard_normal(len(e.G)) + 1j * rng.standard_normal(len(e.G)) for _ in range(32800)]
     assert np.array_equal(np.vstack(seen), expected)
 
 
