@@ -53,7 +53,7 @@ from .errors import (
     NotStarHomomorphism,
     SchemaError,
 )
-from .groupoid import FiniteGroupoid, Grading
+from .groupoid import FiniteGroupoid, Grading, validate_grading
 from .phases import Phase
 
 HOM_TOL = 1e-12
@@ -78,9 +78,8 @@ class TwistedAlgebra:
 
     On arrow indices: ``comp`` is the compose array, ``phase[g, h]`` the
     complex structure constant of delta_g * delta_h, ``inv[g]`` the inverse
-    arrow and ``star_phase[g]`` the phase of delta_g^*.  ``pairs`` are the
-    composable index pairs, row by row, with their products ``pair_prod``
-    and structure constants ``pair_phase``.
+    arrow and ``star_phase[g]`` the phase of delta_g^*.  No list of
+    composable pairs is kept; a convolution gathers the pairs it needs.
     """
 
     def __init__(self, G: FiniteGroupoid, omega: TwoCocycle):
@@ -92,9 +91,6 @@ class TwistedAlgebra:
         self.phase = values[at.reshape(om.shape)]
         self.inv = G.inverse_indices()
         self.star_phase = self.phase[np.arange(len(G)), self.inv].conj()
-        self.pairs = np.nonzero(self.comp >= 0)
-        self.pair_prod = self.comp[self.pairs]
-        self.pair_phase = self.phase[self.pairs]
 
     def star_basis(self, g):
         """delta_g^* = conj(phase(g, g^{-1})) . delta_{g^{-1}}."""
@@ -125,12 +121,14 @@ class TwistedAlgebra:
         at = np.arange(len(self.G)) if at is None else np.asarray(at, dtype=np.int64)
         pos = np.full(len(self.G), -1, dtype=np.int64)
         pos[at] = np.arange(len(at))
-        k = pos[self.pair_prod]
+        pairs = np.flatnonzero(self.comp >= 0)      # the composable [g, h] as flat indices, row by row
+        k = pos[self.comp.ravel()[pairs]]
         pick = np.flatnonzero(k >= 0)
         pick = pick[np.argsort(k[pick], kind="stable")]
         # every arrow x is a product, of r(x) and x, so no run of pairs is empty
         starts = np.searchsorted(k[pick], np.arange(len(at)))
-        gi, hi, phase = self.pairs[0][pick], self.pairs[1][pick], self.pair_phase[pick]
+        gi, hi = np.divmod(pairs[pick], len(self.G))
+        phase = self.phase[gi, hi]
         a2, b2 = (np.asarray(v, dtype=complex).reshape(-1, v.shape[-1]) for v in (a, b))
         out = np.empty((len(a2), len(at)), dtype=complex)
         step = max(1, _GATHER // max(1, len(pick)))
@@ -350,11 +348,11 @@ def commutant_check(G: FiniteGroupoid, omega: TwoCocycle, c: Grading, S_members)
     the commutant dimension equals dim span(S).
     """
     S = sorted(set(S_members))
-    A0 = sorted(g for g in G.arrows if c.value(g) == c.zero)
+    A0 = np.flatnonzero(~validate_grading(G, c).any(axis=1))    # raises NotHomomorphism unless c is a grading
     alg = TwistedAlgebra(G, omega)
     _tables(alg, _total_basis(G))       # raises NotStarHomomorphism unless omega is a cocycle
     s = [G.index[g] for g in S]
-    K = _commutator_map(alg, s, [G.index[g] for g in A0])
+    K = _commutator_map(alg, s, A0)
     commutant_dim = _null_space(K.conj().T @ K, SPEC_TOL).shape[1]
     abelian = not np.max(np.abs(_commutator_map(alg, s, s)), initial=0.0) > SPEC_TOL
     return CommutantReport(

@@ -29,54 +29,25 @@ from .groupoid import (
 from .phases import ZERO, Phase
 
 
-class CocycleValues(dict):
-    """The pair -> Phase table of a :class:`TwoCocycle`.
-
-    ``table`` caches the cocycle's numerator table; every write to the
-    dict drops it, so the next reader builds it again.
-    """
-
-    __slots__ = ("table",)
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.table = None
-
-
-def _drops_table(name):
-    write = getattr(dict, name)
-
-    def method(self, *args, **kwargs):
-        self.table = None
-        return write(self, *args, **kwargs)
-
-    method.__name__ = method.__qualname__ = name
-    return method
-
-
-for _name in ("__setitem__", "__delitem__", "__ior__", "update", "pop", "popitem", "setdefault", "clear"):
-    setattr(CocycleValues, _name, _drops_table(_name))
-
-
 class TwoCocycle:
     """Phase-valued function on the composable pairs of a groupoid.
 
     Pairs absent from ``values`` take the zero phase, so the trivial cocycle
-    is the empty table.  The integer numerator table is built on first use
-    and kept until ``values`` is written to.  A cocycle made from arrays (a
-    parsed file, a semidirect product, the Weyl twist) starts from its table
-    and builds ``values`` on first read.
+    is the empty table.  A cocycle made from arrays (a parsed file, a
+    semidirect product, the Weyl twist) keeps its read-only numerator table
+    until ``values`` is first read, and builds ``values`` then.  From that
+    read on, as for a cocycle made from a dict, the table is built from
+    ``values`` at every use, so every write to ``values`` reaches the next
+    reader.
     """
 
     def __init__(self, G: FiniteGroupoid, values: Optional[Mapping] = None):
         self.G = G
-        values = CocycleValues(values or {})
+        values = dict(values or {})
         if not all(itertools.starmap(G._defined, values)):
             raise UndefinedPair(*next(pair for pair in values if not G._defined(*pair)))
         zero = {i for i, ph in _by_id(values).items() if ph.is_zero}
-        self._values = (
-            CocycleValues({pair: ph for pair, ph in values.items() if id(ph) not in zero}) if zero else values
-        )
+        self._values = {pair: ph for pair, ph in values.items() if id(ph) not in zero} if zero else values
         self._pending = self._table = None
 
     @classmethod
@@ -118,20 +89,18 @@ class TwoCocycle:
         return cls._from_codes(G, gi, hi, codes, [Phase(v, den) for v in distinct])
 
     @property
-    def values(self) -> CocycleValues:
+    def values(self) -> dict:
         """The pair -> Phase table of the nonzero values."""
         if self._values is None:
             self._values = self._build_values()
             self._pending = self._table = None
         return self._values
 
-    def _build_values(self) -> CocycleValues:
+    def _build_values(self) -> dict:
         gi, hi, codes, phases = self._pending
         ids = self.G.arrows
         pairs = zip(map(ids.__getitem__, gi.tolist()), map(ids.__getitem__, hi.tolist()))
-        values = CocycleValues(zip(pairs, map(phases.__getitem__, codes.tolist())))
-        values.table = self._table
-        return values
+        return dict(zip(pairs, map(phases.__getitem__, codes.tolist())))
 
     def omega(self, g, h) -> Phase:
         if not self.G._defined(g, h):
@@ -148,16 +117,13 @@ class TwoCocycle:
     def _int_table(self):
         """(numerator array, compose matrix, common denominator).
 
-        The numerator array is read-only, and kept on ``values`` until its
-        next write.
+        The numerator array is read-only: the array-built table while
+        ``values`` is unread, and otherwise a new one from ``values``.
         """
         if self._values is None and self._table is not None:
             om, den = self._table
         else:
-            values = self.values
-            if values.table is None:
-                values.table = numerator_table(self.G, values)
-            om, den = values.table
+            om, den = numerator_table(self.G, self.values)
         return om, self.G.comp_matrix(), den
 
 

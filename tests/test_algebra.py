@@ -24,7 +24,8 @@ from weylkit.algebra import (
     wedderburn_blocks,
 )
 from weylkit.cocycle import TwoCocycle
-from weylkit.errors import ConventionMismatch, SchemaError
+from weylkit.errors import ConventionMismatch, NotHomomorphism, SchemaError
+from weylkit.groupoid import Grading
 from weylkit.phases import HALF
 from weylkit.weyl import build_weyl_groupoid, weyl_twist_cocycle
 
@@ -115,6 +116,15 @@ def test_commutant_detects_non_maximal(entry):
     report = commutant_check(e.G, e.omega, e.c, center)
     assert report.D_abelian and not report.maximal_abelian
     assert report.commutant_dim > len(center)
+
+
+def test_commutant_refuses_a_grading_that_is_no_homomorphism(entry):
+    # A0 is the kernel of c, which means nothing unless c is a homomorphism
+    e = entry("d4")
+    regraded = Grading(e.c.group, {**e.c.values, "0|1": (0,)})     # the reflection 0|1 to degree 0
+    with pytest.raises(NotHomomorphism) as exc:
+        commutant_check(e.G, e.omega, regraded, e.S)
+    assert exc.value.witness == ("0|1", "1|0")
 
 
 @pytest.mark.parametrize("name", ["pauli", "q8", "z2xR2", "rotation(4,1)"])
@@ -238,12 +248,38 @@ def test_expectation_failures_survive_optimized_mode():
         "e = corpus.by_name('q8')\n"
         "print(algebra.expectation_checks(e.G, e.omega, e.S, trials=10, seed=0).diagonal_ok)\n"
     )
+    assert run_optimized(script) == ["ConventionMismatch", "False"]
+
+
+def test_table_and_grading_checks_survive_optimized_mode():
+    script = (
+        "from weylkit import algebra, corpus\n"
+        "from weylkit.cocycle import TwoCocycle, check_cocycle\n"
+        "from weylkit.errors import NotHomomorphism\n"
+        "from weylkit.groupoid import Grading\n"
+        "from weylkit.phases import HALF\n"
+        "e = corpus.by_name('pauli')\n"
+        "omega = TwoCocycle(e.G, e.omega.values)\n"
+        "print(len(check_cocycle(e.G, omega)))\n"
+        "dict.update(omega.values, {('1|0', '1|0'): HALF})\n"
+        "print(len(check_cocycle(e.G, omega)))\n"
+        "e = corpus.by_name('d4')\n"
+        "c = Grading(e.c.group, {**e.c.values, '0|1': (0,)})\n"
+        "try:\n"
+        "    algebra.commutant_check(e.G, e.omega, c, e.S)\n"
+        "except NotHomomorphism as exc:\n"
+        "    print(exc.witness)\n"
+    )
+    assert run_optimized(script) == ["0", "5", "('0|1', '1|0')"]
+
+
+def run_optimized(script):
+    """The stdout lines of ``script`` run under python -O."""
     src = str(Path(weylkit.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True
     ).stdout.splitlines()
-    assert out == ["ConventionMismatch", "False"]
 
 
 @pytest.mark.parametrize("name", sorted(BLOCK_ORACLE))

@@ -54,6 +54,20 @@ def test_missing_file_is_schema_error():
     assert main(["validate", "/no/such/file.json"]) == 2
 
 
+def test_algebra_refuses_a_grading_that_is_no_homomorphism(tmp_path, capsys):
+    # the commutant is taken inside the kernel of c, so c must be a homomorphism
+    path = tmp_path / "d4.json"
+    assert main(["gen", "d4", "-o", str(path)]) == 0
+    data = json.loads(path.read_text())
+    data["grading"]["values"]["0|1"] = [0]
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["algebra", str(path), "--format", "json"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert "not a homomorphism; witness pair ('0|1', '1|0')" in err
+
+
 def test_unknown_subcommand_is_usage_error():
     assert main(["frobnicate", "x.json"]) == 2
 

@@ -32,26 +32,36 @@ MUTATIONS = {
     "setdefault": lambda v: v.setdefault(("1|0", "1|0"), HALF),
     "clear": lambda v: v.clear(),
     "ior": lambda v: v.__ior__({("0|1", "0|1"): Phase.of(1, 6)}),
+    # a write that no dict subclass could see
+    "unbound-update": lambda v: dict.update(v, {("1|0", "1|0"): HALF}),
 }
 
 
 @pytest.mark.parametrize("name", MUTATIONS)
 def test_every_write_to_values_reaches_the_next_reader(entry, name):
     e = entry("pauli")
-    omega = TwoCocycle(e.G, e.omega.values)
-    assert check_cocycle(e.G, omega) == []
-    weyl_action(e.G, e.S, omega)
-    before = omega._int_table()[0]
-    assert omega._int_table()[0] is before            # kept between reads
+    gf = io.parse_groupoid_data(json.loads(json.dumps(io.emit_groupoid_data(e.G, e.omega, e.c, e.S))))
+    gf.omega.values                                   # built from arrays; values read before the write
+    for G, S, omega in [(e.G, e.S, TwoCocycle(e.G, e.omega.values)), (gf.G, gf.marked, gf.omega)]:
+        assert check_cocycle(G, omega) == []
+        weyl_action(G, S, omega)
+        before = omega._int_table()[0]
 
-    MUTATIONS[name](omega.values)
-    fresh = TwoCocycle(e.G, dict(omega.values))
-    om, _, den = omega._int_table()
-    assert not np.array_equal(om, before)
-    assert (om.tolist(), den) == (fresh._int_table()[0].tolist(), fresh._int_table()[2])
-    assert check_cocycle(e.G, omega) == check_cocycle(e.G, fresh)
-    assert all(omega.omega(g, h) == fresh.omega(g, h) for g, h in e.G.compose)
-    assert action_outcome(e.G, e.S, omega) == action_outcome(e.G, e.S, fresh)
+        MUTATIONS[name](omega.values)
+        fresh = TwoCocycle(G, dict(omega.values))
+        om, _, den = omega._int_table()
+        assert not np.array_equal(om, before)
+        assert (om.tolist(), den) == (fresh._int_table()[0].tolist(), fresh._int_table()[2])
+        assert check_cocycle(G, omega) == check_cocycle(G, fresh)
+        assert all(omega.omega(g, h) == fresh.omega(g, h) for g, h in G.compose)
+        assert action_outcome(G, S, omega) == action_outcome(G, S, fresh)
+
+
+def test_values_is_a_plain_dict(entry):
+    e = entry("pauli")
+    doc = json.loads(json.dumps(io.emit_groupoid_data(e.G, e.omega, e.c, e.S)))
+    for omega in (TwoCocycle(e.G, e.omega.values), io.parse_groupoid_data(doc).omega):
+        assert type(omega.values) is dict
 
 
 def test_kept_table_is_read_only(entry):
