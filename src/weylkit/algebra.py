@@ -30,16 +30,26 @@ Every step runs on these two arrays:
 - The expectation trials run as blocked array passes over the same
   seeded stream of coefficients: f^* . f only at the members of S, and
   the expectation as one product with the tables' pairing rows.
-- The Wedderburn split takes the eigenvalues of a random self-adjoint
-  central element, one scatter from the tables; block n_i is an
-  eigenvalue of multiplicity n_i^2 (see ``_split_blocks``).
+- The Wedderburn blocks are read orbit by orbit, after the tables of the
+  total representation are checked.  Choosing an arrow from a unit u to
+  each unit of its orbit O gives C*(G, omega) as the sum over the orbits
+  of M_|O|(C*(G_u^u, omega restricted)) (Muhly, Renault and Williams,
+  1987).  For abelian isotropy A this is exact integer work on the
+  cocycle's numerators: |rad| blocks of size |O| sqrt(|A|/|rad|), rad the
+  radical {a : omega(a, b) - omega(b, a) = 0 mod den for every b} of the
+  commutator bicharacter (Karpilovsky, 1985).  For non-abelian isotropy
+  the split takes the eigenvalues of a random self-adjoint central element
+  of C*(G_u^u, omega), one scatter from its tables; block n_i is an
+  eigenvalue of multiplicity n_i^2 (see ``_split_blocks``), times |O|.
 
-Exact phases enter only through the structure constants; from there on the
-computations are numerical with fixed tolerances.
+Exact phases enter only through the structure constants and, for abelian
+isotropy, the numerator table; from there on the computations are
+numerical with fixed tolerances.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,13 +57,12 @@ import numpy as np
 from .cocycle import TwoCocycle
 from .dual import bundle_from_subgroupoid, dual_bundle
 from .errors import (
-    CardinalityMismatch,
     ConventionMismatch,
     DegenerateSample,
     NotStarHomomorphism,
     SchemaError,
 )
-from .groupoid import FiniteGroupoid, Grading, validate_grading
+from .groupoid import FiniteGroupoid, Grading, validate_arrays, validate_grading
 from .phases import Phase
 
 HOM_TOL = 1e-12
@@ -61,6 +70,7 @@ SPEC_TOL = 1e-8
 POS_TOL = 1e-10
 _GATHER = 2**15     # complex entries in one block of gathered convolution terms
 _PASS = 2**18       # coefficients drawn per pass of expectation trials
+_CHECK = 2**18      # table entries compared per block of rows of the star and product laws
 
 
 def _check_seed(seed):
@@ -76,19 +86,20 @@ def _check_tol(tol):
 class TwistedAlgebra:
     """The *-algebra spanned by arrow deltas with cocycle-twisted product.
 
-    On arrow indices: ``comp`` is the compose array, ``phase[g, h]`` the
-    complex structure constant of delta_g * delta_h, ``inv[g]`` the inverse
-    arrow and ``star_phase[g]`` the phase of delta_g^*.  No list of
+    On arrow indices: ``comp`` is the compose array, ``num[g, h]`` the
+    cocycle's numerator over the common denominator ``den``, ``phase[g, h]``
+    the complex structure constant of delta_g * delta_h, ``inv[g]`` the
+    inverse arrow and ``star_phase[g]`` the phase of delta_g^*.  No list of
     composable pairs is kept; a convolution gathers the pairs it needs.
     """
 
     def __init__(self, G: FiniteGroupoid, omega: TwoCocycle):
         self.G = G
         self.omega = omega
-        om, self.comp, den = omega._int_table()
-        nums, at = np.unique(om, return_inverse=True)
-        values = np.array([Phase(v, den).to_complex() for v in nums.tolist()])
-        self.phase = values[at.reshape(om.shape)]
+        self.num, self.comp, self.den = omega._int_table()
+        nums, at = np.unique(self.num, return_inverse=True)
+        values = np.array([Phase(v, self.den).to_complex() for v in nums.tolist()])
+        self.phase = values[at.reshape(self.num.shape)]
         self.inv = G.inverse_indices()
         self.star_phase = self.phase[np.arange(len(G)), self.inv].conj()
 
@@ -178,32 +189,58 @@ def _verify_tables(alg: TwistedAlgebra, target, value):
     entries where both sit in one row, and 1 where the supports differ.  The
     error of a law is its largest column error, as for the dense difference,
     and the witness is the first arrow, then the first (g, b) in g-major,
-    generator order, whose error is not below HOM_TOL.
+    generator order, whose error is not below HOM_TOL.  Both laws are
+    compared in blocks of rows (see :func:`_first_failure`).
     """
     arrows = alg.G.arrows
-    inv = alg.inv[:, None]
     defined = target >= 0
     # column t of delta_g^* holds conj(value[g, j]) in row j when target[g, j] = t
     t = np.where(defined, target, 0)
-    same = defined & (target[inv, t] == np.arange(target.shape[1]))
-    err = np.where(same, np.abs(value.conj() - alg.star_phase[:, None] * value[inv, t]), defined)
-    err = np.maximum(err.max(axis=1, initial=0.0), defined.sum(axis=1) != defined[alg.inv].sum(axis=1))
-    bad = ~(err < HOM_TOL)
-    if bad.any():
-        raise NotStarHomomorphism(("star", arrows[bad.argmax()]))
+    cols = np.arange(target.shape[1])
+    counts = defined.sum(axis=1)
+
+    def star(rows):
+        inv = alg.inv[rows, None]
+        same = defined[rows] & (target[inv, t[rows]] == cols)
+        err = np.abs(value[rows].conj() - alg.star_phase[rows, None] * value[inv, t[rows]])
+        err = np.where(same, err, defined[rows]).max(axis=1, initial=0.0)
+        return np.maximum(err, counts[rows] != counts[alg.inv[rows]])
+
+    g = _first_failure(star, len(arrows), len(cols))
+    if g is not None:
+        raise NotStarHomomorphism(("star", arrows[g]))
     gens = alg.G.generators()
     g, b = np.nonzero(alg.comp[:, gens] >= 0)
     b = gens[b]
     gb = alg.comp[g, b]
-    mid = t[b]                                                  # pi(b) sends column j to row mid
-    left = np.where(defined[b], target[g[:, None], mid], -1)    # the row of column j in pi(g) pi(b)
-    right = target[gb]                                          # and in omega(g, b) pi(gb)
-    diff = value[g[:, None], mid] * value[b] - alg.phase[g, b][:, None] * value[gb]
-    err = np.where((left >= 0) & (left == right), np.abs(diff), (left >= 0) | (right >= 0))
-    bad = ~(err.max(axis=1, initial=0.0) < HOM_TOL)
-    if bad.any():
-        k = bad.argmax()
+
+    def product(rows):
+        g_, b_, gb_ = g[rows], b[rows], gb[rows]
+        mid = t[b_]                                                     # pi(b) sends column j to row mid
+        left = np.where(defined[b_], target[g_[:, None], mid], -1)      # the row of column j in pi(g) pi(b)
+        right = target[gb_]                                             # and in omega(g, b) pi(gb)
+        diff = value[g_[:, None], mid] * value[b_] - alg.phase[g_, b_][:, None] * value[gb_]
+        err = np.where((left >= 0) & (left == right), np.abs(diff), (left >= 0) | (right >= 0))
+        return err.max(axis=1, initial=0.0)
+
+    k = _first_failure(product, len(g), len(cols))
+    if k is not None:
         raise NotStarHomomorphism(("product", arrows[g[k]], arrows[b[k]]))
+
+
+def _first_failure(error, rows, width):
+    """The first of ``rows`` rows whose error is not below HOM_TOL, or None.
+
+    ``error(block)`` gives the errors of a slice of rows, each row ``width``
+    entries wide; the slices hold at most _CHECK entries, so the temporaries
+    of a law stay that size however large the tables.
+    """
+    step = max(1, _CHECK // max(1, width))
+    for lo in range(0, rows, step):
+        bad = ~(error(slice(lo, lo + step)) < HOM_TOL)
+        if bad.any():
+            return lo + int(bad.argmax())
+    return None
 
 
 def _matrix(target, value, coeffs):
@@ -223,11 +260,8 @@ def _fibre(G: FiniteGroupoid, u):
 
 
 def _total_basis(G: FiniteGroupoid):
-    """Every arrow index, fibre by fibre over the units: the basis of the total representation."""
-    basis = np.concatenate([_fibre(G, u) for u in G.units])
-    if len(basis) != len(G):
-        raise CardinalityMismatch(("total representation", len(basis), len(G)))
-    return basis
+    """Every arrow index, fibre by fibre over the units, each in index order: the basis of the total representation."""
+    return np.argsort(G.endpoint_indices()[0], kind="stable")
 
 
 def _stack(target, value):
@@ -453,9 +487,9 @@ def expectation_checks(
 
 
 def _split_blocks(target, value, center, seed, tol):
-    """Sorted Wedderburn block sizes from the total representation's tables and a center basis.
+    """Sorted Wedderburn block sizes from a total representation's tables and a center basis.
 
-    The tables on ``_total_basis`` are the left regular representation of
+    Tables on ``_total_basis`` are the left regular representation of
     A = M_{n_1} + ... + M_{n_k} on itself, where M_n has dimension n^2.  A
     central z = sum lambda_i 1_i acts on the i-th summand as lambda_i, so
     once the eigenvalue clusters of a random z + z^* are as many as the
@@ -477,19 +511,83 @@ def _split_blocks(target, value, center, seed, tol):
     raise DegenerateSample(f"no separating central element found after 5 attempts (seed {seed})")
 
 
+def _orbits(G: FiniteGroupoid):
+    """(orbit size, isotropy arrow indices at the orbit's least unit) for each orbit of units, in unit order.
+
+    The orbit of a unit u is the set of targets of the arrows out of u, so
+    its least member is one scatter over the arrows.
+    """
+    n = len(G)
+    s, t = G.endpoint_indices()
+    least = np.full(n, n)
+    np.minimum.at(least, s, t)          # at each unit, the least unit of its orbit
+    reps = np.flatnonzero(least == np.arange(n))
+    sizes = np.bincount(least[s == np.arange(n)], minlength=n)[reps]
+    for u, size in zip(reps.tolist(), sizes.tolist()):
+        yield size, np.flatnonzero((s == u) & (t == u))
+
+
+def _abelian_blocks(num, den):
+    """(blocks, center dimension) of C*(A, omega) for an abelian group A, from numerators over den on A x A.
+
+    For a cocycle omega, omega(a, b) - omega(b, a) is a bicharacter that
+    does not change when omega is multiplied by a coboundary, and
+    C*(A, omega) is |rad| copies of M_k with k^2 = |A|/|rad|, rad the
+    bicharacter's radical (Karpilovsky, Projective Representations of
+    Finite Groups, 1985).  The numerators are read mod den.
+    """
+    rad = int((~((num - num.T) % den).any(axis=1)).sum())
+    return [math.isqrt(len(num) // rad)] * rad, rad
+
+
+def _isotropy_algebra(alg: TwistedAlgebra, iso):
+    """C*(G_u^u, omega restricted) on the isotropy arrow indices ``iso`` at one unit, as an algebra of its own."""
+    G, m = alg.G, len(iso)
+    ids = [G.arrows[i] for i in iso.tolist()]
+    pos = np.empty(len(G), dtype=np.int64)
+    pos[iso] = np.arange(m)
+    gi, hi = np.divmod(np.arange(m * m), m)
+    ki = pos[alg.comp[iso[gi], iso[hi]]]
+    u = G.src[ids[0]]
+    H = validate_arrays([u], dict.fromkeys(ids, (u, u)), gi, hi, ki,
+                        lambda j: ((ids[gi[j]], ids[hi[j]]), ids[ki[j]]), name=f"{G.name} at {u}")
+    return TwistedAlgebra(H, TwoCocycle.from_table(H, alg.num[np.ix_(iso, iso)], alg.den))
+
+
 def wedderburn_blocks(G: FiniteGroupoid, omega: TwoCocycle, seed: int = 0, tol: float = SPEC_TOL):
     """Block sizes of the algebra as a direct sum of matrix algebras.
 
-    The eigenvalue multiplicities of a random self-adjoint central element
-    on the total representation are the squares n_i^2 (see
-    :func:`_split_blocks`).  Returns (sorted block list, center dimension).
+    The star and product laws are checked first on the total
+    representation's tables.  Then, orbit by orbit: C*(G, omega) is the sum
+    over the orbits O of M_|O|(C*(G_u^u, omega restricted)), u in O
+    (Muhly, Renault and Williams, 1987; for a finite groupoid, choose an
+    arrow from u to each unit of O).  For abelian isotropy the blocks are
+    exact integer work on the numerator table (see :func:`_abelian_blocks`);
+    otherwise the eigenvalue multiplicities of a random self-adjoint central
+    element of C*(G_u^u, omega) are the squares n_i^2 (see
+    :func:`_split_blocks`), and only there do ``seed`` and ``tol`` enter.
+    Each block is multiplied by |O|, and the center dimension is the sum
+    over the orbits.  Returns (sorted block list, center dimension).
     """
     _check_seed(seed)
     _check_tol(tol)
     alg = TwistedAlgebra(G, omega)
     target, value = _tables(alg, _total_basis(G))
-    center = _center_basis(alg, tol=tol)
-    return _split_blocks(target, value, center, seed, tol), center.shape[1]
+    blocks, center_dim = [], 0
+    for size, iso in _orbits(G):
+        sub = alg.comp[np.ix_(iso, iso)]
+        if (sub == sub.T).all():        # G_u^u is abelian
+            found, dim = _abelian_blocks(alg.num[np.ix_(iso, iso)], alg.den)
+        else:
+            group, tables = alg, (target, value)
+            if len(iso) < len(G):   # else G is the group G_u^u, whose tables are built
+                group = _isotropy_algebra(alg, iso)
+                tables = _tables(group, np.arange(len(iso)))
+            center = _center_basis(group, tol=tol)
+            found, dim = _split_blocks(*tables, center, seed, tol), center.shape[1]
+        blocks += [size * n for n in found]
+        center_dim += dim
+    return sorted(blocks), center_dim
 
 
 @dataclass

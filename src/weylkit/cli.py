@@ -306,8 +306,10 @@ def build_parser():
     p.add_argument("file")
     common(p)
     p.add_argument("--compare", help="second groupoid file to compare against")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the random central element; read only for orbits with non-abelian isotropy")
+    p.add_argument("--tol", type=float, default=1e-8,
+                   help="spectral tolerance in (0, 1); read only for orbits with non-abelian isotropy")
     p.set_defaults(func=cmd_algebra)
 
     p = sub.add_parser("gen", help="generate a corpus groupoid file")

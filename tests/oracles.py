@@ -46,7 +46,6 @@ from weylkit.algebra import (
     TwistedAlgebra,
     _commutator_map,
     _null_space,
-    _total_basis,
     reduced_norm,
 )
 from weylkit.cocycle import TwoCocycle, check_cocycle
@@ -354,9 +353,14 @@ def verify_star_hom_stack(alg, stack):
             raise NotStarHomomorphism(("product", arrows[g], arrows[bs[bad.argmax()]]))
 
 
+def total_basis_loop(G):
+    """Every arrow index, unit by unit over ``arrows_from``: the basis of the total representation."""
+    return np.array([G.index[g] for u in G.units for g in G.arrows_from(u)], dtype=np.int64)
+
+
 def total_representation_stack(G, omega):
     """The total representation as dense matrices, checked by dense products."""
-    return dict(zip(G.arrows, represent_stack(TwistedAlgebra(G, omega), _total_basis(G))))
+    return dict(zip(G.arrows, represent_stack(TwistedAlgebra(G, omega), total_basis_loop(G))))
 
 
 def split_blocks_dense(mats, center, seed, tol):

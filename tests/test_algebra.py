@@ -24,10 +24,12 @@ from weylkit.algebra import (
     wedderburn_blocks,
 )
 from weylkit.cocycle import TwoCocycle
-from weylkit.errors import ConventionMismatch, NotHomomorphism, SchemaError
+from weylkit.errors import ConventionMismatch, NotHomomorphism, NotStarHomomorphism, SchemaError
 from weylkit.groupoid import Grading
-from weylkit.phases import HALF
+from weylkit.phases import HALF, Phase
 from weylkit.weyl import build_weyl_groupoid, weyl_twist_cocycle
+
+from oracles import total_representation_stack
 
 BLOCK_ORACLE = {
     "z2z2": [1, 1, 1, 1],
@@ -273,6 +275,40 @@ def test_table_and_grading_checks_survive_optimized_mode():
     assert run_optimized(script) == ["0", "5", "('0|1', '1|0')"]
 
 
+@pytest.mark.parametrize("name", ["pauli", "rotation(4,1)"])
+def test_exact_blocks_check_the_tables_in_optimized_mode(entry, name):
+    # abelian isotropy reads its blocks from the numerator table, after the table check
+    e = entry(name)
+    G = e.G
+    pair = next((g, x) for g, x in G.compose if not (G.is_unit(g) or G.is_unit(x)))
+    values = dict(e.omega.values)
+    values[pair] = e.omega.omega(*pair) + Phase(1, 3)
+    expected = repr(_stack_witness(G, TwoCocycle(G, values)))
+    script = (
+        "from weylkit import corpus\n"
+        "from weylkit.algebra import compare_algebras, wedderburn_blocks\n"
+        "from weylkit.cocycle import TwoCocycle\n"
+        "from weylkit.errors import NotStarHomomorphism\n"
+        "from weylkit.phases import Phase\n"
+        f"e = corpus.by_name({name!r})\n"
+        "values = dict(e.omega.values)\n"
+        f"values[{pair!r}] = e.omega.omega(*{pair!r}) + Phase(1, 3)\n"
+        "bad = TwoCocycle(e.G, values)\n"
+        "for run in (lambda: wedderburn_blocks(e.G, bad), lambda: compare_algebras(e.G, e.omega, e.G, bad)):\n"
+        "    try:\n"
+        "        run()\n"
+        "    except NotStarHomomorphism as exc:\n"
+        "        print(repr(exc.witness))\n"
+    )
+    assert run_optimized(script) == [expected, expected]
+
+
+def _stack_witness(G, omega):
+    with pytest.raises(NotStarHomomorphism) as info:
+        total_representation_stack(G, omega)
+    return info.value.witness
+
+
 def run_optimized(script):
     """The stdout lines of ``script`` run under python -O."""
     src = str(Path(weylkit.__file__).parents[1])
@@ -312,9 +348,12 @@ def test_compare_detects_mismatch(entry):
 
 
 def test_negative_seeds_are_refused(entry):
+    # pauli's isotropy is abelian, so its blocks never read the seed; it is checked all the same
     e = entry("pauli")
     with pytest.raises(SchemaError):
         wedderburn_blocks(e.G, e.omega, seed=-5)
+    with pytest.raises(SchemaError):
+        wedderburn_blocks(e.G, e.omega, seed=-1)
     with pytest.raises(SchemaError):
         compare_algebras(e.G, e.omega, e.G, e.omega, seed=-1)
     with pytest.raises(SchemaError):
@@ -328,7 +367,7 @@ def test_expectation_refuses_fewer_than_one_trial(entry, trials):
         expectation_checks(e.G, e.omega, e.S, trials=trials)
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf"), 1e3, 1.0])
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf"), 1e3, 1.0, 1.5])
 def test_tolerances_outside_the_unit_interval_are_refused(entry, tol):
     e = entry("pauli")
     with pytest.raises(SchemaError):

@@ -1,11 +1,12 @@
 """The algebra layer on (target, value) tables against the dense stack it replaced.
 
 ``wedderburn_blocks``, ``compare_algebras`` and ``commutant_check`` hold
-each representation as two (|G|, |B|) tables and check them with gathers.
-The oracles in ``tests/oracles.py`` build the dense (|G|, |B|, |B|) stack,
-check it with matrix products and split it arrow by arrow.  Both must give
-the same blocks and center dimensions on healthy cocycles, and the same
-``NotStarHomomorphism`` witness under the cocycle mutations of
+each representation as two (|G|, |B|) tables and check them with gathers;
+``wedderburn_blocks`` then reads its blocks orbit by orbit.  The oracles in
+``tests/oracles.py`` build the dense (|G|, |B|, |B|) stack of the whole
+groupoid, check it with matrix products and split it arrow by arrow.  Both
+must give the same blocks and center dimensions on healthy cocycles, and
+the same ``NotStarHomomorphism`` witness under the cocycle mutations of
 ``test_algebra_oracles.py``.
 """
 
@@ -24,6 +25,7 @@ from weylkit import corpus
 from weylkit.algebra import (
     SPEC_TOL,
     TwistedAlgebra,
+    _abelian_blocks,
     _center_basis,
     _center_gram,
     _commutator_map,
@@ -42,6 +44,7 @@ from weylkit.algebra import (
 )
 from weylkit.cocycle import TwoCocycle
 from weylkit.errors import DegenerateSample, NotStarHomomorphism
+from weylkit.groupoid import build_groupoid
 from weylkit.phases import HALF, Phase
 
 from oracles import (
@@ -49,6 +52,7 @@ from oracles import (
     commutant_check_dense,
     reduced_norm_loop,
     represent_stack,
+    total_basis_loop,
     total_representation_stack,
     verify_star_hom_stack,
     wedderburn_blocks_stack,
@@ -253,16 +257,137 @@ def test_blocks_at_256_arrows_without_the_dense_stack():
         assert peak < 100e6, (e.G.name, peak)
 
 
+def coboundary_twist(G, omega, rng, at_units=False):
+    """omega times the coboundary of a random lambda in (1/8)Z/Z, zero on the units unless ``at_units``.
+
+    The algebra is isomorphic to omega's, with phases that are non-real on
+    both sides of a generator.
+    """
+    lam = {g: Phase(0 if G.is_unit(g) and not at_units else int(rng.integers(8)), 8) for g in G.arrows}
+    return TwoCocycle(G, {(g, h): omega.omega(g, h) + lam[g] + lam[h] - lam[G.mul(g, h)] for g, h in G.compose})
+
+
+def _result(run, *args, **kwargs):
+    """The value of a call, or its NotStarHomomorphism witness."""
+    try:
+        return run(*args, **kwargs)
+    except NotStarHomomorphism as exc:
+        return exc.witness
+
+
+@pytest.mark.parametrize("name", INPUTS)
+def test_blocks_match_the_stack_oracle_under_coboundaries(name):
+    # the radical of omega(a, b) - omega(b, a) is a cohomology invariant, so a
+    # coboundary zero on the units keeps the blocks; one that is not leaves no
+    # normalized cocycle, breaks the star law delta_g^* = conj(omega(g, g^-1)) delta_{g^-1},
+    # and both paths refuse it alike
+    e = build(name)
+    rng = np.random.default_rng(INPUTS.index(name))
+    expected = [wedderburn_blocks_stack(e.G, e.omega, seed=seed) for seed in SEEDS]
+    for at_units in (False, True):
+        twisted = coboundary_twist(e.G, e.omega, rng, at_units)
+        for seed, untwisted in zip(SEEDS, expected):
+            blocks = _result(wedderburn_blocks, e.G, twisted, seed=seed)
+            assert blocks == _result(wedderburn_blocks_stack, e.G, twisted, seed=seed)
+            assert blocks == untwisted or (at_units and blocks[0] == "star")
+
+
+@pytest.mark.parametrize("name", INPUTS)
+def test_total_basis_is_the_fibres_in_unit_order(name):
+    G = build(name).G
+    assert np.array_equal(_total_basis(G), total_basis_loop(G))
+
+
+def z4():
+    G = build_groupoid(["0"], {str(k): ("0", "0") for k in range(4)}, lambda a, b: str((int(a) + int(b)) % 4))
+    return G, TwoCocycle(G, {})
+
+
+def products(*parts):
+    """The disjoint union of the groupoids H_k x pair(n_k) for parts (H_k, omega_k, n_k).
+
+    Arrow (x, a>b) of part k, spelled k:x:a>b, goes from s(x) at b to r(x)
+    at a, and the cocycle is omega_k pulled back along (x, a>b) -> x.
+    """
+    arrows, split = {}, {}
+    for k, (H, _, n) in enumerate(parts):
+        for x in H.arrows:
+            for a in range(n):
+                for b in range(n):
+                    g = f"{k}:{x}:{a}>{b}"
+                    arrows[g] = (f"{k}:{H.src[x]}:{b}>{b}", f"{k}:{H.tgt[x]}:{a}>{a}")
+                    split[g] = (k, x, a, b)
+
+    def mul(g, h):
+        (k, x, a, _), (_, y, _, c) = split[g], split[h]
+        return f"{k}:{parts[k][0].mul(x, y)}:{a}>{c}"
+
+    G = build_groupoid([g for g, (s, _) in arrows.items() if g == s], arrows, mul)
+    values = {}
+    for g, h in G.compose:
+        (k, x, _, _), (_, y, _, _) = split[g], split[h]
+        values[(g, h)] = parts[k][1].omega(x, y)
+    return G, TwoCocycle(G, values)
+
+
+def _part(name, n):
+    e = build(name)
+    return e.G, e.omega, n
+
+
+HAND_BUILT = {  # non-abelian isotropy over several units, and orbits of both kinds side by side
+    "d4 x pair(3)": (lambda: products(_part("d4", 3)), ([3, 3, 3, 3, 6], 5)),
+    "q8 x pair(2)": (lambda: products(_part("q8", 2)), ([2, 2, 2, 2, 4], 5)),
+    "d4 + q8 + Z4 + pauli x pair(2)": (
+        lambda: products(_part("d4", 1), _part("q8", 1), (*z4(), 1), _part("pauli", 2)),
+        ([1] * 12 + [2, 2, 4], 15),
+    ),
+    "s3 x pair(2) + rotation(4,2)": (
+        lambda: products(_part("s3", 2), _part("rotation(4,2)", 1)),
+        ([2, 2, 2, 2, 2, 2, 4], 7),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT))
+def test_orbits_with_non_abelian_isotropy_match_the_stack_oracle(name):
+    make, expected = HAND_BUILT[name]
+    G, omega = make()
+    assert wedderburn_blocks(G, omega) == expected
+    rng = np.random.default_rng(5)
+    for twisted in (omega, coboundary_twist(G, omega, rng)):
+        for seed in SEEDS:
+            assert wedderburn_blocks(G, twisted, seed=seed) == wedderburn_blocks_stack(G, twisted, seed=seed)
+
+
+@pytest.mark.parametrize("name", ["pauli", "rotation(4,2)", "rotation(6,2)", "rotation(8,3)", "z2z2"])
+def test_abelian_blocks_read_the_numerators_mod_the_denominator(name):
+    e = build(name)
+    alg = TwistedAlgebra(e.G, e.omega)
+    shifted = alg.num + alg.den * np.random.default_rng(7).integers(-3, 4, alg.num.shape)
+    assert _abelian_blocks(shifted, alg.den) == _abelian_blocks(alg.num, alg.den) == wedderburn_blocks(e.G, e.omega)
+
+
+def test_blocks_at_1024_arrows_in_bounded_memory():
+    # the whole-groupoid split held the center's Gram matrix, its eigenvectors and
+    # A + A^*, 16.8 MB each here, and the table check compared every row at once:
+    # the call peaked at 204 MB on pair(32) and 285 MB on rotation(32,16)
+    for e, expected in ((build("pair(32)"), ([32], 1)), (corpus.rotation(32, 16), ([2] * 256, 256))):
+        tracemalloc.start()
+        try:
+            blocks = wedderburn_blocks(e.G, e.omega)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert blocks == expected, e.G.name
+        assert peak < 150e6, (e.G.name, peak)
+
+
 @pytest.mark.parametrize("name", INPUTS)
 def test_center_matches_the_stacked_commutator_map(name):
-    # omega times the coboundary of a random lambda, zero on the units, gives
-    # an isomorphic algebra whose phases are non-real on both sides of a generator
     e = build(name)
     G = e.G
-    rng = np.random.default_rng(3)
-    lam = {g: Phase(0 if G.is_unit(g) else int(rng.integers(8)), 8) for g in G.arrows}
-    twisted = TwoCocycle(G, {(g, h): e.omega.omega(g, h) + lam[g] + lam[h] - lam[G.mul(g, h)]
-                             for g, h in G.compose})
+    twisted = coboundary_twist(G, e.omega, np.random.default_rng(3))
     dims = []
     for omega in (e.omega, twisted):
         alg = TwistedAlgebra(G, omega)
