@@ -11,13 +11,16 @@ Every step runs on these two arrays:
   held as two (|G|, |B|) tables, filled by one gather: target[g, j], the
   position of g * B[j] in B (-1 where they do not compose), and
   value[g, j], its phase.  Each delta_g is monomial, so the tables are the
-  whole matrix.  The star law is checked on every arrow, and the product
-  law pi(g) pi(b) = omega(g, b) pi(gb) for b in ``G.generators()``, both
-  by gathers on the tables.  On the basis vector x the product law at
-  (g, b) is the cocycle identity at (g, b, x), so, as in
-  ``check_cocycle``, the middle arguments that pass are closed under
-  products and the law holds for every pair.  The dense matrices of the
-  deltas are built from the tables only for the callers that return them.
+  whole matrix.  On the basis vector x the product law
+  pi(g) pi(b) = omega(g, b) pi(gb) at (g, b) is the cocycle identity at
+  (g, b, x), and the star law pi(g)^* = conj(omega(g, g^-1)) pi(g^-1) is
+  the identity at (g, g^-1, gx) once omega vanishes at the units.  So both
+  laws are checked once per algebra, exactly, by ``check_cocycle``'s test
+  on the numerator table (``TwistedAlgebra.defect``), and a cocycle that
+  passes gets no numeric law check.  The tables of one that fails are
+  compared numerically only to name the broken law (``_verify_tables``).
+  The dense matrices of the deltas are built from the tables only for the
+  callers that return them.
 - The center and the commutant are null spaces of commutator maps
   z -> [z, delta_b] on coefficient vectors, written down from
   [delta_h, delta_b] = phase[h, b] delta_{hb} - phase[b, h] delta_{bh}.
@@ -30,31 +33,32 @@ Every step runs on these two arrays:
 - The expectation trials run as blocked array passes over the same
   seeded stream of coefficients: f^* . f only at the members of S, and
   the expectation as one product with the tables' pairing rows.
-- The Wedderburn blocks are read orbit by orbit, after the tables of the
-  total representation are checked.  Choosing an arrow from a unit u to
-  each unit of its orbit O gives C*(G, omega) as the sum over the orbits
-  of M_|O|(C*(G_u^u, omega restricted)) (Muhly, Renault and Williams,
-  1987).  For abelian isotropy A this is exact integer work on the
-  cocycle's numerators: |rad| blocks of size |O| sqrt(|A|/|rad|), rad the
-  radical {a : omega(a, b) - omega(b, a) = 0 mod den for every b} of the
+- The Wedderburn blocks are read orbit by orbit, after the exact check.
+  Choosing an arrow from a unit u to each unit of its orbit O gives
+  C*(G, omega) as the sum over the orbits of
+  M_|O|(C*(G_u^u, omega restricted)) (Muhly, Renault and Williams, 1987).
+  For abelian isotropy A this is exact integer work on the cocycle's
+  numerators: |rad| blocks of size |O| sqrt(|A|/|rad|), rad the radical
+  {a : omega(a, b) - omega(b, a) = 0 mod den for every b} of the
   commutator bicharacter (Karpilovsky, 1985).  For non-abelian isotropy
   the split takes the eigenvalues of a random self-adjoint central element
   of C*(G_u^u, omega), one scatter from its tables; block n_i is an
   eigenvalue of multiplicity n_i^2 (see ``_split_blocks``), times |O|.
 
-Exact phases enter only through the structure constants and, for abelian
-isotropy, the numerator table; from there on the computations are
-numerical with fixed tolerances.
+Exact phases enter through the structure constants, the exact check and,
+for abelian isotropy, the numerator table; from there on the computations
+are numerical with fixed tolerances.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cocycle import TwoCocycle
+from .cocycle import TwoCocycle, cocycle_violations
 from .dual import bundle_from_subgroupoid, dual_bundle
 from .errors import (
     ConventionMismatch,
@@ -91,17 +95,37 @@ class TwistedAlgebra:
     the complex structure constant of delta_g * delta_h, ``inv[g]`` the
     inverse arrow and ``star_phase[g]`` the phase of delta_g^*.  No list of
     composable pairs is kept; a convolution gathers the pairs it needs.
+    ``phase`` is one gather from a table of the numerators that occur, or,
+    where den exceeds the table's size, from the distinct numerators.
     """
 
     def __init__(self, G: FiniteGroupoid, omega: TwoCocycle):
         self.G = G
         self.omega = omega
         self.num, self.comp, self.den = omega._int_table()
-        nums, at = np.unique(self.num, return_inverse=True)
-        values = np.array([Phase(v, self.den).to_complex() for v in nums.tolist()])
-        self.phase = values[at.reshape(self.num.shape)]
+        if self.den <= self.num.size:
+            # numerators lie in [0, den): a lookup table, filled at the ones that occur
+            lut = np.zeros(self.den, dtype=complex)
+            seen = np.flatnonzero(np.bincount(self.num.ravel(), minlength=self.den))
+            lut[seen] = [Phase(v, self.den).to_complex() for v in seen.tolist()]
+            self.phase = lut[self.num]
+        else:
+            nums, at = np.unique(self.num, return_inverse=True)
+            values = np.array([Phase(v, self.den).to_complex() for v in nums.tolist()])
+            self.phase = values[at.reshape(self.num.shape)]
         self.inv = G.inverse_indices()
         self.star_phase = self.phase[np.arange(len(G)), self.inv].conj()
+
+    @functools.cached_property
+    def defect(self):
+        """The first triple at which omega fails the exact cocycle check, or None; found on first read.
+
+        The check is ``check_cocycle``'s, on the numerator table: unit
+        normalization, then the identity with the middle argument over
+        ``G.generators()``.
+        """
+        found = cocycle_violations(self.G, self.num, self.den, max_witnesses=1)
+        return found[0] if found else None
 
     def star_basis(self, g):
         """delta_g^* = conj(phase(g, g^{-1})) . delta_{g^{-1}}."""
@@ -168,23 +192,34 @@ def _tables(alg: TwistedAlgebra, basis):
     ``basis`` holds arrow indices and is a union of source fibres, so it is
     closed under left multiplication: delta_g sends basis vector j to
     value[g, j] times basis vector target[g, j], the position of g * basis[j],
-    and target[g, j] is -1 where g and basis[j] do not compose.  Verified to
-    be a *-homomorphism to HOM_TOL.
+    and target[g, j] is -1 where g and basis[j] do not compose.
+
+    The tables are a *-homomorphism exactly when omega passes the exact
+    cocycle check (see the module docstring), so they are returned with no
+    numeric check when ``alg.defect`` is None.  Otherwise
+    NotStarHomomorphism names the law that :func:`_verify_tables` finds
+    broken on these tables or, when the defect is too small for that, the
+    exact triple.
     """
+    defect = alg.defect
     pos = np.empty(len(alg.G), dtype=np.int64)
     pos[basis] = np.arange(len(basis))
     cols = alg.comp[:, basis]
     composes = cols >= 0
     target = np.where(composes, pos[cols], -1)
     value = np.where(composes, alg.phase[:, basis], 0)
-    _verify_tables(alg, target, value)
+    if defect is not None:
+        _verify_tables(alg, target, value)
+        raise NotStarHomomorphism(defect)
     return target, value
 
 
 def _verify_tables(alg: TwistedAlgebra, target, value):
-    """The star law on every arrow, the product law on (g, b) for b over the generators.
+    """The star law on every arrow, the product law on (g, b) for b over the generators, to HOM_TOL.
 
-    Every matrix compared has at most one nonzero per column, so each law is
+    Run only on an algebra whose cocycle failed the exact check, to name
+    the broken law as the dense check on the matrices names it.  Every
+    matrix compared has at most one nonzero per column, so each law is
     compared column by column: a column's error is the difference of the two
     entries where both sit in one row, and 1 where the supports differ.  The
     error of a law is its largest column error, as for the dense difference,
@@ -384,7 +419,8 @@ def commutant_check(G: FiniteGroupoid, omega: TwoCocycle, c: Grading, S_members)
     S = sorted(set(S_members))
     A0 = np.flatnonzero(~validate_grading(G, c).any(axis=1))    # raises NotHomomorphism unless c is a grading
     alg = TwistedAlgebra(G, omega)
-    _tables(alg, _total_basis(G))       # raises NotStarHomomorphism unless omega is a cocycle
+    if alg.defect is not None:
+        _tables(alg, _total_basis(G))   # raises NotStarHomomorphism, naming the broken law
     s = [G.index[g] for g in S]
     K = _commutator_map(alg, s, A0)
     commutant_dim = _null_space(K.conj().T @ K, SPEC_TOL).shape[1]
@@ -442,7 +478,8 @@ def expectation_checks(
     first: the stream of one real and one imaginary draw per trial.  f* . f
     is convolved only at the members of S, and the expectation is one
     product with the (characters x S) matrix of the tables' pairing rows,
-    which the diagonal check compares with each Character's own phases.
+    which the diagonal check compares with the phases of the tables' value
+    rows, one ``Phase.to_complex`` per numerator.
     """
     _check_seed(seed)
     if trials < 1:
@@ -451,13 +488,16 @@ def expectation_checks(
     dual = dual_bundle(bundle_from_subgroupoid(G, frozenset(S_members)))
     S = sorted(S_members)
     column = {a: k for k, a in enumerate(S)}
-    pairing = np.zeros((len(dual.by_id), len(S)), dtype=complex)
+    tables = [dual.tables[x] for x in dual.base]
+    pairing = np.zeros((sum(len(t.elements) for t in tables), len(S)), dtype=complex)
     gelfand_phases = np.zeros_like(pairing)
-    for r, (cid, chi) in enumerate(dual.by_id.items()):
-        x, i = dual.position[cid]
-        t = dual.tables[x]
-        pairing[r, [column[a] for a in t.elements]] = t.pairing[i]
-        gelfand_phases[r, [column[a] for a, _ in chi.values]] = [ph.to_complex() for _, ph in chi.values]
+    r = 0
+    for t in tables:
+        rows, cols = slice(r, r + len(t.elements)), [column[a] for a in t.elements]
+        pairing[rows, cols] = t.pairing
+        phases = np.array([Phase(k, t.exponent).to_complex() for k in range(t.exponent)])
+        gelfand_phases[rows, cols] = phases[t.values]
+        r = rows.stop
     mismatch = pairing - gelfand_phases
     s_index = np.array([G.index[a] for a in S], dtype=np.int64)
 
@@ -551,39 +591,40 @@ def _isotropy_algebra(alg: TwistedAlgebra, iso):
     u = G.src[ids[0]]
     H = validate_arrays([u], dict.fromkeys(ids, (u, u)), gi, hi, ki,
                         lambda j: ((ids[gi[j]], ids[hi[j]]), ids[ki[j]]), name=f"{G.name} at {u}")
-    return TwistedAlgebra(H, TwoCocycle.from_table(H, alg.num[np.ix_(iso, iso)], alg.den))
+    group = TwistedAlgebra(H, TwoCocycle.from_table(H, alg.num[np.ix_(iso, iso)], alg.den))
+    group.defect = None     # covered by G's exact check: omega restricted to G_u^u is a cocycle when omega is
+    return group
 
 
 def wedderburn_blocks(G: FiniteGroupoid, omega: TwoCocycle, seed: int = 0, tol: float = SPEC_TOL):
     """Block sizes of the algebra as a direct sum of matrix algebras.
 
-    The star and product laws are checked first on the total
-    representation's tables.  Then, orbit by orbit: C*(G, omega) is the sum
-    over the orbits O of M_|O|(C*(G_u^u, omega restricted)), u in O
-    (Muhly, Renault and Williams, 1987; for a finite groupoid, choose an
-    arrow from u to each unit of O).  For abelian isotropy the blocks are
-    exact integer work on the numerator table (see :func:`_abelian_blocks`);
-    otherwise the eigenvalue multiplicities of a random self-adjoint central
-    element of C*(G_u^u, omega) are the squares n_i^2 (see
-    :func:`_split_blocks`), and only there do ``seed`` and ``tol`` enter.
-    Each block is multiplied by |O|, and the center dimension is the sum
-    over the orbits.  Returns (sorted block list, center dimension).
+    omega is first checked exactly (see :func:`_tables`).  Then, orbit by
+    orbit: C*(G, omega) is the sum over the orbits O of
+    M_|O|(C*(G_u^u, omega restricted)), u in O (Muhly, Renault and
+    Williams, 1987; for a finite groupoid, choose an arrow from u to each
+    unit of O), and a group is its own one orbit, read with no gather.  For
+    abelian isotropy the blocks are exact integer work on the numerator
+    table (see :func:`_abelian_blocks`); otherwise the eigenvalue
+    multiplicities of a random self-adjoint central element of
+    C*(G_u^u, omega) are the squares n_i^2 (see :func:`_split_blocks`), and
+    only there do ``seed`` and ``tol`` enter.  Each block is multiplied by
+    |O|, and the center dimension is the sum over the orbits.  Returns (sorted block list, center dimension).
     """
     _check_seed(seed)
     _check_tol(tol)
     alg = TwistedAlgebra(G, omega)
-    target, value = _tables(alg, _total_basis(G))
+    if alg.defect is not None:
+        _tables(alg, _total_basis(G))   # raises NotStarHomomorphism, naming the broken law
     blocks, center_dim = [], 0
-    for size, iso in _orbits(G):
-        sub = alg.comp[np.ix_(iso, iso)]
+    for size, iso in [(1, None)] if len(G.units) == 1 else _orbits(G):
+        sub = alg.comp if iso is None else alg.comp[np.ix_(iso, iso)]      # iso None: G is the group
         if (sub == sub.T).all():        # G_u^u is abelian
-            found, dim = _abelian_blocks(alg.num[np.ix_(iso, iso)], alg.den)
+            found, dim = _abelian_blocks(alg.num if iso is None else alg.num[np.ix_(iso, iso)], alg.den)
         else:
-            group, tables = alg, (target, value)
-            if len(iso) < len(G):   # else G is the group G_u^u, whose tables are built
-                group = _isotropy_algebra(alg, iso)
-                tables = _tables(group, np.arange(len(iso)))
+            group = alg if iso is None else _isotropy_algebra(alg, iso)
             center = _center_basis(group, tol=tol)
+            tables = _tables(group, np.arange(len(group.G)))
             found, dim = _split_blocks(*tables, center, seed, tol), center.shape[1]
         blocks += [size * n for n in found]
         center_dim += dim

@@ -28,6 +28,8 @@ from .groupoid import (
 )
 from .phases import ZERO, Phase
 
+_BLOCK = 2**15      # entries of one block of rows of the cocycle identity
+
 
 class TwoCocycle:
     """Phase-valued function on the composable pairs of a groupoid.
@@ -168,31 +170,58 @@ def common_denominator(dens, den: int = 1) -> int:
 def check_cocycle(G: FiniteGroupoid, omega: TwoCocycle, max_witnesses: int = 5):
     """Exact cocycle-condition check; returns a list of violating triples.
 
-    An empty list means valid.  Unit-normalization failures (u, u, u) come
-    first.  The condition d omega(a, b, c) = 0 is checked for every
-    composable a and c, with the middle b over ``G.generators()``: by the
-    coboundary identity d(d omega) = 0 on the quadruple (a, b1, b2, c),
-    the middles that pass are closed under composable products.  Triples
-    are listed in generator order, then in (a, c) index order.
+    An empty list means valid.  See :func:`cocycle_violations`.
     """
     if omega.G is not G and omega.G.arrows != G.arrows:
         raise SchemaError(f"cocycle is defined on {omega.G.name}, not on {G.name}")
-    violations = []
-    for u in G.units:
-        if not omega.omega(u, u).is_zero:
-            violations.append((u, u, u))
     om, _, den = omega._int_table()
-    comp = G.comp_matrix()
-    for b in G.generators():
-        a = (comp[:, b] >= 0).nonzero()[0]
-        c = (comp[b] >= 0).nonzero()[0]
-        ab, bc = comp[a, b], comp[b, c]
-        # omega(b, c) - omega(ab, c) + omega(a, bc) - omega(a, b)
-        d = om[b, c][None, :] - om[ab[:, None], c] + om[a[:, None], bc] - om[a, b][:, None]
-        for i, k in np.argwhere(d % den != 0):
-            violations.append((G.arrows[a[i]], G.arrows[b], G.arrows[c[k]]))
-            if len(violations) >= max_witnesses:
-                return violations
+    return cocycle_violations(G, om, den, max_witnesses)
+
+
+def cocycle_violations(G: FiniteGroupoid, om: np.ndarray, den: int, max_witnesses: int = 5):
+    """The violating triples of the numerators ``om`` in [0, den) at G's arrow indices.
+
+    Unit-normalization failures (u, u, u) come first.  The condition
+    d omega(a, b, c) = 0 is checked for every composable a and c, with the
+    middle b over ``G.generators()``: by the coboundary identity
+    d(d omega) = 0 on the quadruple (a, b1, b2, c), the middles that pass
+    are closed under composable products.  Triples are listed in generator
+    order, then in (a, c) index order, until there are ``max_witnesses``.
+
+    One row per composable (a, b), b a generator, holds the c that compose
+    with b, the arrows into s(b); the rows are checked in blocks of at most
+    _BLOCK entries, gathered from the flattened tables.
+    """
+    n = len(G.arrows)
+    s, t = G.endpoint_indices()
+    units = np.flatnonzero(s == np.arange(n))
+    violations = [(G.arrows[u],) * 3 for u in units[om[units, units] != 0].tolist()]
+    comp, gens = G.comp_matrix(), G.generators()
+    # the arrows into each unit, in index order, one row per unit padded with -1
+    slot = np.searchsorted(units, t)
+    order = np.argsort(slot, kind="stable")
+    count = np.bincount(slot, minlength=len(units))
+    into = np.full((len(units), count.max()), -1, dtype=np.int64)
+    into[slot[order], np.arange(n) - (np.cumsum(count) - count)[slot[order]]] = order
+    b, a = np.nonzero(comp[:, gens].T >= 0)         # b in generator order, then a in index order
+    b = gens[b]
+    into_sb = np.searchsorted(units, s[b])
+    omf, compf = om.ravel(), comp.ravel()
+    step = max(1, _BLOCK // into.shape[1])
+    for lo in range(0, len(b), step):
+        a_, b_ = a[lo:lo + step], b[lo:lo + step]
+        c = into[into_sb[lo:lo + step]]
+        at_bc = b_[:, None] * n + c
+        # omega(b, c) - omega(ab, c) + omega(a, bc) - omega(a, b), in (-2 den, 2 den)
+        d = omf.take(at_bc) - omf.take(comp[a_, b_][:, None] * n + c)
+        d += omf.take(a_[:, None] * n + compf.take(at_bc))
+        d -= om[a_, b_][:, None]
+        bad = (d != 0) & (d != den) & (d != -den) & (c >= 0)
+        if bad.any():
+            for i, k in np.argwhere(bad).tolist():
+                violations.append((G.arrows[a_[i]], G.arrows[b_[i]], G.arrows[c[i, k]]))
+                if len(violations) >= max_witnesses:
+                    return violations
     return violations
 
 

@@ -5,8 +5,9 @@ entry [i, j] is character i at element j, a numerator over the fibre's
 exponent.  Columns follow the sorted element ids, rows the characters in
 lexicographic order of their values, so row 0 is the trivial character,
 with id "<base>#0".  The fibre's product, the product of characters and the
-inverse are index tables, built once per bundle.  A :class:`Character` is
-the read-only view of one row, for io, the reports and the tests.
+inverse are index tables; the last two are built on first read.  A
+:class:`Character` is the read-only view of one row, for io, the reports
+and the tests, and a bundle's views are built on first read too.
 
 A :class:`GroupBundle` is the minimal interface the duality machinery
 needs; subgroupoids and character bundles both adapt to it, which is what
@@ -106,7 +107,8 @@ class CharacterTable:
     Column j is element ``elements[j]`` (sorted ids; ``column`` inverts it),
     and ``mul`` holds the column of a*b at [column a, column b].  Row i of
     ``values`` is the character "<base>#i" as numerators over ``exponent``,
-    the least n with a^n = 1 for all a.  ``product[i, j]`` and ``inverse[i]`` are rows.
+    the least n with a^n = 1 for all a.  ``product[i, j]`` and ``inverse[i]``
+    are rows, built on first read.
     """
 
     def __init__(self, bundle: GroupBundle, x):
@@ -115,6 +117,14 @@ class CharacterTable:
             raise FibreTooLarge(f"fibre at {x} has order {len(fibre)}")
         self.base, self.elements, m = x, tuple(sorted(fibre)), len(fibre)
         self.column = column = {a: j for j, a in enumerate(self.elements)}
+        self.ids = tuple(f"{x}#{i}" for i in range(m))
+        if m == 1:      # the trivial group, with its one character, once u * u = u is the identity
+            (u,) = self.elements
+            if u != bundle.identity[x] or bundle.mult(u, u) != u:
+                raise DualityFailure(("fibre is not a group", x))
+            self.mul, self.values = np.zeros((1, 1), dtype=np.int64), np.zeros((1, 1), dtype=np.int64)
+            self.identity, self.exponent = 0, 1
+            return
         mul = np.array([column.get(bundle.mult(a, b), -1) for a in self.elements for b in self.elements])
         self.mul = mul = mul.reshape(m, m)
         if (mul != mul.T).any():
@@ -126,13 +136,25 @@ class CharacterTable:
         power, self.exponent = np.arange(m), 1
         while (power != self.identity).any():
             power, self.exponent = mul[power, np.arange(m)], self.exponent + 1
-        self.values, e = self.check(self._characters()), self.exponent
-        self.ids = tuple(f"{x}#{i}" for i in range(m))
-        self._rows = {row: i for i, row in enumerate(map(bytes, self.values))}
+        self.values = self.check(self._characters())
+
+    @functools.cached_property
+    def _rows(self) -> dict:
+        """The row of each character, keyed by the bytes of its values."""
+        return {row: i for i, row in enumerate(map(bytes, self.values))}
+
+    @functools.cached_property
+    def product(self) -> np.ndarray:
+        """The row of the product of characters i and j at [i, j]."""
+        m, e = len(self.elements), self.exponent
         step = max(1, _GATHER // (m * m))
         products = ((self.values[lo:lo + step, None] + self.values[None]) % e for lo in range(0, m, step))
-        self.product = np.concatenate([self.rows_of(p, e) for p in products]).reshape(m, m)
-        self.inverse = self.product.argmin(axis=1)      # the one trivial product in each row
+        return np.concatenate([self.rows_of(p, e) for p in products]).reshape(m, m)
+
+    @functools.cached_property
+    def inverse(self) -> np.ndarray:
+        """The row of the inverse of each character: the one trivial product in each row."""
+        return self.product.argmin(axis=1)
 
     def _characters(self) -> np.ndarray:
         """All homomorphisms to Q/Z as numerator rows, extending partial ones one generator g at a time.
@@ -208,20 +230,34 @@ class CharacterBundle:
 
     ``fibres[x]`` lists the characters over x as :class:`Character` views in
     row order; ``char_id`` and ``by_id`` translate between views and ids,
-    and ``position`` sends an id to its (base point, row).
+    and ``position`` sends an id to its (base point, row).  Each is built
+    on first read.
     """
 
     def __init__(self, bundle: GroupBundle, tables: Mapping):
         self.bundle, self.base, self.tables = bundle, bundle.base, dict(tables)
-        self.fibres, self.char_id, self.by_id, self.position = {}, {}, {}, {}
+
+    @functools.cached_property
+    def fibres(self) -> dict:
+        fibres = {}
         for x in self.base:
             t = self.tables[x]
             phases = [Phase(k, t.exponent) for k in range(t.exponent)]
-            self.fibres[x] = tuple(Character(x, tuple(zip(t.elements, map(phases.__getitem__, row))))
-                                   for row in t.values.tolist())
-            self.char_id.update(zip(self.fibres[x], t.ids))
-            self.by_id.update(zip(t.ids, self.fibres[x]))
-            self.position.update((cid, (x, i)) for i, cid in enumerate(t.ids))
+            fibres[x] = tuple(Character(x, tuple(zip(t.elements, map(phases.__getitem__, row))))
+                              for row in t.values.tolist())
+        return fibres
+
+    @functools.cached_property
+    def char_id(self) -> dict:
+        return {chi: cid for x in self.base for chi, cid in zip(self.fibres[x], self.tables[x].ids)}
+
+    @functools.cached_property
+    def by_id(self) -> dict:
+        return {cid: chi for x in self.base for cid, chi in zip(self.tables[x].ids, self.fibres[x])}
+
+    @functools.cached_property
+    def position(self) -> dict:
+        return {cid: (x, i) for x in self.base for i, cid in enumerate(self.tables[x].ids)}
 
     def trivial(self, x) -> Character:
         return self.fibres[x][0]

@@ -520,22 +520,32 @@ def validate_grading(G: FiniteGroupoid, c: Grading) -> np.ndarray:
     orders = list(c.group)
     if any(n < 0 for n in orders):
         raise SchemaError(f"grading orders must be nonnegative, got {orders}")
-    rows = []
-    for g in G.arrows:
-        if g not in c.values:
-            raise SchemaError(f"grading has no value on arrow {g!r}")
-        if len(c.values[g]) != len(orders):
-            raise SchemaError(f"grading value on arrow {g!r} does not have {len(orders)} entries")
-        rows.append(c.value(g))
-    if any(abs(x) > MAX_TABLE_INT for row in rows + [orders] for x in row):
-        raise SchemaError(f"grading orders and values must lie within {MAX_TABLE_INT} in size")
-    values = np.array(rows, dtype=np.int64)
-    for u in G.units:
-        if values[G.index[u]].any():
-            raise NotHomomorphism((u, u))
-
+    try:
+        rows = [c.values[g] for g in G.arrows]
+        malformed = set(map(len, rows)) != {len(orders)}
+    except KeyError:
+        malformed = True
+    if malformed:       # name the first arrow at fault
+        for g in G.arrows:
+            if g not in c.values:
+                raise SchemaError(f"grading has no value on arrow {g!r}")
+            if len(c.values[g]) != len(orders):
+                raise SchemaError(f"grading value on arrow {g!r} does not have {len(orders)} entries")
+    if max(map(abs, itertools.chain(orders, *rows)), default=0) > MAX_TABLE_INT:
+        # within the bound once reduced, as ``Grading.value`` reduces them, or refused
+        rows = list(map(c.value, G.arrows))
+        if any(abs(x) > MAX_TABLE_INT for row in rows + [orders] for x in row):
+            raise SchemaError(f"grading orders and values must lie within {MAX_TABLE_INT} in size")
+    values = np.array(rows, dtype=np.int64).reshape(len(G.arrows), len(orders))
     orders = np.array(orders, dtype=np.int64)
     finite = orders > 0
+    values[:, finite] %= orders[finite]
+    s = G.endpoint_indices()[0]
+    graded_units = np.flatnonzero((s == np.arange(len(s))) & values.any(axis=1))
+    if len(graded_units):
+        u = G.arrows[graded_units[0]]
+        raise NotHomomorphism((u, u))
+
     comp = G.comp_matrix()
     defined = comp >= 0
     total = values[:, None, :] + values[None, :, :]

@@ -195,6 +195,29 @@ def cocycle_violations(G, omega):
     return out
 
 
+def cocycle_violations_by_generator(G, omega, max_witnesses=5):
+    """``check_cocycle``'s triples, one generator at a time: every composable a, c for each middle b."""
+    om, comp, den = omega._int_table()
+    out = [(u, u, u) for u in G.units if not omega.omega(u, u).is_zero]
+    for b in G.generators():
+        a = (comp[:, b] >= 0).nonzero()[0]
+        c = (comp[b] >= 0).nonzero()[0]
+        ab, bc = comp[a, b], comp[b, c]
+        d = om[b, c][None, :] - om[ab[:, None], c] + om[a[:, None], bc] - om[a, b][:, None]
+        for i, k in np.argwhere(d % den != 0):
+            out.append((G.arrows[a[i]], G.arrows[b], G.arrows[c[k]]))
+            if len(out) >= max_witnesses:
+                return out
+    return out
+
+
+def phase_table_unique(num, den):
+    """The complex phase table of numerators over den, one ``Phase.to_complex`` per distinct numerator."""
+    nums, at = np.unique(num, return_inverse=True)
+    values = np.array([Phase(v, den).to_complex() for v in nums.tolist()])
+    return values[at.reshape(num.shape)]
+
+
 def is_cocycle_violation(G, omega, triple):
     """d omega at one triple, recomputed with Phase arithmetic."""
     g, h, k = triple
