@@ -95,26 +95,36 @@ class TwistedAlgebra:
     the complex structure constant of delta_g * delta_h, ``inv[g]`` the
     inverse arrow and ``star_phase[g]`` the phase of delta_g^*.  No list of
     composable pairs is kept; a convolution gathers the pairs it needs.
-    ``phase`` is one gather from a table of the numerators that occur, or,
-    where den exceeds the table's size, from the distinct numerators.
+    ``phase`` and ``star_phase`` are built on first read.
     """
 
     def __init__(self, G: FiniteGroupoid, omega: TwoCocycle):
         self.G = G
         self.omega = omega
         self.num, self.comp, self.den = omega._int_table()
+        self.inv = G.inverse_indices()
+
+    @functools.cached_property
+    def phase(self):
+        """The (|G|, |G|) complex table of e^{2 pi i num/den}.
+
+        One gather from a table of the numerators that occur, or, where den
+        exceeds the table's size, from the distinct numerators.
+        """
         if self.den <= self.num.size:
             # numerators lie in [0, den): a lookup table, filled at the ones that occur
             lut = np.zeros(self.den, dtype=complex)
             seen = np.flatnonzero(np.bincount(self.num.ravel(), minlength=self.den))
             lut[seen] = [Phase(v, self.den).to_complex() for v in seen.tolist()]
-            self.phase = lut[self.num]
-        else:
-            nums, at = np.unique(self.num, return_inverse=True)
-            values = np.array([Phase(v, self.den).to_complex() for v in nums.tolist()])
-            self.phase = values[at.reshape(self.num.shape)]
-        self.inv = G.inverse_indices()
-        self.star_phase = self.phase[np.arange(len(G)), self.inv].conj()
+            return lut[self.num]
+        nums, at = np.unique(self.num, return_inverse=True)
+        values = np.array([Phase(v, self.den).to_complex() for v in nums.tolist()])
+        return values[at.reshape(self.num.shape)]
+
+    @functools.cached_property
+    def star_phase(self):
+        """conj(phase[g, g^-1]) for each arrow index g."""
+        return self.phase[np.arange(len(self.G)), self.inv].conj()
 
     @functools.cached_property
     def defect(self):

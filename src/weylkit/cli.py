@@ -16,6 +16,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import corpus
 from .algebra import (
     commutant_check,
@@ -133,7 +135,7 @@ def cmd_twist(args):
     violations = check_cocycle(GW, C)
     report = {
         "weyl_arrows": len(GW),
-        "twist_entries": len(C.values),
+        "twist_entries": int(np.count_nonzero(C._int_table()[0])),
         "twist_is_cocycle": not violations,
         "violations": violations[:5],
     }

@@ -10,6 +10,11 @@ the tables are parsed into.
 
 Derived groupoids have pair ids, (class, character); files spell a pair
 "a&b" (see :func:`label`), and only this module does so.
+
+Files are written from the index tables: the compose table from
+``comp_matrix()``, the cocycle table from the nonzero entries of the
+cocycle's numerator table.  Writing builds no dict on the groupoid or the
+cocycle (``G.compose``, ``omega.values``).
 """
 
 from __future__ import annotations
@@ -195,33 +200,56 @@ def emit_groupoid_data(
     """Serialize to the interchange dict with deterministic ordering.
 
     Ids are written by :func:`label`; two arrows with the same spelling, or
-    a spelling with a comma, raise SchemaError.
+    a spelling with a comma, raise SchemaError.  Pairs are written in
+    ascending arrow-index order, which is sorted-id order: the compose table
+    from the pair codes and ``comp_matrix()``, the cocycle table from the
+    nonzero numerators of its table.  Each label and each distinct phase is
+    spelled once and shared, a cocycle entry sharing its pair's compose key,
+    and neither ``G.compose`` nor ``omega.values`` is built.  A cocycle
+    defined on other arrows raises SchemaError, and a nonzero value off the
+    composable pairs UndefinedPair.
     """
-    lab, spelled = {}, {}
+    lab, spelled = [], {}
     for g in G.arrows:
-        lab[g] = text = label(g)
+        text = label(g)
         if "," in text:
             raise SchemaError(f"arrow id {text!r} contains a comma and cannot be serialized")
         if spelled.setdefault(text, g) != g:
             raise SchemaError(f"arrows {spelled[text]!r} and {g!r} are both spelled {text!r}")
+        lab.append(text)
+    s, t = G.endpoint_indices()
+    codes = np.sort(G._pairs)
+    gi, hi = np.divmod(codes, len(lab))
+    head = [text + "," for text in lab]
+    keys = list(map(str.__add__, map(head.__getitem__, gi.tolist()), map(lab.__getitem__, hi.tolist())))
     data = {
         "name": name or G.name,
-        "units": [lab[u] for u in G.units],
+        "units": [lab[G.index[u]] for u in G.units],
         "arrows": [
-            {"id": lab[g], "source": lab[G.src[g]], "target": lab[G.tgt[g]]} for g in G.arrows
+            {"id": text, "source": lab[a], "target": lab[b]} for text, a, b in zip(lab, s.tolist(), t.tolist())
         ],
-        "compose": {
-            f"{lab[g]},{lab[h]}": lab[k] for (g, h), k in sorted(G.compose.items())
-        },
+        "compose": dict(zip(keys, map(lab.__getitem__, G.comp_matrix()[gi, hi].tolist()))),
     }
-    if omega is not None and omega.values:
-        data["cocycle"] = {
-            f"{label(g)},{label(h)}": str(ph) for (g, h), ph in sorted(omega.values.items())
-        }
+    if omega is not None and not omega.is_trivial():
+        if omega.G is not G and omega.G.arrows != G.arrows:
+            raise SchemaError(f"cocycle is defined on {omega.G.name}, not on {G.name}")
+        om, _, den = omega._int_table()
+        gi, hi = om.nonzero()
+        # each entry's key is the compose key of its pair, one string for both tables
+        pair = gi * len(lab) + hi
+        at = np.searchsorted(codes, pair)
+        off = codes[np.minimum(at, len(codes) - 1)] != pair
+        if off.any():       # only a write into a dict-built cocycle's values can put one there
+            j = int(np.argmax(off))
+            raise UndefinedPair(G.arrows[gi[j]], G.arrows[hi[j]])
+        if len(at):
+            nums, code = np.unique(om[gi, hi], return_inverse=True)
+            phases = [str(Phase(v, den)) for v in nums.tolist()]
+            data["cocycle"] = dict(zip(map(keys.__getitem__, at.tolist()), map(phases.__getitem__, code.tolist())))
     if c is not None:
         data["grading"] = {
             "group": list(c.group),
-            "values": {lab[g]: list(c.value(g)) for g in G.arrows},
+            "values": {text: list(c.value(g)) for text, g in zip(lab, G.arrows)},
         }
     if marked is not None:
         data["marked_subgroupoid"] = sorted(map(label, marked))

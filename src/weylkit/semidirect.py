@@ -98,26 +98,46 @@ class SemidirectSpec:
             )
 
     def validate_action(self):
-        h_elems = self.h_elements()
-        zero_k = tuple(0 for _ in self.k_orders)
-        for h in h_elems:
-            if self.beta(zero_k, h) != h:
-                raise NotAutomorphism(f"beta_0 is not the identity on {h}")
-        for k in self.k_elements():
-            images = [self.beta(k, h) for h in h_elems]
-            if sorted(images) != sorted(h_elems):
-                raise NotAutomorphism(f"beta_{k} is not a bijection")
-            for a, b in itertools.product(h_elems, h_elems):
-                if self.beta(k, _add(self.h_orders, a, b)) != _add(
-                    self.h_orders, self.beta(k, a), self.beta(k, b)
-                ):
-                    raise NotAutomorphism(f"beta_{k} is not a homomorphism at ({a}, {b})")
-        for k1, k2 in itertools.product(self.k_elements(), self.k_elements()):
-            for h in h_elems:
-                if self.beta(_add(self.k_orders, k1, k2), h) != self.beta(
-                    k1, self.beta(k2, h)
-                ):
-                    raise NotAutomorphism(f"beta is not an action at ({k1}, {k2})")
+        """Check that beta is an action of K on H by automorphisms; raise NotAutomorphism if not.
+
+        See :func:`_action_table`.
+        """
+        _action_table(self)
+
+
+def _action_table(spec: SemidirectSpec) -> np.ndarray:
+    """The checked table of beta: the position of beta(k, h) at [position k, position h].
+
+    beta is called once per (k, h).  The laws are gathers on that table and
+    the addition tables, and the first failure raises NotAutomorphism: beta_0
+    moves some h; then, k by k, beta_k is not a bijection, or not a
+    homomorphism at the first (a, b); then, over (k1, k2), the action law
+    fails.
+    """
+    h_elems, k_elems = spec.h_elements(), spec.k_elements()
+    h_pos = {h: i for i, h in enumerate(h_elems)}
+    images = (spec.beta(k, h) for k in k_elems for h in h_elems)
+    beta = np.fromiter(map(h_pos.get, images, itertools.repeat(-1)), np.int64, len(k_elems) * len(h_elems))
+    beta = beta.reshape(len(k_elems), len(h_elems))
+    ar = np.arange(len(h_elems))
+    moved = beta[0] != ar          # k_elems[0] is the zero of K
+    if moved.any():
+        raise NotAutomorphism(f"beta_0 is not the identity on {h_elems[np.argmax(moved)]}")
+    add_h = _addition(spec.h_orders)
+    for k, row in zip(k_elems, beta):
+        if not np.array_equal(np.sort(row), ar):
+            raise NotAutomorphism(f"beta_{k} is not a bijection")
+        bad = row[add_h] != add_h[row[:, None], row]
+        if bad.any():
+            a, b = np.argwhere(bad)[0]
+            raise NotAutomorphism(f"beta_{k} is not a homomorphism at ({h_elems[a]}, {h_elems[b]})")
+    # beta_{k1 + k2}(h) against beta_k1(beta_k2(h)), row k1 at a time
+    add_k = _addition(spec.k_orders)
+    for k1, (sums, row) in enumerate(zip(add_k, beta)):
+        bad = (beta[sums] != row[beta]).any(axis=1)
+        if bad.any():
+            raise NotAutomorphism(f"beta is not an action at ({k_elems[k1]}, {k_elems[np.argmax(bad)]})")
+    return beta
 
 
 def _format_id(a) -> str:
@@ -140,14 +160,12 @@ def build_semidirect(spec: SemidirectSpec):
     ``spec.elements()``.  With beta tabulated once, the compose array is
     index arithmetic over those positions, and omega is read once per pair.
     """
-    spec.validate_action()
+    beta = _action_table(spec)
     h_elems, k_elems, elems = spec.h_elements(), spec.k_elements(), spec.elements()
     ids = [spec.elem_id(a) for a in elems]
     unit = ids[0]           # (0, 0)
     arrows = {i: (unit, unit) for i in ids}
 
-    h_pos = {h: i for i, h in enumerate(h_elems)}
-    beta = np.array([[h_pos[spec.beta(k, h)] for h in h_elems] for k in k_elems], dtype=np.int64)
     h1, k1, h2, k2 = np.ix_(*(range(len(x)) for x in (h_elems, k_elems, h_elems, k_elems)))
     # (h1, k1)(h2, k2) = (h1 + beta_k1(h2), k1 + k2)
     prod = _addition(spec.h_orders)[h1, beta[k1, h2]] * len(k_elems) + _addition(spec.k_orders)[k1, k2]
@@ -157,11 +175,12 @@ def build_semidirect(spec: SemidirectSpec):
     entry = lambda j: ((ids[j // n], ids[j % n]), ids[prod[j]])
     G = validate_arrays([unit], arrows, np.repeat(idx, n), np.tile(idx, n), idx[prod], entry, name=spec.name)
 
-    phases = [spec.omega(a, b) for a in elems for b in elems]
-    distinct = dict(zip(map(id, phases), phases))
-    code = {i: c for c, i in enumerate(distinct)}
-    codes = np.fromiter(map(code.__getitem__, map(id, phases)), dtype=np.int64, count=n * n)
-    omega = TwoCocycle._from_codes(G, *G.pair_indices(), codes, list(distinct.values()))
+    # omega row by row; each distinct Phase object is held, in order of first use, so no id is reused
+    distinct, codes = {}, np.empty((n, n), dtype=np.int64)
+    for a, out in zip(elems, codes):
+        row = map(functools.partial(spec.omega, a), elems)
+        out[:] = [distinct.setdefault(id(ph), (len(distinct), ph))[0] for ph in row]
+    omega = TwoCocycle._from_codes(G, *G.pair_indices(), codes.ravel(), [ph for _, ph in distinct.values()])
     violations = check_cocycle(G, omega)
     if violations:
         raise CocycleInvalid(violations)

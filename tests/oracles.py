@@ -4,15 +4,17 @@ The library checks associativity and the cocycle condition with the middle
 argument over a generating set, validates a groupoid on its compose array,
 keeps phases as reduced int pairs, builds the Weyl twist as one array
 expression, runs the twisted algebra on its structure constants, parses
-files and builds semidirect products straight into index arrays, and
+and writes files and builds semidirect products straight from index
+arrays, checks a semidirect action on one table of beta, and
 checks a quotient's descent, the subgroupoid properties and subgroup
 closures on arrays, and holds each fibre of a dual bundle as one integer
 table.  These are the plain versions they replaced: every composable
 triple, one Python loop per rule, a ``Fraction`` per phase, one phase sum
 per Weyl pair, one matrix product per composable pair, dense commutators
 for the center and the commutant, one convolution term per composable
-pair, tuple-keyed dicts for the parsed tables, one multiplication call per
-semidirect pair, one lookup per composable pair of the quotient, one
+pair, tuple-keyed dicts for the parsed and the written tables, one
+multiplication call per semidirect pair, one beta call per instance of
+each action law, one lookup per composable pair of the quotient, one
 ``mul`` per pair of members, a breadth-first search per closure, and
 characters enumerated and checked as ``Character`` objects, one ``Phase``
 sum at a time, and the action-package axioms checked one call of the
@@ -54,6 +56,7 @@ from weylkit.errors import (
     AssociativityViolation,
     AssumptionUnverified,
     NotAnAction,
+    NotAutomorphism,
     ThetaInvalid,
     BadInverse,
     CocycleInvalid,
@@ -71,7 +74,7 @@ from weylkit.errors import (
     WeylkitError,
 )
 from weylkit.groupoid import Grading, PropertyReport, build_groupoid, validate_groupoid
-from weylkit.io import GroupoidFile, _expect, _split_pair
+from weylkit.io import GroupoidFile, _expect, _split_pair, label
 from weylkit.phases import ZERO, Phase
 from weylkit.reconstruct import ActionPackageReport, ThetaDatum, ThetaReport, _evaluation
 from weylkit.weyl import conditional_expectation, validate_section
@@ -588,9 +591,67 @@ def parse_groupoid_data_dicts(data):
                         marked=None if marked is None else frozenset(marked))
 
 
+def emit_groupoid_data_dicts(G, omega=None, c=None, marked=None, name=None):
+    """emit_groupoid_data through the dicts: sorted ``G.compose`` and ``omega.values`` items."""
+    lab, spelled = {}, {}
+    for g in G.arrows:
+        lab[g] = text = label(g)
+        if "," in text:
+            raise SchemaError(f"arrow id {text!r} contains a comma and cannot be serialized")
+        if spelled.setdefault(text, g) != g:
+            raise SchemaError(f"arrows {spelled[text]!r} and {g!r} are both spelled {text!r}")
+    data = {
+        "name": name or G.name,
+        "units": [lab[u] for u in G.units],
+        "arrows": [
+            {"id": lab[g], "source": lab[G.src[g]], "target": lab[G.tgt[g]]} for g in G.arrows
+        ],
+        "compose": {
+            f"{lab[g]},{lab[h]}": lab[k] for (g, h), k in sorted(G.compose.items())
+        },
+    }
+    if omega is not None and omega.values:
+        data["cocycle"] = {
+            f"{label(g)},{label(h)}": str(ph) for (g, h), ph in sorted(omega.values.items())
+        }
+    if c is not None:
+        data["grading"] = {
+            "group": list(c.group),
+            "values": {lab[g]: list(c.value(g)) for g in G.arrows},
+        }
+    if marked is not None:
+        data["marked_subgroupoid"] = sorted(map(label, marked))
+    return data
+
+
+def validate_action_loop(spec):
+    """SemidirectSpec.validate_action over tuples: one ``spec.beta`` call per instance of each law."""
+    def add(orders, a, b):
+        return tuple((x + y) % o for x, y, o in zip(a, b, orders))
+
+    h_elems = spec.h_elements()
+    zero_k = tuple(0 for _ in spec.k_orders)
+    for h in h_elems:
+        if spec.beta(zero_k, h) != h:
+            raise NotAutomorphism(f"beta_0 is not the identity on {h}")
+    for k in spec.k_elements():
+        images = [spec.beta(k, h) for h in h_elems]
+        if sorted(images) != sorted(h_elems):
+            raise NotAutomorphism(f"beta_{k} is not a bijection")
+        for a, b in itertools.product(h_elems, h_elems):
+            if spec.beta(k, add(spec.h_orders, a, b)) != add(
+                spec.h_orders, spec.beta(k, a), spec.beta(k, b)
+            ):
+                raise NotAutomorphism(f"beta_{k} is not a homomorphism at ({a}, {b})")
+    for k1, k2 in itertools.product(spec.k_elements(), spec.k_elements()):
+        for h in h_elems:
+            if spec.beta(add(spec.k_orders, k1, k2), h) != spec.beta(k1, spec.beta(k2, h)):
+                raise NotAutomorphism(f"beta is not an action at ({k1}, {k2})")
+
+
 def build_semidirect_loop(spec):
     """build_semidirect through the multiplication callable: one ``spec.mul`` per pair, on ids."""
-    spec.validate_action()
+    validate_action_loop(spec)
     elems = spec.elements()
     ids = [spec.elem_id(a) for a in elems]
     unit = spec.elem_id((tuple(0 for _ in spec.h_orders), tuple(0 for _ in spec.k_orders)))

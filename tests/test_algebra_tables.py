@@ -383,6 +383,26 @@ def test_blocks_at_1024_arrows_in_bounded_memory():
         assert peak < 150e6, (e.G.name, peak)
 
 
+@pytest.mark.parametrize("name", ["pauli", "z2xR2", "rotation(8,3)", "rotation(16,1)", "pair(6)", "s3"])
+def test_abelian_blocks_build_no_complex_table(monkeypatch, name):
+    # the abelian path reads num, comp, den and defect; phase is a (|G|, |G|) complex table
+    made = []
+
+    class Recorded(TwistedAlgebra):
+        def __init__(self, G, omega):
+            super().__init__(G, omega)
+            made.append(self)
+
+    monkeypatch.setattr(weylkit.algebra, "TwistedAlgebra", Recorded)
+    e = build(name)
+    blocks = wedderburn_blocks(e.G, e.omega)
+    (alg,) = made
+    abelian = name != "s3"
+    assert ("phase" in vars(alg)) != abelian
+    assert not (abelian and "star_phase" in vars(alg))
+    assert blocks == wedderburn_blocks_stack(e.G, e.omega)
+
+
 @pytest.mark.parametrize("name", INPUTS)
 def test_center_matches_the_stacked_commutator_map(name):
     e = build(name)
