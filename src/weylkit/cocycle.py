@@ -114,7 +114,8 @@ class TwoCocycle:
     def is_trivial(self) -> bool:
         if self._values is None:
             return not len(self._pending[0])
-        return not self._values
+        # a zero phase written into ``values`` reads as zero
+        return all(ph.is_zero for ph in self._values.values())
 
     def _int_table(self):
         """(numerator array, compose matrix, common denominator).

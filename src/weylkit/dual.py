@@ -92,7 +92,7 @@ class Character:
     def value(self, a) -> Phase:
         return self._lookup[a]
 
-    @property
+    @functools.cached_property
     def is_trivial(self) -> bool:
         return all(ph.is_zero for _, ph in self.values)
 
@@ -290,6 +290,43 @@ class CharacterBundle:
         fibres = {x: tables[x].ids for x in self.base}
         p = {cid: x for cid, (x, _) in position.items()}
         return GroupBundle(self.base, fibres, p, mult, inv, identity={x: ids[0] for x, ids in fibres.items()})
+
+
+def size_blocks(sizes: np.ndarray, cost: Callable):
+    """(k, at) for each size k in ``sizes``: the indices i with sizes[i] = k, increasing,
+    in blocks of at most ``_GATHER // cost(k)`` (at least one), so that a gather of cost(k)
+    entries per index stays within one block's budget.  A block is a slice when every
+    size is k, and an index array otherwise.
+    """
+    distinct = set(sizes.tolist())
+    for k in sorted(distinct):
+        step = max(1, _GATHER // cost(k))
+        if len(distinct) == 1:
+            yield from ((k, slice(lo, lo + step)) for lo in range(0, len(sizes), step))
+        else:
+            at = np.flatnonzero(sizes == k)
+            yield from ((k, at[lo:lo + step]) for lo in range(0, len(at), step))
+
+
+def stack(arrays: list, k: int) -> np.ndarray:
+    """The arrays of length k in ``arrays`` stacked at their positions in the list, zeros at the others."""
+    if all(len(a) == k for a in arrays):
+        return np.array(arrays)
+    first = next(a for a in arrays if len(a) == k)
+    out = np.zeros((len(arrays), *first.shape), dtype=first.dtype)
+    for i, a in enumerate(arrays):
+        if len(a) == k:
+            out[i] = a
+    return out
+
+
+def rows_in(nums: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The row of ``values[b]`` equal to ``nums[b, i]`` at every column, at [b, i]; -1 where none is.
+
+    ``nums`` is (blocks, m, k) and ``values`` (blocks, rows, k), over one denominator per block.
+    """
+    hit = (nums[:, :, None, :] == values[:, None, :, :]).all(axis=3)
+    return np.where(hit.any(axis=2), hit.argmax(axis=2), -1)
 
 
 def dual_bundle(bundle: GroupBundle) -> CharacterBundle:

@@ -161,15 +161,15 @@ class FiniteGroupoid:
 
 def product_closure(G: FiniteGroupoid, covered: np.ndarray, new: np.ndarray) -> np.ndarray:
     """Close the mask ``covered``, closed but for the arrow indices ``new``, under products, in place."""
-    comp = G.comp_matrix()
+    comp, n = G.comp_matrix(), len(covered)
     covered[new] = True
-    while new.size:   # the new arrows times every covered arrow, on both sides
+    while new.size:   # the new arrows times every covered arrow, on both sides; -1 lands in the last slot
         old = covered.nonzero()[0]
-        prods = np.concatenate([comp[new[:, None], old].ravel(), comp[old[:, None], new].ravel()])
-        reached = np.zeros_like(covered)
-        reached[prods[prods >= 0]] = True
-        new = (reached & ~covered).nonzero()[0]
-        covered |= reached
+        reached = np.zeros(n + 1, dtype=bool)
+        reached[comp[new[:, None], old]] = True
+        reached[comp[old[:, None], new]] = True
+        new = (reached[:n] > covered).nonzero()[0]
+        covered[new] = True
     return covered
 
 
@@ -508,14 +508,12 @@ def check_effective(G: FiniteGroupoid) -> bool:
     return all(G.is_unit(g) for g in iso_subgroupoid(G).members)
 
 
-def validate_grading(G: FiniteGroupoid, c: Grading) -> np.ndarray:
-    """Check that c is a homomorphism on G; returns its normalised value array.
+def grading_table(G: FiniteGroupoid, c: Grading) -> np.ndarray:
+    """c on G as its normalised value array: row i is ``c.value(G.arrows[i])``, int64.
 
-    Row i of the int64 array is c of ``G.arrows[i]``.  A grading with a
-    negative order, that misses an arrow, or has a vector of the wrong length
-    or an entry beyond ``MAX_TABLE_INT`` raises SchemaError.  A unit graded nonzero, or the
-    first composable pair (in ``G.compose`` order) with c(gh) != c(g) + c(h),
-    raises NotHomomorphism.
+    A grading with a negative order, that misses an arrow, or has a vector
+    of the wrong length or an entry beyond ``MAX_TABLE_INT`` raises
+    SchemaError.  Whether c is a homomorphism is not checked.
     """
     orders = list(c.group)
     if any(n < 0 for n in orders):
@@ -540,6 +538,20 @@ def validate_grading(G: FiniteGroupoid, c: Grading) -> np.ndarray:
     orders = np.array(orders, dtype=np.int64)
     finite = orders > 0
     values[:, finite] %= orders[finite]
+    return values
+
+
+def validate_grading(G: FiniteGroupoid, c: Grading) -> np.ndarray:
+    """Check that c is a homomorphism on G; returns its normalised value array.
+
+    Row i of the int64 array is c of ``G.arrows[i]``; a malformed grading
+    raises SchemaError, as in :func:`grading_table`.  A unit graded nonzero, or the
+    first composable pair (in ``G.compose`` order) with c(gh) != c(g) + c(h),
+    raises NotHomomorphism.
+    """
+    values = grading_table(G, c)
+    orders = np.array(c.group, dtype=np.int64)
+    finite = orders > 0
     s = G.endpoint_indices()[0]
     graded_units = np.flatnonzero((s == np.arange(len(s))) & values.any(axis=1))
     if len(graded_units):
@@ -591,6 +603,19 @@ def distinct_rows(rows: np.ndarray) -> np.ndarray:
     return np.sort(srt, axis=1)
 
 
+class ClassMap(dict):
+    """A class map, arrow id -> class id, with its index tables.
+
+    ``of[i]`` is the class index, in the quotient, of the arrow of index i,
+    and row c of ``members`` lists the arrow indices of the class of index
+    c in increasing order, the class id first, padded with -1.  Both are
+    read-only int64 arrays.
+    """
+
+    of: np.ndarray
+    members: np.ndarray
+
+
 def orbit_quotient(G: FiniteGroupoid, orbits: np.ndarray, name: str, error: type):
     """Quotient G by the partition of its arrows into orbits.
 
@@ -600,7 +625,8 @@ def orbit_quotient(G: FiniteGroupoid, orbits: np.ndarray, name: str, error: type
     source r(c2) times c2, as one gather; the composition is checked to
     descend on every composable pair at once.  A failure of either the
     partition or the descent raises ``error``, naming the first pair in
-    ``G.compose`` order.  Returns (quotient groupoid, class map arrow -> class id).
+    ``G.compose`` order.  Returns (quotient groupoid, class map arrow -> class id),
+    the class map a :class:`ClassMap`.
     """
     n, ids = len(G.arrows), G.arrows
     rows = distinct_rows(orbits)
@@ -631,7 +657,14 @@ def orbit_quotient(G: FiniteGroupoid, orbits: np.ndarray, name: str, error: type
         j = int(np.argmax(bad))
         g, h = G.arrows[gi[j]], G.arrows[hi[j]]
         raise error(f"quotient composition depends on representatives: ({g}, {h})")
-    return Q, dict(zip(ids, map(ids.__getitem__, cls.tolist())))
+    class_map = ClassMap(zip(ids, map(ids.__getitem__, cls.tolist())))
+    # each class's row, its members sorted with the padding last
+    members = np.sort(np.where(rows[cids] >= 0, rows[cids], n), axis=1)
+    members[members == n] = -1
+    class_map.of, class_map.members = q, members
+    for a in (q, members):
+        a.setflags(write=False)
+    return Q, class_map
 
 
 def class_table(class_map: Mapping) -> dict:

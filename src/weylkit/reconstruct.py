@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .cocycle import TwoCocycle
-from .dual import CharacterBundle, GroupBundle, dual_bundle
+from .dual import CharacterBundle, GroupBundle, dual_bundle, rows_in, size_blocks, stack
 from .errors import (
     AssumptionUnverified,
     DescentFailure,
@@ -36,18 +36,19 @@ from .groupoid import (
     build_groupoid,
     class_table,
     distinct_rows,
+    grading_table,
     orbit_quotient,
     validate_arrays,
 )
 from .weyl import (
     PowerTable,
+    _columns,
     WeylData,
     action_ids,
     build_weyl_groupoid,
     check_gamma_cartan_hypotheses,
     fibres_of,
     first_centralizing_bound,
-    image_rows,
     section_defects,
     validate_section,
     verify_groupoid_action,
@@ -128,7 +129,9 @@ class ActionPackageReport:
 
 def _padded(a: np.ndarray) -> np.ndarray:
     """``a`` with a trailing -1 on every axis, so that index -1 reads -1."""
-    return np.pad(a, [(0, 1)] * a.ndim, constant_values=-1)
+    out = np.full(tuple(n + 1 for n in a.shape), -1, dtype=a.dtype)
+    out[tuple(slice(n) for n in a.shape)] = a
+    return out
 
 
 def _agree(a, b):
@@ -243,6 +246,7 @@ def derive_weyl_actions(G: FiniteGroupoid, S_members, omega: Optional[TwoCocycle
     action multiplies the character part of eta by ``rho[t, eta]`` and the
     right action multiplies it by t, in the character product table.
     Arrows of H are pairs (class id, character id), and T is the unit pairs.
+    The classes are gathered in blocks of equal fibre size.
     """
     omega = omega if omega is not None else TwoCocycle(G, {})
     GW, data = build_weyl_groupoid(G, S_members, omega)
@@ -259,29 +263,43 @@ def derive_weyl_actions(G: FiniteGroupoid, S_members, omega: Optional[TwoCocycle
         identity={u: t_of[K.identity[u]] for u in G.units},
     )
     pos = {t: i for i, t in enumerate(sorted(T.p))}
-    t_row = {x: np.array([pos[t_of[c]] for c in t.ids]) for x, t in dual.tables.items()}  # T index of each row
+    tables, _, fs, ft = fibres_of(Q, dual, {u: data.class_map[u] for u in G.units})
+    # per fibre: its elements, the T index of each row, and the character tables
+    elements = [arrow_indices(G.index, t.elements, len(t.elements)) for t in tables]
+    t_row = [np.array([pos[t_of[c]] for c in t.ids]) for t in tables]
+    values, product = [t.values for t in tables], [t.product for t in tables]
+    exponent = np.array([t.exponent for t in tables])
+    size = np.array([len(t.ids) for t in tables])[fs]
+    keys = [(cid, i) for cid, f in zip(Q.arrows, fs.tolist()) for i in tables[f].ids]
+    eta = np.full((len(Q.arrows), size.max()), -1)       # the arrow of H of each row over a class's source
+    eta[np.arange(eta.shape[1]) < size[:, None]] = arrow_indices(GW.index, keys, len(keys))
 
-    # ad[cid]: the rows over the target of the class -> rows over its
-    # source, the character chi going to a -> chi(gamma a gamma^-1) for the
-    # least member gamma.  This is representative-independent because the
-    # bundle is abelian and normal; no cocycle correction enters (the
-    # corrections live in the quotient action, not in conjugation).
-    ad = {}
-    for cid, members in data.classes.items():
-        gamma = min(members)
-        tx, ty = dual.tables[G.src[gamma]], dual.tables[G.tgt[gamma]]
-        conj = [ty.column[G.mul_all(gamma, a, G.inv(gamma))] for a in tx.elements]
-        ad[cid] = tx.rows_of(ty.values[:, conj], ty.exponent)
+    # ad[c]: the rows over the target of the class -> rows over its source,
+    # the character chi going to a -> chi(gamma a gamma^-1) for the class id
+    # gamma.  This is representative-independent because the bundle is
+    # abelian and normal; no cocycle correction enters (the corrections live
+    # in the quotient action, not in conjugation).
+    comp, inv, column = G.comp_matrix(), G.inverse_indices(), _columns(G, dual)
+    gamma = arrow_indices(G.index, Q.arrows, len(Q.arrows))[:, None]
+    ad = np.full(eta.shape, -1)
+    for k, c in size_blocks(size, lambda k: k ** 3):
+        V = stack(values, k)
+        conj = column[comp[comp[gamma[c], stack(elements, k)[fs[c]]], inv[gamma[c]]]]   # [class, a over the source]
+        nums = V[ft[c][:, None, None], np.arange(k)[:, None], conj[:, None, :]] * exponent[fs[c], None, None]
+        ad[c, :k] = rows_in(nums, V[fs[c]] * exponent[ft[c], None, None])
 
     left, rho = np.full((2, len(pos), len(GW.arrows)), -1, dtype=np.int32)
     right, lam = np.full((2, len(GW.arrows), len(pos)), -1, dtype=np.int32)
-    for cid in data.classes:
-        tx, ts, tt = dual.tables[G.src[cid]], t_row[G.src[cid]], t_row[G.tgt[cid]]
-        eta = np.array([GW.index[(cid, i)] for i in tx.ids])   # the arrow of each row over the source
-        rho[tt[:, None], eta] = ts[ad[cid]][:, None]
-        left[tt[:, None], eta] = eta[tx.product[ad[cid]]]
-        right[eta[:, None], ts] = eta[tx.product]
-        lam[eta[:, None], ts] = tt[ad[Q.inv(cid)]]
+    qinv = Q.inverse_indices()
+    for k, c in size_blocks(size, lambda k: k * k):
+        rows, P = stack(t_row, k), stack(product, k)[fs[c]]
+        ts, tt, e, a = rows[fs[c]], rows[ft[c]], eta[c, :k], ad[c, :k]
+        b = np.arange(len(e))[:, None, None]
+        R, E = tt[:, :, None], e[:, None, :]
+        rho[R, E] = ts[b[:, 0], a][:, :, None]
+        left[R, E] = e[b, P[b, a[:, :, None], np.arange(k)]]
+        right[e[:, :, None], ts[:, None, :]] = e[b, P]
+        lam[e[:, :, None], ts[:, None, :]] = tt[b[:, 0], ad[qinv[c], :k]][:, None, :]
     return ActionPackage(H=GW, T=T, left=left, right=right, lam=lam, rho=rho, weyl=data)
 
 
@@ -333,8 +351,8 @@ class DiamondData:
     x_unit: dict              # base point of X -> H/T unit class id
     q_class: Optional[dict]   # H/T class id -> G/S class id; None unless Weyl-derived
     image: np.ndarray         # the action's table, as in weyl_action
-    # the last twisted product build_boxtimes verified and built, with a
-    # copy of the theta values it was built from
+    # the last twisted product build_boxtimes verified and built, with the
+    # read-only row table of the theta it was built from
     boxtimes: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @functools.cached_property
@@ -348,49 +366,122 @@ class DiamondData:
         start = np.cumsum(size * size) - size * size
         return tables, fs, ft, size, start, np.concatenate([t.product.ravel() for t in tables])
 
+    @functools.cached_property
+    def evaluation(self) -> np.ndarray:
+        """At the arrow index of each element s of the marked bundle, the row of the character
+        t -> t(s) of T over its base point, in the dual of T; -1 at the other arrows of G.
+
+        For a Weyl-derived package, whose elements of T are (class, character id) pairs of the Weyl dual.
+        """
+        G, dual = self.pkg.weyl.G, self.pkg.weyl.dual
+        out = np.full(len(G.arrows), -1, dtype=np.int64)
+        for x, t in dual.tables.items():
+            tt = self.That.tables[x]
+            at = arrow_indices(G.index, t.elements, len(t.elements))
+            out[at] = tt.rows_of(t.values[[dual.position[cid][1] for _, cid in tt.elements]].T, t.exponent)
+        return out
+
 
 def diamond_action(pkg: ActionPackage, report: Optional[ActionPackageReport] = None) -> DiamondData:
-    """chi -> chi o rho_gamma, verified to descend to H/T and to be an action."""
+    """chi -> chi o rho_gamma, verified to descend to H/T and to be an action.
+
+    The classes are gathered in blocks of equal fibre size.  The first
+    class, in index order, on which rho does not descend or that sends a
+    character outside the dual raises, and so does, once the table is an
+    action, the first class whose map of characters is not multiplicative.
+    """
     HT, class_map = quotient_HT(pkg, report)
     H, T = pkg.H, pkg.T
-    classes = class_table(class_map)
     That = dual_bundle(T)
-    ids = pkg.t_elements()
-    pos = {t: i for i, t in enumerate(ids)}
-
-    image = np.full((len(HT.arrows), max(len(t.ids) for t in That.tables.values())), -1)
-    for cid, members in classes.items():
-        # rho descends: every member of the class has the same column
-        rho = pkg.rho[:, sorted(H.index[eta] for eta in members)]
-        if (rho != rho[:, :1]).any():
-            raise DescentFailure(tuple(sorted(members)[:2]))
-        tr, ts = That.tables[pkg.p_r(min(members))], That.tables[pkg.p_s(min(members))]
-        # chi over the source goes to chi o rho over the target
-        at_rho = ts.values[:, [ts.column[ids[rho[pos[t], 0]]] for t in tr.elements]]
-        image[HT.index[cid], :len(ts.ids)] = image_rows(tr, at_rho, ts.exponent, cid, ts.ids)
-    image.setflags(write=False)
-
     x_unit = {T.p[u]: class_map[u] for u in H.units}
+    q_class = None if pkg.weyl is None else {cid: cid[0] for cid in HT.arrows}
+    dia = DiamondData(pkg, HT, class_map, class_table(class_map), That, x_unit, q_class, None)
+    tables, fs, ft, size, _, _ = dia.fibre_tables
+
+    # rho descends: every member of a class has the class id's column
+    members, n = class_map.members, len(HT.arrows)
+    moved = np.zeros(n, dtype=bool)
+    moved[class_map.of[(pkg.rho != pkg.rho[:, members[class_map.of, 0]]).any(axis=0)]] = True
+    # per fibre of That: the T index of each column, and the column of each T index
+    pos = {t: i for i, t in enumerate(pkg.t_elements())}
+    t_col = [np.array([pos[t] for t in tab.elements]) for tab in tables]
+    column = np.empty(len(pos), dtype=np.int64)
+    for cols in t_col:
+        column[cols] = np.arange(len(cols))
+    values, product = [t.values for t in tables], [t.product for t in tables]
+    exponent = np.array([t.exponent for t in tables])
+
+    # chi over the source goes to chi o rho over the target
+    size = size[fs]
+    image = np.full((n, size.max()), -1)
+    for k, c in size_blocks(size, lambda k: k ** 3):
+        V = stack(values, k)
+        at = column[pkg.rho[stack(t_col, k)[ft[c]], members[c, :1]]]     # [class, column over the target]
+        nums = V[fs[c][:, None, None], np.arange(k)[:, None], at[:, None, :]] * exponent[ft[c], None, None]
+        image[c, :k] = rows_in(nums, V[ft[c]] * exponent[fs[c], None, None])
+    outside = (image < 0) & (np.arange(image.shape[1]) < size[:, None])
+    bad = moved | outside.any(axis=1)
+    if bad.any():
+        c = int(np.argmax(bad))
+        if moved[c]:
+            raise DescentFailure(tuple(H.arrows[m] for m in members[c, :2].tolist() if m >= 0))
+        raise NotAnAction(("image outside the dual", HT.arrows[c], tables[fs[c]].ids[int(np.argmax(outside[c]))]))
+    image.setflags(write=False)
+    dia.image = image
     verify_groupoid_action(HT, That, image, x_unit)
+
     # each class acts by a homomorphism of the character groups
-    for cid, members in classes.items():
-        ts, tr = That.tables[pkg.p_s(min(members))], That.tables[pkg.p_r(min(members))]
-        img = image[HT.index[cid], :len(ts.ids)]
-        bad = img[ts.product] != tr.product[img[:, None], img[None, :]]
-        if bad.any():
-            a, b = np.argwhere(bad)[0]
-            raise NotAnAction(("multiplicativity", cid, ts.ids[a], ts.ids[b]))
+    broken = np.zeros((n, size.max() ** 2), dtype=bool)
+    for k, c in size_blocks(size, lambda k: k * k):
+        P, img = stack(product, k), image[c, :k]
+        b = np.arange(len(img))[:, None, None]
+        broken[c, :k * k] = (img[b, P[fs[c]]] != P[ft[c][:, None, None], img[:, :, None], img[:, None, :]]).reshape(-1, k * k)
+    if broken.any():
+        c = int(np.argmax(broken.any(axis=1)))
+        a, b = divmod(int(np.argmax(broken[c])), size[c])
+        raise NotAnAction(("multiplicativity", HT.arrows[c], tables[fs[c]].ids[a], tables[fs[c]].ids[b]))
+    return dia
 
-    # an H/T class is one G/S class with all its characters
-    q_class = None if pkg.weyl is None else {cid: cid[0] for cid in classes}
-    return DiamondData(pkg, HT, class_map, classes, That, x_unit, q_class, image)
 
-
-@dataclass
 class ThetaDatum:
-    """Character-valued defect data on composable class pairs of H/T."""
+    """Character-valued defect data on composable class pairs of H/T.
 
-    values: dict  # (class id, class id) -> Character of the dual of T
+    ``values`` maps (class id, class id) -> Character of the dual of T.
+    :func:`theta_for_package` and :func:`trivial_theta` build the datum
+    from its row table, theta(c1, c2) at [c1, c2] as a row over the source
+    of c2, -1 off the composable pairs, and spell ``values`` on first read,
+    in ``HT.compose`` order.  From that read on, as for a datum built from
+    a dict, ``values`` is the datum, so every write to it reaches the next
+    reader.
+    """
+
+    def __init__(self, values: dict):
+        self._values, self._table = values, None
+
+    @classmethod
+    def _of_rows(cls, dia: "DiamondData", rows: np.ndarray) -> "ThetaDatum":
+        theta = cls(None)
+        rows.setflags(write=False)
+        theta._table = (dia, rows)
+        return theta
+
+    @property
+    def values(self) -> dict:
+        if self._values is None:
+            dia, rows = self._table
+            tables, fs = dia.fibre_tables[:2]
+            fibres = [dia.That.fibres[t.base] for t in tables]
+            ids, (gi, hi) = dia.HT.arrows, dia.HT.pair_indices()
+            at = zip(gi.tolist(), hi.tolist(), fs[hi].tolist(), rows[gi, hi].tolist())
+            self._values = {(ids[i], ids[j]): fibres[f][r] for i, j, f, r in at}
+            self._table = None
+        return self._values
+
+    def __eq__(self, other):
+        return isinstance(other, ThetaDatum) and self.values == other.values
+
+    def __repr__(self):
+        return f"ThetaDatum(values={self.values!r})"
 
 
 @dataclass
@@ -412,46 +503,29 @@ def theta_for_package(pkg: ActionPackage, dia: DiamondData, section: Optional[di
 
     The defect of the section on a pair of quotient classes lies in the
     marked bundle; evaluating characters on it turns it into an element of
-    the double dual, i.e. a character of T.
+    the double dual, i.e. a character of T.  Returned as its row table.
     """
     data = pkg.weyl
     if data is None:
         raise SchemaError("theta extraction needs a Weyl-derived package")
     if not data.omega.is_trivial():
         raise NontrivialCocycle("reconstruction requires a trivial 2-cocycle")
-    G, Q = data.G, data.Q
+    G, Q, HT = data.G, data.Q, dia.HT
     sec = section if section is not None else data.section
     validate_section(G, data.class_map, data.classes, sec)
     defects = section_defects(data, sec)
 
-    # the H/T class of each class index of Q, and the character of T each element of S evaluates to
+    # the H/T class index of each class index of Q; theta is the defect's evaluation
     ht_of_q = {q: cid for cid, q in dia.q_class.items()}
-    ht = [ht_of_q[q] for q in Q.arrows]
-    char = {G.index[s]: dia.That.by_id[i] for s, i in _evaluation(pkg, dia).items()}
+    ht = arrow_indices(HT.index, map(ht_of_q.get, Q.arrows), len(Q.arrows))
     q1, q2 = Q.pair_indices()
-    pairs = zip(q1.tolist(), q2.tolist(), defects[q1, q2].tolist())
-    return ThetaDatum({(ht[a], ht[b]): char[d] for a, b, d in pairs})
-
-
-def _evaluation(pkg: ActionPackage, dia: DiamondData) -> dict:
-    """Each element s of the marked bundle -> the id of the character t -> t(s) of T, in the dual of T.
-
-    The elements of T are (class, character id) pairs of the Weyl dual.
-    """
-    dual, out = pkg.weyl.dual, {}
-    for x, t in dual.tables.items():
-        tt = dia.That.tables[x]
-        rows = tt.rows_of(t.values[[dual.position[cid][1] for _, cid in tt.elements]].T, t.exponent)
-        out.update(zip(t.elements, map(tt.ids.__getitem__, rows.tolist())))
-    return out
+    rows = np.full((len(HT.arrows),) * 2, -1, dtype=np.int32)
+    rows[ht[q1], ht[q2]] = dia.evaluation[defects[q1, q2]]
+    return ThetaDatum._of_rows(dia, rows)
 
 
 def trivial_theta(dia: DiamondData) -> ThetaDatum:
-    values = {}
-    for (c1, c2) in dia.HT.compose:
-        x = dia.pkg.p_s(min(dia.classes[c2]))
-        values[(c1, c2)] = dia.That.trivial(x)
-    return ThetaDatum(values)
+    return ThetaDatum._of_rows(dia, np.where(dia.HT.comp_matrix() >= 0, 0, -1).astype(np.int32))
 
 
 def theta_from_section(G: FiniteGroupoid, S_members, section: Optional[dict] = None) -> ThetaDatum:
@@ -465,6 +539,39 @@ def theta_from_section(G: FiniteGroupoid, S_members, section: Optional[dict] = N
     return theta
 
 
+def _theta_rows(dia: DiamondData, theta: ThetaDatum):
+    """(rows, violations, coverage, values): theta's row table, as :func:`verify_theta` reads it.
+
+    A datum built on ``dia`` from its row table covers the composable
+    pairs of H/T, and is read as it is; ``values`` is then None.  Otherwise
+    each value of ``theta.values`` is looked up in the dual of T over the
+    source of c2, and one that is not there, or a pair that is missing or
+    too many, fails ``coverage`` with its violations.
+    """
+    if theta._table is not None and theta._table[0] is dia:
+        return theta._table[1], [], True, None
+    HT, That, values = dia.HT, dia.That, theta.values
+    tables, fs = dia.fibre_tables[:2]
+    rows, outside = np.full((len(HT.arrows),) * 2, -1, dtype=np.int32), []
+    for (c1, c2), val in values.items():
+        x, r = That.position.get(That.char_id.get(val), (None, -1))
+        j = HT.index.get(c2, -1)
+        if j < 0 or x != tables[fs[j]].base:
+            outside.append((c1, c2))
+        elif c1 in HT.index:
+            rows[HT.index[c1], j] = r
+    rows[HT.comp_matrix() < 0] = -1
+    rows.setflags(write=False)
+
+    violations, coverage = [], set(values) == set(HT.compose)
+    if not coverage:
+        violations.append(("coverage", set(HT.compose) ^ set(values)))
+    if outside:
+        coverage = False
+        violations += [("outside the dual", pair) for pair in outside]
+    return rows, violations, coverage, values
+
+
 def verify_theta(dia: DiamondData, theta: ThetaDatum) -> ThetaReport:
     """Unit triviality and the character-valued cocycle identity, exhaustively.
 
@@ -474,29 +581,15 @@ def verify_theta(dia: DiamondData, theta: ThetaDatum) -> ThetaReport:
     triple whose four values lie in the dual (each pair, then c3 in index
     order), so it fails on a break there even when ``coverage`` fails elsewhere.
     """
-    HT, That = dia.HT, dia.That
+    return _check_theta(dia, *_theta_rows(dia, theta))
+
+
+def _check_theta(dia: DiamondData, rows, violations, coverage, values) -> ThetaReport:
+    """:func:`verify_theta` on the row table and the findings of :func:`_theta_rows`."""
+    HT = dia.HT
     n, comp, inv = len(HT.arrows), HT.comp_matrix(), HT.inverse_indices()
     (s, t), arrows = HT.endpoint_indices(), HT.arrows
-    tables, fs, _, size, start, prod = dia.fibre_tables
-    violations = []
-
-    rows, outside = np.full((n, n), -1, dtype=np.int32), []
-    for (c1, c2), val in theta.values.items():
-        x, r = That.position.get(That.char_id.get(val), (None, -1))
-        j = HT.index.get(c2, -1)
-        if j < 0 or x != tables[fs[j]].base:
-            outside.append((c1, c2))
-        elif c1 in HT.index:
-            rows[HT.index[c1], j] = r
-    rows[comp < 0] = -1
-    rows.setflags(write=False)
-
-    coverage = set(theta.values) == set(HT.compose)
-    if not coverage:
-        violations.append(("coverage", set(HT.compose) ^ set(theta.values)))
-    if outside:
-        coverage = False
-        violations += [("outside the dual", pair) for pair in outside]
+    _, fs, _, size, start, prod = dia.fibre_tables
 
     # (r(c), c) and (c, s(c)) for every arrow c: a value that is not row 0
     # may still be trivial outside the dual, so those are read as Characters
@@ -504,7 +597,7 @@ def verify_theta(dia: DiamondData, theta: ThetaDatum) -> ThetaReport:
     left, right = np.stack([t, ar], axis=1).ravel(), np.stack([ar, s], axis=1).ravel()
     unit_ok = True
     for i, j in zip(*(a[rows[left, right] != 0].tolist() for a in (left, right))):
-        val = theta.values.get((arrows[i], arrows[j]))
+        val = None if values is None else values.get((arrows[i], arrows[j]))
         if val is None or not val.is_trivial:
             unit_ok = False
             violations.append(("unit", (arrows[i], arrows[j])))
@@ -535,11 +628,12 @@ def build_boxtimes(dia: DiamondData, theta: ThetaDatum) -> FiniteGroupoid:
     order, characters in row order), then validated as a groupoid.  The
     unit space is identified with the base X.  The product is kept on
     ``dia`` and returned again, unverified and unbuilt, for a theta with
-    equal values.
+    the same row table and no value outside it.
     """
-    if dia.boxtimes is not None and dia.boxtimes[0] == theta.values:
+    rows, violations, coverage, values = _theta_rows(dia, theta)
+    if dia.boxtimes is not None and coverage and np.array_equal(dia.boxtimes[0], rows):
         return dia.boxtimes[1]
-    report = verify_theta(dia, theta)
+    report = _check_theta(dia, rows, violations, coverage, values)
     if not report.all_pass():
         raise ThetaInvalid(f"theta fails verification: {report.violations[:3]}")
     HT = dia.HT
@@ -565,7 +659,7 @@ def build_boxtimes(dia: DiamondData, theta: ThetaDatum) -> FiniteGroupoid:
 
     ki = index[first[c12] + out]
     B = validate_arrays(set(unit_id), arrows, index[g], index[h], ki, entry, name=f"boxtimes({HT.name})")
-    dia.boxtimes = (dict(theta.values), B)
+    dia.boxtimes = (rows, B)
     return B
 
 
@@ -633,20 +727,20 @@ def verify_reconstruction_hypotheses(
     pkg, HT, That = dia.pkg, dia.HT, dia.That
     H = pkg.H
     wit = {}
+    grades, (of, first) = grading_table(H, c_tilde), (dia.class_map.of, dia.class_map.members[:, 0])
 
-    descends = True
-    for cid, members in dia.classes.items():
-        vals = {c_tilde.value(m) for m in members}
-        if len(vals) != 1:
-            descends, wit["grading_descends"] = False, cid
-            break
+    # each arrow is graded as its class id; the first class, in index order, that is not
+    split = (grades != grades[first[of]]).any(axis=1)
+    descends = not split.any()
+    if not descends:
+        wit["grading_descends"] = HT.arrows[of[split].min()]
 
-    kernel = [g for g in H.arrows if c_tilde.value(g) == c_tilde.zero]
-    effective = True
-    for g in kernel:
-        if H.src[g] == H.tgt[g] and not H.is_unit(g):
-            effective, wit["kernel_effective"] = False, g
-            break
+    # the first arrow of the kernel that is isotropy but no unit
+    s, t = H.endpoint_indices()
+    bad = ~grades.any(axis=1) & (s == t) & (s != np.arange(len(s)))
+    effective = not bad.any()
+    if not effective:
+        wit["kernel_effective"] = H.arrows[int(np.argmax(bad))]
 
     act = action_ids(HT, That, dia.image, dia.x_unit)
     imm, imm_wit = check_imm_centralizing_action(HT, That.to_bundle(), act, dia.x_unit)
@@ -654,7 +748,7 @@ def verify_reconstruction_hypotheses(
         wit["imm_centralizing"] = imm_wit
 
     B = build_boxtimes(dia, theta)
-    class_grade = {cid: c_tilde.value(min(ms)) for cid, ms in dia.classes.items()}
+    class_grade = dict(zip(HT.arrows, map(tuple, grades[first].tolist())))
     c_bar = Grading(
         group=c_tilde.group,
         values={a: class_grade[a[0]] for a in B.arrows},
@@ -678,8 +772,9 @@ def induced_grading_on_H(pkg: ActionPackage, c: Grading) -> Grading:
     data = pkg.weyl
     if data is None:
         raise SchemaError("needs a Weyl-derived package")
-    values = {a: c.value(min(data.classes[a[0]])) for a in pkg.H.arrows}
-    return Grading(group=c.group, values=values)
+    # a class id is the least member of its class
+    grade = {cid: c.value(cid) for cid in data.Q.arrows}
+    return Grading(group=c.group, values={a: grade[a[0]] for a in pkg.H.arrows})
 
 
 @dataclass
@@ -720,7 +815,9 @@ def reconstruction_iso(
 
     # invert the evaluation pairing: each character of T comes from exactly
     # one element of the marked bundle
-    elem_of = {i: G.index[s] for s, i in _evaluation(pkg, dia).items()}
+    ev = dia.evaluation
+    at = np.flatnonzero(ev >= 0).tolist()
+    elem_of = {dia.That.tables[G.src[G.arrows[s]]].ids[r]: s for s, r in zip(at, ev[at].tolist())}
 
     stray = [a for a in B.arrows if a[1] not in elem_of]
     if stray:
@@ -740,13 +837,15 @@ def reconstruction_iso(
     if bad.any():
         j = int(np.argmax(bad))
         raise IsoCheckFailed(("composition", B.arrows[bi[j]], B.arrows[bj[j]]))
-    phi = dict(zip(B.arrows, map(G.arrows.__getitem__, phi.tolist())))
-
     if c is not None:
-        class_grade = {cid: c.value(min(data.classes[dia.q_class[cid]])) for cid in dia.classes}
-        off_grade = [a for a in B.arrows if c.value(phi[a]) != class_grade[a[0]]]
-        if off_grade:
-            raise IsoCheckFailed(("grading", off_grade[0]))
+        # each arrow's image graded as its class's G/S class id, the least member
+        grades, HT = grading_table(G, c), dia.HT
+        of = arrow_indices(HT.index, (a[0] for a in B.arrows), len(B.arrows))
+        q_id = arrow_indices(G.index, map(dia.q_class.get, HT.arrows), len(HT.arrows))
+        off = (grades[phi] != grades[q_id[of]]).any(axis=1)
+        if off.any():
+            raise IsoCheckFailed(("grading", B.arrows[int(np.argmax(off))]))
+    phi = dict(zip(B.arrows, map(G.arrows.__getitem__, phi.tolist())))
     return ReconstructionReport(
         phi=phi,
         boxtimes=B,

@@ -17,7 +17,7 @@ from .cocycle import (
     common_denominator,
     is_maximal_symmetric_abelian,
 )
-from .dual import CharacterBundle, CharacterTable, bundle_from_subgroupoid, dual_bundle
+from .dual import CharacterBundle, CharacterTable, bundle_from_subgroupoid, dual_bundle, rows_in, size_blocks, stack
 from .errors import (
     CardinalityMismatch,
     ElementNotInS,
@@ -218,6 +218,9 @@ def weyl_action(G: FiniteGroupoid, S_members, omega: TwoCocycle):
     + chi(g^-1 a g).  Each class is evaluated at every member, on the
     character tables, as numerators over one common denominator, and all
     members must agree, and each image must be a character of the dual.
+    The classes are gathered in blocks of equal fibre size; the first
+    class, in index order, that fails raises, naming its first character
+    that fails.
 
     Returns (Q, class_map, dual, image): ``image[c, r]`` is the row over
     the target of the class of index c of the image of row r over its
@@ -232,26 +235,37 @@ def weyl_action(G: FiniteGroupoid, S_members, omega: TwoCocycle):
     om = om * (D // den)
     pos = _columns(G, dual)
     inv = G.inverse_indices()
+    unit_class = {u: class_map[u] for u in G.units}
+    tables, _, fs, ft = fibres_of(Q, dual, unit_class)
+    elements = [arrow_indices(G.index, t.elements, len(t.elements)) for t in tables]
+    values = [t.values * (D // t.exponent) for t in tables]
 
-    image = np.full((len(Q.arrows), max(len(t.ids) for t in dual.tables.values())), -1)
-    for cid, members in class_table(class_map).items():
-        tx, ty = dual.tables[G.src[cid]], dual.tables[G.tgt[cid]]
-        g = np.array([G.index[m] for m in sorted(members)])[:, None]
-        a = np.array([G.index[b] for b in ty.elements])[None, :]
-        gi = inv[g]
+    size = np.array([len(t.ids) for t in tables])[fs]
+    image, disagree = np.full((len(Q.arrows), size.max()), -1), np.zeros(len(Q.arrows), dtype=bool)
+    for k, c in size_blocks(size, lambda k: k ** 3):
+        V, g = stack(values, k), class_map.members[c, :k]          # g at [class, member]
+        gi, a = inv[g][:, :, None], stack(elements, k)[ft[c]][:, None, :]
         gia = comp[gi, a]
-        # [character, member, fibre element], every term below D; g^-1 a g
-        # lies in S, which quotient_by_bundle checked to be normal
-        chi = tx.values[:, pos[comp[gia, g]]] * (D // tx.exponent)
-        vals = ((-om[g, gi] + om[gi, a] + om[gia, g])[None] + chi) % D
-        disagree = (vals != vals[:, :1]).any(axis=(1, 2))
-        if disagree.any():
-            raise RepresentativeDisagreement((cid, tx.ids[int(np.argmax(disagree))]))
-        image[Q.index[cid], :len(tx.ids)] = image_rows(ty, vals[:, 0], D, cid, tx.ids)
+        # at [class, member, element a over the target]: the cocycle terms.  A member
+        # g s conjugates S as the class id g does, S being abelian and normal, so the
+        # members can differ only here, and then at every character.
+        w = (om[gi, a] + om[gia, g[:, :, None]] - om[g, gi[:, :, 0]][:, :, None]) % D
+        disagree[c] = (w != w[:, :1]).any(axis=(1, 2))
+        conj = pos[comp[gia[:, 0], g[:, :1]]]       # the column of g^-1 a g over the source
+        chi = V[fs[c][:, None, None], np.arange(k)[:, None], conj[:, None, :]]    # [class, character, a]
+        image[c, :k] = rows_in((chi + w[:, :1]) % D, V[ft[c]])
+    outside = (image < 0) & (np.arange(image.shape[1]) < size[:, None])
+    bad = disagree | outside.any(axis=1)
+    if bad.any():
+        c = int(np.argmax(bad))
+        ids = tables[fs[c]].ids
+        if disagree[c]:
+            raise RepresentativeDisagreement((Q.arrows[c], ids[0]))
+        raise NotAnAction(("image outside the dual", Q.arrows[c], ids[int(np.argmax(outside[c]))]))
     image.setflags(write=False)
     # the action is affine in the character for a nontrivial cocycle, so
     # multiplicativity is deliberately not checked here
-    verify_groupoid_action(Q, dual, image, class_map)
+    verify_groupoid_action(Q, dual, image, unit_class)
     return Q, class_map, dual, image
 
 
@@ -379,8 +393,10 @@ def build_weyl_groupoid(
     unit_of = {cid: (class_map[x], cid) for cid, (x, _) in dual.position.items()}
     arrows = {key: (unit_of[key[1]], unit_of[i]) for key, i in action_ids(Q, dual, image, class_map).items()}
 
+    q_mul = Q.compose
+
     def gw_mul(a1, a2):
-        return Q.mul(a1[0], a2[0]), a2[1]
+        return q_mul[a1[0], a2[0]], a2[1]
 
     GW = build_groupoid(set(unit_of.values()), arrows, gw_mul, name=f"W({G.name})")
     if len(GW) != len(G):

@@ -28,8 +28,11 @@ classes by one gather, and theta reads the section defects off one
 gathered table; their plain versions take each orbit as a frozenset from
 a callable (``orbits_of_table`` adapts a table), compose classes with one
 ``mul`` per pair, compare H/T's left and right orbits one arrow at a
-time, and form each section defect with ``mul_all``.  The tests compare
-the two.
+time, and form each section defect with ``mul_all``.  The Weyl action,
+the action package and the diamond action gather over all classes at
+once, and theta is its row table; their plain versions take one class at
+a time, conjugate with ``mul_all``, and build theta as a dict of
+``Character`` values.  The tests compare the two.
 """
 
 import cmath
@@ -50,13 +53,15 @@ from weylkit.algebra import (
     _null_space,
     reduced_norm,
 )
-from weylkit.cocycle import TwoCocycle, check_cocycle
-from weylkit.dual import Character, bundle_from_subgroupoid, dual_bundle
+from weylkit.cocycle import TwoCocycle, check_cocycle, common_denominator
+from weylkit.dual import Character, GroupBundle, bundle_from_subgroupoid, dual_bundle
 from weylkit.errors import (
     AssociativityViolation,
     AssumptionUnverified,
+    DescentFailure,
     NotAnAction,
     NotAutomorphism,
+    RepresentativeDisagreement,
     ThetaInvalid,
     BadInverse,
     CocycleInvalid,
@@ -73,11 +78,32 @@ from weylkit.errors import (
     UnknownArrowId,
     WeylkitError,
 )
-from weylkit.groupoid import Grading, PropertyReport, build_groupoid, validate_groupoid
+from weylkit.groupoid import (
+    Grading,
+    PropertyReport,
+    build_groupoid,
+    class_table,
+    quotient_by_bundle,
+    validate_groupoid,
+)
 from weylkit.io import GroupoidFile, _expect, _split_pair, label
 from weylkit.phases import ZERO, Phase
-from weylkit.reconstruct import ActionPackageReport, ThetaDatum, ThetaReport, _evaluation
-from weylkit.weyl import conditional_expectation, validate_section
+from weylkit.reconstruct import (
+    ActionPackage,
+    ActionPackageReport,
+    DiamondData,
+    ThetaDatum,
+    ThetaReport,
+    quotient_HT,
+)
+from weylkit.weyl import (
+    _columns,
+    build_weyl_groupoid,
+    conditional_expectation,
+    image_rows,
+    validate_section,
+    verify_groupoid_action,
+)
 
 
 @dataclass(frozen=True, order=True)
@@ -1103,7 +1129,7 @@ def theta_for_package_loop(pkg, dia, section=None):
     ht_of_q = {q: cid for cid, q in dia.q_class.items()}
     sec = section if section is not None else data.section
     validate_section(G, data.class_map, data.classes, sec)
-    evaluation = _evaluation(pkg, dia)
+    evaluation = evaluation_ids(pkg, dia)
     values = {}
     for (q1, q2) in Q.compose:
         defect = G.mul_all(G.inv(sec[Q.mul(q1, q2)]), sec[q1], sec[q2])
@@ -1142,3 +1168,147 @@ def build_boxtimes_loop(dia, theta):
         return HT.mul(c1, c2), That.tables[x].ids[out]
 
     return build_groupoid(set(unit_id.values()), arrows, mul, name=f"boxtimes({HT.name})")
+
+
+def evaluation_ids(pkg, dia):
+    """Each element s of the marked bundle -> the id of the character t -> t(s) of T, in the dual of T, a fibre at a time."""
+    dual, out = pkg.weyl.dual, {}
+    for x, t in dual.tables.items():
+        tt = dia.That.tables[x]
+        rows = tt.rows_of(t.values[[dual.position[cid][1] for _, cid in tt.elements]].T, t.exponent)
+        out.update(zip(t.elements, map(tt.ids.__getitem__, rows.tolist())))
+    return out
+
+
+def weyl_action_loop(G, S_members, omega):
+    """weyl_action one class at a time: every member at every character, and one row lookup per class."""
+    S = frozenset(S_members)
+    Q, class_map = quotient_by_bundle(G, S)
+    dual = dual_bundle(bundle_from_subgroupoid(G, S))
+    om, comp, den = omega._int_table()
+    exponents = ((f"character exponent {t.exponent} at {x}", t.exponent) for x, t in dual.tables.items())
+    D = common_denominator(exponents, den)
+    om = om * (D // den)
+    pos = _columns(G, dual)
+    inv = G.inverse_indices()
+
+    image = np.full((len(Q.arrows), max(len(t.ids) for t in dual.tables.values())), -1)
+    for cid, members in class_table(class_map).items():
+        tx, ty = dual.tables[G.src[cid]], dual.tables[G.tgt[cid]]
+        g = np.array([G.index[m] for m in sorted(members)])[:, None]
+        a = np.array([G.index[b] for b in ty.elements])[None, :]
+        gi = inv[g]
+        gia = comp[gi, a]
+        # [character, member, fibre element]; g^-1 a g lies in S
+        chi = tx.values[:, pos[comp[gia, g]]] * (D // tx.exponent)
+        vals = ((-om[g, gi] + om[gi, a] + om[gia, g])[None] + chi) % D
+        disagree = (vals != vals[:, :1]).any(axis=(1, 2))
+        if disagree.any():
+            raise RepresentativeDisagreement((cid, tx.ids[int(np.argmax(disagree))]))
+        image[Q.index[cid], :len(tx.ids)] = image_rows(ty, vals[:, 0], D, cid, tx.ids)
+    image.setflags(write=False)
+    verify_groupoid_action(Q, dual, image, class_map)
+    return Q, dict(class_map), dual, image
+
+
+def derive_weyl_actions_loop(G, S_members, omega=None):
+    """derive_weyl_actions with conjugation by ``mul_all`` and the four tables written one class at a time."""
+    omega = omega if omega is not None else TwoCocycle(G, {})
+    GW, data = build_weyl_groupoid(G, S_members, omega)
+    dual, Q = data.dual, data.Q
+    K = dual.to_bundle()
+    t_of = {cid: (data.class_map[x], cid) for cid, x in K.p.items()}
+    fibres = {u: tuple(sorted(t_of[cid] for cid in K.fibre(u))) for u in G.units}
+    T = GroupBundle(
+        base=tuple(G.units),
+        fibres=fibres,
+        p={t: u for u, fs in fibres.items() for t in fs},
+        mult=lambda a, b: t_of[K.mult(a[1], b[1])],
+        inv=lambda a: t_of[K.inv(a[1])],
+        identity={u: t_of[K.identity[u]] for u in G.units},
+    )
+    pos = {t: i for i, t in enumerate(sorted(T.p))}
+    t_row = {x: np.array([pos[t_of[c]] for c in t.ids]) for x, t in dual.tables.items()}
+
+    ad = {}
+    for cid, members in data.classes.items():
+        gamma = min(members)
+        tx, ty = dual.tables[G.src[gamma]], dual.tables[G.tgt[gamma]]
+        conj = [ty.column[G.mul_all(gamma, a, G.inv(gamma))] for a in tx.elements]
+        ad[cid] = tx.rows_of(ty.values[:, conj], ty.exponent)
+
+    left, rho = np.full((2, len(pos), len(GW.arrows)), -1, dtype=np.int32)
+    right, lam = np.full((2, len(GW.arrows), len(pos)), -1, dtype=np.int32)
+    for cid in data.classes:
+        tx, ts, tt = dual.tables[G.src[cid]], t_row[G.src[cid]], t_row[G.tgt[cid]]
+        eta = np.array([GW.index[(cid, i)] for i in tx.ids])
+        rho[tt[:, None], eta] = ts[ad[cid]][:, None]
+        left[tt[:, None], eta] = eta[tx.product[ad[cid]]]
+        right[eta[:, None], ts] = eta[tx.product]
+        lam[eta[:, None], ts] = tt[ad[Q.inv(cid)]]
+    return ActionPackage(H=GW, T=T, left=left, right=right, lam=lam, rho=rho, weyl=data)
+
+
+def diamond_action_loop(pkg, report=None):
+    """diamond_action one class at a time: descent, image and multiplicativity, each a loop over the classes."""
+    HT, class_map = quotient_HT(pkg, report)
+    H, T = pkg.H, pkg.T
+    classes = class_table(class_map)
+    That = dual_bundle(T)
+    ids = pkg.t_elements()
+    pos = {t: i for i, t in enumerate(ids)}
+
+    image = np.full((len(HT.arrows), max(len(t.ids) for t in That.tables.values())), -1)
+    for cid, members in classes.items():
+        rho = pkg.rho[:, sorted(H.index[eta] for eta in members)]
+        if (rho != rho[:, :1]).any():
+            raise DescentFailure(tuple(sorted(members)[:2]))
+        tr, ts = That.tables[pkg.p_r(min(members))], That.tables[pkg.p_s(min(members))]
+        at_rho = ts.values[:, [ts.column[ids[rho[pos[t], 0]]] for t in tr.elements]]
+        image[HT.index[cid], :len(ts.ids)] = image_rows(tr, at_rho, ts.exponent, cid, ts.ids)
+    image.setflags(write=False)
+
+    x_unit = {T.p[u]: class_map[u] for u in H.units}
+    verify_groupoid_action(HT, That, image, x_unit)
+    for cid, members in classes.items():
+        ts, tr = That.tables[pkg.p_s(min(members))], That.tables[pkg.p_r(min(members))]
+        img = image[HT.index[cid], :len(ts.ids)]
+        bad = img[ts.product] != tr.product[img[:, None], img[None, :]]
+        if bad.any():
+            a, b = np.argwhere(bad)[0]
+            raise NotAnAction(("multiplicativity", cid, ts.ids[a], ts.ids[b]))
+
+    q_class = None if pkg.weyl is None else {cid: cid[0] for cid in classes}
+    return DiamondData(pkg, HT, class_map, classes, That, x_unit, q_class, image)
+
+
+def trivial_theta_loop(dia):
+    """trivial_theta as a dict, one trivial Character per composable pair of H/T, in ``HT.compose`` order."""
+    values = {}
+    for (c1, c2) in dia.HT.compose:
+        x = dia.pkg.p_s(min(dia.classes[c2]))
+        values[(c1, c2)] = dia.That.trivial(x)
+    return ThetaDatum(values)
+
+
+def grading_checks_loop(dia, c_tilde):
+    """verify_reconstruction_hypotheses' grading checks, a class and an arrow at a time: (descends, effective, witnesses)."""
+    H, wit = dia.pkg.H, {}
+    descends = True
+    for cid, members in dia.classes.items():
+        if len({c_tilde.value(m) for m in members}) != 1:
+            descends, wit["grading_descends"] = False, cid
+            break
+    effective = True
+    for g in (g for g in H.arrows if c_tilde.value(g) == c_tilde.zero):
+        if H.src[g] == H.tgt[g] and not H.is_unit(g):
+            effective, wit["kernel_effective"] = False, g
+            break
+    return descends, effective, wit
+
+
+def iso_grading_loop(rep, c):
+    """reconstruction_iso's grading check on its report, an arrow of the twisted product at a time: the first off its class's grade, or None."""
+    data, dia = rep.dia.pkg.weyl, rep.dia
+    class_grade = {cid: c.value(min(data.classes[dia.q_class[cid]])) for cid in dia.classes}
+    return next((a for a in rep.boxtimes.arrows if c.value(rep.phi[a]) != class_grade[a[0]]), None)
