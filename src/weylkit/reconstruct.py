@@ -477,11 +477,12 @@ class ThetaDatum:
             self._table = None
         return self._values
 
+    @values.setter
+    def values(self, values: dict):
+        self._values, self._table = values, None
+
     def __eq__(self, other):
         return isinstance(other, ThetaDatum) and self.values == other.values
-
-    def __repr__(self):
-        return f"ThetaDatum(values={self.values!r})"
 
 
 @dataclass
@@ -539,57 +540,42 @@ def theta_from_section(G: FiniteGroupoid, S_members, section: Optional[dict] = N
     return theta
 
 
-def _theta_rows(dia: DiamondData, theta: ThetaDatum):
-    """(rows, violations, coverage, values): theta's row table, as :func:`verify_theta` reads it.
-
-    A datum built on ``dia`` from its row table covers the composable
-    pairs of H/T, and is read as it is; ``values`` is then None.  Otherwise
-    each value of ``theta.values`` is looked up in the dual of T over the
-    source of c2, and one that is not there, or a pair that is missing or
-    too many, fails ``coverage`` with its violations.
-    """
-    if theta._table is not None and theta._table[0] is dia:
-        return theta._table[1], [], True, None
-    HT, That, values = dia.HT, dia.That, theta.values
-    tables, fs = dia.fibre_tables[:2]
-    rows, outside = np.full((len(HT.arrows),) * 2, -1, dtype=np.int32), []
-    for (c1, c2), val in values.items():
-        x, r = That.position.get(That.char_id.get(val), (None, -1))
-        j = HT.index.get(c2, -1)
-        if j < 0 or x != tables[fs[j]].base:
-            outside.append((c1, c2))
-        elif c1 in HT.index:
-            rows[HT.index[c1], j] = r
-    rows[HT.comp_matrix() < 0] = -1
-    rows.setflags(write=False)
-
-    violations, coverage = [], set(values) == set(HT.compose)
-    if not coverage:
-        violations.append(("coverage", set(HT.compose) ^ set(values)))
-    if outside:
-        coverage = False
-        violations += [("outside the dual", pair) for pair in outside]
-    return rows, violations, coverage, values
-
-
 def verify_theta(dia: DiamondData, theta: ThetaDatum) -> ThetaReport:
     """Unit triviality and the character-valued cocycle identity, exhaustively.
 
     Each value must be a character of the dual of T over the source of c2;
     one that is not fails ``coverage`` with an "outside the dual" violation,
-    as a missing one does.  The cocycle identity is one gather over every
-    triple whose four values lie in the dual (each pair, then c3 in index
-    order), so it fails on a break there even when ``coverage`` fails elsewhere.
+    as a missing one does.  A datum built on ``dia`` from its row table
+    covers the composable pairs and is read as it is.  The cocycle identity
+    is one gather over every triple whose four values lie in the dual (each
+    pair, then c3 in index order), so it fails on a break there even when
+    ``coverage`` fails elsewhere.
     """
-    return _check_theta(dia, *_theta_rows(dia, theta))
-
-
-def _check_theta(dia: DiamondData, rows, violations, coverage, values) -> ThetaReport:
-    """:func:`verify_theta` on the row table and the findings of :func:`_theta_rows`."""
-    HT = dia.HT
+    HT, That = dia.HT, dia.That
     n, comp, inv = len(HT.arrows), HT.comp_matrix(), HT.inverse_indices()
     (s, t), arrows = HT.endpoint_indices(), HT.arrows
-    _, fs, _, size, start, prod = dia.fibre_tables
+    tables, fs, _, size, start, prod = dia.fibre_tables
+    violations, coverage, values = [], True, None
+
+    if theta._table is not None and theta._table[0] is dia:
+        rows = theta._table[1]
+    else:
+        values, rows, outside = theta.values, np.full((n, n), -1, dtype=np.int32), []
+        for (c1, c2), val in values.items():
+            x, r = That.position.get(That.char_id.get(val), (None, -1))
+            j = HT.index.get(c2, -1)
+            if j < 0 or x != tables[fs[j]].base:
+                outside.append((c1, c2))
+            elif c1 in HT.index:
+                rows[HT.index[c1], j] = r
+        rows[comp < 0] = -1
+        rows.setflags(write=False)
+        coverage = set(values) == set(HT.compose)
+        if not coverage:
+            violations.append(("coverage", set(HT.compose) ^ set(values)))
+        if outside:
+            coverage = False
+            violations += [("outside the dual", pair) for pair in outside]
 
     # (r(c), c) and (c, s(c)) for every arrow c: a value that is not row 0
     # may still be trivial outside the dual, so those are read as Characters
@@ -627,15 +613,18 @@ def build_boxtimes(dia: DiamondData, theta: ThetaDatum) -> FiniteGroupoid:
     over the composable pairs of the arrows as built (classes in index
     order, characters in row order), then validated as a groupoid.  The
     unit space is identified with the base X.  The product is kept on
-    ``dia`` and returned again, unverified and unbuilt, for a theta with
-    the same row table and no value outside it.
+    ``dia`` and returned again, unbuilt, for a theta with the same row
+    table: unverified for a datum built on ``dia`` from its rows, and once
+    verified for any other.
     """
-    rows, violations, coverage, values = _theta_rows(dia, theta)
-    if dia.boxtimes is not None and coverage and np.array_equal(dia.boxtimes[0], rows):
+    if theta._table is not None and theta._table[0] is dia and dia.boxtimes is not None \
+            and np.array_equal(dia.boxtimes[0], theta._table[1]):
         return dia.boxtimes[1]
-    report = _check_theta(dia, rows, violations, coverage, values)
+    report = verify_theta(dia, theta)
     if not report.all_pass():
         raise ThetaInvalid(f"theta fails verification: {report.violations[:3]}")
+    if dia.boxtimes is not None and np.array_equal(dia.boxtimes[0], report.rows):
+        return dia.boxtimes[1]
     HT = dia.HT
     tables, fs, ft, size, start, prod = dia.fibre_tables
     unit_id = [(dia.x_unit[t.base], t.ids[0]) for t in tables]
@@ -659,7 +648,7 @@ def build_boxtimes(dia: DiamondData, theta: ThetaDatum) -> FiniteGroupoid:
 
     ki = index[first[c12] + out]
     B = validate_arrays(set(unit_id), arrows, index[g], index[h], ki, entry, name=f"boxtimes({HT.name})")
-    dia.boxtimes = (rows, B)
+    dia.boxtimes = (report.rows, B)
     return B
 
 

@@ -24,7 +24,7 @@ import weylkit
 from weylkit import corpus, reconstruct
 from weylkit.cocycle import TwoCocycle
 from weylkit.errors import WeylkitError
-from weylkit.groupoid import Grading, quotient_by_bundle
+from weylkit.groupoid import Grading, isotropy_fibres, quotient_by_bundle, validate_groupoid
 from weylkit.phases import ZERO, Phase
 from weylkit.reconstruct import (
     ActionPackageReport,
@@ -110,6 +110,46 @@ def test_diamond_action_matches_the_class_loops(name):
         e = entry(name)
         pkg = derive_weyl_actions(e.G, e.S)
     assert diamond(diamond_action(pkg)) == diamond(diamond_action_loop(pkg))
+
+
+UNIONS = [("rotation(2,0)", "rotation(3,0)"), ("d4", "pair(3)"), ("rotation(4,0)", "z2xR2")]
+
+
+def disjoint_union(names):
+    """The disjoint union of corpus entries, ids tagged by position, and the union of their marked bundles."""
+    units, arrows, compose, S = [], {}, {}, set()
+    for tag, e in enumerate(map(entry, names)):
+        def ren(g):
+            return f"{tag}:{g}"
+        units += map(ren, e.G.units)
+        arrows.update({ren(g): (ren(e.G.src[g]), ren(e.G.tgt[g])) for g in e.G.arrows})
+        compose.update({(ren(g), ren(h)): ren(k) for (g, h), k in e.G.compose.items()})
+        S |= set(map(ren, e.S))
+    return validate_groupoid(units, arrows, compose, name="+".join(names)), frozenset(S)
+
+
+@pytest.mark.parametrize("names", UNIONS)
+def test_fibres_of_different_sizes_match_the_class_loops(names):
+    G, S = disjoint_union(names)
+    assert len({len(f) for f in isotropy_fibres(G, S).values()}) > 1
+    omega = TwoCocycle(G, {})
+    assert action(weyl_action(G, S, omega)) == action(weyl_action_loop(G, S, omega))
+    assert tables(derive_weyl_actions(G, S)) == tables(derive_weyl_actions_loop(G, S))
+    pkg = derive_weyl_actions(G, S)
+    dia = diamond_action(pkg)
+    assert diamond(dia) == diamond(diamond_action_loop(pkg))
+    theta = theta_for_package(pkg, dia)
+    assert list(theta_for_package(pkg, dia).values.items()) == list(theta_for_package_loop(pkg, dia).values.items())
+    assert verify_theta(dia, theta).all_pass() and reconstruct.reconstruction_iso(G, S).sizes == (len(G), len(G))
+    # errors in either size: the first class, in index order, as the loop finds it
+    classes = set()
+    for (g, h) in G.compose:
+        omega = TwoCocycle(G, {(g, h): Phase(1, 2)})
+        new = outcome(lambda: action(weyl_action(G, S, omega)))
+        assert new == outcome(lambda: action(weyl_action_loop(G, S, omega))), (g, h)
+        if new[0] == "RepresentativeDisagreement":
+            classes.add(new[1][0])
+    assert len(classes) > 1
 
 
 @pytest.mark.parametrize("name", INPUTS)
