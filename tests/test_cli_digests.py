@@ -39,6 +39,7 @@ CASES = (
     + [("actions", name) for name in ("z2xR2", "pair(6)", "rotation(12,0)")]
     + [("weyl", "z2xR2"), ("weyl", "pair(6)"), ("boxtimes", "z2xR2"), ("roundtrip", "z2xR2")]
     + [(cmd, name) for cmd in ("expectation", "algebra") for name in ("q8", "pair(6)", "rotation(12,5)")]
+    + [("hypotheses", name) for name in ("rotation(12,0)", "rotation(12,5)", "pair(6)", "z2xR2")]
 )
 
 WRITES_FILE = {"weyl", "twist", "boxtimes"}
