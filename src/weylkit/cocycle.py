@@ -236,22 +236,6 @@ def check_symmetric_on(omega: TwoCocycle, members: Iterable) -> bool:
     return True
 
 
-def check_unit_identity(omega: TwoCocycle) -> bool:
-    """Consequence check: omega(g, g^-1) = omega(g^-1, g) and unit neutrality.
-
-    Both follow from the cocycle condition with the unit normalization, so a
-    failure indicates a corrupted table.
-    """
-    G = omega.G
-    for g in G.arrows:
-        gi = G.inv(g)
-        if omega.omega(g, gi) != omega.omega(gi, g):
-            return False
-        if not omega.omega(G.tgt[g], g).is_zero or not omega.omega(g, G.src[g]).is_zero:
-            return False
-    return True
-
-
 def _closure(G: FiniteGroupoid, u, gens):
     """Subgroup of the isotropy fibre at u generated by gens: their product closure with u."""
     seeds = arrow_indices(G.index, [u, *gens], 1 + len(gens))
@@ -318,7 +302,11 @@ def find_maximal_symmetric_abelian(G: FiniteGroupoid, omega: TwoCocycle, c) -> l
 
 def is_maximal_symmetric_abelian(G: FiniteGroupoid, omega: TwoCocycle, c, members) -> Optional[tuple]:
     """None if the bundle is maximal; otherwise a witness arrow extending it."""
-    kernel = isotropy_fibres(G, kernel_of_grading(G, c).members)
+    return _maximal_extension(G, omega, isotropy_fibres(G, kernel_of_grading(G, c).members), members)
+
+
+def _maximal_extension(G: FiniteGroupoid, omega: TwoCocycle, kernel: Mapping, members) -> Optional[tuple]:
+    """:func:`is_maximal_symmetric_abelian` given ``kernel``, the isotropy fibres of the grading's kernel."""
     S = isotropy_fibres(G, members)
     for u in G.units:
         fibre, Su = set(kernel[u]), set(S[u])

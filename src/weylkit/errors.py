@@ -147,10 +147,6 @@ class ThetaInvalid(WeylkitError):
     pass
 
 
-class NotInS(WeylkitError):
-    pass
-
-
 class NontrivialCocycle(WeylkitError):
     """Reconstruction pipeline requires a trivial 2-cocycle."""
 

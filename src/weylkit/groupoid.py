@@ -498,16 +498,6 @@ def subgroupoid_properties(G: FiniteGroupoid, members: Iterable) -> PropertyRepo
     return PropertyReport(closed, wide, bundle, abelian, normal, wit)
 
 
-def iso_subgroupoid(G: FiniteGroupoid) -> Subgroupoid:
-    """The isotropy bundle Iso(G) = arrows with equal range and source."""
-    return Subgroupoid(G, frozenset(g for g in G.arrows if G.src[g] == G.tgt[g]))
-
-
-def check_effective(G: FiniteGroupoid) -> bool:
-    """Discrete effectiveness: every isotropy arrow is a unit."""
-    return all(G.is_unit(g) for g in iso_subgroupoid(G).members)
-
-
 def grading_table(G: FiniteGroupoid, c: Grading) -> np.ndarray:
     """c on G as its normalised value array: row i is ``c.value(G.arrows[i])``, int64.
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -34,21 +34,18 @@ from .groupoid import (
     arrow_index,
     arrow_indices,
     build_groupoid,
-    class_table,
     distinct_rows,
     grading_table,
     orbit_quotient,
     validate_arrays,
 )
 from .weyl import (
-    PowerTable,
     _columns,
     WeylData,
-    action_ids,
     build_weyl_groupoid,
+    centralizing_bounds,
     check_gamma_cartan_hypotheses,
     fibres_of,
-    first_centralizing_bound,
     section_defects,
     validate_section,
     verify_groupoid_action,
@@ -346,7 +343,6 @@ class DiamondData:
     pkg: ActionPackage
     HT: FiniteGroupoid
     class_map: dict           # H arrow -> H/T class id
-    classes: dict             # class id -> frozenset
     That: CharacterBundle     # dual of pkg.T
     x_unit: dict              # base point of X -> H/T unit class id
     q_class: Optional[dict]   # H/T class id -> G/S class id; None unless Weyl-derived
@@ -395,7 +391,7 @@ def diamond_action(pkg: ActionPackage, report: Optional[ActionPackageReport] = N
     That = dual_bundle(T)
     x_unit = {T.p[u]: class_map[u] for u in H.units}
     q_class = None if pkg.weyl is None else {cid: cid[0] for cid in HT.arrows}
-    dia = DiamondData(pkg, HT, class_map, class_table(class_map), That, x_unit, q_class, None)
+    dia = DiamondData(pkg, HT, class_map, That, x_unit, q_class, None)
     tables, fs, ft, size, _, _ = dia.fibre_tables
 
     # rho descends: every member of a class has the class id's column
@@ -513,7 +509,7 @@ def theta_for_package(pkg: ActionPackage, dia: DiamondData, section: Optional[di
         raise NontrivialCocycle("reconstruction requires a trivial 2-cocycle")
     G, Q, HT = data.G, data.Q, dia.HT
     sec = section if section is not None else data.section
-    validate_section(G, data.class_map, data.classes, sec)
+    validate_section(G, data.class_map, sec)
     defects = section_defects(data, sec)
 
     # the H/T class index of each class index of Q; theta is the defect's evaluation
@@ -652,28 +648,30 @@ def build_boxtimes(dia: DiamondData, theta: ThetaDatum) -> FiniteGroupoid:
     return B
 
 
-def check_imm_centralizing_action(Q: FiniteGroupoid, K: GroupBundle, action: dict, unit_of_base: dict):
-    """Whether an action of Q on the bundle K is immediately centralizing.
+def check_imm_centralizing_action(Q: FiniteGroupoid, dual: CharacterBundle, image: np.ndarray, unit_of_base: Mapping):
+    """Whether the action ``image`` of Q on the bundle ``dual`` is immediately centralizing.
 
-    ``action`` maps (isotropy arrow id, K element id) -> K element id;
-    ``unit_of_base`` sends base points of K to units of Q.  For every
-    isotropy arrow g and bound k up to the max fibre order: if each chi has
-    some power with (g.chi)^n = chi^n for n <= k, then g must fix the fibre.
-    Returns (ok, witness (g, k)).
+    The action is given as to :func:`~weylkit.weyl.verify_groupoid_action`.
+    For every isotropy arrow g and bound k up to the max order in its fibre:
+    if each chi has some power with (g.chi)^n = chi^n for n <= k, then g
+    must fix the fibre.  Powers are read off each fibre's
+    ``CharacterTable.product``, the arrows gathered in blocks of equal
+    fibre size.  Returns (ok, witness (g, k)), g the first in index order.
     """
-    base_of_unit = {}
-    for x, u in unit_of_base.items():
-        base_of_unit.setdefault(u, []).append(x)
-    powers = PowerTable(K.mult, lambda chi: K.identity[K.p[chi]])
-    for g in sorted(Q.arrows):
-        if Q.src[g] != Q.tgt[g]:
-            continue
-        for x in base_of_unit.get(Q.src[g], []):
-            fibre = K.fibres[x]
-            k = first_centralizing_bound(fibre, {chi: action[(g, chi)] for chi in fibre}, powers)
-            if k is not None:
-                return False, (g, k)
-    return True, None
+    tables, _, fs, _ = fibres_of(Q, dual, unit_of_base)
+    s, t = Q.endpoint_indices()
+    loops = np.flatnonzero(s == t)
+    size = np.array([len(tab.ids) for tab in tables])[fs[loops]]
+    product = [tab.product for tab in tables]
+    bound = np.zeros(len(loops), dtype=np.int64)
+    for k, at in size_blocks(size, lambda k: k * k):
+        c = loops[at]
+        rows = np.arange(k)[None].repeat(len(c), axis=0)
+        bound[at] = centralizing_bounds(stack(product, k)[fs[c]], rows, image[c, :k])
+    if not bound.any():
+        return True, None
+    i = int(np.argmax(bound > 0))
+    return False, (Q.arrows[loops[i]], int(bound[i]))
 
 
 @dataclass
@@ -731,8 +729,7 @@ def verify_reconstruction_hypotheses(
     if not effective:
         wit["kernel_effective"] = H.arrows[int(np.argmax(bad))]
 
-    act = action_ids(HT, That, dia.image, dia.x_unit)
-    imm, imm_wit = check_imm_centralizing_action(HT, That.to_bundle(), act, dia.x_unit)
+    imm, imm_wit = check_imm_centralizing_action(HT, That, dia.image, dia.x_unit)
     if not imm:
         wit["imm_centralizing"] = imm_wit
 

@@ -302,8 +302,8 @@ def verify_untwisting(spec: SemidirectSpec) -> UntwistingReport:
     k_elems = spec.k_elements()
     k_pos = {k: i for i, k in enumerate(k_elems)}
     section, k_of_class = {}, {}
-    for cid, members in data.classes.items():
-        _, k = spec.parse_id(min(members))
+    for cid in data.Q.arrows:       # a class id is its class's least member
+        _, k = spec.parse_id(cid)
         section[cid], k_of_class[cid] = spec.elem_id((zero_h, k)), k_pos[k]
     data.section = section
     C = weyl_twist_cocycle(GW, data)

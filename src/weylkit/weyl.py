@@ -15,7 +15,7 @@ from .cocycle import (
     TwoCocycle,
     check_symmetric_on,
     common_denominator,
-    is_maximal_symmetric_abelian,
+    _maximal_extension,
 )
 from .dual import CharacterBundle, CharacterTable, bundle_from_subgroupoid, dual_bundle, rows_in, size_blocks, stack
 from .errors import (
@@ -30,7 +30,6 @@ from .groupoid import (
     Grading,
     arrow_indices,
     build_groupoid,
-    class_table,
     isotropy_fibres,
     kernel_of_grading,
     quotient_by_bundle,
@@ -38,42 +37,38 @@ from .groupoid import (
 )
 
 
-class PowerTable(dict):
-    """Each element's powers x, x^2, ... up to the identity, built on first lookup."""
+def centralizing_bounds(table: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The immediately-centralizing test on a block of fibres, one arrow per row.
 
-    def __init__(self, mul, identity):
-        super().__init__()
-        self.mul, self.identity = mul, identity
-
-    def __missing__(self, x):
-        pw, e = [x], self.identity(x)
-        while pw[-1] != e:
-            pw.append(self.mul(pw[-1], x))
-        self[x] = pw
-        return pw
-
-
-def first_centralizing_bound(fibre, moved, powers: PowerTable):
-    """The immediately-centralizing test on one fibre of a bundle.
-
-    ``moved`` maps each fibre element x to its image under one arrow (for
-    conjugation by t, x -> t x t^-1).  Returns the least bound k, up to the
-    maximal element order of the fibre, such that every x has
-    (moved x)^n = x^n for some n <= k although ``moved`` is not the
-    identity; None when there is no such k.
+    Row i of ``x`` lists the elements of one fibre and row i of ``y`` their
+    images under one arrow (for conjugation by t, x -> t x t^-1), as
+    indices into ``table``, a stack of product tables: layer i, or the only
+    layer, holds the index of a*b at [a, b].  Returns, per row, the least
+    bound k, up to the fibre's largest element order, such that every x
+    has (moved x)^n = x^n for some n <= k although the arrow moves some x;
+    0 where there is no such k.  The powers of the rows that move are built
+    side by side, one gather per exponent, until every x is back at x.
     """
-    if all(moved[x] == x for x in fibre):
-        return None
-    top = max(len(powers[x]) for x in fibre)
-
-    def agree(x, n):  # (moved x)^n == x^n
-        pm, px = powers[moved[x]], powers[x]
-        return pm[(n - 1) % len(pm)] == px[(n - 1) % len(px)]
-
-    # the premise only grows with k, so it first holds at the largest of
-    # the per-element least exponents
-    k = max(next((n for n in range(1, top + 1) if agree(x, n)), top + 1) for x in fibre)
-    return k if k <= top else None
+    bound, n = np.zeros(len(x), dtype=np.int64), table.shape[-1]
+    rows = (x != y).any(axis=1).nonzero()[0]
+    if not len(rows):
+        return bound
+    p = np.stack([x[rows], y[rows]])
+    # the flat index of [layer, 0, b] for each x and y as b; row i reads layer i, or the only one
+    at = (rows % len(table) * n * n)[:, None] + p
+    flat, powers, back = table.reshape(-1), [p], np.zeros(p[0].shape, dtype=bool)
+    while not back.all():
+        p = flat[p * n + at]
+        powers.append(p)
+        back |= p[0] == powers[0][0]
+    powers = np.array(powers)       # x^j and y^j at [j - 1, 0] and [j - 1, 1]
+    agree = powers[:, 0] == powers[:, 1]
+    # the premise only grows with k, so it first holds at the largest of the
+    # per-element least exponents; top is the largest order, where x^(top+1) = x
+    k = np.where(agree.any(axis=0), agree.argmax(axis=0), len(powers)).max(axis=1) + 1
+    top = (powers[1:, 0] == powers[0, 0]).argmax(axis=0).max(axis=1) + 1
+    bound[rows] = np.where(k <= top, k, 0)
+    return bound
 
 
 def check_immediately_centralizing(G: FiniteGroupoid, S_members, T_members):
@@ -82,18 +77,27 @@ def check_immediately_centralizing(G: FiniteGroupoid, S_members, T_members):
     For every t in T and every bound k up to the maximal element order of the
     fibre S_{p(t)}: if each s has some power s^n (n <= k) commuting with t,
     then t must commute with the whole fibre.  Returns (ok, witness) where
-    the witness is the offending (t, k).
+    the witness is the offending (t, k), t the first in index order.  Powers
+    are taken in G, so a marking need not be closed.
     """
-    fibres = isotropy_fibres(G, S_members)
-    powers = PowerTable(G.mul, G.tgt.__getitem__)
-    for t in sorted(T_members):
-        fibre, ti = fibres[G.src[t]], G.inv(t)
+    comp, inv, (src, tgt) = G.comp_matrix(), G.inverse_indices(), G.endpoint_indices()
+    s = np.array([G.index[g] for g in S_members], dtype=np.int64)
+    s = s[src[s] == tgt[s]]
+    s = s[np.argsort(src[s])]       # by unit
+    t = np.sort(np.array([G.index[g] for g in T_members], dtype=np.int64))
+    count = np.bincount(src[s], minlength=len(G.arrows))
+    t = t[count[src[t]] > 0]        # an empty fibre commutes with every t
+    start, size = (np.cumsum(count) - count)[src[t]], count[src[t]]
+    bound = np.zeros(len(t), dtype=np.int64)
+    for k, at in size_blocks(size, lambda k: k * k):
+        x = s[start[at, None] + np.arange(k)]
         # t s^n = s^n t exactly when (t s t^-1)^n = s^n
-        moved = {s: G.mul_all(t, s, ti) for s in fibre}
-        k = first_centralizing_bound(fibre, moved, powers)
-        if k is not None:
-            return False, (t, k)
-    return True, None
+        y = comp[comp[t[at, None], x], inv[t[at], None]]
+        bound[at] = centralizing_bounds(comp[None], x, y)
+    if not bound.any():
+        return True, None
+    i = int(np.argmax(bound > 0))
+    return False, (G.arrows[t[i]], int(bound[i]))
 
 
 @dataclass
@@ -165,7 +169,7 @@ def check_gamma_cartan_hypotheses(
 
     symmetric = check_symmetric_on(omega, S)
 
-    ext = is_maximal_symmetric_abelian(G, omega, c, S) if contained else ("n/a",)
+    ext = _maximal_extension(G, omega, isotropy_fibres(G, T), S) if contained else ("n/a",)
     maximal = ext is None
     if not maximal:
         wit["maximal"] = ext
@@ -196,7 +200,6 @@ class WeylData:
     omega: TwoCocycle
     Q: FiniteGroupoid
     class_map: dict           # G arrow -> class id
-    classes: dict             # class id -> frozenset of members
     dual: CharacterBundle     # dual of the bundle S
     image: np.ndarray         # the action's table, see weyl_action
     section: dict             # class id -> G arrow
@@ -339,25 +342,23 @@ def action_ids(Q: FiniteGroupoid, dual: CharacterBundle, image: np.ndarray, unit
     return out
 
 
-def choose_section(G: FiniteGroupoid, class_map, classes) -> dict:
-    """Deterministic section: the unit on unit classes, else the least arrow id."""
-    section = {}
+def choose_section(G: FiniteGroupoid, class_map) -> dict:
+    """Deterministic section: the unit on unit classes, else the class id, its least member."""
     unit_classes = {class_map[u]: u for u in G.units}
-    for cid, members in classes.items():
-        section[cid] = unit_classes.get(cid, min(members))
-    return section
+    return {cid: unit_classes.get(cid, cid) for cid in dict.fromkeys(class_map.values())}
 
 
-def validate_section(G: FiniteGroupoid, class_map, classes, section) -> None:
+def validate_section(G: FiniteGroupoid, class_map, section) -> None:
     """A section picks a member of every class, and a unit on unit classes."""
-    missing = set(classes) - set(section)
+    classes = set(class_map.values())
+    missing = classes - set(section)
     if missing:
         raise SchemaError(f"section has no value on class {min(missing, key=str)}")
-    unknown = set(section) - set(classes)
+    unknown = set(section) - classes
     if unknown:
         raise SchemaError(f"section names an unknown class {min(unknown, key=str)}")
     for cid, g in section.items():
-        if g not in classes[cid]:
+        if class_map.get(g) != cid:
             raise SchemaError(f"section value {g!r} is not a member of class {cid}")
     for u in G.units:
         if not G.is_unit(section[class_map[u]]):
@@ -373,17 +374,15 @@ def build_weyl_groupoid(
     character id); the units are the unit classes with each character.
     """
     Q, class_map, dual, image = weyl_action(G, S_members, omega)
-    classes = class_table(class_map)
     if section is None:
-        section = choose_section(G, class_map, classes)
-    validate_section(G, class_map, classes, section)
+        section = choose_section(G, class_map)
+    validate_section(G, class_map, section)
     data = WeylData(
         G=G,
         S=frozenset(S_members),
         omega=omega,
         Q=Q,
         class_map=class_map,
-        classes=classes,
         dual=dual,
         image=image,
         section=section,

@@ -32,7 +32,12 @@ time, and form each section defect with ``mul_all``.  The Weyl action,
 the action package and the diamond action gather over all classes at
 once, and theta is its row table; their plain versions take one class at
 a time, conjugate with ``mul_all``, and build theta as a dict of
-``Character`` values.  The tests compare the two.
+``Character`` values.  The immediately-centralizing checks build powers
+by gathers on index tables; their plain versions cache each element's
+powers in a dict, one ``mul`` or character product per step, and test
+one arrow at a time.  The tests compare the two.  Last, a few names only
+the tests use: the unit-identity consequence of the cocycle condition,
+the isotropy bundle and effectiveness, and the error of theta's loop.
 """
 
 import cmath
@@ -72,7 +77,6 @@ from weylkit.errors import (
     ElementNotInS,
     MissingComposite,
     NontrivialCocycle,
-    NotInS,
     NotStarHomomorphism,
     SchemaError,
     UnknownArrowId,
@@ -81,8 +85,10 @@ from weylkit.errors import (
 from weylkit.groupoid import (
     Grading,
     PropertyReport,
+    Subgroupoid,
     build_groupoid,
     class_table,
+    isotropy_fibres,
     quotient_by_bundle,
     validate_groupoid,
 )
@@ -1076,7 +1082,7 @@ def verify_theta_loop(dia, theta):
     image = dict(zip(HT.arrows, dia.image.tolist()))
     violations = []
 
-    source = {c: dia.pkg.p_s(min(ms)) for c, ms in dia.classes.items()}
+    source = {c: dia.pkg.p_s(min(ms)) for c, ms in class_table(dia.class_map).items()}
     at = (That.position.get(That.char_id.get(val)) for val in theta.values.values())
     rows = {pair: p if p and p[0] == source.get(pair[1]) else None for pair, p in zip(theta.values, at)}
 
@@ -1128,7 +1134,7 @@ def theta_for_package_loop(pkg, dia, section=None):
     G, Q = data.G, data.Q
     ht_of_q = {q: cid for cid, q in dia.q_class.items()}
     sec = section if section is not None else data.section
-    validate_section(G, data.class_map, data.classes, sec)
+    validate_section(G, data.class_map, sec)
     evaluation = evaluation_ids(pkg, dia)
     values = {}
     for (q1, q2) in Q.compose:
@@ -1152,9 +1158,9 @@ def build_boxtimes_loop(dia, theta):
     image = dict(zip(HT.arrows, dia.image.tolist()))
 
     unit_id = {x: (uc, That.tables[x].ids[0]) for x, uc in dia.x_unit.items()}
-    arrows = {}
+    arrows, classes = {}, class_table(dia.class_map)
     for cid in HT.arrows:
-        xs, xt = pkg.p_s(min(dia.classes[cid])), pkg.p_r(min(dia.classes[cid]))
+        xs, xt = pkg.p_s(min(classes[cid])), pkg.p_r(min(classes[cid]))
         arrows.update(((cid, i), (unit_id[xs], unit_id[xt])) for i in That.tables[xs].ids)
 
     rows, position = report.rows, That.position
@@ -1230,8 +1236,8 @@ def derive_weyl_actions_loop(G, S_members, omega=None):
     pos = {t: i for i, t in enumerate(sorted(T.p))}
     t_row = {x: np.array([pos[t_of[c]] for c in t.ids]) for x, t in dual.tables.items()}
 
-    ad = {}
-    for cid, members in data.classes.items():
+    ad, classes = {}, class_table(data.class_map)
+    for cid, members in classes.items():
         gamma = min(members)
         tx, ty = dual.tables[G.src[gamma]], dual.tables[G.tgt[gamma]]
         conj = [ty.column[G.mul_all(gamma, a, G.inv(gamma))] for a in tx.elements]
@@ -1239,7 +1245,7 @@ def derive_weyl_actions_loop(G, S_members, omega=None):
 
     left, rho = np.full((2, len(pos), len(GW.arrows)), -1, dtype=np.int32)
     right, lam = np.full((2, len(GW.arrows), len(pos)), -1, dtype=np.int32)
-    for cid in data.classes:
+    for cid in classes:
         tx, ts, tt = dual.tables[G.src[cid]], t_row[G.src[cid]], t_row[G.tgt[cid]]
         eta = np.array([GW.index[(cid, i)] for i in tx.ids])
         rho[tt[:, None], eta] = ts[ad[cid]][:, None]
@@ -1279,14 +1285,14 @@ def diamond_action_loop(pkg, report=None):
             raise NotAnAction(("multiplicativity", cid, ts.ids[a], ts.ids[b]))
 
     q_class = None if pkg.weyl is None else {cid: cid[0] for cid in classes}
-    return DiamondData(pkg, HT, class_map, classes, That, x_unit, q_class, image)
+    return DiamondData(pkg, HT, class_map, That, x_unit, q_class, image)
 
 
 def trivial_theta_loop(dia):
     """trivial_theta as a dict, one trivial Character per composable pair of H/T, in ``HT.compose`` order."""
-    values = {}
+    values, classes = {}, class_table(dia.class_map)
     for (c1, c2) in dia.HT.compose:
-        x = dia.pkg.p_s(min(dia.classes[c2]))
+        x = dia.pkg.p_s(min(classes[c2]))
         values[(c1, c2)] = dia.That.trivial(x)
     return ThetaDatum(values)
 
@@ -1295,7 +1301,7 @@ def grading_checks_loop(dia, c_tilde):
     """verify_reconstruction_hypotheses' grading checks, a class and an arrow at a time: (descends, effective, witnesses)."""
     H, wit = dia.pkg.H, {}
     descends = True
-    for cid, members in dia.classes.items():
+    for cid, members in class_table(dia.class_map).items():
         if len({c_tilde.value(m) for m in members}) != 1:
             descends, wit["grading_descends"] = False, cid
             break
@@ -1310,5 +1316,107 @@ def grading_checks_loop(dia, c_tilde):
 def iso_grading_loop(rep, c):
     """reconstruction_iso's grading check on its report, an arrow of the twisted product at a time: the first off its class's grade, or None."""
     data, dia = rep.dia.pkg.weyl, rep.dia
-    class_grade = {cid: c.value(min(data.classes[dia.q_class[cid]])) for cid in dia.classes}
+    classes = class_table(data.class_map)
+    class_grade = {cid: c.value(min(classes[dia.q_class[cid]])) for cid in dia.HT.arrows}
     return next((a for a in rep.boxtimes.arrows if c.value(rep.phi[a]) != class_grade[a[0]]), None)
+
+
+class PowerTable(dict):
+    """Each element's powers x, x^2, ... up to the identity, built on first lookup."""
+
+    def __init__(self, mul, identity):
+        super().__init__()
+        self.mul, self.identity = mul, identity
+
+    def __missing__(self, x):
+        pw, e = [x], self.identity(x)
+        while pw[-1] != e:
+            pw.append(self.mul(pw[-1], x))
+        self[x] = pw
+        return pw
+
+
+def first_centralizing_bound(fibre, moved, powers: PowerTable):
+    """The immediately-centralizing test on one fibre of a bundle.
+
+    ``moved`` maps each fibre element x to its image under one arrow (for
+    conjugation by t, x -> t x t^-1).  Returns the least bound k, up to the
+    maximal element order of the fibre, such that every x has
+    (moved x)^n = x^n for some n <= k although ``moved`` is not the
+    identity; None when there is no such k.
+    """
+    if all(moved[x] == x for x in fibre):
+        return None
+    top = max(len(powers[x]) for x in fibre)
+
+    def agree(x, n):  # (moved x)^n == x^n
+        pm, px = powers[moved[x]], powers[x]
+        return pm[(n - 1) % len(pm)] == px[(n - 1) % len(px)]
+
+    k = max(next((n for n in range(1, top + 1) if agree(x, n)), top + 1) for x in fibre)
+    return k if k <= top else None
+
+
+def check_immediately_centralizing_loop(G, S_members, T_members):
+    """check_immediately_centralizing one t at a time, conjugating with ``mul_all`` and powers from a PowerTable."""
+    fibres = isotropy_fibres(G, S_members)
+    powers = PowerTable(G.mul, G.tgt.__getitem__)
+    for t in sorted(T_members):
+        fibre, ti = fibres[G.src[t]], G.inv(t)
+        moved = {s: G.mul_all(t, s, ti) for s in fibre}
+        k = first_centralizing_bound(fibre, moved, powers)
+        if k is not None:
+            return False, (t, k)
+    return True, None
+
+
+def check_imm_centralizing_action_loop(Q, K, action, unit_of_base):
+    """check_imm_centralizing_action one isotropy arrow at a time.
+
+    ``K`` is the bundle as a GroupBundle (``dual.to_bundle()``), and
+    ``action`` maps (isotropy arrow id, K element id) -> K element id
+    (``action_ids``); powers come from a PowerTable over ``K.mult``.
+    """
+    base_of_unit = {}
+    for x, u in unit_of_base.items():
+        base_of_unit.setdefault(u, []).append(x)
+    powers = PowerTable(K.mult, lambda chi: K.identity[K.p[chi]])
+    for g in sorted(Q.arrows):
+        if Q.src[g] != Q.tgt[g]:
+            continue
+        for x in base_of_unit.get(Q.src[g], []):
+            fibre = K.fibres[x]
+            k = first_centralizing_bound(fibre, {chi: action[(g, chi)] for chi in fibre}, powers)
+            if k is not None:
+                return False, (g, k)
+    return True, None
+
+
+def check_unit_identity(omega: TwoCocycle) -> bool:
+    """Consequence check: omega(g, g^-1) = omega(g^-1, g) and unit neutrality.
+
+    Both follow from the cocycle condition with the unit normalization, so a
+    failure indicates a corrupted table.
+    """
+    G = omega.G
+    for g in G.arrows:
+        gi = G.inv(g)
+        if omega.omega(g, gi) != omega.omega(gi, g):
+            return False
+        if not omega.omega(G.tgt[g], g).is_zero or not omega.omega(g, G.src[g]).is_zero:
+            return False
+    return True
+
+
+def iso_subgroupoid(G) -> Subgroupoid:
+    """The isotropy bundle Iso(G) = arrows with equal range and source."""
+    return Subgroupoid(G, frozenset(g for g in G.arrows if G.src[g] == G.tgt[g]))
+
+
+def check_effective(G) -> bool:
+    """Discrete effectiveness: every isotropy arrow is a unit."""
+    return all(G.is_unit(g) for g in iso_subgroupoid(G).members)
+
+
+class NotInS(WeylkitError):
+    """A section defect outside the marked bundle, as :func:`theta_for_package_loop` raises it."""

@@ -8,7 +8,8 @@ and spell ``values`` on first read; their oracles build the dict pair by
 pair.  Both must give the same images, package tables, theta rows and
 values (order included), and the same errors with the same witnesses, on
 healthy inputs and on mutations that fail each check at a class other
-than the first.  The mutations run once more under ``python -O``.
+than the first.  The mutations run once more under ``python -O``, and so do
+the two immediately-centralizing checks on d4.
 """
 
 import dataclasses
@@ -24,7 +25,7 @@ import weylkit
 from weylkit import corpus, reconstruct
 from weylkit.cocycle import TwoCocycle
 from weylkit.errors import WeylkitError
-from weylkit.groupoid import Grading, isotropy_fibres, quotient_by_bundle, validate_groupoid
+from weylkit.groupoid import Grading, class_table, isotropy_fibres, quotient_by_bundle, validate_groupoid
 from weylkit.phases import ZERO, Phase
 from weylkit.reconstruct import (
     ActionPackageReport,
@@ -77,7 +78,7 @@ def tables(pkg):
 
 
 def diamond(dia):
-    return dia.HT.arrows, dict(dia.class_map), dia.classes, dia.x_unit, dia.q_class, dia.image.tolist()
+    return dia.HT.arrows, dict(dia.class_map), class_table(dia.class_map), dia.x_unit, dia.q_class, dia.image.tolist()
 
 
 @pytest.mark.parametrize("name", INPUTS)
@@ -212,10 +213,10 @@ def test_grading_checks_match_the_class_loops(name):
     rep = reconstruct.reconstruction_iso(e.G, e.S)
     dia, H = rep.dia, rep.dia.pkg.H
     c_tilde = reconstruct.induced_grading_on_H(dia.pkg, e.c)
-    assert c_tilde.values == {a: e.c.value(min(dia.pkg.weyl.classes[a[0]])) for a in H.arrows}
+    assert c_tilde.values == {a: e.c.value(min(class_table(dia.pkg.weyl.class_map)[a[0]])) for a in H.arrows}
     # one arrow at a time, other than a class id, moved off its class's grade, or to zero
     seen = set()
-    for g in (g for g in H.arrows if g not in dia.classes):
+    for g in (g for g in H.arrows if g not in dia.HT.index):
         for value in ((1,) * len(e.c.group), (0,) * len(e.c.group)):
             c = Grading(e.c.group, {**c_tilde.values, g: value})
             hyp = reconstruct.verify_reconstruction_hypotheses(dia, rep.theta, c)
@@ -373,3 +374,16 @@ def test_mutations_under_python_O(monkeypatch):
     expected = [f"{name} True {new}" for name, new, old in mutation_outcomes(monkeypatch)]
     assert out == expected
     assert len(out) == 6 and all(" True (" in line for line in out)
+
+
+def test_d4_fails_both_centralizing_checks_under_python_O():
+    src = str(Path(weylkit.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = ("from weylkit import corpus, reconstruct, weyl\n"
+              "e = corpus.d4()\n"
+              "print(weyl.check_immediately_centralizing(e.G, e.S, e.G.arrows))\n"
+              "dia = reconstruct.diamond_action(reconstruct.derive_weyl_actions(e.G, e.S))\n"
+              "print(reconstruct.check_imm_centralizing_action(dia.HT, dia.That, dia.image, dia.x_unit))\n")
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout.splitlines()
+    assert out == ["(False, ('0|1', 2))", "(False, (('0|1', '0|0#0'), 2))"]

@@ -7,13 +7,14 @@ from weylkit.cocycle import (
     TwoCocycle,
     check_cocycle,
     check_symmetric_on,
-    check_unit_identity,
     find_maximal_symmetric_abelian,
     is_maximal_symmetric_abelian,
 )
 from weylkit.errors import SchemaError, UndefinedPair
 from weylkit.groupoid import validate_groupoid
 from weylkit.phases import HALF, Phase
+
+from oracles import check_unit_identity
 
 
 def test_trivial_cocycle_valid(entry):

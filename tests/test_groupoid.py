@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import grading_add
+from oracles import check_effective, grading_add, iso_subgroupoid
 import weylkit
 from weylkit import corpus
 from weylkit.errors import (
@@ -25,9 +25,7 @@ from weylkit.errors import (
 from weylkit.groupoid import (
     Grading,
     build_groupoid,
-    check_effective,
     find_isomorphism,
-    iso_subgroupoid,
     isotropy_fibres,
     kernel_of_grading,
     orbit_quotient,

@@ -10,6 +10,7 @@ from oracles import weyl_twist_cocycle_loop
 from weylkit import cocycle, corpus, io, semidirect
 from weylkit.cocycle import TwoCocycle, check_cocycle, numerator_table
 from weylkit.errors import ElementNotInS, SchemaError, WeylkitError
+from weylkit.groupoid import class_table
 from weylkit.phases import HALF, Phase
 from weylkit.weyl import build_weyl_groupoid, weyl_action, weyl_twist_cocycle
 
@@ -109,7 +110,7 @@ def sections(G, data, seed):
     units = {data.class_map[u]: u for u in G.units}
     for _ in range(2):
         yield {cid: units.get(cid) or rng.choice(sorted(members))
-               for cid, members in sorted(data.classes.items())}
+               for cid, members in sorted(class_table(data.class_map).items())}
 
 
 def same_twist(GW, new, old):
@@ -135,7 +136,7 @@ def test_defect_outside_S_raises_with_the_loop_witness():
         e = by_name(name)
         GW, data = build_weyl_groupoid(e.G, e.S, e.omega)
         G = e.G
-        for cid in sorted(c for c in data.classes if not G.is_unit(data.section[c])):
+        for cid in sorted(c for c in data.Q.arrows if not G.is_unit(data.section[c])):
             # an arrow with the same endpoints from another class; outside S,
             # or the defects of a two-class quotient all stay in S
             other = [g for g in G.arrows if data.class_map[g] != cid and g not in e.S
@@ -159,7 +160,7 @@ def test_section_value_with_other_endpoints_is_a_typed_error(name, pair):
     e = corpus.pair_groupoid(3) if name == "pair(3)" else corpus.by_name(name)
     G = e.G
     GW, data = build_weyl_groupoid(G, e.S, e.omega)
-    cid = min(c for c in data.classes if not G.is_unit(data.section[c]))
+    cid = min(c for c in data.Q.arrows if not G.is_unit(data.section[c]))
     other = min(g for g in G.arrows if (G.src[g], G.tgt[g]) != (G.src[cid], G.tgt[cid]))
     data.section = {**data.section, cid: other}
     # the first class pair, in Q.compose order, whose defect does not compose

@@ -13,7 +13,7 @@ from weylkit.errors import (
     SchemaError,
     ThetaInvalid,
 )
-from weylkit.groupoid import Grading, find_isomorphism, validate_groupoid
+from weylkit.groupoid import Grading, class_table, find_isomorphism, validate_groupoid
 from weylkit.phases import Phase
 from weylkit.reconstruct import (
     ThetaDatum,
@@ -69,7 +69,7 @@ def oracle_maps(pkg):
 
     def ad(cid, chi):
         # conjugation by the least member of the class, dual side
-        gamma = min(data.classes[cid])
+        gamma = min(class_table(data.class_map)[cid])
         gi = G.inv(gamma)
         table = {
             a: direct_value(chi, G.mul_all(gamma, a, gi))
@@ -178,7 +178,7 @@ def test_quotient_requires_passing_report(derived):
 def test_diamond_action_d4_inverts_dual(diamond):
     dia = diamond("d4")
     nontrivial = next(c for c in dia.HT.arrows if not dia.HT.is_unit(c))
-    x = dia.pkg.p_s(min(dia.classes[nontrivial]))
+    x = dia.pkg.p_s(min(class_table(dia.class_map)[nontrivial]))
     action = action_ids(dia.HT, dia.That, dia.image, dia.x_unit)
     for chi in dia.That.fibres[x]:
         assert dia.That.by_id[action[(nontrivial, dia.That.char_id[chi])]] == dia.That.invert(chi)
@@ -314,16 +314,12 @@ def test_boxtimes_bundle_only(entry):
 def test_imm_centralizing_action(diamond):
     # trivial action on an exponent-2 dual: immediately centralizing
     dia = diamond("z2z2")
-    K = dia.That.to_bundle()
-    act = action_ids(dia.HT, dia.That, dia.image, dia.x_unit)
-    assert check_imm_centralizing_action(dia.HT, K, act, dia.x_unit) == (True, None)
+    assert check_imm_centralizing_action(dia.HT, dia.That, dia.image, dia.x_unit) == (True, None)
 
     # inversion on a Z4 dual: premise holds at k=2 but the action moves
     # order-4 characters
     dia4 = diamond("d4")
-    K4 = dia4.That.to_bundle()
-    act4 = action_ids(dia4.HT, dia4.That, dia4.image, dia4.x_unit)
-    ok, (g, k) = check_imm_centralizing_action(dia4.HT, K4, act4, dia4.x_unit)
+    ok, (g, k) = check_imm_centralizing_action(dia4.HT, dia4.That, dia4.image, dia4.x_unit)
     assert not ok and k == 2
 
 

@@ -24,6 +24,7 @@ import weylkit
 from weylkit import corpus
 from weylkit.dual import Character
 from weylkit.errors import WeylkitError
+from weylkit.groupoid import class_table
 from weylkit.phases import Phase
 from weylkit.reconstruct import (
     ThetaDatum,
@@ -183,7 +184,7 @@ def valid_sections(data, seed):
     rng = random.Random(seed)
     units = {data.class_map[u]: u for u in data.G.units}
     for _ in range(2):
-        yield {cid: units.get(cid) or rng.choice(sorted(members)) for cid, members in sorted(data.classes.items())}
+        yield {cid: units.get(cid) or rng.choice(sorted(members)) for cid, members in sorted(class_table(data.class_map).items())}
 
 
 @pytest.mark.parametrize("name", TRIVIAL)

@@ -162,8 +162,9 @@ def test_choose_section_units_and_least(entry):
     _, data = build_weyl_groupoid(e.G, e.S, e.omega)
     for u in e.G.units:
         assert data.section[data.class_map[u]] == u
-    nontrivial = next(c for c in data.classes if c != data.class_map["1"])
-    assert data.section[nontrivial] == min(data.classes[nontrivial])
+    classes = class_table(data.class_map)
+    nontrivial = next(c for c in classes if c != data.class_map["1"])
+    assert data.section[nontrivial] == min(classes[nontrivial])
 
 
 def test_twist_trivial_for_multiplicative_section(entry):
@@ -178,7 +179,7 @@ def test_twist_q8_takes_both_values(entry):
     GW, data = build_weyl_groupoid(e.G, e.S, e.omega)
     C = weyl_twist_cocycle(GW, data)
     assert check_cocycle(GW, C) == []
-    nontrivial = next(c for c in data.classes if c != data.class_map["1"])
+    nontrivial = next(c for c in class_table(data.class_map) if c != data.class_map["1"])
     # the section representative squares to -1, so the twist on pairs of
     # nontrivial classes evaluates characters at -1: values 0 and 1/2
     vals = {
@@ -252,9 +253,10 @@ def test_iso_kernel_members(entry):
 def test_custom_section_roundtrip(entry):
     e = entry("q8")
     _, data = build_weyl_groupoid(e.G, e.S, e.omega)
-    section = choose_section(e.G, data.class_map, data.classes)
+    section = choose_section(e.G, data.class_map)
+    classes = class_table(data.class_map)
     for cid, rep in section.items():
-        assert rep in data.classes[cid]
+        assert rep in classes[cid]
 
 
 def _exhaustive_immediately_centralizing(G, S, T):
