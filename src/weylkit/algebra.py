@@ -17,16 +17,16 @@ Every step runs on these two arrays:
   the identity at (g, g^-1, gx) once omega vanishes at the units.  So both
   laws are checked once per algebra, exactly, by ``check_cocycle``'s test
   on the numerator table (``TwistedAlgebra.defect``), and a cocycle that
-  passes gets no numeric law check.  The tables of one that fails are
-  compared numerically only to name the broken law (``_verify_tables``).
-  The dense matrices of the deltas are built from the tables only for the
-  callers that return them.
-- The center and the commutant are null spaces of commutator maps
-  z -> [z, delta_b] on coefficient vectors, written down from
-  [delta_h, delta_b] = phase[h, b] delta_{hb} - phase[b, h] delta_{bh}.
-  For the center b ranges over the generators, whose deltas generate the
-  algebra, and the map's Gram matrix is scattered directly, one entry per
-  (arrow, generator) (see ``_center_gram``).
+  passes gets no other law check.  For one that fails, the broken law is
+  named from the same numerators, mod den, before any table is built
+  (``_broken_law``).  The dense matrices of the deltas are built from the
+  tables only for the callers that return them.
+- The center and the commutant are null spaces of the maps
+  z -> ([z, delta_b])_b, b over the generators, resp. over S with z on the
+  zero-graded part.  Neither map is built: its Gram matrix is scattered
+  from one entry per (column, b) (see ``_center_gram``).  Whether span(S)
+  is abelian is read off the tables exactly: delta_s delta_t = delta_t
+  delta_s when st = ts and omega(s, t) = omega(t, s), or neither is defined.
 - A convolution gathers the composable pairs whose products are asked
   for, grouped by product, and sums each group, over any leading axes in
   blocks of rows.
@@ -45,9 +45,10 @@ Every step runs on these two arrays:
   of C*(G_u^u, omega), one scatter from its tables; block n_i is an
   eigenvalue of multiplicity n_i^2 (see ``_split_blocks``), times |O|.
 
-Exact phases enter through the structure constants, the exact check and,
-for abelian isotropy, the numerator table; from there on the computations
-are numerical with fixed tolerances.
+The law check, the naming of a broken law, whether span(S) is abelian and
+the blocks for abelian isotropy are exact integer work on the numerator
+table.  The center, the commutant's dimension and the split for non-abelian
+isotropy are numerical, with fixed tolerances.
 """
 
 from __future__ import annotations
@@ -69,12 +70,11 @@ from .errors import (
 from .groupoid import FiniteGroupoid, Grading, validate_arrays, validate_grading
 from .phases import Phase
 
-HOM_TOL = 1e-12
+HOM_TOL = 1e-12     # reported in CompareReport.tolerances; every law is checked exactly
 SPEC_TOL = 1e-8
 POS_TOL = 1e-10
-_GATHER = 2**15     # complex entries in one block of gathered convolution terms
+_GATHER = 2**15     # entries in one block of rows of gathered convolution terms or law instances
 _PASS = 2**18       # coefficients drawn per pass of expectation trials
-_CHECK = 2**18      # table entries compared per block of rows of the star and product laws
 
 
 def _check_seed(seed):
@@ -206,86 +206,50 @@ def _tables(alg: TwistedAlgebra, basis):
 
     The tables are a *-homomorphism exactly when omega passes the exact
     cocycle check (see the module docstring), so they are returned with no
-    numeric check when ``alg.defect`` is None.  Otherwise
-    NotStarHomomorphism names the law that :func:`_verify_tables` finds
-    broken on these tables or, when the defect is too small for that, the
-    exact triple.
+    other check when ``alg.defect`` is None.  Otherwise no table is built,
+    and NotStarHomomorphism carries the witness of :func:`_broken_law`.
     """
-    defect = alg.defect
+    if alg.defect is not None:
+        raise NotStarHomomorphism(_broken_law(alg, basis))
     pos = np.empty(len(alg.G), dtype=np.int64)
     pos[basis] = np.arange(len(basis))
     cols = alg.comp[:, basis]
     composes = cols >= 0
     target = np.where(composes, pos[cols], -1)
     value = np.where(composes, alg.phase[:, basis], 0)
-    if defect is not None:
-        _verify_tables(alg, target, value)
-        raise NotStarHomomorphism(defect)
     return target, value
 
 
-def _verify_tables(alg: TwistedAlgebra, target, value):
-    """The star law on every arrow, the product law on (g, b) for b over the generators, to HOM_TOL.
+def _broken_law(alg: TwistedAlgebra, basis):
+    """The law that the deltas break on the span of ``basis``, read from the numerators mod den.
 
-    Run only on an algebra whose cocycle failed the exact check, to name
-    the broken law as the dense check on the matrices names it.  Every
-    matrix compared has at most one nonzero per column, so each law is
-    compared column by column: a column's error is the difference of the two
-    entries where both sit in one row, and 1 where the supports differ.  The
-    error of a law is its largest column error, as for the dense difference,
-    and the witness is the first arrow, then the first (g, b) in g-major,
-    generator order, whose error is not below HOM_TOL.  Both laws are
-    compared in blocks of rows (see :func:`_first_failure`).
+    On a basis vector x the star law at g is omega(g, g^-1) =
+    omega(g, x) + omega(g^-1, gx), and the product law at (g, b) is
+    omega(b, x) + omega(g, bx) = omega(g, b) + omega(gb, x).  The witness is
+    ("star", g) for the first arrow g that fails, else ("product", g, b)
+    for the first (g, b), b over the generators, in g-major order, else the
+    exact defect, which may lie off ``basis``.  Rows are read in blocks of
+    at most _GATHER entries.
     """
-    arrows = alg.G.arrows
-    defined = target >= 0
-    # column t of delta_g^* holds conj(value[g, j]) in row j when target[g, j] = t
-    t = np.where(defined, target, 0)
-    cols = np.arange(target.shape[1])
-    counts = defined.sum(axis=1)
-
-    def star(rows):
-        inv = alg.inv[rows, None]
-        same = defined[rows] & (target[inv, t[rows]] == cols)
-        err = np.abs(value[rows].conj() - alg.star_phase[rows, None] * value[inv, t[rows]])
-        err = np.where(same, err, defined[rows]).max(axis=1, initial=0.0)
-        return np.maximum(err, counts[rows] != counts[alg.inv[rows]])
-
-    g = _first_failure(star, len(arrows), len(cols))
-    if g is not None:
-        raise NotStarHomomorphism(("star", arrows[g]))
-    gens = alg.G.generators()
-    g, b = np.nonzero(alg.comp[:, gens] >= 0)
-    b = gens[b]
-    gb = alg.comp[g, b]
-
-    def product(rows):
-        g_, b_, gb_ = g[rows], b[rows], gb[rows]
-        mid = t[b_]                                                     # pi(b) sends column j to row mid
-        left = np.where(defined[b_], target[g_[:, None], mid], -1)      # the row of column j in pi(g) pi(b)
-        right = target[gb_]                                             # and in omega(g, b) pi(gb)
-        diff = value[g_[:, None], mid] * value[b_] - alg.phase[g_, b_][:, None] * value[gb_]
-        err = np.where((left >= 0) & (left == right), np.abs(diff), (left >= 0) | (right >= 0))
-        return err.max(axis=1, initial=0.0)
-
-    k = _first_failure(product, len(g), len(cols))
-    if k is not None:
-        raise NotStarHomomorphism(("product", arrows[g[k]], arrows[b[k]]))
-
-
-def _first_failure(error, rows, width):
-    """The first of ``rows`` rows whose error is not below HOM_TOL, or None.
-
-    ``error(block)`` gives the errors of a slice of rows, each row ``width``
-    entries wide; the slices hold at most _CHECK entries, so the temporaries
-    of a law stay that size however large the tables.
-    """
-    step = max(1, _CHECK // max(1, width))
-    for lo in range(0, rows, step):
-        bad = ~(error(slice(lo, lo + step)) < HOM_TOL)
+    G, num, comp, den = alg.G, alg.num, alg.comp, alg.den
+    step = max(1, _GATHER // max(1, len(basis)))
+    for lo in range(0, len(G), step):
+        g = np.arange(lo, min(lo + step, len(G)))[:, None]
+        gi, gx = alg.inv[g], comp[g, basis]
+        bad = (gx >= 0) & ((num[g, basis] + num[gi, gx] - num[g, gi]) % den != 0)
         if bad.any():
-            return lo + int(bad.argmax())
-    return None
+            return ("star", G.arrows[lo + int(bad.any(axis=1).argmax())])
+    gens = G.generators()
+    g, b = np.nonzero(comp[:, gens] >= 0)
+    b = gens[b]
+    for lo in range(0, len(g), step):
+        g_, b_ = g[lo:lo + step, None], b[lo:lo + step, None]
+        bx, gb = comp[b_, basis], comp[g_, b_]
+        bad = (bx >= 0) & ((num[b_, basis] + num[g_, bx] - num[g_, b_] - num[gb, basis]) % den != 0)
+        if bad.any():
+            k = lo + int(bad.any(axis=1).argmax())
+            return ("product", G.arrows[g[k]], G.arrows[b[k]])
+    return alg.defect
 
 
 def _matrix(target, value, coeffs):
@@ -321,7 +285,7 @@ def regular_representation(G: FiniteGroupoid, omega: TwoCocycle, u):
     """Matrices of the arrow deltas on the span of the arrows out of u.
 
     Returns (matrices: arrow -> ndarray, basis: ordered fibre arrows).
-    Verified to be a *-homomorphism to 1e-12.
+    A *-homomorphism, checked exactly (see :func:`_tables`).
     """
     basis = _fibre(G, u)
     stack = _stack(*_tables(TwistedAlgebra(G, omega), basis))
@@ -348,21 +312,6 @@ def reduced_norm(G: FiniteGroupoid, omega: TwoCocycle, f) -> float:
     return best
 
 
-def _commutator_map(alg: TwistedAlgebra, left, cols):
-    """The matrix of z -> ([z, delta_b])_{b in left} for z supported on ``cols``.
-
-    ``left`` and ``cols`` hold arrow indices; the rows are (b, arrow index)
-    pairs and the columns follow ``cols``.
-    """
-    left, cols = np.asarray(left, dtype=np.int64), np.asarray(cols, dtype=np.int64)
-    K = np.zeros((len(left), len(alg.G), len(cols)), dtype=complex)
-    i, j = np.nonzero(alg.comp[cols[None, :], left[:, None]] >= 0)     # h * b
-    K[i, alg.comp[cols[j], left[i]], j] = alg.phase[cols[j], left[i]]
-    i, j = np.nonzero(alg.comp[left[:, None], cols[None, :]] >= 0)     # b * h
-    K[i, alg.comp[left[i], cols[j]], j] -= alg.phase[left[i], cols[j]]
-    return K.reshape(-1, len(cols))
-
-
 def _null_space(gram, tol):
     """Orthonormal columns spanning the null space of K: eigenvalues of gram = K^* K below tol * scale."""
     eigvals, eigvecs = np.linalg.eigh(gram)
@@ -370,28 +319,36 @@ def _null_space(gram, tol):
     return eigvecs[:, eigvals < tol * scale]
 
 
-def _center_gram(alg: TwistedAlgebra):
-    """The Gram matrix K^* K of the commutator map K over the generators b, built without K.
+def _center_gram(alg: TwistedAlgebra, left=None, cols=None):
+    """The Gram matrix K^* K of K: z -> ([z, delta_b])_{b in left}, z supported on ``cols``, built without K.
 
-    K_b = R_b - L_b, right minus left multiplication by delta_b, and both
-    are monomial: R_b^* R_b and L_b^* L_b are diagonal, counting the
-    arrows x with x b, and with b x, defined.  The cross term
-    C = sum_b R_b^* L_b has conj(phase[x, b]) phase[b, y] at [x, y] when
-    x b = b y, that is y = b^-1 (x b), so sum_b K_b^* K_b = counts - C - C^*
-    is scattered from one entry per (x, b).
+    ``left`` and ``cols`` hold arrow indices; they default to the
+    generators, whose commutant is the center, and every arrow.  K_b is
+    R_b - L_b, right minus left multiplication by delta_b, and both are
+    monomial: R_b^* R_b and L_b^* L_b are diagonal, counting the b with
+    x b, and with b x, defined.  The cross term C = sum_b R_b^* L_b has
+    conj(phase[x, b]) phase[b, y] at [x, y] when x b = b y, that is
+    y = b^-1 (x b), so sum_b K_b^* K_b = counts - C - C^* is scattered from
+    one entry per (x, b), kept where y is in ``cols`` too.
     """
-    n, gens = len(alg.G), alg.G.generators()
-    xb = alg.comp[:, gens]
+    n = len(alg.G)
+    left = alg.G.generators() if left is None else np.asarray(left, dtype=np.int64)
+    cols = np.arange(n) if cols is None else np.asarray(cols, dtype=np.int64)
+    m = len(cols)
+    pos = np.full(n + 1, -1, dtype=np.int64)       # position in cols, or -1; pos[-1] is a spare -1
+    pos[cols] = np.arange(m)
+    xb = alg.comp[cols[:, None], left]
     defined = xb >= 0
-    y = alg.comp[alg.inv[gens], xb]                 # b^-1 (x b), read only where x b is defined
-    x, i = np.nonzero(defined & (y >= 0))
-    b, y = gens[i], y[x, i]
-    terms = alg.phase[x, b].conj() * alg.phase[b, y]
-    cross = np.empty(n * n, dtype=complex)
-    cross.real = np.bincount(x * n + y, terms.real, n * n)
-    cross.imag = np.bincount(x * n + y, terms.imag, n * n)
-    cross = cross.reshape(n, n)
-    counts = defined.sum(axis=1) + (alg.comp[gens] >= 0).sum(axis=0)
+    y = pos[alg.comp[alg.inv[left], xb]]            # b^-1 (x b), read only where x b is defined
+    x, k = np.nonzero(defined & (y >= 0))
+    y, b = y[x, k], left[k]
+    terms = alg.phase[cols[x], b].conj() * alg.phase[b, cols[y]]
+    at = x * m + y
+    cross = np.empty(m * m, dtype=complex)
+    cross.real = np.bincount(at, terms.real, m * m)
+    cross.imag = np.bincount(at, terms.imag, m * m)
+    cross = cross.reshape(m, m)
+    counts = defined.sum(axis=1) + (alg.comp[left[:, None], cols] >= 0).sum(axis=0)
     return np.diag(counts) - cross - cross.conj().T
 
 
@@ -424,17 +381,20 @@ def commutant_check(G: FiniteGroupoid, omega: TwoCocycle, c: Grading, S_members)
     """The commutant of span(S) inside the zero-graded part, by nullspace.
 
     span(S) is maximal abelian in the zero-graded subalgebra exactly when
-    the commutant dimension equals dim span(S).
+    it is abelian, which is read off the tables exactly, and the commutant
+    dimension, the null space of ``_center_gram`` over S and the
+    zero-graded arrows, equals dim span(S).
     """
     S = sorted(set(S_members))
     A0 = np.flatnonzero(~validate_grading(G, c).any(axis=1))    # raises NotHomomorphism unless c is a grading
     alg = TwistedAlgebra(G, omega)
     if alg.defect is not None:
         _tables(alg, _total_basis(G))   # raises NotStarHomomorphism, naming the broken law
-    s = [G.index[g] for g in S]
-    K = _commutator_map(alg, s, A0)
-    commutant_dim = _null_space(K.conj().T @ K, SPEC_TOL).shape[1]
-    abelian = not np.max(np.abs(_commutator_map(alg, s, s)), initial=0.0) > SPEC_TOL
+    s = np.array([G.index[g] for g in S], dtype=np.int64)
+    commutant_dim = _null_space(_center_gram(alg, s, A0), SPEC_TOL).shape[1]
+    # delta_a, delta_b commute: ab = ba as indices (both -1 where neither is defined) and omega(a, b) = omega(b, a)
+    ab, num = alg.comp[s[:, None], s], alg.num[s[:, None], s]
+    abelian = bool(((ab == ab.T) & ((ab < 0) | ((num - num.T) % alg.den == 0))).all())
     return CommutantReport(
         dim_D=len(S),
         dim_A0=len(A0),

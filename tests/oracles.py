@@ -35,9 +35,12 @@ a time, conjugate with ``mul_all``, and build theta as a dict of
 ``Character`` values.  The immediately-centralizing checks build powers
 by gathers on index tables; their plain versions cache each element's
 powers in a dict, one ``mul`` or character product per step, and test
-one arrow at a time.  The tests compare the two.  Last, a few names only
+one arrow at a time.  The algebra names the law a failing cocycle breaks
+from its numerator table; the plain version sums ``Phase`` values one law
+instance at a time.  The tests compare the two.  Last, a few names only
 the tests use: the unit-identity consequence of the cocycle condition,
-the isotropy bundle and effectiveness, and the error of theta's loop.
+the isotropy bundle and effectiveness, the error of theta's loop, and the
+(|left|, |G|, |cols|) commutator map of the center oracle.
 """
 
 import cmath
@@ -54,7 +57,6 @@ from weylkit.algebra import (
     SPEC_TOL,
     ExpectationReport,
     TwistedAlgebra,
-    _commutator_map,
     _null_space,
     reduced_norm,
 )
@@ -411,6 +413,31 @@ def verify_star_hom_stack(alg, stack):
             raise NotStarHomomorphism(("product", arrows[g], arrows[bs[bad.argmax()]]))
 
 
+def broken_law_loop(G, omega, basis):
+    """The witness NotStarHomomorphism carries for the deltas on the span of the arrows ``basis``, or None.
+
+    The star law at g, omega(g, g^-1) = omega(g, x) + omega(g^-1, gx), for
+    every arrow g, then the product law at (g, b),
+    omega(b, x) + omega(g, bx) = omega(g, b) + omega(gb, x), for b over the
+    generators, one ``Phase`` sum per instance with x over ``basis``; when
+    both hold, the first exact cocycle defect.
+    """
+    w = omega.omega
+    for g in G.arrows:
+        gi = G.inv(g)
+        if any(w(g, gi) != w(g, x) + w(gi, G.mul(g, x)) for x in basis if G.composable(g, x)):
+            return ("star", g)
+    gens = [G.arrows[i] for i in G.generators()]
+    for g in G.arrows:
+        for b in gens:
+            if G.composable(g, b) and any(
+                w(b, x) + w(g, G.mul(b, x)) != w(g, b) + w(G.mul(g, b), x) for x in basis if G.composable(b, x)
+            ):
+                return ("product", g, b)
+    found = check_cocycle(G, omega, max_witnesses=1)
+    return found[0] if found else None
+
+
 def total_basis_loop(G):
     """Every arrow index, unit by unit over ``arrows_from``: the basis of the total representation."""
     return np.array([G.index[g] for u in G.units for g in G.arrows_from(u)], dtype=np.int64)
@@ -466,6 +493,21 @@ def wedderburn_blocks_stack(G, omega, seed=0, tol=SPEC_TOL):
     mats = total_representation_stack(G, omega)
     center = center_basis_stack(TwistedAlgebra(G, omega), tol=tol)
     return split_blocks_dense(mats, center, seed, tol), center.shape[1]
+
+
+def _commutator_map(alg, left, cols):
+    """The matrix of z -> ([z, delta_b])_{b in left} for z supported on ``cols``.
+
+    ``left`` and ``cols`` hold arrow indices; the rows are (b, arrow index)
+    pairs and the columns follow ``cols``.
+    """
+    left, cols = np.asarray(left, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    K = np.zeros((len(left), len(alg.G), len(cols)), dtype=complex)
+    i, j = np.nonzero(alg.comp[cols[None, :], left[:, None]] >= 0)     # h * b
+    K[i, alg.comp[cols[j], left[i]], j] = alg.phase[cols[j], left[i]]
+    i, j = np.nonzero(alg.comp[left[:, None], cols[None, :]] >= 0)     # b * h
+    K[i, alg.comp[left[i], cols[j]], j] -= alg.phase[left[i], cols[j]]
+    return K.reshape(-1, len(cols))
 
 
 def center_basis_stack(alg, tol=SPEC_TOL):

@@ -3,9 +3,10 @@
 On the tables of a twisted algebra the product law at (g, b) is the
 cocycle identity at (g, b, x) on each basis vector x, and the star law is
 the identity at (g, g^-1, gx) with the unit normalization.  So the algebra
-calls run ``check_cocycle``'s exact test and no numeric law check on a
-cocycle that passes it; the numeric check only names the broken law of one
-that fails.  A defect below the numeric tolerance is refused all the same.
+calls run ``check_cocycle``'s exact test and no other law check on a
+cocycle that passes it; for one that fails, the broken law is named from
+the numerators mod den, as ``broken_law_loop`` names it with ``Phase``
+sums.  A defect below the numeric tolerance is named all the same.
 """
 
 import json
@@ -34,46 +35,49 @@ from weylkit.io import save_groupoid
 from weylkit.phases import HALF, Phase
 
 from oracles import (
+    broken_law_loop,
     cocycle_violations_by_generator,
     phase_table_unique,
     represent_stack,
     wedderburn_blocks_stack,
 )
-from test_algebra_tables import INPUTS, build, coboundary_twist
+from test_algebra_tables import INPUTS, _witness, build, coboundary_twist, mutations
 
 TINY = Phase(1, 2**45)      # a shift of 2 pi 2^-45, about 1.8e-13, below HOM_TOL
 
 
 def tiny_defect(name="rotation(4,1)"):
-    """The corpus cocycle with one non-unit entry shifted by 2^-45: no cocycle, numerically a *-homomorphism."""
+    """The corpus cocycle with one non-unit entry shifted by 2^-45: no cocycle, numerically a *-homomorphism.
+
+    Returns (entry, the pair shifted, the shifted cocycle).
+    """
     e = build(name)
     G = e.G
     pair = next((g, x) for g, x in G.compose if not (G.is_unit(g) or G.is_unit(x)))
     values = dict(e.omega.values)
     values[pair] = e.omega.omega(*pair) + TINY
-    return e, TwoCocycle(G, values)
+    return e, pair, TwoCocycle(G, values)
 
 
 def test_a_defect_below_the_tolerance_is_refused_exactly():
-    e, bad = tiny_defect()
-    triple = check_cocycle(e.G, bad, max_witnesses=1)[0]
+    e, _, bad = tiny_defect()
     alg = TwistedAlgebra(e.G, bad)
     assert alg.den > alg.num.size
-    # the dense check on the stacked matrices finds nothing to name
+    # the dense check on the stacked matrices finds nothing to name; the exact laws name the star law
     represent_stack(alg, _total_basis(e.G))
+    law = broken_law_loop(e.G, bad, e.G.arrows)
+    assert law == ("star", "0|1") != check_cocycle(e.G, bad, max_witnesses=1)[0]
     for run in (
         lambda: wedderburn_blocks(e.G, bad),
         lambda: compare_algebras(e.G, e.omega, e.G, bad),
         lambda: commutant_check(e.G, bad, e.c, e.S),
         lambda: total_representation(e.G, bad),
     ):
-        with pytest.raises(NotStarHomomorphism) as info:
-            run()
-        assert info.value.witness == triple
+        assert _witness(run) == law
 
 
 def test_the_cli_refuses_a_defect_below_the_tolerance(tmp_path, capsys):
-    e, bad = tiny_defect()
+    e, _, bad = tiny_defect()
     path = tmp_path / "tiny.json"
     save_groupoid(str(path), e.G, bad, e.c, e.S)
     assert main(["validate", str(path)]) == 1
@@ -82,21 +86,45 @@ def test_the_cli_refuses_a_defect_below_the_tolerance(tmp_path, capsys):
     assert main(["algebra", str(path), "--format", "json"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and "Traceback" not in err
-    triple = check_cocycle(e.G, bad, max_witnesses=1)[0]
-    assert err.splitlines() == [f"failure: representation is not a *-homomorphism; witness {triple}"] * 2
+    assert err.splitlines() == ["failure: representation is not a *-homomorphism; witness ('star', '0|1')"] * 2
     good = tmp_path / "good.json"
     save_groupoid(str(good), e.G, e.omega, e.c, e.S)
     assert main(["algebra", str(good), "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["blocks"] == [4]
 
 
+def _assert_witnesses_match_the_loop(e, x, bad):
+    """Every algebra entry point names the law ``broken_law_loop`` names, on the total basis and on x's fibre."""
+    G = e.G
+    law = broken_law_loop(G, bad, G.arrows)
+    assert law is not None
+    assert _witness(wedderburn_blocks, G, bad) == law
+    assert _witness(compare_algebras, G, bad, G, e.omega) == law
+    assert _witness(commutant_check, G, bad, e.c, e.S) == law
+    assert _witness(total_representation, G, bad) == law
+    u = G.src[x]
+    assert _witness(regular_representation, G, bad, u) == broken_law_loop(G, bad, G.arrows_from(u))
+
+
+@pytest.mark.parametrize("name", INPUTS)
+def test_witnesses_match_the_exact_law_loop(name):
+    for (_, x), bad in mutations(name):
+        _assert_witnesses_match_the_loop(build(name), x, bad)
+
+
+@pytest.mark.parametrize("name", ["rotation(4,1)", "d4", "pair(4)"])
+def test_sub_tolerance_witnesses_match_the_exact_law_loop(name):
+    e, (_, x), bad = tiny_defect(name)
+    _assert_witnesses_match_the_loop(e, x, bad)
+
+
 @pytest.mark.parametrize("name", INPUTS)
 def test_the_pass_path_runs_no_numeric_law_check(name, monkeypatch):
     def refuse(*args):
-        raise RuntimeError("numeric law check on the pass path")
+        raise RuntimeError("law naming on the pass path")
 
     e = build(name)
-    monkeypatch.setattr(algebra, "_verify_tables", refuse)
+    monkeypatch.setattr(algebra, "_broken_law", refuse)
     expected = wedderburn_blocks_stack(e.G, e.omega)
     assert wedderburn_blocks(e.G, e.omega) == expected
     assert compare_algebras(e.G, e.omega, e.G, e.omega).passed
@@ -106,7 +134,7 @@ def test_the_pass_path_runs_no_numeric_law_check(name, monkeypatch):
     reduced_norm(e.G, e.omega, {e.G.arrows[-1]: 1.0})
 
 
-def test_a_failing_cocycle_still_gets_the_numeric_witness(monkeypatch):
+def test_a_failing_cocycle_names_its_broken_law_once(monkeypatch):
     e = build("d4")
     G = e.G
     pair = next((g, x) for g, x in G.compose if not (G.is_unit(g) or G.is_unit(x)))
@@ -114,8 +142,8 @@ def test_a_failing_cocycle_still_gets_the_numeric_witness(monkeypatch):
     values[pair] = e.omega.omega(*pair) + HALF
     bad = TwoCocycle(G, values)
     calls = []
-    real = algebra._verify_tables
-    monkeypatch.setattr(algebra, "_verify_tables", lambda *args: calls.append(1) or real(*args))
+    real = algebra._broken_law
+    monkeypatch.setattr(algebra, "_broken_law", lambda *args: calls.append(1) or real(*args))
     with pytest.raises(NotStarHomomorphism) as info:
         wedderburn_blocks(G, bad)
     assert calls == [1] and info.value.witness[0] in ("star", "product")
@@ -140,7 +168,7 @@ def test_a_denominator_past_the_table_size_keeps_the_distinct_numerators():
     assert alg.den > alg.num.size
     assert np.array_equal(alg.phase, phase_table_unique(alg.num, alg.den))
     assert wedderburn_blocks(e.G, twisted) == ([4], 1)
-    _, tiny = tiny_defect()
+    _, _, tiny = tiny_defect()
     alg = TwistedAlgebra(e.G, tiny)
     assert np.array_equal(alg.phase, phase_table_unique(alg.num, alg.den))
 
