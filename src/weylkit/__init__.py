@@ -20,7 +20,6 @@ from .cocycle import (
     TwoCocycle,
     check_cocycle,
     check_symmetric_on,
-    find_maximal_symmetric_abelian,
     is_maximal_symmetric_abelian,
 )
 from .dual import (
@@ -28,7 +27,6 @@ from .dual import (
     CharacterBundle,
     GroupBundle,
     bundle_from_subgroupoid,
-    double_dual_iso,
     dual_bundle,
 )
 from .errors import WeylkitError
@@ -37,7 +35,6 @@ from .groupoid import (
     Grading,
     Subgroupoid,
     build_groupoid,
-    find_isomorphism,
     kernel_of_grading,
     quotient_by_bundle,
     subgroupoid_properties,
@@ -54,7 +51,6 @@ from .reconstruct import (
     diamond_action,
     quotient_HT,
     reconstruction_iso,
-    theta_from_section,
     verify_action_package,
     verify_reconstruction_hypotheses,
     verify_theta,

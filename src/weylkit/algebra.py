@@ -265,7 +265,7 @@ def _matrix(target, value, coeffs):
 
 def _fibre(G: FiniteGroupoid, u):
     """Indices of the arrows out of u, in index order."""
-    return np.array([G.index[g] for g in G.arrows_from(u)], dtype=np.int64)
+    return np.flatnonzero(G.endpoint_indices()[0] == G.index[u])
 
 
 def _total_basis(G: FiniteGroupoid):

@@ -1,4 +1,4 @@
-"""2-cocycles with exact phase values, and the maximal-subgroupoid search.
+"""2-cocycles with exact phase values, and the maximality check of a marked bundle.
 
 The cocycle condition is checked exactly, over integer numerators with a
 common denominator, for every composable triple whose middle argument is a
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
@@ -19,7 +18,6 @@ from .groupoid import (
     FIBRE_CAP,
     MAX_TABLE_INT,
     FiniteGroupoid,
-    Subgroupoid,
     arrow_indices,
     isotropy_fibres,
     kernel_of_grading,
@@ -246,58 +244,6 @@ def _closure(G: FiniteGroupoid, u, gens):
 def _abelian_symmetric(G, omega, subset):
     m = arrow_indices(G.index, subset, len(subset))
     return noncommuting_pair(G, m) is None and check_symmetric_on(omega, subset)
-
-
-def _maximal_fibre_subgroups(G, omega, u, fibre):
-    """All maximal abelian subgroups of the fibre at u on which omega is symmetric."""
-    if len(fibre) > FIBRE_CAP:
-        raise SearchCapExceeded(f"isotropy fibre at {u} has order {len(fibre)} > {FIBRE_CAP}")
-    fibre = set(fibre)
-    maximal = set()
-    visited = set()
-
-    def extensions(A):
-        out = []
-        for t in sorted(fibre - A):
-            B = _closure(G, u, A | {t})
-            if B <= fibre and _abelian_symmetric(G, omega, B):
-                out.append(B)
-        return out
-
-    def grow(A):
-        if A in visited:
-            return
-        visited.add(A)
-        exts = extensions(A)
-        if not exts:
-            maximal.add(A)
-            return
-        for B in exts:
-            grow(B)
-
-    for g in sorted(fibre):
-        A = _closure(G, u, {g})
-        if _abelian_symmetric(G, omega, A):
-            grow(A)
-    return sorted(maximal, key=sorted)
-
-
-def find_maximal_symmetric_abelian(G: FiniteGroupoid, omega: TwoCocycle, c) -> list:
-    """All maximal wide abelian group-bundle subgroupoids of Iso(c^-1(0))
-    on which omega is symmetric.
-
-    The search runs fibrewise (bundle subgroupoids decompose over units) and
-    takes the product of the per-fibre maximal families.
-    """
-    iso = isotropy_fibres(G, kernel_of_grading(G, c).members)
-    per_unit = [
-        _maximal_fibre_subgroups(G, omega, u, iso[u]) for u in G.units
-    ]
-    results = []
-    for combo in itertools.product(*per_unit):
-        members = frozenset().union(*combo) if combo else frozenset(G.units)
-        results.append(Subgroupoid(G, members))
-    return results
 
 
 def is_maximal_symmetric_abelian(G: FiniteGroupoid, omega: TwoCocycle, c, members) -> Optional[tuple]:

@@ -11,7 +11,7 @@ and the tests, and a bundle's views are built on first read too.
 
 A :class:`GroupBundle` is the minimal interface the duality machinery
 needs; subgroupoids and character bundles both adapt to it, which is what
-makes the double dual and the reconstruction pipeline table-driven.
+makes the reconstruction pipeline table-driven.
 """
 
 from __future__ import annotations
@@ -332,28 +332,3 @@ def rows_in(nums: np.ndarray, values: np.ndarray) -> np.ndarray:
 def dual_bundle(bundle: GroupBundle) -> CharacterBundle:
     """Pontryagin dual of a finite abelian group bundle."""
     return CharacterBundle(bundle, {x: CharacterTable(bundle, x) for x in bundle.base})
-
-
-def double_dual_iso(bundle: GroupBundle):
-    """The canonical evaluation map into the double dual.
-
-    Returns (dual, double_dual, eval_map) with eval_map: element id ->
-    Character of the dual fibre; verified bijective and multiplicative.
-    """
-    dual = dual_bundle(bundle)
-    ddual = dual_bundle(dual.to_bundle())
-    eval_map = {}
-    for x in bundle.base:
-        t, tt = dual.tables[x], ddual.tables[x]
-        # element a evaluates each character: column a of the dual's table,
-        # read in the order of the double dual's columns (the sorted ids)
-        chars = [dual.position[cid][1] for cid in tt.elements]
-        image = tt.rows_of(t.values[chars].T, t.exponent)
-        if sorted(image.tolist()) != list(range(len(image))):
-            raise DualityFailure(("evaluation map not bijective", x))
-        bad = image[t.mul] != tt.product[image[:, None], image[None, :]]
-        if bad.any():
-            a, b = np.argwhere(bad)[0]
-            raise DualityFailure(("evaluation map not multiplicative", x, t.elements[a], t.elements[b]))
-        eval_map.update(zip(t.elements, map(ddual.fibres[x].__getitem__, image.tolist())))
-    return dual, ddual, eval_map

@@ -655,77 +655,3 @@ def orbit_quotient(G: FiniteGroupoid, orbits: np.ndarray, name: str, error: type
     for a in (q, members):
         a.setflags(write=False)
     return Q, class_map
-
-
-def class_table(class_map: Mapping) -> dict:
-    """Invert a class map: class id -> frozenset of its members."""
-    classes = {}
-    for g, cid in class_map.items():
-        classes.setdefault(cid, set()).add(g)
-    return {cid: frozenset(ms) for cid, ms in classes.items()}
-
-
-def find_isomorphism(G1: FiniteGroupoid, G2: FiniteGroupoid):
-    """Exhaustive search for a groupoid isomorphism G1 -> G2.
-
-    Returns an arrow bijection dict or None.  Intended for desk-scale
-    groupoids (tens of arrows); candidates are prefiltered by unit-ness,
-    isotropy and element order, then checked against the partial assignment.
-    """
-    if len(G1) != len(G2) or len(G1.units) != len(G2.units):
-        return None
-
-    def profile(G, g):
-        iso = G.src[g] == G.tgt[g]
-        return (G.is_unit(g), iso, G.element_order(g) if iso else 0)
-
-    cand = {}
-    for g in G1.arrows:
-        cand[g] = [h for h in G2.arrows if profile(G2, h) == profile(G1, g)]
-        if not cand[g]:
-            return None
-
-    order = sorted(G1.arrows, key=lambda g: (not G1.is_unit(g), len(cand[g]), g))
-    assign = {}
-    used = set()
-
-    def consistent(g, h):
-        if G1.src[g] in assign and assign[G1.src[g]] != G2.src[h]:
-            return False
-        if G1.tgt[g] in assign and assign[G1.tgt[g]] != G2.tgt[h]:
-            return False
-        if G1.inv(g) in assign and assign[G1.inv(g)] != G2.inv(h):
-            return False
-        for g2, h2 in assign.items():
-            if G1.composable(g, g2):
-                if not G2.composable(h, h2):
-                    return False
-                prod = G1.mul(g, g2)
-                if prod in assign and assign[prod] != G2.mul(h, h2):
-                    return False
-            if G1.composable(g2, g):
-                if not G2.composable(h2, h):
-                    return False
-                prod = G1.mul(g2, g)
-                if prod in assign and assign[prod] != G2.mul(h2, h):
-                    return False
-        return True
-
-    def backtrack(i):
-        if i == len(order):
-            return True
-        g = order[i]
-        for h in cand[g]:
-            if h in used or not consistent(g, h):
-                continue
-            assign[g] = h
-            used.add(h)
-            if backtrack(i + 1):
-                return True
-            del assign[g]
-            used.remove(h)
-        return False
-
-    if backtrack(0):
-        return dict(assign)
-    return None

@@ -33,14 +33,12 @@ from .groupoid import (
     Grading,
     arrow_index,
     arrow_indices,
-    build_groupoid,
     distinct_rows,
     grading_table,
     orbit_quotient,
     validate_arrays,
 )
 from .weyl import (
-    _columns,
     WeylData,
     build_weyl_groupoid,
     centralizing_bounds,
@@ -237,9 +235,9 @@ def verify_action_package(pkg: ActionPackage) -> ActionPackageReport:
 def derive_weyl_actions(G: FiniteGroupoid, S_members, omega: Optional[TwoCocycle] = None) -> ActionPackage:
     """The canonical ActionPackage on a Weyl groupoid H = (G/S acting on the dual).
 
-    Conjugation by each class of G/S, pulled back to the characters of T,
-    is tabulated once as a map of character rows; ``rho[t, eta]`` reads it
-    at the class of eta and ``lam[eta, t]`` at the inverse class.  The left
+    Conjugation by each class of G/S on the characters of T is read off the
+    Weyl action's table as a map of character rows; ``lam[eta, t]`` reads
+    it at the class of eta and ``rho[t, eta]`` at the inverse class.  The left
     action multiplies the character part of eta by ``rho[t, eta]`` and the
     right action multiplies it by t, in the character product table.
     Arrows of H are pairs (class id, character id), and T is the unit pairs.
@@ -261,33 +259,29 @@ def derive_weyl_actions(G: FiniteGroupoid, S_members, omega: Optional[TwoCocycle
     )
     pos = {t: i for i, t in enumerate(sorted(T.p))}
     tables, _, fs, ft = fibres_of(Q, dual, {u: data.class_map[u] for u in G.units})
-    # per fibre: its elements, the T index of each row, and the character tables
-    elements = [arrow_indices(G.index, t.elements, len(t.elements)) for t in tables]
+    # per fibre: the T index of each row, and the character product table
     t_row = [np.array([pos[t_of[c]] for c in t.ids]) for t in tables]
-    values, product = [t.values for t in tables], [t.product for t in tables]
-    exponent = np.array([t.exponent for t in tables])
+    product = [t.product for t in tables]
     size = np.array([len(t.ids) for t in tables])[fs]
     keys = [(cid, i) for cid, f in zip(Q.arrows, fs.tolist()) for i in tables[f].ids]
     eta = np.full((len(Q.arrows), size.max()), -1)       # the arrow of H of each row over a class's source
     eta[np.arange(eta.shape[1]) < size[:, None]] = arrow_indices(GW.index, keys, len(keys))
 
-    # ad[c]: the rows over the target of the class -> rows over its source,
-    # the character chi going to a -> chi(gamma a gamma^-1) for the class id
-    # gamma.  This is representative-independent because the bundle is
-    # abelian and normal; no cocycle correction enters (the corrections live
-    # in the quotient action, not in conjugation).
-    comp, inv, column = G.comp_matrix(), G.inverse_indices(), _columns(G, dual)
-    gamma = arrow_indices(G.index, Q.arrows, len(Q.arrows))[:, None]
-    ad = np.full(eta.shape, -1)
-    for k, c in size_blocks(size, lambda k: k ** 3):
-        V = stack(values, k)
-        conj = column[comp[comp[gamma[c], stack(elements, k)[fs[c]]], inv[gamma[c]]]]   # [class, a over the source]
-        nums = V[ft[c][:, None, None], np.arange(k)[:, None], conj[:, None, :]] * exponent[fs[c], None, None]
-        ad[c, :k] = rows_in(nums, V[fs[c]] * exponent[ft[c], None, None])
+    # lin[c]: the rows over the source of the class -> rows over its target,
+    # chi going to a -> chi(gamma^-1 a gamma) for the class id gamma.  It is
+    # the linear part of the Weyl action: each image times the inverse of the
+    # image of the trivial row, which is the cocycle's shift.  Conjugation is
+    # representative-independent because the bundle is abelian and normal.
+    # ad, conjugation pulled back from the target to the source, is lin at
+    # the inverse class.
+    lin = np.full(data.image.shape, -1)
+    for k, c in size_blocks(size, lambda k: k):
+        P, inverse, image = stack(product, k), stack([t.inverse for t in tables], k), data.image[c, :k]
+        lin[c, :k] = P[ft[c][:, None], image, inverse[ft[c], image[:, 0]][:, None]]
+    ad = lin[Q.inverse_indices()]
 
     left, rho = np.full((2, len(pos), len(GW.arrows)), -1, dtype=np.int32)
     right, lam = np.full((2, len(GW.arrows), len(pos)), -1, dtype=np.int32)
-    qinv = Q.inverse_indices()
     for k, c in size_blocks(size, lambda k: k * k):
         rows, P = stack(t_row, k), stack(product, k)[fs[c]]
         ts, tt, e, a = rows[fs[c]], rows[ft[c]], eta[c, :k], ad[c, :k]
@@ -296,25 +290,8 @@ def derive_weyl_actions(G: FiniteGroupoid, S_members, omega: Optional[TwoCocycle
         rho[R, E] = ts[b[:, 0], a][:, :, None]
         left[R, E] = e[b, P[b, a[:, :, None], np.arange(k)]]
         right[e[:, :, None], ts[:, None, :]] = e[b, P]
-        lam[e[:, :, None], ts[:, None, :]] = tt[b[:, 0], ad[qinv[c], :k]][:, None, :]
+        lam[e[:, :, None], ts[:, None, :]] = tt[b[:, 0], lin[c, :k]][:, None, :]
     return ActionPackage(H=GW, T=T, left=left, right=right, lam=lam, rho=rho, weyl=data)
-
-
-def bundle_package(T: GroupBundle) -> ActionPackage:
-    """The degenerate package where H is just the unit space T (co-trivial).
-
-    Both actions are T's product, and the exchange maps are the identity.
-    """
-    ids = sorted(T.p)
-    pos = {t: i for i, t in enumerate(ids)}
-    H = build_groupoid(ids, {t: (t, t) for t in ids}, lambda a, b: a, name="cotrivial(T)")
-    left, right, lam, rho = np.full((4, len(ids), len(ids)), -1, dtype=np.int32)
-    for x in T.base:
-        f = np.array([pos[t] for t in T.fibre(x)])
-        on = np.ix_(f, f)
-        left[on] = right[on] = [[pos[T.mult(a, b)] for b in T.fibre(x)] for a in T.fibre(x)]
-        lam[on], rho[on] = f[None, :], f[:, None]
-    return ActionPackage(H=H, T=T, left=left, right=right, lam=lam, rho=rho)
 
 
 def quotient_HT(pkg: ActionPackage, report: Optional[ActionPackageReport] = None):
@@ -523,17 +500,6 @@ def theta_for_package(pkg: ActionPackage, dia: DiamondData, section: Optional[di
 
 def trivial_theta(dia: DiamondData) -> ThetaDatum:
     return ThetaDatum._of_rows(dia, np.where(dia.HT.comp_matrix() >= 0, 0, -1).astype(np.int32))
-
-
-def theta_from_section(G: FiniteGroupoid, S_members, section: Optional[dict] = None) -> ThetaDatum:
-    """Build the whole pipeline from (G, S) and return the verified theta."""
-    pkg = derive_weyl_actions(G, S_members)
-    dia = diamond_action(pkg)
-    theta = theta_for_package(pkg, dia, section)
-    report = verify_theta(dia, theta)
-    if not report.all_pass():
-        raise ThetaInvalid(f"derived theta fails verification: {report.violations[:3]}")
-    return theta
 
 
 def verify_theta(dia: DiamondData, theta: ThetaDatum) -> ThetaReport:

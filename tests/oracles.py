@@ -40,7 +40,11 @@ from its numerator table; the plain version sums ``Phase`` values one law
 instance at a time.  The tests compare the two.  Last, a few names only
 the tests use: the unit-identity consequence of the cocycle condition,
 the isotropy bundle and effectiveness, the error of theta's loop, and the
-(|left|, |G|, |cols|) commutator map of the center oracle.
+(|left|, |G|, |cols|) commutator map of the center oracle.  And the library
+functions that no verdict reads, kept as references: the class dict of a
+class map, the exhaustive isomorphism search, the search for every maximal
+symmetric abelian bundle, the evaluation map into the double dual, the
+co-trivial action package of a bundle, and theta from (G, S) in one call.
 """
 
 import cmath
@@ -48,6 +52,7 @@ import dataclasses
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -60,7 +65,7 @@ from weylkit.algebra import (
     _null_space,
     reduced_norm,
 )
-from weylkit.cocycle import TwoCocycle, check_cocycle, common_denominator
+from weylkit.cocycle import TwoCocycle, _abelian_symmetric, _closure, check_cocycle, common_denominator
 from weylkit.dual import Character, GroupBundle, bundle_from_subgroupoid, dual_bundle
 from weylkit.errors import (
     AssociativityViolation,
@@ -69,6 +74,7 @@ from weylkit.errors import (
     NotAnAction,
     NotAutomorphism,
     RepresentativeDisagreement,
+    SearchCapExceeded,
     ThetaInvalid,
     BadInverse,
     CocycleInvalid,
@@ -85,12 +91,14 @@ from weylkit.errors import (
     WeylkitError,
 )
 from weylkit.groupoid import (
+    FIBRE_CAP,
+    FiniteGroupoid,
     Grading,
     PropertyReport,
     Subgroupoid,
     build_groupoid,
-    class_table,
     isotropy_fibres,
+    kernel_of_grading,
     quotient_by_bundle,
     validate_groupoid,
 )
@@ -102,7 +110,11 @@ from weylkit.reconstruct import (
     DiamondData,
     ThetaDatum,
     ThetaReport,
+    derive_weyl_actions,
+    diamond_action,
     quotient_HT,
+    theta_for_package,
+    verify_theta,
 )
 from weylkit.weyl import (
     _columns,
@@ -1462,3 +1474,184 @@ def check_effective(G) -> bool:
 
 class NotInS(WeylkitError):
     """A section defect outside the marked bundle, as :func:`theta_for_package_loop` raises it."""
+
+
+# ------------------------------------------- reference versions only tests call
+
+def class_table(class_map: Mapping) -> dict:
+    """Invert a class map: class id -> frozenset of its members."""
+    classes = {}
+    for g, cid in class_map.items():
+        classes.setdefault(cid, set()).add(g)
+    return {cid: frozenset(ms) for cid, ms in classes.items()}
+
+
+def find_isomorphism(G1: FiniteGroupoid, G2: FiniteGroupoid):
+    """Exhaustive search for a groupoid isomorphism G1 -> G2.
+
+    Returns an arrow bijection dict or None.  Intended for desk-scale
+    groupoids (tens of arrows); candidates are prefiltered by unit-ness,
+    isotropy and element order, then checked against the partial assignment.
+    """
+    if len(G1) != len(G2) or len(G1.units) != len(G2.units):
+        return None
+
+    def profile(G, g):
+        iso = G.src[g] == G.tgt[g]
+        return (G.is_unit(g), iso, G.element_order(g) if iso else 0)
+
+    cand = {}
+    for g in G1.arrows:
+        cand[g] = [h for h in G2.arrows if profile(G2, h) == profile(G1, g)]
+        if not cand[g]:
+            return None
+
+    order = sorted(G1.arrows, key=lambda g: (not G1.is_unit(g), len(cand[g]), g))
+    assign = {}
+    used = set()
+
+    def consistent(g, h):
+        if G1.src[g] in assign and assign[G1.src[g]] != G2.src[h]:
+            return False
+        if G1.tgt[g] in assign and assign[G1.tgt[g]] != G2.tgt[h]:
+            return False
+        if G1.inv(g) in assign and assign[G1.inv(g)] != G2.inv(h):
+            return False
+        for g2, h2 in assign.items():
+            if G1.composable(g, g2):
+                if not G2.composable(h, h2):
+                    return False
+                prod = G1.mul(g, g2)
+                if prod in assign and assign[prod] != G2.mul(h, h2):
+                    return False
+            if G1.composable(g2, g):
+                if not G2.composable(h2, h):
+                    return False
+                prod = G1.mul(g2, g)
+                if prod in assign and assign[prod] != G2.mul(h2, h):
+                    return False
+        return True
+
+    def backtrack(i):
+        if i == len(order):
+            return True
+        g = order[i]
+        for h in cand[g]:
+            if h in used or not consistent(g, h):
+                continue
+            assign[g] = h
+            used.add(h)
+            if backtrack(i + 1):
+                return True
+            del assign[g]
+            used.remove(h)
+        return False
+
+    if backtrack(0):
+        return dict(assign)
+    return None
+
+
+def _maximal_fibre_subgroups(G, omega, u, fibre):
+    """All maximal abelian subgroups of the fibre at u on which omega is symmetric."""
+    if len(fibre) > FIBRE_CAP:
+        raise SearchCapExceeded(f"isotropy fibre at {u} has order {len(fibre)} > {FIBRE_CAP}")
+    fibre = set(fibre)
+    maximal = set()
+    visited = set()
+
+    def extensions(A):
+        out = []
+        for t in sorted(fibre - A):
+            B = _closure(G, u, A | {t})
+            if B <= fibre and _abelian_symmetric(G, omega, B):
+                out.append(B)
+        return out
+
+    def grow(A):
+        if A in visited:
+            return
+        visited.add(A)
+        exts = extensions(A)
+        if not exts:
+            maximal.add(A)
+            return
+        for B in exts:
+            grow(B)
+
+    for g in sorted(fibre):
+        A = _closure(G, u, {g})
+        if _abelian_symmetric(G, omega, A):
+            grow(A)
+    return sorted(maximal, key=sorted)
+
+
+def find_maximal_symmetric_abelian(G: FiniteGroupoid, omega: TwoCocycle, c) -> list:
+    """All maximal wide abelian group-bundle subgroupoids of Iso(c^-1(0))
+    on which omega is symmetric.
+
+    The search runs fibrewise (bundle subgroupoids decompose over units) and
+    takes the product of the per-fibre maximal families.
+    """
+    iso = isotropy_fibres(G, kernel_of_grading(G, c).members)
+    per_unit = [
+        _maximal_fibre_subgroups(G, omega, u, iso[u]) for u in G.units
+    ]
+    results = []
+    for combo in itertools.product(*per_unit):
+        members = frozenset().union(*combo) if combo else frozenset(G.units)
+        results.append(Subgroupoid(G, members))
+    return results
+
+
+def double_dual_iso(bundle: GroupBundle):
+    """The canonical evaluation map into the double dual.
+
+    Returns (dual, double_dual, eval_map) with eval_map: element id ->
+    Character of the dual fibre; verified bijective and multiplicative.
+    """
+    dual = dual_bundle(bundle)
+    ddual = dual_bundle(dual.to_bundle())
+    eval_map = {}
+    for x in bundle.base:
+        t, tt = dual.tables[x], ddual.tables[x]
+        # element a evaluates each character: column a of the dual's table,
+        # read in the order of the double dual's columns (the sorted ids)
+        chars = [dual.position[cid][1] for cid in tt.elements]
+        image = tt.rows_of(t.values[chars].T, t.exponent)
+        if sorted(image.tolist()) != list(range(len(image))):
+            raise DualityFailure(("evaluation map not bijective", x))
+        bad = image[t.mul] != tt.product[image[:, None], image[None, :]]
+        if bad.any():
+            a, b = np.argwhere(bad)[0]
+            raise DualityFailure(("evaluation map not multiplicative", x, t.elements[a], t.elements[b]))
+        eval_map.update(zip(t.elements, map(ddual.fibres[x].__getitem__, image.tolist())))
+    return dual, ddual, eval_map
+
+
+def bundle_package(T: GroupBundle) -> ActionPackage:
+    """The degenerate package where H is just the unit space T (co-trivial).
+
+    Both actions are T's product, and the exchange maps are the identity.
+    """
+    ids = sorted(T.p)
+    pos = {t: i for i, t in enumerate(ids)}
+    H = build_groupoid(ids, {t: (t, t) for t in ids}, lambda a, b: a, name="cotrivial(T)")
+    left, right, lam, rho = np.full((4, len(ids), len(ids)), -1, dtype=np.int32)
+    for x in T.base:
+        f = np.array([pos[t] for t in T.fibre(x)])
+        on = np.ix_(f, f)
+        left[on] = right[on] = [[pos[T.mult(a, b)] for b in T.fibre(x)] for a in T.fibre(x)]
+        lam[on], rho[on] = f[None, :], f[:, None]
+    return ActionPackage(H=H, T=T, left=left, right=right, lam=lam, rho=rho)
+
+
+def theta_from_section(G: FiniteGroupoid, S_members, section: Optional[dict] = None) -> ThetaDatum:
+    """Build the whole pipeline from (G, S) and return the verified theta."""
+    pkg = derive_weyl_actions(G, S_members)
+    dia = diamond_action(pkg)
+    theta = theta_for_package(pkg, dia, section)
+    report = verify_theta(dia, theta)
+    if not report.all_pass():
+        raise ThetaInvalid(f"derived theta fails verification: {report.violations[:3]}")
+    return theta

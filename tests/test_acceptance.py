@@ -13,7 +13,6 @@ from weylkit import corpus
 from weylkit.algebra import commutant_check, compare_algebras, expectation_checks, wedderburn_blocks
 from weylkit.cocycle import TwoCocycle, check_cocycle
 from weylkit.errors import ConventionMismatch
-from weylkit.groupoid import find_isomorphism
 from weylkit.phases import HALF
 from weylkit.reconstruct import (
     derive_weyl_actions,
@@ -28,6 +27,7 @@ from weylkit.semidirect import build_semidirect, gen_rotation, verify_untwisting
 from weylkit.weyl import build_weyl_groupoid, check_gamma_cartan_hypotheses, weyl_twist_cocycle
 
 from mutations import EXPECTED_FAILURES, MUTATIONS
+from oracles import find_isomorphism
 
 NAMED = ["pauli", "s3", "d4", "q8", "z2xR2"]
 ROTATIONS = [f"rotation({n},{p})" for n in range(2, 9) for p in range(n)]

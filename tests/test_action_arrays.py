@@ -17,10 +17,10 @@ import pytest
 import weylkit
 from weylkit import corpus
 from weylkit.dual import bundle_from_subgroupoid
-from weylkit.reconstruct import bundle_package, derive_weyl_actions, verify_action_package
+from weylkit.reconstruct import derive_weyl_actions, verify_action_package
 
 from mutations import MUTATIONS
-from oracles import verify_action_package_loop
+from oracles import bundle_package, verify_action_package_loop
 
 INPUTS = (
     list(corpus.BUILDERS)

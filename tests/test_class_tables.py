@@ -25,13 +25,12 @@ import weylkit
 from weylkit import corpus, reconstruct
 from weylkit.cocycle import TwoCocycle
 from weylkit.errors import WeylkitError
-from weylkit.groupoid import Grading, class_table, isotropy_fibres, quotient_by_bundle, validate_groupoid
+from weylkit.groupoid import Grading, isotropy_fibres, quotient_by_bundle, validate_groupoid
 from weylkit.phases import ZERO, Phase
 from weylkit.reconstruct import (
     ActionPackageReport,
     ThetaDatum,
     _padded,
-    bundle_package,
     derive_weyl_actions,
     diamond_action,
     theta_for_package,
@@ -44,6 +43,8 @@ from weylkit.weyl import weyl_action
 
 import oracles
 from oracles import (
+    bundle_package,
+    class_table,
     derive_weyl_actions_loop,
     diamond_action_loop,
     grading_checks_loop,

@@ -13,19 +13,21 @@ from hypothesis import given, settings, strategies as st
 
 import weylkit
 from weylkit import corpus
+from weylkit.algebra import expectation_checks
+from weylkit.cli import main
 from weylkit.dual import (
     Character,
     GroupBundle,
     bundle_from_subgroupoid,
-    double_dual_iso,
     dual_bundle,
 )
-from weylkit.errors import FibreMismatch, FibreTooLarge, NotAbelian
+from weylkit.errors import DualityFailure, FibreMismatch, FibreTooLarge, NotAbelian
 from weylkit.groupoid import FIBRE_CAP
+from weylkit.io import save_groupoid
 from weylkit.phases import Phase
 from weylkit.semidirect import SemidirectSpec, build_semidirect
 
-from oracles import dual_fibres_oracle, enumerate_fibre_characters
+from oracles import double_dual_iso, dual_fibres_oracle, enumerate_fibre_characters
 
 
 def _bundle(entry, name):
@@ -157,6 +159,24 @@ def test_duality_check_survives_optimized_mode():
     assert out[0] == "DualityFailure ('character count', '0|0', 3, 4)", out
     assert out[1] == "DualityFailure ('duplicate characters', '0|0')", out
     assert out[2].startswith("DualityFailure ('not multiplicative', '0|0', '0|0#"), out
+
+
+def test_an_unclosed_marking_is_no_group_on_every_entry_point(tmp_path, capsys):
+    # 1|0 * 1|0 = 2|0 lies outside the marking, so its fibre at 0|0 is no group
+    e = corpus.rotation(4, 0)
+    S = frozenset({"0|0", "1|0"})
+    witness = ("fibre is not a group", "0|0")
+    with pytest.raises(DualityFailure) as exc:
+        dual_bundle(bundle_from_subgroupoid(e.G, S))
+    assert exc.value.witness == witness
+    with pytest.raises(DualityFailure) as exc:
+        expectation_checks(e.G, e.omega, S)
+    assert exc.value.witness == witness
+    path = tmp_path / "unclosed.json"
+    save_groupoid(str(path), e.G, e.omega, e.c, S)
+    assert main(["expectation", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == [f"failure: Pontryagin duality check fails; witness {witness}"]
 
 
 def test_characters_over_different_base_points_do_not_multiply(entry):

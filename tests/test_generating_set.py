@@ -7,6 +7,7 @@ import pytest
 
 from oracles import (
     associativity_violations,
+    bundle_package,
     cocycle_violations,
     is_cocycle_violation,
     validate_groupoid_loops,
@@ -17,7 +18,6 @@ from weylkit.dual import bundle_from_subgroupoid
 from weylkit.errors import AssociativityViolation, WeylkitError
 from weylkit.groupoid import validate_groupoid
 from weylkit.phases import HALF, Phase
-from weylkit.reconstruct import bundle_package
 from weylkit.weyl import build_weyl_groupoid, weyl_twist_cocycle
 
 CORPUS = ["pauli", "z2z2", "s3", "s3-ungraded", "d4", "q8", "z2xR2",

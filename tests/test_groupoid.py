@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import check_effective, grading_add, iso_subgroupoid
+from oracles import check_effective, find_isomorphism, grading_add, iso_subgroupoid
 import weylkit
 from weylkit import corpus
 from weylkit.errors import (
@@ -25,7 +25,6 @@ from weylkit.errors import (
 from weylkit.groupoid import (
     Grading,
     build_groupoid,
-    find_isomorphism,
     isotropy_fibres,
     kernel_of_grading,
     orbit_quotient,

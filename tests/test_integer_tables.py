@@ -6,11 +6,10 @@ import random
 import numpy as np
 import pytest
 
-from oracles import weyl_twist_cocycle_loop
+from oracles import class_table, weyl_twist_cocycle_loop
 from weylkit import cocycle, corpus, io, semidirect
 from weylkit.cocycle import TwoCocycle, check_cocycle, numerator_table
 from weylkit.errors import ElementNotInS, SchemaError, WeylkitError
-from weylkit.groupoid import class_table
 from weylkit.phases import HALF, Phase
 from weylkit.weyl import build_weyl_groupoid, weyl_action, weyl_twist_cocycle
 

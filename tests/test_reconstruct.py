@@ -13,12 +13,11 @@ from weylkit.errors import (
     SchemaError,
     ThetaInvalid,
 )
-from weylkit.groupoid import Grading, class_table, find_isomorphism, validate_groupoid
+from weylkit.groupoid import Grading, validate_groupoid
 from weylkit.phases import Phase
 from weylkit.reconstruct import (
     ThetaDatum,
     build_boxtimes,
-    bundle_package,
     check_imm_centralizing_action,
     derive_weyl_actions,
     diamond_action,
@@ -26,7 +25,6 @@ from weylkit.reconstruct import (
     quotient_HT,
     reconstruction_iso,
     theta_for_package,
-    theta_from_section,
     trivial_theta,
     verify_action_package,
     verify_reconstruction_hypotheses,
@@ -35,7 +33,7 @@ from weylkit.reconstruct import (
 from weylkit.weyl import action_ids
 
 from mutations import ALL_CLAUSES, EXPECTED_FAILURES, MUTATIONS
-from oracles import tabulate_actions
+from oracles import bundle_package, class_table, find_isomorphism, tabulate_actions, theta_from_section
 
 RECON = ["z2z2", "s3", "d4", "q8", "z2xR2"]
 

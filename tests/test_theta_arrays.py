@@ -24,7 +24,6 @@ import weylkit
 from weylkit import corpus
 from weylkit.dual import Character
 from weylkit.errors import WeylkitError
-from weylkit.groupoid import class_table
 from weylkit.phases import Phase
 from weylkit.reconstruct import (
     ThetaDatum,
@@ -42,6 +41,7 @@ from weylkit.weyl import action_ids, verify_groupoid_action
 
 from oracles import (
     build_boxtimes_loop,
+    class_table,
     quotient_HT_loop,
     theta_for_package_loop,
     verify_groupoid_action_loop,

@@ -14,8 +14,6 @@ from weylkit.dual import Character, bundle_from_subgroupoid, dual_bundle
 from weylkit.errors import NotAnAction, RepresentativeDisagreement, SchemaError, WeylkitError
 from weylkit.groupoid import (
     MAX_TABLE_INT,
-    class_table,
-    find_isomorphism,
     quotient_by_bundle,
     validate_groupoid,
 )
@@ -34,7 +32,7 @@ from weylkit.weyl import (
     weyl_twist_cocycle,
 )
 
-from oracles import verify_groupoid_action_loop
+from oracles import class_table, find_isomorphism, verify_groupoid_action_loop
 
 NAMED = ["pauli", "s3", "d4", "q8", "z2xR2"]
 
