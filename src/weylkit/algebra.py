@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cocycle import TwoCocycle, cocycle_violations
+from .cocycle import TwoCocycle, check_symmetric_on, cocycle_violations
 from .dual import bundle_from_subgroupoid, dual_bundle
 from .errors import (
     ConventionMismatch,
@@ -393,8 +393,8 @@ def commutant_check(G: FiniteGroupoid, omega: TwoCocycle, c: Grading, S_members)
     s = np.array([G.index[g] for g in S], dtype=np.int64)
     commutant_dim = _null_space(_center_gram(alg, s, A0), SPEC_TOL).shape[1]
     # delta_a, delta_b commute: ab = ba as indices (both -1 where neither is defined) and omega(a, b) = omega(b, a)
-    ab, num = alg.comp[s[:, None], s], alg.num[s[:, None], s]
-    abelian = bool(((ab == ab.T) & ((ab < 0) | ((num - num.T) % alg.den == 0))).all())
+    ab = alg.comp[s[:, None], s]
+    abelian = bool((ab == ab.T).all()) and check_symmetric_on(omega, S)
     return CommutantReport(
         dim_D=len(S),
         dim_A0=len(A0),

@@ -1,14 +1,17 @@
 """2-cocycles with exact phase values, and the maximality check of a marked bundle.
 
-The cocycle condition is checked exactly, over integer numerators with a
-common denominator, for every composable triple whose middle argument is a
-generator of the groupoid; that covers every composable triple.
+A cocycle is its numerator table: one read-only int64 array of numerators
+over one common denominator, built when the cocycle is made.  Every check
+reads that table.  The cocycle condition is checked exactly on it, for
+every composable triple whose middle argument is a generator of the
+groupoid; that covers every composable triple.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import MutableMapping
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
@@ -24,7 +27,7 @@ from .groupoid import (
     noncommuting_pair,
     product_closure,
 )
-from .phases import ZERO, Phase
+from .phases import Phase
 
 _BLOCK = 2**15      # entries of one block of rows of the cocycle identity
 
@@ -32,55 +35,47 @@ _BLOCK = 2**15      # entries of one block of rows of the cocycle identity
 class TwoCocycle:
     """Phase-valued function on the composable pairs of a groupoid.
 
-    Pairs absent from ``values`` take the zero phase, so the trivial cocycle
-    is the empty table.  A cocycle made from arrays (a parsed file, a
-    semidirect product, the Weyl twist) keeps its read-only numerator table
-    until ``values`` is first read, and builds ``values`` then.  From that
-    read on, as for a cocycle made from a dict, the table is built from
-    ``values`` at every use, so every write to ``values`` reaches the next
-    reader.
+    The cocycle is its read-only numerator table, omega(g, h) = num[g, h]/den
+    at arrow indices, built by every constructor.  Pairs absent from
+    ``values``, a view of the table (see :class:`TableValues`), take the
+    zero phase, so the trivial cocycle is the empty table.  A common
+    denominator past ``MAX_TABLE_INT`` raises SchemaError, naming the entry.
     """
 
     def __init__(self, G: FiniteGroupoid, values: Optional[Mapping] = None):
-        self.G = G
-        values = dict(values or {})
+        values = values or {}
         if not all(itertools.starmap(G._defined, values)):
             raise UndefinedPair(*next(pair for pair in values if not G._defined(*pair)))
-        zero = {i for i, ph in _by_id(values).items() if ph.is_zero}
-        self._values = {pair: ph for pair, ph in values.items() if id(ph) not in zero} if zero else values
-        self._pending = self._table = None
+        self._keep(G, *numerator_table(G, values))
+
+    def _keep(self, G: FiniteGroupoid, num: np.ndarray, den: int) -> "TwoCocycle":
+        self.G, self._num, self._den, self._values = G, num, den, None
+        return self
 
     @classmethod
     def _from_codes(cls, G: FiniteGroupoid, gi, hi, codes, phases: list) -> "TwoCocycle":
         """The cocycle with value ``phases[codes[j]]`` at arrow indices (gi[j], hi[j]).
 
-        The pairs must be composable.  ``values`` lists the nonzero entries
-        in j order, and is built on first read.  The numerator table is
-        built now, over the lcm of the denominators of ``phases``; when that
-        lcm passes ``MAX_TABLE_INT`` it is left to the first reader, which
-        raises naming the entry at fault, as for a table built from ``values``.
+        The pairs must be composable.  The table is over the lcm of the
+        denominators of ``phases``; when that passes ``MAX_TABLE_INT`` the
+        first entry, in j order, that takes it there is named.
         """
-        nonzero = ~np.array([ph.is_zero for ph in phases], dtype=bool)[codes]
-        gi, hi, codes = gi[nonzero], hi[nonzero], codes[nonzero]
-        omega = cls.__new__(cls)
-        omega.G, omega._values, omega._pending, omega._table = G, None, (gi, hi, codes, phases), None
         den = math.lcm(*(ph.den for ph in phases))
-        if den <= MAX_TABLE_INT:
-            nums = [ph.num * (den // ph.den) for ph in phases]
-            om = np.zeros((len(G.arrows), len(G.arrows)), dtype=np.int64)
-            om[gi, hi] = np.array(nums, dtype=np.int64)[codes]
-            om.setflags(write=False)
-            omega._table = (om, den)
-            omega._by_num = {0: ZERO, **dict(zip(nums, phases))}
-        return omega
+        if den > MAX_TABLE_INT:
+            common_denominator((f"phase {phases[k]} at {(G.arrows[g], G.arrows[h])}", phases[k].den)
+                               for g, h, k in zip(gi.tolist(), hi.tolist(), codes.tolist()))   # raises
+        om = np.zeros((len(G.arrows), len(G.arrows)), dtype=np.int64)
+        om[gi, hi] = np.array([ph.num * (den // ph.den) for ph in phases], dtype=np.int64)[codes]
+        om.setflags(write=False)
+        return cls.__new__(cls)._keep(G, om, den)
 
     @classmethod
     def from_table(cls, G: FiniteGroupoid, num: np.ndarray, den: int) -> "TwoCocycle":
         """The cocycle whose value at arrow indices [g, h] is num[g, h]/den.
 
         ``num`` holds numerators in [0, den), zero off the composable pairs.
-        Each distinct numerator becomes one Phase, and the table, reduced to
-        the lcm of their denominators, is kept as the cocycle's own.
+        The cocycle's table is ``num`` reduced to the lcm of the
+        denominators of its values.
         """
         gi, hi = num.nonzero()
         nums = num[gi, hi]
@@ -89,68 +84,78 @@ class TwoCocycle:
         return cls._from_codes(G, gi, hi, codes, [Phase(v, den) for v in distinct])
 
     @property
-    def values(self) -> dict:
-        """The pair -> Phase table of the nonzero values."""
-        if self._values is None:
-            self._values = self._build_values()
-            self._pending = self._table = None
-        return self._values
+    def values(self) -> "TableValues":
+        return TableValues(self)
 
-    def _build_values(self) -> dict:
-        gi, hi, codes, phases = self._pending
-        ids = self.G.arrows
-        pairs = zip(map(ids.__getitem__, gi.tolist()), map(ids.__getitem__, hi.tolist()))
-        return dict(zip(pairs, map(phases.__getitem__, codes.tolist())))
+    def _spell(self) -> dict:
+        """The pair -> Phase dict of the nonzero entries of the table, in index order, spelled once per table."""
+        if self._values is None:
+            gi, hi = self._num.nonzero()
+            nums, code = np.unique(self._num[gi, hi], return_inverse=True)
+            phases = [Phase(v, self._den) for v in nums.tolist()]
+            ids = self.G.arrows
+            pairs = zip(map(ids.__getitem__, gi.tolist()), map(ids.__getitem__, hi.tolist()))
+            self._values = dict(zip(pairs, map(phases.__getitem__, code.tolist())))
+        return self._values
 
     def omega(self, g, h) -> Phase:
         if not self.G._defined(g, h):
             raise UndefinedPair(g, h)
-        if self._values is None and self._table is not None:
-            return self._by_num[self._table[0].item(self.G.index[g], self.G.index[h])]
-        return self.values.get((g, h), ZERO)
+        return Phase(self._num.item(self.G.index[g], self.G.index[h]), self._den)
 
     def is_trivial(self) -> bool:
-        if self._values is None:
-            return not len(self._pending[0])
-        # a zero phase written into ``values`` reads as zero
-        return all(ph.is_zero for ph in self._values.values())
+        return not self._num.any()
 
     def _int_table(self):
-        """(numerator array, compose matrix, common denominator).
+        """(read-only numerator array, compose matrix, common denominator)."""
+        return self._num, self.G.comp_matrix(), self._den
 
-        The numerator array is read-only: the array-built table while
-        ``values`` is unread, and otherwise a new one from ``values``.
-        """
-        if self._values is None and self._table is not None:
-            om, den = self._table
-        else:
-            om, den = numerator_table(self.G, self.values)
-        return om, self.G.comp_matrix(), den
+
+class TableValues(MutableMapping):
+    """The nonzero values of a cocycle, pair -> Phase, spelled from its table in arrow-index order.
+
+    A write rebuilds the table at once, checked as by the constructor, so
+    no reader sees a stale table.  It is no dict: unbound dict writes fail.
+    """
+
+    def __init__(self, omega: TwoCocycle):
+        self._omega = omega
+
+    def __getitem__(self, pair) -> Phase:
+        return self._omega._spell()[pair]
+
+    def __iter__(self):
+        return iter(self._omega._spell())
+
+    def __len__(self) -> int:
+        return len(self._omega._spell())
+
+    def __setitem__(self, pair, phase: Phase) -> None:
+        omega = self._omega
+        omega.__init__(omega.G, {**omega._spell(), pair: phase})
+
+    def __delitem__(self, pair) -> None:
+        values = dict(self._omega._spell())
+        del values[pair]
+        self._omega.__init__(self._omega.G, values)
 
 
 def numerator_table(G: FiniteGroupoid, values: Mapping):
     """(read-only int64 array of numerators at [index g, index h], common denominator).
 
-    Entries that share one Phase object, as parsed entries do, are
-    converted once.
+    A common denominator past ``MAX_TABLE_INT`` raises SchemaError naming
+    the first entry, in ``values`` order, that takes it there.
     """
-    phases = _by_id(values)
-    den = math.lcm(*(ph.den for ph in phases.values()))
+    den = math.lcm(*{ph.den for ph in values.values()})
     if den > MAX_TABLE_INT:
         common_denominator((f"phase {ph} at {k}", ph.den) for k, ph in values.items())   # raises, naming it
-    num = {i: ph.num * (den // ph.den) for i, ph in phases.items()}
     n, m = len(G.arrows), len(values)
     gh = np.fromiter(map(G.index.__getitem__, itertools.chain.from_iterable(values)),
                      dtype=np.int64, count=2 * m).reshape(m, 2)
     om = np.zeros((n, n), dtype=np.int64)
-    om[gh[:, 0], gh[:, 1]] = np.fromiter(map(num.__getitem__, map(id, values.values())), np.int64, m)
+    om[gh[:, 0], gh[:, 1]] = np.fromiter((ph.num * (den // ph.den) for ph in values.values()), np.int64, m)
     om.setflags(write=False)
     return om, den
-
-
-def _by_id(values: Mapping) -> dict:
-    """The distinct Phase objects of a pair -> Phase table, keyed by id, in order of first use."""
-    return dict(zip(map(id, values.values()), values.values()))
 
 
 def common_denominator(dens, den: int = 1) -> int:
@@ -166,13 +171,19 @@ def common_denominator(dens, den: int = 1) -> int:
     return den
 
 
+def check_defined_on(G: FiniteGroupoid, omega: TwoCocycle) -> None:
+    """Raise SchemaError unless omega is defined on G: on G, or on the same arrows composed alike."""
+    other = omega.G
+    if other is not G and (other.arrows != G.arrows or not np.array_equal(other.comp_matrix(), G.comp_matrix())):
+        raise SchemaError(f"cocycle is defined on {omega.G.name}, not on {G.name}")
+
+
 def check_cocycle(G: FiniteGroupoid, omega: TwoCocycle, max_witnesses: int = 5):
     """Exact cocycle-condition check; returns a list of violating triples.
 
     An empty list means valid.  See :func:`cocycle_violations`.
     """
-    if omega.G is not G and omega.G.arrows != G.arrows:
-        raise SchemaError(f"cocycle is defined on {omega.G.name}, not on {G.name}")
+    check_defined_on(G, omega)
     om, _, den = omega._int_table()
     return cocycle_violations(G, om, den, max_witnesses)
 
@@ -225,13 +236,16 @@ def cocycle_violations(G: FiniteGroupoid, om: np.ndarray, den: int, max_witnesse
 
 
 def check_symmetric_on(omega: TwoCocycle, members: Iterable) -> bool:
-    """True iff omega(a, b) = omega(b, a) for all a, b in the subset that compose both ways."""
-    G = omega.G
-    S = sorted(set(members))
-    for a, b in itertools.combinations(S, 2):
-        if G.composable(a, b) and G.composable(b, a) and omega.omega(a, b) != omega.omega(b, a):
-            return False
-    return True
+    """True iff omega(a, b) = omega(b, a) for all a, b in the subset that compose both ways.
+
+    One gather of the numerator table over the subset; its numerators lie
+    in [0, den), so equal phases are equal numerators.
+    """
+    om, comp, _ = omega._int_table()
+    s = np.array([omega.G.index[g] for g in set(members)], dtype=np.int64)
+    defined = comp[s[:, None], s] >= 0
+    num = om[s[:, None], s]
+    return bool((~(defined & defined.T) | (num == num.T)).all())
 
 
 def _closure(G: FiniteGroupoid, u, gens):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional
 
 import numpy as np
@@ -39,7 +40,7 @@ class FiniteGroupoid:
     """A validated finite groupoid.  Construct via :func:`validate_groupoid`.
 
     The compose array (``comp_matrix()``) is the groupoid.  ``compose`` is
-    the same table as a dict keyed by (g, h), built on first read.
+    the same table as a read-only mapping keyed by (g, h), built on first read.
     """
 
     def __init__(self, name, units, src, tgt, inverse):
@@ -63,17 +64,14 @@ class FiniteGroupoid:
         return f"<FiniteGroupoid {self.name}: {len(self.units)} units, {len(self.arrows)} arrows>"
 
     @property
-    def compose(self) -> dict:
-        """(g, h) -> g*h on the composable pairs, in the order the table was given."""
+    def compose(self) -> Mapping:
+        """(g, h) -> g*h on the composable pairs, read-only, in the order the table was given."""
         if self._compose is None:
-            self._compose = self._build_compose()
+            gi, hi = self.pair_indices()
+            ids = self.arrows
+            keys = zip(map(ids.__getitem__, gi.tolist()), map(ids.__getitem__, hi.tolist()))
+            self._compose = MappingProxyType(dict(zip(keys, map(ids.__getitem__, self._comp[gi, hi].tolist()))))
         return self._compose
-
-    def _build_compose(self) -> dict:
-        gi, hi = self.pair_indices()
-        ids = self.arrows
-        keys = zip(map(ids.__getitem__, gi.tolist()), map(ids.__getitem__, hi.tolist()))
-        return dict(zip(keys, map(ids.__getitem__, self._comp[gi, hi].tolist())))
 
     def pair_indices(self):
         """(g, h) arrow-index arrays of the composable pairs, in ``compose`` order."""
@@ -96,32 +94,8 @@ class FiniteGroupoid:
             raise KeyError((g, h))
         return self.arrows[k]
 
-    def mul_all(self, *gs):
-        out = gs[0]
-        for g in gs[1:]:
-            out = self.mul(out, g)
-        return out
-
     def inv(self, g):
         return self.inverse[g]
-
-    def conjugate(self, g, a):
-        """g^{-1} a g, defined when a is isotropy at r(g); lands at s(g)."""
-        return self.mul_all(self.inv(g), a, g)
-
-    def arrows_from(self, u):
-        """All arrows with source u (the fibre G_u of the left regular action)."""
-        return [g for g in self.arrows if self.src[g] == u]
-
-    def element_order(self, g):
-        """Order of an isotropy arrow in its fibre group."""
-        if self.src[g] != self.tgt[g]:
-            raise UnknownArrowId(g)
-        n, x = 1, g
-        while not self.is_unit(x):
-            x = self.mul(x, g)
-            n += 1
-        return n
 
     # dense integer tables for the vectorized exact checks, built once by the validation and read-only
     def comp_matrix(self):

@@ -13,8 +13,8 @@ Derived groupoids have pair ids, (class, character); files spell a pair
 
 Files are written from the index tables: the compose table from
 ``comp_matrix()``, the cocycle table from the nonzero entries of the
-cocycle's numerator table.  Writing builds no dict on the groupoid or the
-cocycle (``G.compose``, ``omega.values``).
+cocycle's numerator table, which is the cocycle.  Writing spells neither
+read-only view, ``G.compose`` or ``omega.values``.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .cocycle import TwoCocycle
+from .cocycle import TwoCocycle, check_defined_on
 from .errors import SchemaError, UndefinedPair
 from .groupoid import FiniteGroupoid, Grading, arrow_index, arrow_indices, validate_arrays
 from .phases import Phase
@@ -206,8 +206,7 @@ def emit_groupoid_data(
     nonzero numerators of its table.  Each label and each distinct phase is
     spelled once and shared, a cocycle entry sharing its pair's compose key,
     and neither ``G.compose`` nor ``omega.values`` is built.  A cocycle
-    defined on other arrows raises SchemaError, and a nonzero value off the
-    composable pairs UndefinedPair.
+    defined on another groupoid raises SchemaError.
     """
     lab, spelled = [], {}
     for g in G.arrows:
@@ -231,21 +230,14 @@ def emit_groupoid_data(
         "compose": dict(zip(keys, map(lab.__getitem__, G.comp_matrix()[gi, hi].tolist()))),
     }
     if omega is not None and not omega.is_trivial():
-        if omega.G is not G and omega.G.arrows != G.arrows:
-            raise SchemaError(f"cocycle is defined on {omega.G.name}, not on {G.name}")
+        check_defined_on(G, omega)
         om, _, den = omega._int_table()
         gi, hi = om.nonzero()
         # each entry's key is the compose key of its pair, one string for both tables
-        pair = gi * len(lab) + hi
-        at = np.searchsorted(codes, pair)
-        off = codes[np.minimum(at, len(codes) - 1)] != pair
-        if off.any():       # only a write into a dict-built cocycle's values can put one there
-            j = int(np.argmax(off))
-            raise UndefinedPair(G.arrows[gi[j]], G.arrows[hi[j]])
-        if len(at):
-            nums, code = np.unique(om[gi, hi], return_inverse=True)
-            phases = [str(Phase(v, den)) for v in nums.tolist()]
-            data["cocycle"] = dict(zip(map(keys.__getitem__, at.tolist()), map(phases.__getitem__, code.tolist())))
+        at = np.searchsorted(codes, gi * len(lab) + hi)
+        nums, code = np.unique(om[gi, hi], return_inverse=True)
+        phases = [str(Phase(v, den)) for v in nums.tolist()]
+        data["cocycle"] = dict(zip(map(keys.__getitem__, at.tolist()), map(phases.__getitem__, code.tolist())))
     if c is not None:
         data["grading"] = {
             "group": list(c.group),

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping, Optional
 
 import numpy as np
@@ -360,8 +361,9 @@ def diamond_action(pkg: ActionPackage, report: Optional[ActionPackageReport] = N
 
     The classes are gathered in blocks of equal fibre size.  The first
     class, in index order, on which rho does not descend or that sends a
-    character outside the dual raises, and so does, once the table is an
-    action, the first class whose map of characters is not multiplicative.
+    character outside the dual raises.  Each image is the pointwise
+    pullback chi o rho and characters multiply pointwise, so once every
+    image lies in the dual each class maps the characters multiplicatively.
     """
     HT, class_map = quotient_HT(pkg, report)
     H, T = pkg.H, pkg.T
@@ -381,7 +383,7 @@ def diamond_action(pkg: ActionPackage, report: Optional[ActionPackageReport] = N
     column = np.empty(len(pos), dtype=np.int64)
     for cols in t_col:
         column[cols] = np.arange(len(cols))
-    values, product = [t.values for t in tables], [t.product for t in tables]
+    values = [t.values for t in tables]
     exponent = np.array([t.exponent for t in tables])
 
     # chi over the source goes to chi o rho over the target
@@ -402,57 +404,41 @@ def diamond_action(pkg: ActionPackage, report: Optional[ActionPackageReport] = N
     image.setflags(write=False)
     dia.image = image
     verify_groupoid_action(HT, That, image, x_unit)
-
-    # each class acts by a homomorphism of the character groups
-    broken = np.zeros((n, size.max() ** 2), dtype=bool)
-    for k, c in size_blocks(size, lambda k: k * k):
-        P, img = stack(product, k), image[c, :k]
-        b = np.arange(len(img))[:, None, None]
-        broken[c, :k * k] = (img[b, P[fs[c]]] != P[ft[c][:, None, None], img[:, :, None], img[:, None, :]]).reshape(-1, k * k)
-    if broken.any():
-        c = int(np.argmax(broken.any(axis=1)))
-        a, b = divmod(int(np.argmax(broken[c])), size[c])
-        raise NotAnAction(("multiplicativity", HT.arrows[c], tables[fs[c]].ids[a], tables[fs[c]].ids[b]))
     return dia
 
 
 class ThetaDatum:
     """Character-valued defect data on composable class pairs of H/T.
 
-    ``values`` maps (class id, class id) -> Character of the dual of T.
+    ``values`` is a read-only mapping (class id, class id) -> Character of
+    the dual of T.  A datum built from a dict keeps a copy of it.
     :func:`theta_for_package` and :func:`trivial_theta` build the datum
     from its row table, theta(c1, c2) at [c1, c2] as a row over the source
-    of c2, -1 off the composable pairs, and spell ``values`` on first read,
-    in ``HT.compose`` order.  From that read on, as for a datum built from
-    a dict, ``values`` is the datum, so every write to it reaches the next
-    reader.
+    of c2, -1 off the composable pairs, which :func:`verify_theta` and
+    :func:`build_boxtimes` read; ``values`` is spelled from the rows on
+    first read, in ``HT.compose`` order.
     """
 
-    def __init__(self, values: dict):
-        self._values, self._table = values, None
+    def __init__(self, values: Mapping):
+        self._values, self._table = MappingProxyType(dict(values)), None
 
     @classmethod
     def _of_rows(cls, dia: "DiamondData", rows: np.ndarray) -> "ThetaDatum":
-        theta = cls(None)
+        theta = cls.__new__(cls)
         rows.setflags(write=False)
-        theta._table = (dia, rows)
+        theta._values, theta._table = None, (dia, rows)
         return theta
 
     @property
-    def values(self) -> dict:
+    def values(self) -> Mapping:
         if self._values is None:
             dia, rows = self._table
             tables, fs = dia.fibre_tables[:2]
             fibres = [dia.That.fibres[t.base] for t in tables]
             ids, (gi, hi) = dia.HT.arrows, dia.HT.pair_indices()
             at = zip(gi.tolist(), hi.tolist(), fs[hi].tolist(), rows[gi, hi].tolist())
-            self._values = {(ids[i], ids[j]): fibres[f][r] for i, j, f, r in at}
-            self._table = None
+            self._values = MappingProxyType({(ids[i], ids[j]): fibres[f][r] for i, j, f, r in at})
         return self._values
-
-    @values.setter
-    def values(self, values: dict):
-        self._values, self._table = values, None
 
     def __eq__(self, other):
         return isinstance(other, ThetaDatum) and self.values == other.values

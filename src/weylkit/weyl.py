@@ -266,8 +266,8 @@ def weyl_action(G: FiniteGroupoid, S_members, omega: TwoCocycle):
             raise RepresentativeDisagreement((Q.arrows[c], ids[0]))
         raise NotAnAction(("image outside the dual", Q.arrows[c], ids[int(np.argmax(outside[c]))]))
     image.setflags(write=False)
-    # the action is affine in the character for a nontrivial cocycle, so
-    # multiplicativity is deliberately not checked here
+    # the action is affine in the character for a nontrivial cocycle, so it
+    # need not map characters multiplicatively; only the action laws are checked
     verify_groupoid_action(Q, dual, image, unit_class)
     return Q, class_map, dual, image
 

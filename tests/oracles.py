@@ -37,14 +37,18 @@ by gathers on index tables; their plain versions cache each element's
 powers in a dict, one ``mul`` or character product per step, and test
 one arrow at a time.  The algebra names the law a failing cocycle breaks
 from its numerator table; the plain version sums ``Phase`` values one law
-instance at a time.  The tests compare the two.  Last, a few names only
+instance at a time.  The symmetry of a cocycle on a set of arrows is one
+gather on its numerator table; the plain version compares ``omega`` calls
+one pair of arrows at a time.  The tests compare the two.  Last, a few names only
 the tests use: the unit-identity consequence of the cocycle condition,
 the isotropy bundle and effectiveness, the error of theta's loop, and the
 (|left|, |G|, |cols|) commutator map of the center oracle.  And the library
-functions that no verdict reads, kept as references: the class dict of a
-class map, the exhaustive isomorphism search, the search for every maximal
-symmetric abelian bundle, the evaluation map into the double dual, the
-co-trivial action package of a bundle, and theta from (G, S) in one call.
+functions that no verdict reads, kept as references: the id-level
+products, conjugates, source fibres and element orders of a groupoid, the
+class dict of a class map, the exhaustive isomorphism search, the search
+for every maximal symmetric abelian bundle, the evaluation map into the
+double dual, the co-trivial action package of a bundle, and theta from
+(G, S) in one call.
 """
 
 import cmath
@@ -190,7 +194,7 @@ def weyl_twist_cocycle_loop(GW, data):
         chi = data.dual.by_id[chi_id]
         c12 = Q.mul(c1, c2)
         s12, s1, s2 = sec[c12], sec[c1], sec[c2]
-        defect = G.mul_all(G.inv(s12), s1, s2)
+        defect = mul_all(G, G.inv(s12), s1, s2)
         if defect not in data.S:
             raise ElementNotInS(defect)
         values[(a1, a2)] = (
@@ -345,7 +349,7 @@ def validate_groupoid_loops(units, arrows, compose, inverse=None):
 
 def regular_representation_loop(G, omega, u):
     """The regular representation at u, one entry per composable (g, x), checked exhaustively."""
-    basis = sorted(G.arrows_from(u))
+    basis = sorted(arrows_from(G, u))
     index = {g: i for i, g in enumerate(basis)}
     mats = {}
     for g in G.arrows:
@@ -452,7 +456,7 @@ def broken_law_loop(G, omega, basis):
 
 def total_basis_loop(G):
     """Every arrow index, unit by unit over ``arrows_from``: the basis of the total representation."""
-    return np.array([G.index[g] for u in G.units for g in G.arrows_from(u)], dtype=np.int64)
+    return np.array([G.index[g] for u in G.units for g in arrows_from(G, u)], dtype=np.int64)
 
 
 def total_representation_stack(G, omega):
@@ -846,7 +850,7 @@ def subgroupoid_properties_loop(G, members):
     for g in G.arrows:
         for a in ordered:
             if G.src[a] == G.tgt[a] == G.tgt[g]:
-                if G.conjugate(g, a) not in S:
+                if conjugate(G, g, a) not in S:
                     normal, wit["normal"] = False, (g, a)
                     break
         if not normal:
@@ -1192,7 +1196,7 @@ def theta_for_package_loop(pkg, dia, section=None):
     evaluation = evaluation_ids(pkg, dia)
     values = {}
     for (q1, q2) in Q.compose:
-        defect = G.mul_all(G.inv(sec[Q.mul(q1, q2)]), sec[q1], sec[q2])
+        defect = mul_all(G, G.inv(sec[Q.mul(q1, q2)]), sec[q1], sec[q2])
         if defect not in data.S:
             raise NotInS(f"section defect {defect} lies outside the marked bundle")
         values[(ht_of_q[q1], ht_of_q[q2])] = dia.That.by_id[evaluation[defect]]
@@ -1294,7 +1298,7 @@ def derive_weyl_actions_loop(G, S_members, omega=None):
     for cid, members in classes.items():
         gamma = min(members)
         tx, ty = dual.tables[G.src[gamma]], dual.tables[G.tgt[gamma]]
-        conj = [ty.column[G.mul_all(gamma, a, G.inv(gamma))] for a in tx.elements]
+        conj = [ty.column[mul_all(G, gamma, a, G.inv(gamma))] for a in tx.elements]
         ad[cid] = tx.rows_of(ty.values[:, conj], ty.exponent)
 
     left, rho = np.full((2, len(pos), len(GW.arrows)), -1, dtype=np.int32)
@@ -1417,7 +1421,7 @@ def check_immediately_centralizing_loop(G, S_members, T_members):
     powers = PowerTable(G.mul, G.tgt.__getitem__)
     for t in sorted(T_members):
         fibre, ti = fibres[G.src[t]], G.inv(t)
-        moved = {s: G.mul_all(t, s, ti) for s in fibre}
+        moved = {s: mul_all(G, t, s, ti) for s in fibre}
         k = first_centralizing_bound(fibre, moved, powers)
         if k is not None:
             return False, (t, k)
@@ -1462,6 +1466,16 @@ def check_unit_identity(omega: TwoCocycle) -> bool:
     return True
 
 
+def check_symmetric_on_loop(omega: TwoCocycle, members) -> bool:
+    """check_symmetric_on with one pair of ``omega`` calls per pair of members that compose both ways."""
+    G = omega.G
+    S = sorted(set(members))
+    for a, b in itertools.combinations(S, 2):
+        if G.composable(a, b) and G.composable(b, a) and omega.omega(a, b) != omega.omega(b, a):
+            return False
+    return True
+
+
 def iso_subgroupoid(G) -> Subgroupoid:
     """The isotropy bundle Iso(G) = arrows with equal range and source."""
     return Subgroupoid(G, frozenset(g for g in G.arrows if G.src[g] == G.tgt[g]))
@@ -1477,6 +1491,35 @@ class NotInS(WeylkitError):
 
 
 # ------------------------------------------- reference versions only tests call
+
+def mul_all(G: FiniteGroupoid, *gs):
+    """The product gs[0] * gs[1] * ..., one ``mul`` at a time."""
+    out = gs[0]
+    for g in gs[1:]:
+        out = G.mul(out, g)
+    return out
+
+
+def conjugate(G: FiniteGroupoid, g, a):
+    """g^{-1} a g, defined when a is isotropy at r(g); lands at s(g)."""
+    return mul_all(G, G.inv(g), a, g)
+
+
+def arrows_from(G: FiniteGroupoid, u):
+    """All arrows with source u (the fibre G_u of the left regular action)."""
+    return [g for g in G.arrows if G.src[g] == u]
+
+
+def element_order(G: FiniteGroupoid, g):
+    """Order of an isotropy arrow in its fibre group."""
+    if G.src[g] != G.tgt[g]:
+        raise UnknownArrowId(g)
+    n, x = 1, g
+    while not G.is_unit(x):
+        x = G.mul(x, g)
+        n += 1
+    return n
+
 
 def class_table(class_map: Mapping) -> dict:
     """Invert a class map: class id -> frozenset of its members."""
@@ -1498,7 +1541,7 @@ def find_isomorphism(G1: FiniteGroupoid, G2: FiniteGroupoid):
 
     def profile(G, g):
         iso = G.src[g] == G.tgt[g]
-        return (G.is_unit(g), iso, G.element_order(g) if iso else 0)
+        return (G.is_unit(g), iso, element_order(G, g) if iso else 0)
 
     cand = {}
     for g in G1.arrows:

@@ -263,7 +263,7 @@ def test_table_and_grading_checks_survive_optimized_mode():
         "e = corpus.by_name('pauli')\n"
         "omega = TwoCocycle(e.G, e.omega.values)\n"
         "print(len(check_cocycle(e.G, omega)))\n"
-        "dict.update(omega.values, {('1|0', '1|0'): HALF})\n"
+        "omega.values[('1|0', '1|0')] = HALF\n"
         "print(len(check_cocycle(e.G, omega)))\n"
         "e = corpus.by_name('d4')\n"
         "c = Grading(e.c.group, {**e.c.values, '0|1': (0,)})\n"

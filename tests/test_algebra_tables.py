@@ -40,7 +40,7 @@ from weylkit.algebra import (
     total_representation,
     wedderburn_blocks,
 )
-from weylkit.cocycle import TwoCocycle
+from weylkit.cocycle import TwoCocycle, check_symmetric_on
 from weylkit.errors import DegenerateSample, NotStarHomomorphism
 from weylkit.groupoid import build_groupoid
 from weylkit.phases import HALF, Phase
@@ -49,6 +49,7 @@ from oracles import (
     _commutator_map,
     broken_law_loop,
     center_basis_stack,
+    check_symmetric_on_loop,
     commutant_check_dense,
     reduced_norm_loop,
     represent_stack,
@@ -164,6 +165,17 @@ def test_commutant_matches_the_dense_oracle_under_other_markings(name):
         dim, abelian = commutant_check_dense(e.G, e.omega, e.c, S, represent=total_representation_stack)
         assert (report.commutant_dim, report.D_abelian) == (dim, abelian), S
         assert report.maximal_abelian == (abelian and dim == len(set(S))), S
+
+
+@pytest.mark.parametrize("name", INPUTS)
+def test_symmetric_check_matches_the_loop(name):
+    e = build(name)
+    rng = np.random.default_rng(INPUTS.index(name))
+    cocycles = [e.omega, coboundary_twist(e.G, e.omega, rng), coboundary_twist(e.G, e.omega, rng, at_units=True)]
+    cocycles += [omega for _, omega in mutations(name)]
+    for omega in cocycles:
+        for S in [sorted(e.S), *markings(e), list(e.G.arrows), []]:
+            assert check_symmetric_on(omega, S) == check_symmetric_on_loop(omega, S), S
 
 
 def test_an_asymmetry_below_the_tolerance_on_S_is_not_abelian(monkeypatch):

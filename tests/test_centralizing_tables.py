@@ -144,7 +144,7 @@ def test_the_checks_multiply_through_no_groupoid_or_bundle_and_build_no_action_d
     checks = {check_immediately_centralizing.__code__, check_imm_centralizing_action.__code__}
     seen = calls_under(checks, run)
     assert seen, "the profile saw no call under the checks"
-    mult = {FiniteGroupoid.mul.__code__, FiniteGroupoid.mul_all.__code__,
+    mult = {FiniteGroupoid.mul.__code__,
             reps[0][0].dia.That.to_bundle().mult.__code__, reps[0][0].dia.pkg.T.mult.__code__}
     assert not seen & mult
     built = {action_ids.__code__, CharacterBundle.to_bundle.__code__}

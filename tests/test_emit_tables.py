@@ -18,7 +18,7 @@ import pytest
 from oracles import emit_groupoid_data_dicts, validate_action_loop
 from test_array_groupoids import SPECS, shuffled
 from weylkit import corpus
-from weylkit.cocycle import TwoCocycle
+from weylkit.cocycle import TwoCocycle, check_cocycle
 from weylkit.errors import NotAutomorphism, SchemaError, UndefinedPair
 from weylkit.groupoid import validate_groupoid
 from weylkit.io import emit_groupoid_data, parse_groupoid_data
@@ -107,33 +107,53 @@ def test_a_zero_written_into_values_is_not_emitted():
     nonzero = dict(omega.values)
     pair = next((g, h) for (g, h) in G.compose if (g, h) not in nonzero)
     omega.values[pair] = ZERO
+    assert dict(omega.values) == nonzero
     data = emit_groupoid_data(G, omega, e.c, e.S, e.name)
-    old = emit_groupoid_data_dicts(G, omega, e.c, e.S, e.name)
-    key = f"{pair[0]},{pair[1]}"
-    assert key not in data["cocycle"] and old["cocycle"][key] == "0/1"
-    assert {k: v for k, v in old["cocycle"].items() if k != key} == data["cocycle"]
+    assert f"{pair[0]},{pair[1]}" not in data["cocycle"]
+    assert data == emit_groupoid_data_dicts(G, omega, e.c, e.S, e.name)
     back = parse_groupoid_data(data).omega
     assert back.values == nonzero
     assert (back._int_table()[0] == omega._int_table()[0]).all()
-    # a cocycle whose only entries are zeros writes no table at all
+    # a cocycle whose only entries are zeros writes no table at all, as one given a zero
+    u = G.units[0]
     trivial = TwoCocycle(G, {})
-    trivial.values[(G.units[0], G.units[0])] = ZERO
-    data = emit_groupoid_data(G, trivial)
-    assert "cocycle" not in data and "cocycle" in emit_groupoid_data_dicts(G, trivial)
-    assert parse_groupoid_data(data).omega.is_trivial()
+    trivial.values[(u, u)] = ZERO
+    for omega in (trivial, TwoCocycle(G, {(u, u): ZERO})):
+        data = emit_groupoid_data(G, omega)
+        assert "cocycle" not in data and data == emit_groupoid_data_dicts(G, omega)
+        assert parse_groupoid_data(data).omega.is_trivial()
+
+
+def flipped_pairs():
+    """Two pair groupoids on units x, y with the same arrows: a goes x -> y in the first, y -> x in the second."""
+    out = []
+    for x, y in (("x", "y"), ("y", "x")):
+        arrows = {"x": ("x", "x"), "y": ("y", "y"), "a": (x, y), "b": (y, x)}
+        compose = {("x", "x"): "x", ("y", "y"): "y", ("a", x): "a", (y, "a"): "a", ("b", y): "b", (x, "b"): "b",
+                   ("a", "b"): y, ("b", "a"): x}
+        out.append(validate_groupoid(["x", "y"], arrows, compose, name=f"{x}{y}"))
+    return out
 
 
 def test_a_value_off_the_composable_pairs_or_another_groupoid_is_refused():
     e = corpus.pair_groupoid(3)
     G = e.G
     g, h = next((g, h) for g in G.arrows for h in G.arrows if not G.composable(g, h))
-    omega = TwoCocycle(G, {})
-    omega.values[(g, h)] = Phase(1, 2)
     with pytest.raises(UndefinedPair):
-        emit_groupoid_data(G, omega)
+        TwoCocycle(G, {(g, h): Phase(1, 2)})
+    omega = TwoCocycle(G, {})
+    with pytest.raises(UndefinedPair):
+        omega.values[(g, h)] = Phase(1, 2)
+    assert omega.is_trivial()
     other = corpus.rotation(2, 1)
     with pytest.raises(SchemaError, match="cocycle is defined on"):
         emit_groupoid_data(G, other.omega)
+    # the same arrows composed otherwise: (a, x) is composable in the first only
+    first, second = flipped_pairs()
+    omega = TwoCocycle(first, {("a", "x"): Phase(1, 2)})
+    for run in (emit_groupoid_data, check_cocycle):
+        with pytest.raises(SchemaError, match="cocycle is defined on xy, not on yx"):
+            run(second, omega)
 
 
 def test_emit_at_576_arrows_in_bounded_memory():

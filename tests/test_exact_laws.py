@@ -35,6 +35,7 @@ from weylkit.io import save_groupoid
 from weylkit.phases import HALF, Phase
 
 from oracles import (
+    arrows_from,
     broken_law_loop,
     cocycle_violations_by_generator,
     phase_table_unique,
@@ -103,7 +104,7 @@ def _assert_witnesses_match_the_loop(e, x, bad):
     assert _witness(commutant_check, G, bad, e.c, e.S) == law
     assert _witness(total_representation, G, bad) == law
     u = G.src[x]
-    assert _witness(regular_representation, G, bad, u) == broken_law_loop(G, bad, G.arrows_from(u))
+    assert _witness(regular_representation, G, bad, u) == broken_law_loop(G, bad, arrows_from(G, u))
 
 
 @pytest.mark.parametrize("name", INPUTS)

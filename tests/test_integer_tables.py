@@ -1,16 +1,22 @@
 """The cocycle's kept numerator table, and the array-built Weyl twist against its Phase loop."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 import pytest
 
 from oracles import class_table, weyl_twist_cocycle_loop
 from weylkit import cocycle, corpus, io, semidirect
-from weylkit.cocycle import TwoCocycle, check_cocycle, numerator_table
+from weylkit.cocycle import TableValues, TwoCocycle, check_cocycle, numerator_table
 from weylkit.errors import ElementNotInS, SchemaError, WeylkitError
 from weylkit.phases import HALF, Phase
+from weylkit.reconstruct import build_boxtimes, reconstruction_iso, verify_theta
 from weylkit.weyl import build_weyl_groupoid, weyl_action, weyl_twist_cocycle
 
 
@@ -21,47 +27,123 @@ def action_outcome(G, S, omega):
         return type(exc).__name__, str(exc)
 
 
-# (name, mutation of a pair -> Phase dict); each changes the pauli cocycle's table
+# (name, write into a mapping v at its key k, at a key a it lacks, or of the value x): each changes a dict
 MUTATIONS = {
-    "setitem": lambda v: v.__setitem__(("0|1", "1|0"), v.get(("0|1", "1|0"), Phase.of(0)) + HALF),
-    "delitem": lambda v: v.__delitem__(next(iter(v))),
-    "update": lambda v: v.update({("1|1", "1|1"): Phase.of(1, 4)}),
-    "update-pairs": lambda v: v.update([(("1|0", "1|1"), Phase.of(1, 3))]),
-    "pop": lambda v: v.pop(next(iter(v))),
-    "popitem": lambda v: v.popitem(),
-    "setdefault": lambda v: v.setdefault(("1|0", "1|0"), HALF),
-    "clear": lambda v: v.clear(),
-    "ior": lambda v: v.__ior__({("0|1", "0|1"): Phase.of(1, 6)}),
-    # a write that no dict subclass could see
-    "unbound-update": lambda v: dict.update(v, {("1|0", "1|0"): HALF}),
+    "setitem": lambda v, k, a, x: v.__setitem__(a, x),
+    "delitem": lambda v, k, a, x: v.__delitem__(k),
+    "update": lambda v, k, a, x: v.update({a: x}),
+    "update-pairs": lambda v, k, a, x: v.update([(k, x)]),
+    "pop": lambda v, k, a, x: v.pop(k),
+    "popitem": lambda v, k, a, x: v.popitem(),
+    "setdefault": lambda v, k, a, x: v.setdefault(a, x),
+    "clear": lambda v, k, a, x: v.clear(),
+    "ior": lambda v, k, a, x: v.__ior__({a: x}),
+    # writes that no dict subclass could see
+    "unbound-update": lambda v, k, a, x: dict.update(v, {a: x}),
+    "unbound-setitem": lambda v, k, a, x: dict.__setitem__(v, k, x),
 }
+REFUSED = {"ior", "unbound-update", "unbound-setitem"}     # by a cocycle's values, which is no dict
+
+
+def parsed(e):
+    return io.parse_groupoid_data(json.loads(json.dumps(io.emit_groupoid_data(e.G, e.omega, e.c, e.S))))
+
+
+def cocycles():
+    """(G, S, omega): the pauli cocycle built from a dict and parsed from its file, and the
+    Weyl twist of parsed q8, which is nontrivial, marked by the units."""
+    e, gf, q8 = corpus.by_name("pauli"), parsed(corpus.by_name("pauli")), parsed(corpus.by_name("q8"))
+    GW, data = build_weyl_groupoid(q8.G, q8.marked, q8.omega)
+    return [(e.G, e.S, TwoCocycle(e.G, e.omega.values)), (gf.G, gf.marked, gf.omega),
+            (GW, frozenset(GW.units), weyl_twist_cocycle(GW, data))]
+
+
+def readers(G, S, omega):
+    """What the checks read of omega: its table, the cocycle check's witnesses and the Weyl action's outcome."""
+    om, _, den = omega._int_table()
+    return om.tolist(), den, check_cocycle(G, omega), action_outcome(G, S, omega)
 
 
 @pytest.mark.parametrize("name", MUTATIONS)
-def test_every_write_to_values_reaches_the_next_reader(entry, name):
-    e = entry("pauli")
-    gf = io.parse_groupoid_data(json.loads(json.dumps(io.emit_groupoid_data(e.G, e.omega, e.c, e.S))))
-    gf.omega.values                                   # built from arrays; values read before the write
-    for G, S, omega in [(e.G, e.S, TwoCocycle(e.G, e.omega.values)), (gf.G, gf.marked, gf.omega)]:
-        assert check_cocycle(G, omega) == []
-        weyl_action(G, S, omega)
-        before = omega._int_table()[0]
+def test_every_write_to_values_reaches_the_next_reader(name):
+    """A write into a cocycle's values replaces its table at once, or raises and leaves it as it was."""
+    for G, S, omega in cocycles():
+        values = dict(omega.values)
+        k = next(iter(values))
+        a = next(pair for pair in G.compose if pair not in values)
+        x = values[k] + Phase(1, 3)
+        before = readers(G, S, omega)
+        if name in REFUSED:
+            with pytest.raises((AttributeError, TypeError)):
+                MUTATIONS[name](omega.values, k, a, x)
+            assert readers(G, S, omega) == before
+            continue
+        MUTATIONS[name](omega.values, k, a, x)
+        om = omega._int_table()[0]
+        assert om is omega._int_table()[0] and not om.flags.writeable
+        assert readers(G, S, omega) == readers(G, S, TwoCocycle(G, dict(omega.values))) != before
+        MUTATIONS[name](values, k, a, x)
+        assert name == "popitem" or dict(omega.values) == values
+        assert all(omega.omega(g, h) == omega.values.get((g, h), Phase(0)) for g, h in G.compose)
 
-        MUTATIONS[name](omega.values)
-        fresh = TwoCocycle(G, dict(omega.values))
-        om, _, den = omega._int_table()
-        assert not np.array_equal(om, before)
-        assert (om.tolist(), den) == (fresh._int_table()[0].tolist(), fresh._int_table()[2])
-        assert check_cocycle(G, omega) == check_cocycle(G, fresh)
-        assert all(omega.omega(g, h) == fresh.omega(g, h) for g, h in G.compose)
-        assert action_outcome(G, S, omega) == action_outcome(G, S, fresh)
+
+@pytest.mark.parametrize("name", MUTATIONS)
+def test_every_write_to_compose_or_theta_raises(name):
+    rec = reconstruction_iso(corpus.by_name("q8").G, corpus.by_name("q8").S)
+    for view in (rec.dia.pkg.H.compose, rec.theta.values):
+        before = dict(view)
+        k = next(iter(view))
+        with pytest.raises((AttributeError, TypeError)):
+            MUTATIONS[name](view, k, ("not", "a pair"), view[k])
+        assert dict(view) == before
+    assert verify_theta(rec.dia, rec.theta).all_pass()
+    assert build_boxtimes(rec.dia, rec.theta) is rec.boxtimes
 
 
-def test_values_is_a_plain_dict(entry):
-    e = entry("pauli")
-    doc = json.loads(json.dumps(io.emit_groupoid_data(e.G, e.omega, e.c, e.S)))
-    for omega in (TwoCocycle(e.G, e.omega.values), io.parse_groupoid_data(doc).omega):
-        assert type(omega.values) is dict
+def test_values_is_a_view_of_the_table():
+    for G, _, omega in cocycles():
+        assert isinstance(omega.values, TableValues) and type(G.compose) is MappingProxyType
+        # spelled once per table, in arrow-index order
+        assert omega.values._omega._spell() is omega._values
+        assert list(omega.values) == sorted(omega.values, key=lambda pair: (G.index[pair[0]], G.index[pair[1]]))
+
+
+def test_every_constructor_keeps_one_table():
+    built = [omega for _, _, omega in cocycles()]
+    om, _, den = built[0]._int_table()
+    built.append(TwoCocycle.from_table(built[0].G, om, den))
+    for omega in built:
+        first = omega._int_table()[0]
+        omega.values
+        assert omega._int_table()[0] is first and omega._int_table()[0] is first
+
+
+def test_writes_are_checked_under_python_O():
+    # the views check writes by their type and by raising, not by an assert
+    script = (
+        "from weylkit import corpus\n"
+        "from weylkit.phases import HALF\n"
+        "from weylkit.reconstruct import reconstruction_iso\n"
+        "e = corpus.by_name('q8')\n"
+        "rec = reconstruction_iso(e.G, e.S)\n"
+        "for view in (e.G.compose, rec.theta.values):\n"
+        "    try:\n"
+        "        view[next(iter(view))] = None\n"
+        "    except TypeError:\n"
+        "        print('refused')\n"
+        "omega = corpus.by_name('pauli').omega\n"
+        "try:\n"
+        "    dict.update(omega.values, {('1|0', '1|0'): HALF})\n"
+        "except TypeError:\n"
+        "    print('refused')\n"
+        "omega.values[('1|0', '1|0')] = HALF\n"
+        "print(omega.omega('1|0', '1|0'), int(omega._int_table()[0][2, 2]))\n"
+    )
+    src = str(Path(cocycle.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["refused", "refused", "refused", "1/2", "1"]
 
 
 def test_kept_table_is_read_only(entry):

@@ -32,7 +32,7 @@ from weylkit.weyl import (
     weyl_twist_cocycle,
 )
 
-from oracles import class_table, find_isomorphism, verify_groupoid_action_loop
+from oracles import class_table, element_order, find_isomorphism, verify_groupoid_action_loop
 
 NAMED = ["pauli", "s3", "d4", "q8", "z2xR2"]
 
@@ -264,7 +264,7 @@ def _exhaustive_immediately_centralizing(G, S, T):
         fibre = sorted(s for s in S if G.src[s] == u and G.tgt[s] == u)
         if not fibre or all(G.mul(t, s) == G.mul(s, t) for s in fibre):
             continue
-        top = max(G.element_order(s) for s in fibre)
+        top = max(element_order(G, s) for s in fibre)
         for k in range(1, top + 1):
             premise = True
             for s in fibre:
@@ -357,7 +357,7 @@ def test_weyl_action_witness_matches_oracle_on_shifted_cocycles(entry, name):
     for g in [x for x in G.arrows if not G.is_unit(x)][:4]:
         for h in G.arrows[-3:]:
             values = dict(e.omega.values)
-            values[(g, h)] = e.omega.omega(g, h) + Phase.of(1, 2 * G.element_order(g))
+            values[(g, h)] = e.omega.omega(g, h) + Phase.of(1, 2 * element_order(G, g))
             omega = TwoCocycle(G, values)
             new = _outcome(lambda: weyl_characters(G, e.S, omega)[3])
             assert new == _outcome(lambda: _weyl_action_oracle(G, e.S, omega))
