@@ -137,11 +137,6 @@ class TwistedAlgebra:
         found = cocycle_violations(self.G, self.num, self.den, max_witnesses=1)
         return found[0] if found else None
 
-    def star_basis(self, g):
-        """delta_g^* = conj(phase(g, g^{-1})) . delta_{g^{-1}}."""
-        i = self.G.index[g]
-        return self.G.arrows[self.inv[i]], self.star_phase[i]
-
     def vector(self, f):
         """The coefficient vector over arrow indices of an arrow -> number map."""
         out = np.zeros(len(self.G), dtype=complex)
@@ -183,17 +178,6 @@ class TwistedAlgebra:
             terms *= phase
             out[lo:lo + step] = np.add.reduceat(terms, starts, axis=1)
         return out.reshape(*a.shape[:-1], len(at))
-
-    def convolve(self, f, h):
-        out = self.convolve_vectors(self.vector(f), self.vector(h))
-        return {self.G.arrows[k]: out[k] for k in np.flatnonzero(out)}
-
-    def star(self, f):
-        out = {}
-        for g, v in f.items():
-            gi, ph = self.star_basis(g)
-            out[gi] = np.conj(v) * ph
-        return out
 
 
 def _tables(alg: TwistedAlgebra, basis):

@@ -248,32 +248,25 @@ def check_symmetric_on(omega: TwoCocycle, members: Iterable) -> bool:
     return bool((~(defined & defined.T) | (num == num.T)).all())
 
 
-def _closure(G: FiniteGroupoid, u, gens):
-    """Subgroup of the isotropy fibre at u generated by gens: their product closure with u."""
-    seeds = arrow_indices(G.index, [u, *gens], 1 + len(gens))
-    covered = product_closure(G, np.zeros(len(G.arrows), dtype=bool), seeds)
-    return frozenset(map(G.arrows.__getitem__, covered.nonzero()[0].tolist()))
-
-
-def _abelian_symmetric(G, omega, subset):
-    m = arrow_indices(G.index, subset, len(subset))
-    return noncommuting_pair(G, m) is None and check_symmetric_on(omega, subset)
-
-
 def is_maximal_symmetric_abelian(G: FiniteGroupoid, omega: TwoCocycle, c, members) -> Optional[tuple]:
     """None if the bundle is maximal; otherwise a witness arrow extending it."""
     return _maximal_extension(G, omega, isotropy_fibres(G, kernel_of_grading(G, c).members), members)
 
 
 def _maximal_extension(G: FiniteGroupoid, omega: TwoCocycle, kernel: Mapping, members) -> Optional[tuple]:
-    """:func:`is_maximal_symmetric_abelian` given ``kernel``, the isotropy fibres of the grading's kernel."""
-    S = isotropy_fibres(G, members)
+    """:func:`is_maximal_symmetric_abelian` given ``kernel``, the isotropy fibres of the grading's kernel;
+    each candidate's subgroup is a product-closure mask, and its arrows all compose both ways."""
+    S, om, n = isotropy_fibres(G, members), omega._int_table()[0], len(G.arrows)
     for u in G.units:
-        fibre, Su = set(kernel[u]), set(S[u])
+        fibre, inside = kernel[u], np.zeros(n, dtype=bool)
         if len(fibre) > FIBRE_CAP:
             raise SearchCapExceeded(f"isotropy fibre at {u} has order {len(fibre)}")
-        for t in sorted(fibre - Su):
-            B = _closure(G, u, Su | {t})
-            if B <= fibre and _abelian_symmetric(G, omega, B):
+        inside[arrow_indices(G.index, fibre, len(fibre))] = True
+        seeds = arrow_indices(G.index, [u, *S[u]], 1 + len(S[u]))
+        for t in sorted(set(fibre) - set(S[u])):
+            B = product_closure(G, np.zeros(n, dtype=bool), np.append(seeds, G.index[t]))
+            b = B.nonzero()[0]
+            num = om[np.ix_(b, b)]
+            if (B <= inside).all() and noncommuting_pair(G, b) is None and (num == num.T).all():
                 return (u, t)
     return None

@@ -9,9 +9,9 @@ inverse are index tables; the last two are built on first read.  A
 :class:`Character` is the read-only view of one row, for io, the reports
 and the tests, and a bundle's views are built on first read too.
 
-A :class:`GroupBundle` is the minimal interface the duality machinery
-needs; subgroupoids and character bundles both adapt to it, which is what
-makes the reconstruction pipeline table-driven.
+A :class:`GroupBundle` holds one product table per fibre, in the format of
+``CharacterTable.product``; a subgroupoid's is gathered from its compose
+table, and the unit bundle of a Weyl groupoid reuses the character tables.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import DualityFailure, FibreMismatch, FibreTooLarge, NotAbelian, UnknownArrowId
-from .groupoid import FIBRE_CAP, FiniteGroupoid, isotropy_fibres
+from .errors import DualityFailure, FibreTooLarge, NotAbelian, UnknownArrowId
+from .groupoid import FIBRE_CAP, FiniteGroupoid, arrow_indices, isotropy_fibres
 from .phases import Phase
 
 # Entries of one multiplicativity gather, rows * m * m: 8 MB of int64 at most,
@@ -39,38 +39,28 @@ class GroupBundle:
     base: tuple
     fibres: Mapping            # base point -> tuple of element ids
     p: Mapping                 # element id -> base point
-    mult: Callable
-    inv: Callable
+    product: Mapping           # base point -> [i, j]: position in the fibre of its i-th times j-th element, or -1
     identity: Mapping          # base point -> identity element id
-
-    def fibre(self, x):
-        return self.fibres[x]
-
-    def element_order(self, a) -> int:
-        n, x = 1, a
-        e = self.identity[self.p[a]]
-        while x != e:
-            x = self.mult(x, a)
-            n += 1
-        return n
 
 
 def bundle_from_subgroupoid(G: FiniteGroupoid, members) -> GroupBundle:
-    """View a group-bundle subgroupoid (all members isotropy) as a GroupBundle."""
-    S = frozenset(members)
+    """View a group-bundle subgroupoid (all members isotropy) as a GroupBundle, checked in arrow-index order."""
+    S = sorted(set(members))
     for g in S:
         if g not in G.src:
             raise UnknownArrowId(g)
         if G.src[g] != G.tgt[g]:
             raise NotAbelian(f"member {g} is not isotropy")
-    return GroupBundle(
-        base=tuple(G.units),
-        fibres=isotropy_fibres(G, S),
-        p={g: G.src[g] for g in S},
-        mult=G.mul,
-        inv=G.inv,
-        identity={u: u for u in G.units},
-    )
+    fibres, units, comp = isotropy_fibres(G, S), G.units, G.comp_matrix()
+    # a product of two members at u lies at u, so one position array serves every block
+    position, product = np.full(len(G.arrows) + 1, -1), {}
+    for k, c in size_blocks(np.fromiter(map(len, fibres.values()), np.int64, len(units)), np.square):
+        at = units[c] if isinstance(c, slice) else [units[u] for u in c.tolist()]
+        f = arrow_indices(G.index, [g for u in at for g in fibres[u]], len(at) * k).reshape(len(at), k)
+        position[f] = np.arange(k)
+        block = position[comp[f[:, :, None], f[:, None, :]]]
+        product.update(zip(at, block))
+    return GroupBundle(tuple(units), fibres, {g: G.src[g] for g in S}, product, {u: u for u in units})
 
 
 @dataclass(frozen=True)
@@ -112,21 +102,22 @@ class CharacterTable:
     """
 
     def __init__(self, bundle: GroupBundle, x):
-        fibre = bundle.fibre(x)
+        fibre, mul = bundle.fibres[x], bundle.product[x]
         if len(fibre) > FIBRE_CAP:
             raise FibreTooLarge(f"fibre at {x} has order {len(fibre)}")
         self.base, self.elements, m = x, tuple(sorted(fibre)), len(fibre)
         self.column = column = {a: j for j, a in enumerate(self.elements)}
         self.ids = tuple(f"{x}#{i}" for i in range(m))
         if m == 1:      # the trivial group, with its one character, once u * u = u is the identity
-            (u,) = self.elements
-            if u != bundle.identity[x] or bundle.mult(u, u) != u:
+            if self.elements[0] != bundle.identity[x] or mul.item(0, 0) != 0:
                 raise DualityFailure(("fibre is not a group", x))
             self.mul, self.values = np.zeros((1, 1), dtype=np.int64), np.zeros((1, 1), dtype=np.int64)
             self.identity, self.exponent = 0, 1
             return
-        mul = np.array([column.get(bundle.mult(a, b), -1) for a in self.elements for b in self.elements])
-        self.mul = mul = mul.reshape(m, m)
+        if self.elements != fibre:      # the table to sorted order, -1 staying -1
+            order = sorted(range(m), key=fibre.__getitem__)
+            mul = np.append(np.argsort(order), -1)[mul[np.ix_(order, order)]]
+        self.mul = mul
         if (mul != mul.T).any():
             i, j = np.argwhere(np.triu(mul != mul.T, 1))[0]
             raise NotAbelian(f"fibre at {x} is not abelian: ({self.elements[i]}, {self.elements[j]})")
@@ -259,38 +250,6 @@ class CharacterBundle:
     def position(self) -> dict:
         return {cid: (x, i) for x in self.base for i, cid in enumerate(self.tables[x].ids)}
 
-    def trivial(self, x) -> Character:
-        return self.fibres[x][0]
-
-    def multiply(self, chi: Character, nu: Character) -> Character:
-        """The product of two characters of this bundle over one base point."""
-        if chi.unit != nu.unit:
-            raise FibreMismatch((chi.unit, nu.unit))
-        (x, i), (_, j) = self.position[self.char_id[chi]], self.position[self.char_id[nu]]
-        return self.fibres[x][self.tables[x].product[i, j]]
-
-    def invert(self, chi: Character) -> Character:
-        x, i = self.position[self.char_id[chi]]
-        return self.fibres[x][self.tables[x].inverse[i]]
-
-    def to_bundle(self) -> GroupBundle:
-        """The character bundle as a GroupBundle over character ids."""
-        position, tables = self.position, self.tables
-
-        def mult(a, b):
-            (x, i), (y, j) = position[a], position[b]
-            if x != y:
-                raise FibreMismatch((x, y))
-            return tables[x].ids[tables[x].product.item(i, j)]
-
-        def inv(a):
-            x, i = position[a]
-            return tables[x].ids[tables[x].inverse.item(i)]
-
-        fibres = {x: tables[x].ids for x in self.base}
-        p = {cid: x for cid, (x, _) in position.items()}
-        return GroupBundle(self.base, fibres, p, mult, inv, identity={x: ids[0] for x, ids in fibres.items()})
-
 
 def size_blocks(sizes: np.ndarray, cost: Callable):
     """(k, at) for each size k in ``sizes``: the indices i with sizes[i] = k, increasing,
@@ -300,7 +259,7 @@ def size_blocks(sizes: np.ndarray, cost: Callable):
     """
     distinct = set(sizes.tolist())
     for k in sorted(distinct):
-        step = max(1, _GATHER // cost(k))
+        step = max(1, _GATHER // max(1, cost(k)))
         if len(distinct) == 1:
             yield from ((k, slice(lo, lo + step)) for lo in range(0, len(sizes), step))
         else:

@@ -69,12 +69,6 @@ class FibreTooLarge(WeylkitError):
     pass
 
 
-class FibreMismatch(WeylkitError):
-    def __init__(self, witness):
-        super().__init__(f"operands live over different base points: {witness}")
-        self.witness = witness
-
-
 class DualityFailure(WeylkitError):
     def __init__(self, witness):
         super().__init__(f"Pontryagin duality check fails; witness {witness}")

@@ -80,9 +80,6 @@ class FiniteGroupoid:
     def is_unit(self, g):
         return g in self._unit_set
 
-    def composable(self, g, h):
-        return self.src[g] == self.tgt[h]
-
     def _defined(self, g, h) -> bool:
         """Whether (g, h) is a composable pair of arrows of this groupoid."""
         s = self.src.get(g)
@@ -184,10 +181,6 @@ class Grading:
 
     def normalize(self, v):
         return tuple(x % n if n else x for x, n in zip(v, self.group))
-
-    @property
-    def zero(self):
-        return tuple(0 for _ in self.group)
 
     def value(self, g):
         return self.normalize(tuple(self.values[g]))
@@ -406,15 +399,6 @@ class PropertyReport:
     fibres_abelian: bool
     is_normal: bool
     witnesses: dict = field(default_factory=dict)
-
-    def all_true(self):
-        return (
-            self.is_subgroupoid
-            and self.is_wide
-            and self.is_group_bundle
-            and self.fibres_abelian
-            and self.is_normal
-        )
 
 
 def subgroupoid_properties(G: FiniteGroupoid, members: Iterable) -> PropertyReport:

@@ -92,10 +92,6 @@ class Phase:
     def __neg__(self) -> "Phase":
         return Phase(-self.num, self.den)
 
-    def times(self, n: int) -> "Phase":
-        """n-fold sum of self (the n-th power on the circle)."""
-        return Phase(self.num * n, self.den)
-
     @property
     def is_zero(self) -> bool:
         return self.num == 0

@@ -77,12 +77,6 @@ class ActionPackage:
         for a in (self.left, self.right, self.lam, self.rho):
             a.setflags(write=False)
 
-    def p_r(self, eta):
-        return self.T.p[self.H.tgt[eta]]
-
-    def p_s(self, eta):
-        return self.T.p[self.H.src[eta]]
-
     def t_elements(self):
         return sorted(self.T.p)
 
@@ -163,10 +157,10 @@ def verify_action_package(pkg: ActionPackage) -> ActionPackageReport:
     k = max(map(len, T.fibres.values()), default=0)
     fibre, ident, prod = np.full((n_t, k), -1), np.full(n_t + 1, -1), np.full((n_t + 1, n_t + 1), -1)
     for x in T.base:
-        f = [pos[t] for t in T.fibre(x)]
-        fibre[f, :len(f)] = f
+        f = np.array([pos[t] for t in T.fibres[x]], dtype=np.int64)
+        fibre[f, :len(f)] = np.sort(f)      # in T order, the witnesses' scan order
         ident[f] = pos[T.identity[x]]
-        prod[np.ix_(f, f)] = [[pos.get(T.mult(a, b), -1) for b in T.fibre(x)] for a in T.fibre(x)]
+        prod[np.ix_(f, f)] = np.append(f, -1)[T.product[x]]
     unit_t = np.array([pos.get(a, -1) for a in H.arrows])     # the T index of each unit arrow
     R, S = fibre[unit_t[tgt[:-1]]], fibre[unit_t[src[:-1]]]  # T over r(eta), over s(eta)
 
@@ -246,22 +240,19 @@ def derive_weyl_actions(G: FiniteGroupoid, S_members, omega: Optional[TwoCocycle
     """
     omega = omega if omega is not None else TwoCocycle(G, {})
     GW, data = build_weyl_groupoid(G, S_members, omega)
-    dual, Q = data.dual, data.Q
-    K = dual.to_bundle()
-    t_of = {cid: (data.class_map[x], cid) for cid, x in K.p.items()}
-    fibres = {u: tuple(sorted(t_of[cid] for cid in K.fibre(u))) for u in G.units}
+    dual, Q, unit_class = data.dual, data.Q, {u: data.class_map[u] for u in G.units}
+    fibres = {u: tuple((unit_class[u], cid) for cid in dual.tables[u].ids) for u in G.units}
     T = GroupBundle(
         base=tuple(G.units),
         fibres=fibres,
         p={t: u for u, fs in fibres.items() for t in fs},
-        mult=lambda a, b: t_of[K.mult(a[1], b[1])],
-        inv=lambda a: t_of[K.inv(a[1])],
-        identity={u: t_of[K.identity[u]] for u in G.units},
+        product={u: dual.tables[u].product for u in G.units},
+        identity={u: fs[0] for u, fs in fibres.items()},
     )
     pos = {t: i for i, t in enumerate(sorted(T.p))}
-    tables, _, fs, ft = fibres_of(Q, dual, {u: data.class_map[u] for u in G.units})
+    tables, _, fs, ft = fibres_of(Q, dual, unit_class)
     # per fibre: the T index of each row, and the character product table
-    t_row = [np.array([pos[t_of[c]] for c in t.ids]) for t in tables]
+    t_row = [np.array([pos[t] for t in fibres[t.base]]) for t in tables]
     product = [t.product for t in tables]
     size = np.array([len(t.ids) for t in tables])[fs]
     keys = [(cid, i) for cid, f in zip(Q.arrows, fs.tolist()) for i in tables[f].ids]

@@ -97,13 +97,6 @@ class SemidirectSpec:
                 tuple(int(x) for x in ks.split(".")),
             )
 
-    def validate_action(self):
-        """Check that beta is an action of K on H by automorphisms; raise NotAutomorphism if not.
-
-        See :func:`_action_table`.
-        """
-        _action_table(self)
-
 
 def _action_table(spec: SemidirectSpec) -> np.ndarray:
     """The checked table of beta: the position of beta(k, h) at [position k, position h].

@@ -8,17 +8,18 @@ the clause(s) that must report False; a mutation may break more clauses
 than listed, but never fewer.
 """
 
-from oracles import action_maps, tabulate_actions
+from oracles import action_maps, bundle_lookups, tabulate_actions
 
 
 def _anchors(pkg):
     """A non-unit arrow, a non-self-inverse bundle element, and a swap partner."""
     H, T = pkg.H, pkg.T
+    inv = bundle_lookups(T)[1]
     eta0 = next(a for a in sorted(H.arrows) if not H.is_unit(a))
-    t0 = next(t for t in pkg.t_elements() if T.inv(t) != t)
+    t0 = next(t for t in pkg.t_elements() if inv(t) != t)
     t1 = next(
-        t for t in T.fibre(T.p[t0])
-        if t not in (t0, T.identity[T.p[t0]], T.inv(t0))
+        t for t in sorted(T.fibres[T.p[t0]])
+        if t not in (t0, T.identity[T.p[t0]], inv(t0))
     )
     return eta0, t0, t1
 
@@ -26,21 +27,21 @@ def _anchors(pkg):
 def mut_units_left(pkg):
     """Left action on units answers with the inverse bundle element."""
     _, _, _ = _anchors(pkg)
-    H, T = pkg.H, pkg.T
+    H, inv = pkg.H, bundle_lookups(pkg.T)[1]
     left, right, _, _ = action_maps(pkg)
     return tabulate_actions(
         pkg,
-        left=lambda t, eta: right(eta, T.inv(t)) if H.is_unit(eta) else left(t, eta),
+        left=lambda t, eta: right(eta, inv(t)) if H.is_unit(eta) else left(t, eta),
     )
 
 
 def mut_rho_inverts_units(pkg):
     """rho on unit arrows inverts instead of being the identity."""
-    H, T = pkg.H, pkg.T
+    H, inv = pkg.H, bundle_lookups(pkg.T)[1]
     rho = action_maps(pkg)[3]
     return tabulate_actions(
         pkg,
-        rho=lambda t, eta: T.inv(t) if H.is_unit(eta) else rho(t, eta),
+        rho=lambda t, eta: inv(t) if H.is_unit(eta) else rho(t, eta),
     )
 
 
@@ -84,13 +85,13 @@ def mut_lambda_swap(pkg):
 
 def mut_rho_class_flip(pkg):
     """rho inverted over one quotient class only."""
-    H, T = pkg.H, pkg.T
+    H, inv = pkg.H, bundle_lookups(pkg.T)[1]
     c_flip = min(a[0] for a in H.arrows if not H.is_unit(a))
     healthy = action_maps(pkg)[3]
 
     def rho(t, eta):
         v = healthy(t, eta)
-        return T.inv(v) if eta[0] == c_flip else v
+        return inv(v) if eta[0] == c_flip else v
 
     return tabulate_actions(pkg, rho=rho)
 
@@ -100,14 +101,14 @@ def mut_left_char_dependent(pkg):
 
     The two orders of acting then disagree, so the actions no longer commute.
     """
-    H, T = pkg.H, pkg.T
+    H, inv = pkg.H, bundle_lookups(pkg.T)[1]
     data = pkg.weyl
     healthy = action_maps(pkg)[0]
 
     def left(t, eta):
         chi = data.dual.by_id[eta[1]]
         if not chi.is_trivial and not H.is_unit(eta):
-            return healthy(T.inv(t), eta)
+            return healthy(inv(t), eta)
         return healthy(t, eta)
 
     return tabulate_actions(pkg, left=left)

@@ -48,7 +48,12 @@ products, conjugates, source fibres and element orders of a groupoid, the
 class dict of a class map, the exhaustive isomorphism search, the search
 for every maximal symmetric abelian bundle, the evaluation map into the
 double dual, the co-trivial action package of a bundle, and theta from
-(G, S) in one call.
+(G, S) in one call; and the methods no verdict reads, as functions.  A
+group bundle holds product tables; ``tabulate_bundle`` builds one from a
+product callable, ``bundle_lookups`` reads products and inverses by id,
+and ``CharacterTableLoop`` builds a character table from a callable, one
+call per pair.  The maximality search tests each candidate on index masks;
+its plain version closes each candidate as a set of ids.
 """
 
 import cmath
@@ -69,8 +74,8 @@ from weylkit.algebra import (
     _null_space,
     reduced_norm,
 )
-from weylkit.cocycle import TwoCocycle, _abelian_symmetric, _closure, check_cocycle, common_denominator
-from weylkit.dual import Character, GroupBundle, bundle_from_subgroupoid, dual_bundle
+from weylkit.cocycle import TwoCocycle, check_cocycle, check_symmetric_on, common_denominator
+from weylkit.dual import Character, CharacterTable, GroupBundle, bundle_from_subgroupoid, dual_bundle
 from weylkit.errors import (
     AssociativityViolation,
     AssumptionUnverified,
@@ -87,7 +92,9 @@ from weylkit.errors import (
     DegenerateSample,
     DualityFailure,
     ElementNotInS,
+    FibreTooLarge,
     MissingComposite,
+    NotAbelian,
     NontrivialCocycle,
     NotStarHomomorphism,
     SchemaError,
@@ -100,14 +107,18 @@ from weylkit.groupoid import (
     Grading,
     PropertyReport,
     Subgroupoid,
+    arrow_indices,
     build_groupoid,
     isotropy_fibres,
     kernel_of_grading,
+    noncommuting_pair,
+    product_closure,
     quotient_by_bundle,
     validate_groupoid,
 )
 from weylkit.io import GroupoidFile, _expect, _split_pair, label
 from weylkit.phases import ZERO, Phase
+from weylkit.semidirect import _action_table
 from weylkit.reconstruct import (
     ActionPackage,
     ActionPackageReport,
@@ -355,7 +366,7 @@ def regular_representation_loop(G, omega, u):
     for g in G.arrows:
         M = np.zeros((len(basis), len(basis)), dtype=complex)
         for x in basis:
-            if G.composable(g, x):
+            if composable(G, g, x):
                 M[index[G.mul(g, x)], index[x]] = omega.omega(g, x).to_complex()
         mats[g] = M
     verify_star_hom_exhaustive(G, omega, mats)
@@ -441,13 +452,13 @@ def broken_law_loop(G, omega, basis):
     w = omega.omega
     for g in G.arrows:
         gi = G.inv(g)
-        if any(w(g, gi) != w(g, x) + w(gi, G.mul(g, x)) for x in basis if G.composable(g, x)):
+        if any(w(g, gi) != w(g, x) + w(gi, G.mul(g, x)) for x in basis if composable(G, g, x)):
             return ("star", g)
     gens = [G.arrows[i] for i in G.generators()]
     for g in G.arrows:
         for b in gens:
-            if G.composable(g, b) and any(
-                w(b, x) + w(g, G.mul(b, x)) != w(g, b) + w(G.mul(g, b), x) for x in basis if G.composable(b, x)
+            if composable(G, g, b) and any(
+                w(b, x) + w(g, G.mul(b, x)) != w(g, b) + w(G.mul(g, b), x) for x in basis if composable(G, b, x)
             ):
                 return ("product", g, b)
     found = check_cocycle(G, omega, max_witnesses=1)
@@ -554,7 +565,7 @@ def wedderburn_blocks_dense(G, omega, seed=0, tol=SPEC_TOL):
 def commutant_check_dense(G, omega, c, S_members, represent=total_representation_loop):
     """(commutant dimension, span(S) abelian) from dense commutators of the matrices ``represent`` builds."""
     S = sorted(set(S_members))
-    A0 = sorted(g for g in G.arrows if c.value(g) == c.zero)
+    A0 = sorted(g for g in G.arrows if c.value(g) == grading_zero(c))
     mats = represent(G, omega)
     M = np.zeros((len(A0), len(A0)), dtype=complex)
     for s in S:
@@ -607,7 +618,7 @@ def expectation_checks_loop(G, omega, S_members, trials=100, seed=0):
         d = {g: f[g] for g in S_members}
         gelfand = conditional_expectation(G, dual, d)
         for cid, chi in dual.by_id.items():
-            direct = sum(chi.value(a).to_complex() * d.get(a, 0) for a in dual.bundle.fibre(chi.unit))
+            direct = sum(chi.value(a).to_complex() * d.get(a, 0) for a in dual.bundle.fibres[chi.unit])
             if abs(gelfand[cid] - direct) > SPEC_TOL:
                 diagonal_ok = False
     if failures >= max(1, trials // 2):
@@ -830,7 +841,7 @@ def subgroupoid_properties_loop(G, members):
             break
     if closed:
         for g, h in itertools.product(ordered, ordered):
-            if G.composable(g, h) and G.mul(g, h) not in S:
+            if composable(G, g, h) and G.mul(g, h) not in S:
                 closed, wit["subgroupoid"] = False, ("compose", g, h)
                 break
 
@@ -842,7 +853,7 @@ def subgroupoid_properties_loop(G, members):
     abelian = True
     if bundle:
         for g, h in itertools.combinations(ordered, 2):
-            if G.composable(g, h) and G.mul(g, h) != G.mul(h, g):
+            if composable(G, g, h) and G.mul(g, h) != G.mul(h, g):
                 abelian, wit["abelian"] = False, (g, h)
                 break
 
@@ -886,7 +897,7 @@ def enumerate_fibre_characters(bundle, x):
     generator at a time, in Phase arithmetic; the relative order of the
     generator pins down the admissible values.
     """
-    fibre = bundle.fibre(x)
+    fibre, mult = bundle.fibres[x], bundle_lookups(bundle)[0]
     e = bundle.identity[x]
     span = {e}
     partial = [{e: ZERO}]
@@ -896,7 +907,7 @@ def enumerate_fibre_characters(bundle, x):
         # relative order: least m >= 1 with g^m in the current span
         m, power = 1, g
         while power not in span:
-            power = bundle.mult(power, g)
+            power = mult(power, g)
             m += 1
         new_partial = []
         for chi in partial:
@@ -908,8 +919,8 @@ def enumerate_fibre_characters(bundle, x):
                 val = ZERO
                 for _ in range(m):
                     for s, ps in chi.items():
-                        ext[bundle.mult(s, cur)] = ps + val
-                    cur = bundle.mult(cur, g)
+                        ext[mult(s, cur)] = ps + val
+                    cur = mult(cur, g)
                     val = val + v
                 new_partial.append(ext)
         partial = new_partial
@@ -924,9 +935,9 @@ def dual_fibres_oracle(bundle) -> dict:
     id of the i-th one over x is "x#i".  Raises DualityFailure with the
     first witness.
     """
-    out = {}
+    out, mult = {}, bundle_lookups(bundle)[0]
     for x in bundle.base:
-        fibre = bundle.fibre(x)
+        fibre = bundle.fibres[x]
         chars = sorted(enumerate_fibre_characters(bundle, x), key=lambda c: c.values)
         if len(chars) != len(fibre):
             raise DualityFailure(("character count", x, len(chars), len(fibre)))
@@ -934,7 +945,7 @@ def dual_fibres_oracle(bundle) -> dict:
             raise DualityFailure(("duplicate characters", x))
         for i, chi in enumerate(chars):
             for a, b in itertools.product(fibre, fibre):
-                if chi.value(bundle.mult(a, b)) != chi.value(a) + chi.value(b):
+                if chi.value(mult(a, b)) != chi.value(a) + chi.value(b):
                     raise DualityFailure(("not multiplicative", x, f"{x}#{i}", a, b))
         for a in fibre:
             if a != bundle.identity[x] and all(chi.value(a).is_zero for chi in chars):
@@ -983,7 +994,7 @@ def tabulate_actions(pkg, **maps):
         table = np.full((len(ids), len(H.arrows)), -1)
         for i, t in enumerate(ids):
             for j, eta in enumerate(H.arrows):
-                over = pkg.p_r(eta) if name in ("left", "rho") else pkg.p_s(eta)
+                over = p_r(pkg, eta) if name in ("left", "rho") else p_s(pkg, eta)
                 if T.p[t] != over:
                     continue
                 try:
@@ -1005,6 +1016,7 @@ def verify_action_package_loop(pkg):
     left, right, lam, rho = action_maps(pkg)
     pkg.check_moment_maps()
     H, T = pkg.H, pkg.T
+    mult = bundle_lookups(T)[0]
     clauses, wit, counts = {}, {}, {}
 
     def record(name, check, witness=None):
@@ -1032,7 +1044,7 @@ def verify_action_package_loop(pkg):
     for t in t_elems:
         x = T.p[t]
         for eta in H.arrows:
-            if pkg.p_r(eta) == x:
+            if p_r(pkg, eta) == x:
                 record("endpoints_compatible",
                        lambda t=t, eta=eta: H.tgt[left(t, eta)] == left(t, H.tgt[eta]),
                        (t, eta))
@@ -1048,7 +1060,7 @@ def verify_action_package_loop(pkg):
                 record("lambda_rho_inverse",
                        lambda t=t, eta=eta: lam(eta, rho(t, eta)) == t,
                        (t, eta))
-            if pkg.p_s(eta) == x:
+            if p_s(pkg, eta) == x:
                 record("endpoints_compatible",
                        lambda t=t, eta=eta: H.src[right(eta, t)] == right(H.src[eta], t),
                        (t, eta))
@@ -1074,18 +1086,18 @@ def verify_action_package_loop(pkg):
 
     for t, t2 in itertools.product(t_elems, t_elems):
         for eta in H.arrows:
-            if pkg.p_r(eta) == T.p[t] and pkg.p_s(eta) == T.p[t2]:
+            if p_r(pkg, eta) == T.p[t] and p_s(pkg, eta) == T.p[t2]:
                 record("actions_commute",
                        lambda t=t, eta=eta, t2=t2: right(left(t, eta), t2) == left(t, right(eta, t2)),
                        (t, eta, t2))
-            if pkg.p_s(eta) == T.p[t] == T.p[t2]:
+            if p_s(pkg, eta) == T.p[t] == T.p[t2]:
                 record("lambda_multiplicative",
-                       lambda t=t, eta=eta, t2=t2: lam(eta, T.mult(t, t2)) == T.mult(lam(eta, t), lam(eta, t2)),
+                       lambda t=t, eta=eta, t2=t2: lam(eta, mult(t, t2)) == mult(lam(eta, t), lam(eta, t2)),
                        (t, eta, t2))
 
     for (gamma, eta) in H.compose:
         ge = H.mul(gamma, eta)
-        for t in T.fibre(pkg.p_s(eta)):
+        for t in sorted(T.fibres[p_s(pkg, eta)]):
             record("right_distributes",
                    lambda ge=ge, gamma=gamma, eta=eta, t=t:
                    right(ge, t) == H.mul(right(gamma, lam(eta, t)), right(eta, t)),
@@ -1093,7 +1105,7 @@ def verify_action_package_loop(pkg):
             record("lambda_composition",
                    lambda ge=ge, gamma=gamma, eta=eta, t=t: lam(ge, t) == lam(gamma, lam(eta, t)),
                    (gamma, eta, t))
-        for t in T.fibre(pkg.p_r(gamma)):
+        for t in sorted(T.fibres[p_r(pkg, gamma)]):
             record("left_distributes",
                    lambda ge=ge, gamma=gamma, eta=eta, t=t:
                    left(t, ge) == H.mul(left(t, gamma), left(rho(t, gamma), eta)),
@@ -1140,7 +1152,7 @@ def verify_theta_loop(dia, theta):
     image = dict(zip(HT.arrows, dia.image.tolist()))
     violations = []
 
-    source = {c: dia.pkg.p_s(min(ms)) for c, ms in class_table(dia.class_map).items()}
+    source = {c: p_s(dia.pkg, min(ms)) for c, ms in class_table(dia.class_map).items()}
     at = (That.position.get(That.char_id.get(val)) for val in theta.values.values())
     rows = {pair: p if p and p[0] == source.get(pair[1]) else None for pair, p in zip(theta.values, at)}
 
@@ -1167,7 +1179,7 @@ def verify_theta_loop(dia, theta):
     for (c1, c2) in HT.compose:
         c12 = HT.mul(c1, c2)
         for c3 in HT.arrows:
-            if not HT.composable(c2, c3):
+            if not composable(HT, c2, c3):
                 continue
             c23 = HT.mul(c2, c3)
             if not {(c1, c2), (c12, c3), (c1, c23), (c2, c3)} <= row.keys():
@@ -1218,7 +1230,7 @@ def build_boxtimes_loop(dia, theta):
     unit_id = {x: (uc, That.tables[x].ids[0]) for x, uc in dia.x_unit.items()}
     arrows, classes = {}, class_table(dia.class_map)
     for cid in HT.arrows:
-        xs, xt = pkg.p_s(min(classes[cid])), pkg.p_r(min(classes[cid]))
+        xs, xt = p_s(pkg, min(classes[cid])), p_r(pkg, min(classes[cid]))
         arrows.update(((cid, i), (unit_id[xs], unit_id[xt])) for i in That.tables[xs].ids)
 
     rows, position = report.rows, That.position
@@ -1280,17 +1292,12 @@ def derive_weyl_actions_loop(G, S_members, omega=None):
     omega = omega if omega is not None else TwoCocycle(G, {})
     GW, data = build_weyl_groupoid(G, S_members, omega)
     dual, Q = data.dual, data.Q
-    K = dual.to_bundle()
+    K = to_bundle(dual)
+    k_mult = bundle_lookups(K)[0]
     t_of = {cid: (data.class_map[x], cid) for cid, x in K.p.items()}
-    fibres = {u: tuple(sorted(t_of[cid] for cid in K.fibre(u))) for u in G.units}
-    T = GroupBundle(
-        base=tuple(G.units),
-        fibres=fibres,
-        p={t: u for u, fs in fibres.items() for t in fs},
-        mult=lambda a, b: t_of[K.mult(a[1], b[1])],
-        inv=lambda a: t_of[K.inv(a[1])],
-        identity={u: t_of[K.identity[u]] for u in G.units},
-    )
+    fibres = {u: tuple(sorted(t_of[cid] for cid in K.fibres[u])) for u in G.units}
+    T = tabulate_bundle(G.units, fibres, lambda a, b: t_of[k_mult(a[1], b[1])],
+                        {u: t_of[K.identity[u]] for u in G.units})
     pos = {t: i for i, t in enumerate(sorted(T.p))}
     t_row = {x: np.array([pos[t_of[c]] for c in t.ids]) for x, t in dual.tables.items()}
 
@@ -1327,7 +1334,7 @@ def diamond_action_loop(pkg, report=None):
         rho = pkg.rho[:, sorted(H.index[eta] for eta in members)]
         if (rho != rho[:, :1]).any():
             raise DescentFailure(tuple(sorted(members)[:2]))
-        tr, ts = That.tables[pkg.p_r(min(members))], That.tables[pkg.p_s(min(members))]
+        tr, ts = That.tables[p_r(pkg, min(members))], That.tables[p_s(pkg, min(members))]
         at_rho = ts.values[:, [ts.column[ids[rho[pos[t], 0]]] for t in tr.elements]]
         image[HT.index[cid], :len(ts.ids)] = image_rows(tr, at_rho, ts.exponent, cid, ts.ids)
     image.setflags(write=False)
@@ -1335,7 +1342,7 @@ def diamond_action_loop(pkg, report=None):
     x_unit = {T.p[u]: class_map[u] for u in H.units}
     verify_groupoid_action(HT, That, image, x_unit)
     for cid, members in classes.items():
-        ts, tr = That.tables[pkg.p_s(min(members))], That.tables[pkg.p_r(min(members))]
+        ts, tr = That.tables[p_s(pkg, min(members))], That.tables[p_r(pkg, min(members))]
         img = image[HT.index[cid], :len(ts.ids)]
         bad = img[ts.product] != tr.product[img[:, None], img[None, :]]
         if bad.any():
@@ -1350,8 +1357,8 @@ def trivial_theta_loop(dia):
     """trivial_theta as a dict, one trivial Character per composable pair of H/T, in ``HT.compose`` order."""
     values, classes = {}, class_table(dia.class_map)
     for (c1, c2) in dia.HT.compose:
-        x = dia.pkg.p_s(min(classes[c2]))
-        values[(c1, c2)] = dia.That.trivial(x)
+        x = p_s(dia.pkg, min(classes[c2]))
+        values[(c1, c2)] = trivial(dia.That, x)
     return ThetaDatum(values)
 
 
@@ -1364,7 +1371,7 @@ def grading_checks_loop(dia, c_tilde):
             descends, wit["grading_descends"] = False, cid
             break
     effective = True
-    for g in (g for g in H.arrows if c_tilde.value(g) == c_tilde.zero):
+    for g in (g for g in H.arrows if c_tilde.value(g) == grading_zero(c_tilde)):
         if H.src[g] == H.tgt[g] and not H.is_unit(g):
             effective, wit["kernel_effective"] = False, g
             break
@@ -1431,14 +1438,14 @@ def check_immediately_centralizing_loop(G, S_members, T_members):
 def check_imm_centralizing_action_loop(Q, K, action, unit_of_base):
     """check_imm_centralizing_action one isotropy arrow at a time.
 
-    ``K`` is the bundle as a GroupBundle (``dual.to_bundle()``), and
+    ``K`` is the bundle as a GroupBundle (:func:`to_bundle`), and
     ``action`` maps (isotropy arrow id, K element id) -> K element id
-    (``action_ids``); powers come from a PowerTable over ``K.mult``.
+    (``action_ids``); powers come from a PowerTable over K's product lookup.
     """
     base_of_unit = {}
     for x, u in unit_of_base.items():
         base_of_unit.setdefault(u, []).append(x)
-    powers = PowerTable(K.mult, lambda chi: K.identity[K.p[chi]])
+    powers = PowerTable(bundle_lookups(K)[0], lambda chi: K.identity[K.p[chi]])
     for g in sorted(Q.arrows):
         if Q.src[g] != Q.tgt[g]:
             continue
@@ -1471,7 +1478,7 @@ def check_symmetric_on_loop(omega: TwoCocycle, members) -> bool:
     G = omega.G
     S = sorted(set(members))
     for a, b in itertools.combinations(S, 2):
-        if G.composable(a, b) and G.composable(b, a) and omega.omega(a, b) != omega.omega(b, a):
+        if composable(G, a, b) and composable(G, b, a) and omega.omega(a, b) != omega.omega(b, a):
             return False
     return True
 
@@ -1561,14 +1568,14 @@ def find_isomorphism(G1: FiniteGroupoid, G2: FiniteGroupoid):
         if G1.inv(g) in assign and assign[G1.inv(g)] != G2.inv(h):
             return False
         for g2, h2 in assign.items():
-            if G1.composable(g, g2):
-                if not G2.composable(h, h2):
+            if composable(G1, g, g2):
+                if not composable(G2, h, h2):
                     return False
                 prod = G1.mul(g, g2)
                 if prod in assign and assign[prod] != G2.mul(h, h2):
                     return False
-            if G1.composable(g2, g):
-                if not G2.composable(h2, h):
+            if composable(G1, g2, g):
+                if not composable(G2, h2, h):
                     return False
                 prod = G1.mul(g2, g)
                 if prod in assign and assign[prod] != G2.mul(h2, h):
@@ -1606,8 +1613,8 @@ def _maximal_fibre_subgroups(G, omega, u, fibre):
     def extensions(A):
         out = []
         for t in sorted(fibre - A):
-            B = _closure(G, u, A | {t})
-            if B <= fibre and _abelian_symmetric(G, omega, B):
+            B = fibre_closure(G, u, A | {t})
+            if B <= fibre and abelian_symmetric(G, omega, B):
                 out.append(B)
         return out
 
@@ -1623,8 +1630,8 @@ def _maximal_fibre_subgroups(G, omega, u, fibre):
             grow(B)
 
     for g in sorted(fibre):
-        A = _closure(G, u, {g})
-        if _abelian_symmetric(G, omega, A):
+        A = fibre_closure(G, u, {g})
+        if abelian_symmetric(G, omega, A):
             grow(A)
     return sorted(maximal, key=sorted)
 
@@ -1654,7 +1661,7 @@ def double_dual_iso(bundle: GroupBundle):
     Character of the dual fibre; verified bijective and multiplicative.
     """
     dual = dual_bundle(bundle)
-    ddual = dual_bundle(dual.to_bundle())
+    ddual = dual_bundle(to_bundle(dual))
     eval_map = {}
     for x in bundle.base:
         t, tt = dual.tables[x], ddual.tables[x]
@@ -1682,9 +1689,9 @@ def bundle_package(T: GroupBundle) -> ActionPackage:
     H = build_groupoid(ids, {t: (t, t) for t in ids}, lambda a, b: a, name="cotrivial(T)")
     left, right, lam, rho = np.full((4, len(ids), len(ids)), -1, dtype=np.int32)
     for x in T.base:
-        f = np.array([pos[t] for t in T.fibre(x)])
+        f = np.array([pos[t] for t in T.fibres[x]])
         on = np.ix_(f, f)
-        left[on] = right[on] = [[pos[T.mult(a, b)] for b in T.fibre(x)] for a in T.fibre(x)]
+        left[on] = right[on] = np.append(f, -1)[T.product[x]]
         lam[on], rho[on] = f[None, :], f[:, None]
     return ActionPackage(H=H, T=T, left=left, right=right, lam=lam, rho=rho)
 
@@ -1698,3 +1705,193 @@ def theta_from_section(G: FiniteGroupoid, S_members, section: Optional[dict] = N
     if not report.all_pass():
         raise ThetaInvalid(f"derived theta fails verification: {report.violations[:3]}")
     return theta
+
+
+# ---------------------------------- methods no verdict reads, kept as references
+
+def p_r(pkg: ActionPackage, eta):
+    """The base point of T over the range of the arrow ``eta`` of H."""
+    return pkg.T.p[pkg.H.tgt[eta]]
+
+
+def p_s(pkg: ActionPackage, eta):
+    """The base point of T over the source of the arrow ``eta`` of H."""
+    return pkg.T.p[pkg.H.src[eta]]
+
+
+def composable(G: FiniteGroupoid, g, h) -> bool:
+    return G.src[g] == G.tgt[h]
+
+
+def grading_zero(c: Grading) -> tuple:
+    return tuple(0 for _ in c.group)
+
+
+def all_true(rep: PropertyReport) -> bool:
+    return rep.is_subgroupoid and rep.is_wide and rep.is_group_bundle and rep.fibres_abelian and rep.is_normal
+
+
+def validate_action(spec):
+    """Check that beta is an action of K on H by automorphisms; raise NotAutomorphism if not."""
+    _action_table(spec)
+
+
+def star_basis(alg: TwistedAlgebra, g):
+    """delta_g^* = conj(phase(g, g^{-1})) . delta_{g^{-1}}."""
+    i = alg.G.index[g]
+    return alg.G.arrows[alg.inv[i]], alg.star_phase[i]
+
+
+def convolve(alg: TwistedAlgebra, f, h) -> dict:
+    out = alg.convolve_vectors(alg.vector(f), alg.vector(h))
+    return {alg.G.arrows[k]: out[k] for k in np.flatnonzero(out)}
+
+
+def star(alg: TwistedAlgebra, f) -> dict:
+    out = {}
+    for g, v in f.items():
+        gi, ph = star_basis(alg, g)
+        out[gi] = np.conj(v) * ph
+    return out
+
+
+def times(p: Phase, n: int) -> Phase:
+    """n-fold sum of p (the n-th power on the circle)."""
+    return Phase(p.num * n, p.den)
+
+
+# ------------------------------------------ group bundles through callables
+
+def tabulate_bundle(base, fibres: Mapping, mult, identity: Mapping) -> GroupBundle:
+    """The GroupBundle whose product is the callable ``mult``, one call per pair of each fibre.
+
+    ``fibres[x]`` lists the elements over x in the order of the table's
+    positions; a product outside the fibre is -1.
+    """
+    fibres = {x: tuple(fibres[x]) for x in base}
+    product = {}
+    for x, f in fibres.items():
+        pos = {a: i for i, a in enumerate(f)}
+        product[x] = np.array([pos.get(mult(a, b), -1) for a in f for b in f], dtype=np.int64).reshape(len(f), len(f))
+    return GroupBundle(tuple(base), fibres, {a: x for x, f in fibres.items() for a in f}, product, dict(identity))
+
+
+def bundle_lookups(T: GroupBundle):
+    """(mult, inv): the product and inverse of T's elements by id, read off its product tables.
+
+    A product across fibres, or one the table leaves undefined, raises KeyError.
+    """
+    position = {a: i for f in T.fibres.values() for i, a in enumerate(f)}
+
+    def mult(a, b):
+        x = T.p[a]
+        k = T.product[x][position[a], position[b]] if T.p[b] == x else -1
+        if k < 0:
+            raise KeyError((a, b))
+        return T.fibres[x][k]
+
+    def inv(a):
+        x = T.p[a]
+        row = T.product[x][position[a]] == position[T.identity[x]]
+        if not row.any():
+            raise KeyError(a)
+        return T.fibres[x][int(np.argmax(row))]
+
+    return mult, inv
+
+
+def bundle_element_order(T: GroupBundle, a) -> int:
+    """The least n >= 1 with a^n the identity of a's fibre."""
+    mult = bundle_lookups(T)[0]
+    n, x, e = 1, a, T.identity[T.p[a]]
+    while x != e:
+        x, n = mult(x, a), n + 1
+    return n
+
+
+def to_bundle(dual) -> GroupBundle:
+    """A character bundle as a GroupBundle over character ids, with the character product tables."""
+    tables = dual.tables
+    return GroupBundle(dual.base, {x: tables[x].ids for x in dual.base},
+                       {cid: x for cid, (x, _) in dual.position.items()},
+                       {x: tables[x].product for x in dual.base}, {x: tables[x].ids[0] for x in dual.base})
+
+
+def trivial(dual, x) -> Character:
+    return dual.fibres[x][0]
+
+
+def multiply(dual, chi: Character, nu: Character) -> Character:
+    """The product of two characters of ``dual`` over one base point."""
+    (x, i), (y, j) = dual.position[dual.char_id[chi]], dual.position[dual.char_id[nu]]
+    if x != y:
+        raise KeyError((chi.unit, nu.unit))
+    return dual.fibres[x][dual.tables[x].product[i, j]]
+
+
+def invert(dual, chi: Character) -> Character:
+    x, i = dual.position[dual.char_id[chi]]
+    return dual.fibres[x][dual.tables[x].inverse[i]]
+
+
+class CharacterTableLoop(CharacterTable):
+    """A CharacterTable whose ``mul`` is built by calling ``mult`` on every pair of sorted elements.
+
+    The rest (exponent, characters, checks, product and inverse) is
+    CharacterTable's own, so the two differ only in how the fibre's product
+    is read: a callable here, the bundle's product table there.
+    """
+
+    def __init__(self, fibre, mult, identity, x):
+        if len(fibre) > FIBRE_CAP:
+            raise FibreTooLarge(f"fibre at {x} has order {len(fibre)}")
+        self.base, self.elements, m = x, tuple(sorted(fibre)), len(fibre)
+        self.column = column = {a: j for j, a in enumerate(self.elements)}
+        self.ids = tuple(f"{x}#{i}" for i in range(m))
+        if m == 1:
+            (u,) = self.elements
+            if u != identity or mult(u, u) != u:
+                raise DualityFailure(("fibre is not a group", x))
+            self.mul, self.values = np.zeros((1, 1), dtype=np.int64), np.zeros((1, 1), dtype=np.int64)
+            self.identity, self.exponent = 0, 1
+            return
+        mul = np.array([column.get(mult(a, b), -1) for a in self.elements for b in self.elements])
+        self.mul = mul = mul.reshape(m, m)
+        if (mul != mul.T).any():
+            i, j = np.argwhere(np.triu(mul != mul.T, 1))[0]
+            raise NotAbelian(f"fibre at {x} is not abelian: ({self.elements[i]}, {self.elements[j]})")
+        self.identity = column.get(identity, -1)
+        if self.identity < 0 or (mul < 0).any():
+            raise DualityFailure(("fibre is not a group", x))
+        power, self.exponent = np.arange(m), 1
+        while (power != self.identity).any():
+            power, self.exponent = mul[power, np.arange(m)], self.exponent + 1
+        self.values = self.check(self._characters())
+
+
+# ------------------------------ the maximality search on sets of arrow ids
+
+def fibre_closure(G: FiniteGroupoid, u, gens):
+    """Subgroup of the isotropy fibre at u generated by gens: their product closure with u."""
+    seeds = arrow_indices(G.index, [u, *gens], 1 + len(gens))
+    covered = product_closure(G, np.zeros(len(G.arrows), dtype=bool), seeds)
+    return frozenset(map(G.arrows.__getitem__, covered.nonzero()[0].tolist()))
+
+
+def abelian_symmetric(G, omega, subset):
+    m = arrow_indices(G.index, subset, len(subset))
+    return noncommuting_pair(G, m) is None and check_symmetric_on(omega, subset)
+
+
+def maximal_extension_loop(G: FiniteGroupoid, omega: TwoCocycle, kernel: Mapping, members) -> Optional[tuple]:
+    """``cocycle._maximal_extension`` on frozensets of ids, one closure per candidate."""
+    S = isotropy_fibres(G, members)
+    for u in G.units:
+        fibre, Su = set(kernel[u]), set(S[u])
+        if len(fibre) > FIBRE_CAP:
+            raise SearchCapExceeded(f"isotropy fibre at {u} has order {len(fibre)}")
+        for t in sorted(fibre - Su):
+            B = fibre_closure(G, u, Su | {t})
+            if B <= fibre and abelian_symmetric(G, omega, B):
+                return (u, t)
+    return None

@@ -27,7 +27,7 @@ from weylkit.semidirect import build_semidirect, gen_rotation, verify_untwisting
 from weylkit.weyl import build_weyl_groupoid, check_gamma_cartan_hypotheses, weyl_twist_cocycle
 
 from mutations import EXPECTED_FAILURES, MUTATIONS
-from oracles import find_isomorphism
+from oracles import bundle_element_order, find_isomorphism, to_bundle
 
 NAMED = ["pauli", "s3", "d4", "q8", "z2xR2"]
 ROTATIONS = [f"rotation({n},{p})" for n in range(2, 9) for p in range(n)]
@@ -140,14 +140,9 @@ def test_criterion_05_reconstruction_roundtrip():
     # D4 and Q8 share (H/T, dual, diamond) and differ only in theta
     d4, q8 = recs["d4"], recs["q8"]
     ok = ok and find_isomorphism(d4.dia.HT, q8.dia.HT) is not None
-    d4_orders = sorted(
-        d4.dia.That.to_bundle().element_order(t)
-        for x in d4.dia.That.base for t in d4.dia.That.to_bundle().fibre(x)
-    )
-    q8_orders = sorted(
-        q8.dia.That.to_bundle().element_order(t)
-        for x in q8.dia.That.base for t in q8.dia.That.to_bundle().fibre(x)
-    )
+    d4_dual, q8_dual = to_bundle(d4.dia.That), to_bundle(q8.dia.That)
+    d4_orders = sorted(bundle_element_order(d4_dual, t) for f in d4_dual.fibres.values() for t in f)
+    q8_orders = sorted(bundle_element_order(q8_dual, t) for f in q8_dual.fibres.values() for t in f)
     ok = ok and d4_orders == q8_orders
     ok = ok and all(v.is_trivial for v in d4.theta.values.values())
     q8_nontrivial = [v for v in q8.theta.values.values() if not v.is_trivial]

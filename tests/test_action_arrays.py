@@ -26,7 +26,7 @@ INPUTS = (
     list(corpus.BUILDERS)
     + [f"pair({n})" for n in range(3, 7)]
     + [f"rotation({n},{p})" for n in range(1, 9) for p in (0, 1) if p < n]
-    + ["bundle(z2xR2)"]
+    + ["rotation(12,0)", "bundle(z2xR2)"]       # 12 characters a fibre: "u#10" sorts before "u#2"
 )
 
 

@@ -29,7 +29,7 @@ from weylkit.groupoid import Grading
 from weylkit.phases import HALF, Phase
 from weylkit.weyl import build_weyl_groupoid, weyl_twist_cocycle
 
-from oracles import total_representation_stack
+from oracles import convolve, star, star_basis, total_representation_stack
 
 BLOCK_ORACLE = {
     "z2z2": [1, 1, 1, 1],
@@ -81,10 +81,10 @@ def test_star_and_convolution(entry):
     e = entry("pauli")
     alg = TwistedAlgebra(e.G, e.omega)
     g = "1|0"
-    gi, ph = alg.star_basis(g)
+    gi, ph = star_basis(alg, g)
     assert gi == e.G.inv(g)
     f = {"1|0": 1.0, "0|1": 2.0}
-    ff = alg.convolve(alg.star(f), f)
+    ff = convolve(alg, star(alg, f), f)
     u = e.G.units[0]
     assert abs(ff[u] - 5.0) < 1e-12  # |1|^2 + |2|^2 on the unit
 

@@ -46,11 +46,12 @@ from weylkit.groupoid import build_groupoid
 from weylkit.phases import HALF, Phase
 
 from oracles import (
-    _commutator_map,
     broken_law_loop,
     center_basis_stack,
     check_symmetric_on_loop,
     commutant_check_dense,
+    _commutator_map,
+    grading_zero,
     reduced_norm_loop,
     represent_stack,
     total_basis_loop,
@@ -459,7 +460,7 @@ def test_center_matches_the_stacked_commutator_map(name):
         assert np.max(np.abs(_center_gram(alg) - K.conj().T @ K)) < 1e-12
         # and over S, on the zero-graded arrows, as the commutant reads it
         s = [G.index[g] for g in sorted(e.S)]
-        A0 = [G.index[g] for g in G.arrows if e.c.value(g) == e.c.zero]
+        A0 = [G.index[g] for g in G.arrows if e.c.value(g) == grading_zero(e.c)]
         K = _commutator_map(alg, s, A0)
         assert np.max(np.abs(_center_gram(alg, s, A0) - K.conj().T @ K), initial=0.0) < 1e-12
         new, old = _center_basis(alg), center_basis_stack(alg)

@@ -6,7 +6,7 @@ reconstruction) build powers by gathers on the compose table and on the
 character product tables; their loop oracles in ``oracles.py`` cache each
 element's powers in a dict and test one arrow at a time.  Both must give
 the same (ok, witness).  Neither check multiplies through
-``FiniteGroupoid.mul`` or a ``GroupBundle``, and the class dicts of
+``FiniteGroupoid.mul`` or a bundle's product lookup, and the class dicts of
 ``class_table`` are a test oracle that no weylkit module holds.
 """
 
@@ -17,7 +17,6 @@ import pytest
 
 from weylkit import corpus, groupoid
 from weylkit.cocycle import is_maximal_symmetric_abelian
-from weylkit.dual import CharacterBundle
 from weylkit.groupoid import FiniteGroupoid
 from weylkit.reconstruct import (
     check_imm_centralizing_action,
@@ -34,7 +33,12 @@ from weylkit.weyl import (
     iso_kernel_members,
 )
 
-from oracles import check_imm_centralizing_action_loop, check_immediately_centralizing_loop
+from oracles import (
+    bundle_lookups,
+    check_imm_centralizing_action_loop,
+    check_immediately_centralizing_loop,
+    to_bundle,
+)
 
 PAIRS = [f"pair({n})" for n in range(2, 9)]
 ROTATIONS = [f"rotation({n},{p})" for n in range(1, 9) for p in range(n)]
@@ -80,7 +84,7 @@ def diamonds():
 
 
 def action_oracle(dia, image):
-    K = dia.That.to_bundle()
+    K = to_bundle(dia.That)
     return check_imm_centralizing_action_loop(dia.HT, K, action_ids(dia.HT, dia.That, image, dia.x_unit), dia.x_unit)
 
 
@@ -144,10 +148,9 @@ def test_the_checks_multiply_through_no_groupoid_or_bundle_and_build_no_action_d
     checks = {check_immediately_centralizing.__code__, check_imm_centralizing_action.__code__}
     seen = calls_under(checks, run)
     assert seen, "the profile saw no call under the checks"
-    mult = {FiniteGroupoid.mul.__code__,
-            reps[0][0].dia.That.to_bundle().mult.__code__, reps[0][0].dia.pkg.T.mult.__code__}
+    mult = {FiniteGroupoid.mul.__code__, bundle_lookups(reps[0][0].dia.pkg.T)[0].__code__}
     assert not seen & mult
-    built = {action_ids.__code__, CharacterBundle.to_bundle.__code__}
+    built = {action_ids.__code__, to_bundle.__code__}
     assert not calls_under({verify_reconstruction_hypotheses.__code__}, run) & built
     assert [hyp.witnesses.get("imm_centralizing") for _, hyp in reps] == [None, None, (("0|1", "0|0#0"), 2)]
 
@@ -157,7 +160,7 @@ def test_the_checks_multiply_through_no_groupoid_or_bundle_and_build_no_action_d
     dia = reps[2][0].dia
     seen = calls_under(oracles, lambda: (check_immediately_centralizing_loop(d4.G, d4.S, d4.G.arrows),
                                          action_oracle(dia, dia.image)))
-    assert FiniteGroupoid.mul.__code__ in seen and dia.That.to_bundle().mult.__code__ in seen
+    assert FiniteGroupoid.mul.__code__ in seen and bundle_lookups(to_bundle(dia.That))[0].__code__ in seen
 
 
 def test_no_round_trip_builds_the_class_dicts():

@@ -45,10 +45,12 @@ import oracles
 from oracles import (
     bundle_package,
     class_table,
+    composable,
     derive_weyl_actions_loop,
     diamond_action_loop,
     grading_checks_loop,
     iso_grading_loop,
+    p_s,
     theta_for_package_loop,
     trivial_theta_loop,
     weyl_action_loop,
@@ -182,7 +184,7 @@ def test_the_boxtimes_cache_compares_row_tables():
     assert reconstruct.build_boxtimes(dia, theta_for_package(pkg, dia)) is B
     assert reconstruct.build_boxtimes(dia, ThetaDatum(dict(theta.values))) is B
     # a pair more than the composable ones: the rows are the same, the datum is not
-    extra = next((c, c) for c in dia.HT.arrows if not dia.HT.composable(c, c))
+    extra = next((c, c) for c in dia.HT.arrows if not composable(dia.HT, c, c))
     with pytest.raises(weylkit.errors.ThetaInvalid):
         reconstruct.build_boxtimes(dia, ThetaDatum({**theta.values, extra: next(iter(theta.values.values()))}))
     # theta is trivial here, so the trivial datum has the same rows
@@ -268,7 +270,7 @@ def non_unit_class(pkg, index=1):
     HT, class_map = reconstruct.quotient_HT(pkg)
     members = class_map.members[index]
     members = members[members >= 0]
-    s = pkg.p_s(HT.arrows[index])
+    s = p_s(pkg, HT.arrows[index])
     over = [i for i, t in enumerate(pkg.t_elements()) if pkg.T.p[t] == s]
     return HT.arrows[index], members, over
 

@@ -321,6 +321,15 @@ def test_failing_reports_do_not_depend_on_the_hash_seed(tmp_path):
             assert first == _run_cli(args, "2"), args
             codes.add(first[0])
     assert codes == {0, 1}
+    # pair(4) marked with its units and six arrows that are no isotropy: the
+    # expectation check names the first of them in arrow-index order
+    path = tmp_path / "pair4.json"
+    assert main(["gen", "pair", "4", "-o", str(path)]) == 0
+    data = json.loads(path.read_text())
+    data["marked_subgroupoid"] = data["units"] + ["2>3", "1>3", "1>2", "0>3", "0>2", "0>1"]
+    path.write_text(json.dumps(data))
+    runs = {_run_cli(["expectation", str(path)], seed) for seed in ("1", "3", "4")}
+    assert runs == {(1, b"", b"failure: member 0>1 is not isotropy\n")}
 
 
 @pytest.mark.parametrize("table, path", [("group", "/grading/group"), ("values", "/grading/values/0|1")])

@@ -1,8 +1,9 @@
 """Files written from the index tables, and the semidirect action checked on its table.
 
 ``emit_groupoid_data`` spells the compose table from the compose array and
-the cocycle table from the numerator table; ``SemidirectSpec.validate_action``
-checks the action laws as gathers on one table of beta.  The oracles are the
+the cocycle table from the numerator table; ``semidirect._action_table``
+checks the action laws as gathers on one table of beta (the oracles'
+``validate_action`` calls it).  The oracles are the
 dict-based emit and the tuple loop they replaced.
 """
 
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import emit_groupoid_data_dicts, validate_action_loop
+from oracles import composable, emit_groupoid_data_dicts, validate_action, validate_action_loop
 from test_array_groupoids import SPECS, shuffled
 from weylkit import corpus
 from weylkit.cocycle import TwoCocycle, check_cocycle
@@ -138,7 +139,7 @@ def flipped_pairs():
 def test_a_value_off_the_composable_pairs_or_another_groupoid_is_refused():
     e = corpus.pair_groupoid(3)
     G = e.G
-    g, h = next((g, h) for g in G.arrows for h in G.arrows if not G.composable(g, h))
+    g, h = next((g, h) for g in G.arrows for h in G.arrows if not composable(G, g, h))
     with pytest.raises(UndefinedPair):
         TwoCocycle(G, {(g, h): Phase(1, 2)})
     omega = TwoCocycle(G, {})
@@ -209,10 +210,10 @@ HOW = ("identity", "bijection", "homomorphism", "action")
 @pytest.mark.parametrize("name", SPECS)
 def test_validate_action_matches_the_loop(name):
     spec = SPECS[name]()
-    assert outcome(SemidirectSpec.validate_action, spec) is outcome(validate_action_loop, spec) is None
+    assert outcome(validate_action, spec) is outcome(validate_action_loop, spec) is None
     for how in HOW:
         bad = broken(spec, how)
-        assert outcome(SemidirectSpec.validate_action, bad) == outcome(validate_action_loop, bad), how
+        assert outcome(validate_action, bad) == outcome(validate_action_loop, bad), how
 
 
 def test_each_way_of_breaking_an_action_is_seen():
@@ -220,13 +221,13 @@ def test_each_way_of_breaking_an_action_is_seen():
                    "homomorphism": "is not a homomorphism", "action": "beta is not an action"}
     for name in ("a4", "z3:z2z2", "rotation(5,2)", "rotation(12,7)"):
         for how in HOW:
-            found = outcome(SemidirectSpec.validate_action, broken(SPECS[name](), how))
+            found = outcome(validate_action, broken(SPECS[name](), how))
             assert found is not None and first_words[how] in found, (name, how, found)
 
 
 def test_a_broken_action_is_refused_under_python_O():
     # A4 with beta_2 swapping the images of 0 and (1, 1): a bijection, not a homomorphism
-    code = ("from oracles import validate_action_loop\n"
+    code = ("from oracles import validate_action, validate_action_loop\n"
             "from weylkit.semidirect import SemidirectSpec\n"
             "def beta(k, h):\n"
             "    if k == (2,) and h in ((0, 0), (1, 1)):\n"
@@ -235,7 +236,7 @@ def test_a_broken_action_is_refused_under_python_O():
             "        h = (h[1], (h[0] + h[1]) % 2)\n"
             "    return h\n"
             "spec = SemidirectSpec(name='a4', h_orders=(2, 2), k_orders=(3,), beta=beta)\n"
-            "for check in (SemidirectSpec.validate_action, validate_action_loop):\n"
+            "for check in (validate_action, validate_action_loop):\n"
             "    try:\n"
             "        check(spec)\n"
             "        print('passed')\n"

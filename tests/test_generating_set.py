@@ -9,6 +9,7 @@ from oracles import (
     associativity_violations,
     bundle_package,
     cocycle_violations,
+    composable,
     is_cocycle_violation,
     validate_groupoid_loops,
 )
@@ -114,7 +115,7 @@ def test_associativity_matches_exhaustive_oracle(entry, name, weyl):
     tried = found = 0
     for g in _rows(G, rng, 6):
         # swap two composites in the row of g, as in the certify FAIL document
-        hs = [h for h in G.arrows if not G.is_unit(h) and G.composable(g, h)]
+        hs = [h for h in G.arrows if not G.is_unit(h) and composable(G, g, h)]
         pairs = [(h1, h2) for h1 in hs for h2 in hs
                  if h1 < h2 and (G.src[h1], G.tgt[h1]) == (G.src[h2], G.tgt[h2])]
         if pairs:
@@ -158,8 +159,8 @@ def test_cocycle_check_matches_exhaustive_oracle(entry, name, weyl):
     assert _cocycle_agrees(G, omega) == []
     rng = random.Random(name)
     u = rng.choice(G.units)
-    unit_rows = [(u, g) for g in G.arrows if G.composable(u, g)]
-    unit_cols = [(g, u) for g in G.arrows if G.composable(g, u)]
+    unit_rows = [(u, g) for g in G.arrows if composable(G, u, g)]
+    unit_cols = [(g, u) for g in G.arrows if composable(G, g, u)]
     pairs = sorted(G.compose)
     for pair in rng.sample(pairs, min(8, len(pairs))) + rng.sample(unit_rows, 2) + rng.sample(unit_cols, 2):
         for by in (HALF, Phase.of(1, 3)):
@@ -212,7 +213,7 @@ def _malformed(entry):
         arrows, compose = _arrows(G), dict(G.compose)
         non_units = [a for a in G.arrows if not G.is_unit(a)]
         g = non_units[0]
-        h = next(a for a in non_units if a != g and G.composable(g, a))
+        h = next(a for a in non_units if a != g and composable(G, g, a))
         x = next(a for a in G.arrows if a != g)
         cases += [
             ("unknown key id", G.units, arrows, {**compose, ("nope", g): g}, None),

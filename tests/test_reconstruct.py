@@ -34,13 +34,19 @@ from weylkit.weyl import action_ids
 
 from mutations import ALL_CLAUSES, EXPECTED_FAILURES, MUTATIONS
 from oracles import (
+    bundle_lookups,
     bundle_package,
     class_table,
     element_order,
     find_isomorphism,
+    invert,
     mul_all,
+    multiply,
+    p_r,
+    p_s,
     tabulate_actions,
     theta_from_section,
+    trivial,
 )
 
 RECON = ["z2z2", "s3", "d4", "q8", "z2xR2"]
@@ -79,7 +85,7 @@ def oracle_maps(pkg):
         gi = G.inv(gamma)
         table = {
             a: direct_value(chi, mul_all(G, gamma, a, gi))
-            for a in dual.bundle.fibre(G.src[gamma])
+            for a in dual.bundle.fibres[G.src[gamma]]
         }
         return Character.from_table(G.src[gamma], table)
 
@@ -130,7 +136,7 @@ def test_moment_map_guards(derived):
     off = 0
     for i, t in enumerate(pkg.t_elements()):
         for j, eta in enumerate(H.arrows):
-            on_r, on_s = T.p[t] == pkg.p_r(eta), T.p[t] == pkg.p_s(eta)
+            on_r, on_s = T.p[t] == p_r(pkg, eta), T.p[t] == p_s(pkg, eta)
             assert (pkg.left[i, j] >= 0) == on_r and (pkg.rho[i, j] >= 0) == on_r, (t, eta)
             assert (pkg.right[j, i] >= 0) == on_s and (pkg.lam[j, i] >= 0) == on_s, (eta, t)
             off += not on_r
@@ -184,10 +190,10 @@ def test_quotient_requires_passing_report(derived):
 def test_diamond_action_d4_inverts_dual(diamond):
     dia = diamond("d4")
     nontrivial = next(c for c in dia.HT.arrows if not dia.HT.is_unit(c))
-    x = dia.pkg.p_s(min(class_table(dia.class_map)[nontrivial]))
+    x = p_s(dia.pkg, min(class_table(dia.class_map)[nontrivial]))
     action = action_ids(dia.HT, dia.That, dia.image, dia.x_unit)
     for chi in dia.That.fibres[x]:
-        assert dia.That.by_id[action[(nontrivial, dia.That.char_id[chi])]] == dia.That.invert(chi)
+        assert dia.That.by_id[action[(nontrivial, dia.That.char_id[chi])]] == invert(dia.That, chi)
 
 
 def test_diamond_action_trivial_for_abelian(diamond):
@@ -204,7 +210,7 @@ def test_theta_oracle_values(derived, diamond):
     nontrivial = [v for v in theta.values.values() if not v.is_trivial]
     assert len(nontrivial) == 1
     chi = nontrivial[0]
-    assert dia.That.multiply(chi, chi).is_trivial
+    assert multiply(dia.That, chi, chi).is_trivial
 
     # D4: reflections square to the identity, so theta is entirely trivial
     dia4 = diamond("d4")
@@ -398,16 +404,17 @@ def test_tabulated_package_matches_closed_formulas(derived, name):
     pkg = pair3_package() if name == "pair(3)" else derived(name)
     H, T = pkg.H, pkg.T
     left, right, lam, rho, mult, inv = oracle_maps(pkg)
+    t_mult, t_inv = bundle_lookups(T)
     ids = pkg.t_elements()
     for i, t in enumerate(ids):
-        assert T.inv(t) == inv(t), (t,)
-        for t2 in T.fibre(T.p[t]):
-            assert T.mult(t, t2) == mult(t, t2), (t, t2)
+        assert t_inv(t) == inv(t), (t,)
+        for t2 in T.fibres[T.p[t]]:
+            assert t_mult(t, t2) == mult(t, t2), (t, t2)
         for j, eta in enumerate(H.arrows):
-            if pkg.p_r(eta) == T.p[t]:
+            if p_r(pkg, eta) == T.p[t]:
                 assert H.arrows[pkg.left[i, j]] == left(t, eta), (t, eta)
                 assert ids[pkg.rho[i, j]] == rho(t, eta), (t, eta)
-            if pkg.p_s(eta) == T.p[t]:
+            if p_s(pkg, eta) == T.p[t]:
                 assert H.arrows[pkg.right[j, i]] == right(eta, t), (eta, t)
                 assert ids[pkg.lam[j, i]] == lam(eta, t), (eta, t)
 
@@ -415,13 +422,13 @@ def test_tabulated_package_matches_closed_formulas(derived, name):
 def clause_domain_sizes(pkg):
     """How many instances each action-package clause has, from fibre sizes."""
     H, T = pkg.H, pkg.T
-    n_r = {eta: len(T.fibre(pkg.p_r(eta))) for eta in H.arrows}
-    n_s = {eta: len(T.fibre(pkg.p_s(eta))) for eta in H.arrows}
+    n_r = {eta: len(T.fibres[p_r(pkg, eta)]) for eta in H.arrows}
+    n_s = {eta: len(T.fibres[p_s(pkg, eta)]) for eta in H.arrows}
     on_left, on_right = sum(n_r.values()), sum(n_s.values())
     composable = [
         (g, e) for g, e in itertools.product(H.arrows, H.arrows) if H.src[g] == H.tgt[e]
     ]
-    on_units = sum(len(T.fibre(T.p[u])) for u in H.units)
+    on_units = sum(len(T.fibres[T.p[u]]) for u in H.units)
     after = sum(n_s[e] for _, e in composable)
     before = sum(n_r[g] for g, _ in composable)
     return {
@@ -506,7 +513,7 @@ def test_theta_value_outside_the_dual_is_a_violation(diamond, derived, name):
     x = theta.values[pair].unit
     stray = Character.from_table(x, {t: Phase(1, 5) for t in dia.That.tables[x].elements})
     # a character of the dual of T, but over another base point
-    elsewhere = [dia.That.trivial(y) for y in dia.That.base if y != x]
+    elsewhere = [trivial(dia.That, y) for y in dia.That.base if y != x]
     for value in [stray] + elsewhere:
         report = verify_theta(dia, ThetaDatum({**theta.values, pair: value}))
         assert not report.all_pass() and ("outside the dual", pair) in report.violations

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from oracles import element_order
+from oracles import element_order, invert
 from weylkit import semidirect, weyl
 from weylkit.cocycle import check_cocycle
 from weylkit.errors import (
@@ -99,7 +99,7 @@ def test_s3_closed_form_action_is_inversion(entry):
     u = G.units[0]
     reflection_class = min("0|1 1|1 2|1".split())
     for chi in dual.fibres[u]:
-        assert action[(reflection_class, dual.char_id[chi])] == dual.invert(chi)
+        assert action[(reflection_class, dual.char_id[chi])] == invert(dual, chi)
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,9 @@
 """Subgroupoid checks and subgroup closures on the compose array, against their loop oracles.
 
 ``subgroupoid_properties`` computes each clause as one expression on the
-compose array, and the subgroup closure of ``cocycle`` and
-``FiniteGroupoid.generators`` share one product-closure routine.  The
+compose array, and the subgroup closures of ``cocycle._maximal_extension``
+and ``FiniteGroupoid.generators`` share one product-closure routine, which
+``oracles.fibre_closure`` reads as a set of ids.  The
 oracles are the per-pair loop and the breadth-first search they replaced.
 """
 
@@ -10,9 +11,8 @@ import itertools
 
 import pytest
 
-from oracles import closure_bfs, subgroupoid_properties_loop
+from oracles import closure_bfs, fibre_closure, subgroupoid_properties_loop
 from weylkit import corpus
-from weylkit.cocycle import _closure
 from weylkit.groupoid import build_groupoid, isotropy_fibres, subgroupoid_properties
 from weylkit.weyl import build_weyl_groupoid
 
@@ -66,7 +66,7 @@ def test_each_clause_fails_with_the_witness_of_the_loop():
         G = corpus.by_name(name).G
         for a, b in itertools.combinations(G.arrows, 2):      # non-commuting pairs
             if G.mul(a, b) != G.mul(b, a):
-                rep = same_report(G, _closure(G, G.units[0], {a, b}))
+                rep = same_report(G, fibre_closure(G, G.units[0], {a, b}))
                 seen.update(rep.witnesses)
     s3 = corpus.by_name("s3").G
     rep = same_report(s3, {"0|0", "0|1"})                     # the non-normal reflection
@@ -87,7 +87,7 @@ def test_closure_matches_the_bfs_on_every_fibre(name):
         sizes = range(len(fibre) + 1) if len(fibre) <= 8 else range(3)
         for k in sizes:
             for seeds in itertools.combinations(fibre, k):
-                assert _closure(G, u, set(seeds)) == closure_bfs(G, u, set(seeds)), (u, seeds)
+                assert fibre_closure(G, u, set(seeds)) == closure_bfs(G, u, set(seeds)), (u, seeds)
 
 
 def test_build_groupoid_calls_mul_on_the_composable_pairs_in_arrow_order():

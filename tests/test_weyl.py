@@ -32,7 +32,7 @@ from weylkit.weyl import (
     weyl_twist_cocycle,
 )
 
-from oracles import class_table, element_order, find_isomorphism, verify_groupoid_action_loop
+from oracles import class_table, element_order, find_isomorphism, trivial, verify_groupoid_action_loop
 
 NAMED = ["pauli", "s3", "d4", "q8", "z2xR2"]
 
@@ -117,7 +117,7 @@ def test_weyl_action_pauli_shifts_characters(entry):
     Q, class_map, dual, action = weyl_characters(e.G, e.S, e.omega)
     u = e.G.units[0]
     nontrivial_class = class_map["0|1"]
-    triv = dual.trivial(u)
+    triv = trivial(dual, u)
     # the k=1 class shifts every character of Z2-hat by one step
     for chi in dual.fibres[u]:
         moved = action[(nontrivial_class, dual.char_id[chi])]
@@ -311,7 +311,7 @@ def _act_one_oracle(G, omega, dual, gamma, chi):
     gi = G.inv(gamma)
     base = -omega.omega(gamma, gi)
     table = {}
-    for a in dual.bundle.fibre(G.tgt[gamma]):
+    for a in dual.bundle.fibres[G.tgt[gamma]]:
         gia = G.mul(gi, a)
         table[a] = base + omega.omega(gi, a) + omega.omega(gia, gamma) + chi.value(G.mul(gia, gamma))
     return Character.from_table(G.tgt[gamma], table)
